@@ -24,7 +24,6 @@ import numpy as np
 
 from .constructions import (
     UMEBCandidate,
-    UMEBFormatError,
     External,
     bravyi_smolin_3,
     lift,
@@ -35,7 +34,7 @@ from .constructions import (
     umeb_6,
     weyl_family,
 )
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .spectral import sector_summaries, sector_table, signature, compare_signatures
 from .verification import search_extension, structural_certify, verify_axioms
 
@@ -80,9 +79,11 @@ def _tolerances(args) -> Tolerances:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="print a JSON report on stdout")
-    p.add_argument("--unitarity-tol", type=float, default=1e-10, metavar="T")
-    p.add_argument("--gram-tol", type=float, default=1e-10, metavar="T")
-    p.add_argument("--phase-tol", type=float, default=1e-9, metavar="T")
+    p.add_argument(
+        "--unitarity-tol", type=float, default=DEFAULT_TOLERANCES.unitarity_tol, metavar="T"
+    )
+    p.add_argument("--gram-tol", type=float, default=DEFAULT_TOLERANCES.gram_tol, metavar="T")
+    p.add_argument("--phase-tol", type=float, default=DEFAULT_TOLERANCES.phase_tol, metavar="T")
 
 
 def _require_positive(name: str, value: int) -> None:
@@ -369,21 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except UMEBFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError, np.linalg.LinAlgError) as exc:
+    except (_UsageError, OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -35,6 +35,7 @@ __all__ = [
     "Lift",
     "External",
     "Provenance",
+    "as_lift",
     "UMEBCandidate",
     "UMEBFormatError",
     "weyl",
@@ -93,6 +94,22 @@ class Lift:
         if self.base_dim < 1 or self.base_count < 1:
             raise ValueError("lift base must have positive dimension and count")
 
+    @property
+    def weyl_count(self) -> int:
+        """Size q(q-1)d^2 of the Weyl sector, which leads the element order."""
+        q, d = self.q, self.base_dim
+        return q * (q - 1) * d * d
+
+    @property
+    def element_count(self) -> int:
+        """Size q(q-1)d^2 + qN of the lifted set: Weyl sector, then base sector."""
+        return self.weyl_count + self.q * self.base_count
+
+    @property
+    def dim(self) -> int:
+        """Dimension qd of the lifted set's matrices."""
+        return self.q * self.base_dim
+
 
 @dataclass(frozen=True)
 class External:
@@ -102,6 +119,19 @@ class External:
 
 
 Provenance = Union[WeylFamily, BravyiSmolin3, Umeb6, Lift, External]
+
+
+def as_lift(p: Provenance) -> Optional[Lift]:
+    """The lift a provenance describes, or None when it describes none.
+
+    The explicit 30-member set counts: it is the q = 2 lift of the d = 3 base
+    in the same element order, so the sector split carries over.
+    """
+    if isinstance(p, Lift):
+        return p
+    if isinstance(p, Umeb6):
+        return Lift(BravyiSmolin3(), 3, 6, 2)
+    return None
 
 
 def provenance_to_str(p: Provenance) -> str:
@@ -325,7 +355,7 @@ def lift_counts(base_dim: int, base_count: int, q: int) -> tuple[int, int]:
     of the constructed set; the second exceeds it by (q-1)(d^2-N) and is
     reported by the CLI for comparison whenever the two differ.
     """
-    constructed = q * (q - 1) * base_dim**2 + q * base_count
+    constructed = Lift(External("lift_counts"), base_dim, base_count, q).element_count
     closed_form = (q * base_dim) ** 2 - (base_dim**2 - base_count)
     return constructed, closed_form
 

@@ -27,6 +27,7 @@ __all__ = [
     "singular_values",
     "eigenvalues",
     "orthonormal_complement",
+    "RANK_RTOL",
     "seeded_random_matrix",
 ]
 
@@ -153,21 +154,24 @@ def eigenvalues(a) -> np.ndarray:
     return np.linalg.eigvals(_square(a))
 
 
-def orthonormal_complement(mats, *, rank_tol: float = 1e-8) -> list[np.ndarray]:
+# Relative singular-value floor: a stacked matrix set whose smallest
+# singular value falls below RANK_RTOL times its largest is rank deficient.
+# The complement and the lift certificate's rank test share it.
+RANK_RTOL = 1e-8
+
+
+def orthonormal_complement(mats) -> list[np.ndarray]:
     """Orthonormal basis of the trace-orthogonal complement of span(mats).
 
-    The standard matrix units are projected onto the complement and
-    orthonormalized greedily (largest residual first) with a
-    re-orthogonalization pass.  This avoids forming a Gram system and keeps
-    the output aligned with the matrix-unit structure whenever the complement
-    happens to contain matrix units outright.
+    The inputs are flattened into the rows of one n x d^2 matrix A, and the
+    basis is its null space read from a single SVD A = U S V^dag: the rows of
+    V^dag after the first n satisfy Tr(a^dag v) = 0 for every input a, as
+    they stand (not conjugated).
 
     Parameters
     ----------
     mats : sequence of square complex matrices, all of one dimension d,
         linearly independent.
-    rank_tol : relative threshold below which an input is declared linearly
-        dependent on its predecessors.
 
     Returns
     -------
@@ -177,7 +181,7 @@ def orthonormal_complement(mats, *, rank_tol: float = 1e-8) -> list[np.ndarray]:
     Raises
     ------
     RankDeficiencyError
-        If the inputs are not linearly independent.
+        If the inputs are not linearly independent, judged by ``RANK_RTOL``.
     DimensionMismatchError
         If the inputs are not square matrices of one common dimension.
     """
@@ -190,47 +194,15 @@ def orthonormal_complement(mats, *, rank_tol: float = 1e-8) -> list[np.ndarray]:
             raise DimensionMismatchError(
                 f"dimension mismatch at element {i}: {m.shape} vs ({d}, {d})"
             )
-
-    # Orthonormalize the input span first (modified Gram-Schmidt, two passes).
-    span: list[np.ndarray] = []
-    for m in mats:
-        v = m.ravel().astype(np.complex128, copy=True)
-        scale = np.linalg.norm(v)
-        for _ in range(2):
-            for q in span:
-                v -= np.vdot(q, v) * q
-        n = np.linalg.norm(v)
-        if n < rank_tol * max(scale, 1.0):
-            raise RankDeficiencyError(
-                "input set is rank deficient; complement of a dependent set is ill-posed"
-            )
-        span.append(v / n)
-
-    # Residuals of every matrix unit after projecting out the input span.
-    dim2 = d * d
-    residuals = []
-    for idx in range(dim2):
-        v = np.zeros(dim2, dtype=np.complex128)
-        v[idx] = 1.0
-        for _ in range(2):
-            for q in span:
-                v -= np.vdot(q, v) * q
-        residuals.append(v)
-
-    out: list[np.ndarray] = []
-    for _ in range(dim2 - len(span)):
-        norms = [np.linalg.norm(v) for v in residuals]
-        j = int(np.argmax(norms))
-        if norms[j] < 1e-8:
-            raise np.linalg.LinAlgError("complement extraction lost rank")
-        q = residuals[j] / norms[j]
-        for p in out:
-            q -= np.vdot(p, q) * p
-        q /= np.linalg.norm(q)
-        out.append(q)
-        for i, v in enumerate(residuals):
-            residuals[i] = v - np.vdot(q, v) * q
-    return [v.reshape(d, d) for v in out]
+    n = len(mats)
+    _, s, vh = np.linalg.svd(np.stack(mats).reshape(n, d * d))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    if rank < n:
+        raise RankDeficiencyError(
+            f"input set of {n} matrices has rank {rank}; "
+            "complement of a dependent set is ill-posed"
+        )
+    return list(vh[n:].reshape(-1, d, d))
 
 
 def seeded_random_matrix(dim: int, seed: int) -> np.ndarray:

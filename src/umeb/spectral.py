@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .constructions import UMEBCandidate
+from .constructions import UMEBCandidate, as_lift
 from .linalg import (
     DEFAULT_TOLERANCES,
     TWO_PI,
@@ -28,7 +28,6 @@ from .linalg import (
     eigenvalues,
     unitarity_residual,
 )
-from .verification import _lift_shape
 
 __all__ = [
     "Finite",
@@ -384,16 +383,12 @@ def sector_summaries(
     records = [
         _element_spectrum(u, bound, tol, c.exact_cos_theta) for u in c.elements
     ]
-    shape = _lift_shape(c.provenance)
-    if shape is None:
+    layout = as_lift(c.provenance)
+    if layout is None or len(records) < layout.weyl_count:
         sectors = [("all", records)]
     else:
-        _, d, _, q = shape
-        cut = q * (q - 1) * d * d
-        if len(records) < cut:
-            sectors = [("all", records)]
-        else:
-            sectors = [("weyl", records[:cut]), ("base", records[cut:])]
+        cut = layout.weyl_count
+        sectors = [("weyl", records[:cut]), ("base", records[cut:])]
 
     rows = []
     for name, recs in sectors:

@@ -204,6 +204,20 @@ def test_search_default_witness_path(tmp_path, capsys):
     assert (tmp_path / "short.witness.json").exists()
 
 
+def test_search_loose_tolerance_writes_no_witness(tmp_path, capsys):
+    path = tmp_path / "bs3.json"
+    save_umeb(bravyi_smolin_3(), path)
+    code, stdout, _ = run(
+        capsys, "search", str(path), "--restarts", "5", "--iters", "50",
+        "--tol", "0.6", "--json",
+    )
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["verdict"] == "NoExtensionFound"
+    assert payload["witness_path"] is None
+    assert not (tmp_path / "bs3.witness.json").exists()
+
+
 def test_search_usage_errors(tmp_path, capsys):
     path = tmp_path / "bs3.json"
     save_umeb(bravyi_smolin_3(), path)
@@ -232,6 +246,19 @@ def test_certify_exit_codes(tmp_path, capsys):
     bad_path = tmp_path / "bad.json"
     save_umeb(bad, bad_path)
     assert run(capsys, "certify", str(bad_path))[0] == 2
+
+
+def test_certify_duplicated_weyl_element_exits_2(tmp_path, capsys):
+    good = lift(bravyi_smolin_3(), 2)
+    elements = list(good.elements)
+    elements[1] = elements[0]
+    path = tmp_path / "dup.json"
+    save_umeb(UMEBCandidate(6, tuple(elements), good.provenance), path)
+    code, stdout, _ = run(capsys, "certify", str(path), "--json")
+    assert code == 2
+    payload = json.loads(stdout)
+    assert payload["overall"] == "Failed"
+    assert any("rank 17" in n for n in payload["notes"])
 
 
 def test_certify_json_lists_checks(tmp_path, capsys):

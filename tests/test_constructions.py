@@ -12,6 +12,7 @@ from umeb.constructions import (
     UMEBFormatError,
     Umeb6,
     WeylFamily,
+    as_lift,
     bravyi_smolin_3,
     bravyi_smolin_states,
     cyclic_shift,
@@ -159,6 +160,19 @@ def test_lift_counts_formulas():
     for d, q in ((3, 2), (4, 3), (2, 5)):
         constructed, _ = lift_counts(d, d * (d - 1), q)
         assert constructed == (q * d) * (q * d - 1)
+
+
+def test_lift_provenance_owns_the_layout():
+    p = Lift(BravyiSmolin3(), 3, 6, 4)
+    assert (p.weyl_count, p.element_count, p.dim) == (108, 132, 12)
+    assert as_lift(p) is p
+    assert as_lift(Umeb6()) == Lift(BravyiSmolin3(), 3, 6, 2)
+    assert as_lift(WeylFamily(3)) is None
+    assert as_lift(External("x")) is None
+    for q in (1, 2, 3):
+        lifted = lift(bravyi_smolin_3(), q)
+        assert len(lifted) == lifted.provenance.element_count
+        assert lifted.dim == lifted.provenance.dim
 
 
 def test_lift_sizes_and_gram():

@@ -138,6 +138,8 @@ def test_complement_random_spans_are_orthogonal():
         for b in comp:
             for m in mats:
                 assert abs(hs_inner(m, b)) < 1e-10 * hs_norm(m)
+        if comp:
+            np.testing.assert_allclose(gram_matrix(comp), np.eye(len(comp)), atol=1e-12)
 
 
 def test_seeded_random_matrix_is_deterministic():

@@ -11,7 +11,7 @@ from umeb.constructions import (
     weyl,
     weyl_family,
 )
-from umeb.linalg import hs_inner, hs_norm, unitarity_residual
+from umeb.linalg import hs_inner, hs_norm, orthonormal_complement, unitarity_residual
 from umeb.verification import (
     search_extension,
     structural_certify,
@@ -129,6 +129,16 @@ def test_search_finds_dropped_weyl_element():
     assert res.extension_max_gram_overlap < 1e-6
 
 
+def test_search_loose_tolerance_does_not_fake_an_extension():
+    # The gap 3 - sqrt(6) is below 0.6, but no unitary lies in the complement,
+    # so the nominated witness must fail re-verification.
+    res = search_extension(bravyi_smolin_3(), 5, 50, extension_tol=0.6)
+    assert res.verdict == "NoExtensionFound"
+    assert res.gap < 0.6
+    assert res.extension is None
+    assert any("fails re-verification" in n for n in res.notes)
+
+
 def test_search_on_complete_basis_reports_trivial_complement():
     res = search_extension(weyl_family(3), restarts=2, iters=5, seed=0)
     assert res.verdict == "NoExtensionFound"
@@ -230,3 +240,42 @@ def test_certified_sets_also_pass_numeric_search():
             res = search_extension(cand, restarts=50, iters=40, seed=seed)
             assert res.verdict == "NoExtensionFound"
             assert res.gap > 1e-3
+
+
+def test_certify_derived_check_is_exact_on_lifts():
+    for cand in (umeb_6(), *(lift(bravyi_smolin_3(), q) for q in (2, 4, 8))):
+        cert = structural_certify(cand)
+        assert cert.overall == "CertifiedConditionalOnBase"
+        assert cert.checks[1].name == "complement_is_block_diagonal"
+        assert cert.checks[1].detail == 0.0
+
+
+def test_certify_duplicated_weyl_element_fails_without_raising():
+    good = lift(bravyi_smolin_3(), 2)
+    elements = list(good.elements)
+    elements[1] = elements[0]
+    bad = UMEBCandidate(6, tuple(elements), good.provenance, good.exact_cos_theta)
+    cert = structural_certify(bad)
+    assert cert.overall == "Failed"
+    assert not cert.checks[0].passed
+    assert not cert.checks[1].passed
+    assert any("rank 17" in n for n in cert.notes)
+
+
+def test_certify_derived_check_bounds_true_off_block_mass():
+    # A 1e-12 block-diagonal perturbation leaves a complement with a small
+    # off-block part; check 2's derived bound must sit above it.
+    q, d = 2, 3
+    good = lift(bravyi_smolin_3(), q)
+    elements = list(good.elements)
+    elements[0] = elements[0] + 1e-12 * np.eye(q * d)
+    perturbed = UMEBCandidate(q * d, tuple(elements), good.provenance, good.exact_cos_theta)
+    check = structural_certify(perturbed).checks[1]
+    assert 0.0 < check.detail < 1e-10
+    weyl_sector = elements[: good.provenance.weyl_count]
+    blocks = np.array(orthonormal_complement(weyl_sector)).reshape(-1, q, d, q, d)
+    for a in range(q):
+        blocks[:, a, :, a, :] = 0.0
+    off_mass = float(np.max(np.abs(blocks)))
+    assert off_mass > 0.0
+    assert off_mass <= check.detail
