@@ -166,6 +166,11 @@ def test_search_reports_and_is_reproducible(tmp_path, capsys):
     assert p1["gap"] == p2["gap"]
     assert p1["gap"] > 0
     assert p1["witness_path"] is None
+    assert len(p1["restart_final_gaps"]) == len(p1["restart_plateau_iters"]) == 10
+    assert p1["restart_final_gaps"] == p2["restart_final_gaps"]
+    assert min(p1["restart_final_gaps"]) == pytest.approx(p1["gap"], abs=1e-15)
+    assert all(0 <= t < 50 for t in p1["restart_plateau_iters"])
+    assert p1["refined"] is False
 
 
 def test_search_writes_witness_file(tmp_path, capsys):

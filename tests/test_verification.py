@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from umeb.constructions import (
+    BravyiSmolin3,
     External,
     Lift,
     UMEBCandidate,
@@ -11,13 +12,27 @@ from umeb.constructions import (
     weyl,
     weyl_family,
 )
-from umeb.linalg import hs_inner, hs_norm, orthonormal_complement, unitarity_residual
+from umeb.linalg import (
+    hs_inner,
+    hs_norm,
+    orthonormal_complement,
+    seeded_random_matrix,
+    unitarity_residual,
+)
 from umeb.verification import (
+    SUB_SEED_STRIDE,
+    _refine_in_complement,
     search_extension,
     structural_certify,
     to_state,
     verify_axioms,
 )
+
+
+def _weyl_subset_lift():
+    # Six Weyl operators mislabelled as the d = 3 base, then lifted: the
+    # lifted set is extendible although its provenance names the base.
+    return lift(UMEBCandidate(3, weyl_family(3).elements[:6], BravyiSmolin3()), 2)
 
 
 def haar_unitary(d, rng):
@@ -176,6 +191,128 @@ def test_search_objective_traces_are_monotone():
         assert diffs.min() > -1e-12
 
 
+def _complement_rows(c):
+    return np.array(orthonormal_complement(c.elements)).reshape(-1, c.dim * c.dim)
+
+
+def _reference_ascent(c, restarts, iters, seed):
+    """One restart at a time: the loop search_extension batches.
+
+    Returns the (restarts, iters) objective traces and each restart's final
+    matrix.
+    """
+    d = c.dim
+    flat = _complement_rows(c)
+
+    def project(m):
+        return ((flat.conj() @ m.ravel()) @ flat).reshape(d, d)
+
+    traces, finals = [], []
+    for r in range(restarts):
+        m = project(seeded_random_matrix(d, seed * SUB_SEED_STRIDE + r))
+        m = np.sqrt(d) * m / np.linalg.norm(m)
+        trace = []
+        for t in range(iters):
+            u, s, vh = np.linalg.svd(m)
+            trace.append(s.sum())
+            if t == iters - 1:
+                break
+            p = project(u @ vh)
+            m = np.sqrt(d) * p / np.linalg.norm(p)
+        traces.append(trace)
+        finals.append(m)
+    return np.array(traces), finals
+
+
+def _reference_refine(witness, flat, d, steps=80):
+    """Gauss-Newton refinement with the Jacobian built one column at a time."""
+    x = flat.conj() @ witness.ravel()
+    eye = np.eye(d)
+    best, best_resid = None, np.inf
+    for _ in range(steps):
+        m = (x @ flat).reshape(d, d)
+        err = m.conj().T @ m - eye
+        resid = float(np.max(np.abs(err)))
+        if resid < best_resid:
+            best, best_resid = m, resid
+        if resid < 1e-14:
+            break
+        f = np.concatenate([err.real.ravel(), err.imag.ravel()])
+        cols = []
+        for k in range(flat.shape[0]):
+            bk = flat[k].reshape(d, d)
+            for dk in (bk, 1j * bk):
+                de = dk.conj().T @ m + m.conj().T @ dk
+                cols.append(np.concatenate([de.real.ravel(), de.imag.ravel()]))
+        delta, *_ = np.linalg.lstsq(np.stack(cols, axis=1), -f, rcond=None)
+        x = x + delta[0::2] + 1j * delta[1::2]
+    return best if best_resid <= 1e-9 else None
+
+
+@pytest.mark.parametrize("make", [bravyi_smolin_3, umeb_6])
+def test_search_batched_ascent_matches_one_restart_at_a_time(make):
+    c = make()
+    ref, _ = _reference_ascent(c, restarts=8, iters=200, seed=3)
+    res = search_extension(c, restarts=8, iters=200, seed=3)
+    traces = np.array(res.objective_traces)
+    assert traces.shape == ref.shape
+    assert np.max(np.abs(traces - ref)) < 1e-12
+    assert abs(res.gap - (c.dim - ref[:, -1].max())) < 1e-12
+    np.testing.assert_allclose(res.restart_final_gaps, c.dim - ref[:, -1], rtol=0, atol=1e-12)
+
+
+def test_search_best_restart_is_first_maximiser():
+    # A one-dimensional complement: every restart lands on the same line, so
+    # the final objectives tie (exactly, on common platforms).
+    c = UMEBCandidate(2, weyl_family(2).elements[:3], External("one short"))
+    res = search_extension(c, restarts=8, iters=1, seed=0)
+    finals = [t[-1] for t in res.objective_traces]
+    assert res.best_restart == finals.index(max(finals))
+
+
+def test_search_restarts_are_a_prefix_of_larger_searches():
+    c = bravyi_smolin_3()
+    small = search_extension(c, restarts=5, iters=100, seed=2)
+    large = search_extension(c, restarts=20, iters=100, seed=2)
+    np.testing.assert_allclose(
+        np.array(large.objective_traces[:5]), np.array(small.objective_traces),
+        rtol=0, atol=1e-12,
+    )
+
+
+def test_search_reports_per_restart_telemetry():
+    res = search_extension(bravyi_smolin_3(), restarts=6, iters=80, seed=1)
+    assert len(res.restart_final_gaps) == len(res.restart_plateau_iters) == 6
+    assert not res.refined
+    for trace, gap, plateau in zip(
+        res.objective_traces, res.restart_final_gaps, res.restart_plateau_iters
+    ):
+        assert gap == pytest.approx(3.0 - trace[-1], abs=1e-15)
+        assert 0 <= plateau < 80
+        assert abs(trace[plateau] - trace[-1]) <= 1e-12
+        assert plateau == 0 or abs(trace[plateau - 1] - trace[-1]) > 1e-12
+    found = search_extension(_weyl_subset_lift(), restarts=4, iters=300, seed=0)
+    assert found.verdict == "ExtensionFound"
+    assert found.refined
+    assert found.to_dict()["refined"] is True
+
+
+def test_refinement_jacobian_matches_column_loop():
+    c = _weyl_subset_lift()
+    flat = _complement_rows(c)
+    traces, finals = _reference_ascent(c, restarts=4, iters=300, seed=0)
+    rng = np.random.default_rng(0)
+    for trace, m in zip(traces, finals):
+        assert trace[-1] > c.dim - 1e-6
+        # Step off the unitary inside the complement, so Gauss-Newton has work.
+        kick = rng.standard_normal(len(flat)) + 1j * rng.standard_normal(len(flat))
+        m = m + 1e-2 * (kick @ flat).reshape(m.shape)
+        ref = _reference_refine(m, flat, c.dim)
+        got = _refine_in_complement(m, flat, c.dim)
+        assert ref is not None and got is not None
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Structural certification
 # ---------------------------------------------------------------------------
@@ -279,3 +416,65 @@ def test_certify_derived_check_bounds_true_off_block_mass():
     off_mass = float(np.max(np.abs(blocks)))
     assert off_mass > 0.0
     assert off_mass <= check.detail
+
+
+def test_certify_rejects_base_sector_that_is_not_the_base():
+    c = _weyl_subset_lift()
+    assert verify_axioms(c).passed
+    assert search_extension(c, restarts=4, iters=300, seed=0).verdict == "ExtensionFound"
+    cert = structural_certify(c)
+    assert cert.overall == "Failed"
+    assert cert.checks[-1].name == "base_case_verdict"
+    assert not cert.checks[-1].passed
+    assert any("base_sector_matches_base" in n for n in cert.notes)
+    for cand in (umeb_6(), *(lift(bravyi_smolin_3(), q) for q in (2, 4, 8))):
+        assert structural_certify(cand).overall == "CertifiedConditionalOnBase"
+
+
+def test_certify_base_sector_allows_reordered_rephased_base():
+    base = bravyi_smolin_3().elements
+    shuffled = tuple(np.exp(0.3j * k) * base[(k + 2) % 6] for k in range(6))
+    c = lift(UMEBCandidate(3, shuffled, BravyiSmolin3()), 2)
+    cert = structural_certify(c)
+    assert cert.overall == "CertifiedConditionalOnBase"
+    assert cert.checks[-1].detail < 1e-12
+
+
+def _tampered_base_sectors():
+    good = lift(bravyi_smolin_3(), 2)
+    n = good.provenance.weyl_count
+    off_block = np.zeros((6, 6), dtype=complex)
+    off_block[0, 3] = 1e-6
+    swapped_phase = list(good.elements)
+    swapped_phase[n] = np.kron(np.diag([1.0, -1.0]), bravyi_smolin_3().elements[0])
+    leaky = list(good.elements)
+    leaky[n + 1] = leaky[n + 1] + off_block
+    external = lift(UMEBCandidate(3, bravyi_smolin_3().elements, External("b")), 2)
+    mixed = list(external.elements)
+    mixed[n + 6] = np.kron(np.diag([1.0, -1.0]), bravyi_smolin_3().elements[1])
+    # U_1 replaced by U_0: every block matches some base element, but the
+    # sector misses U_1, so D_i (x) U_1 extends the set.
+    repeated = list(bravyi_smolin_3().elements)
+    repeated[1] = repeated[0]
+    return [
+        UMEBCandidate(6, tuple(swapped_phase), good.provenance),
+        UMEBCandidate(6, tuple(leaky), good.provenance),
+        UMEBCandidate(6, tuple(mixed), external.provenance),
+        lift(UMEBCandidate(3, tuple(repeated), BravyiSmolin3()), 2),
+    ]
+
+
+@pytest.mark.parametrize("bad", _tampered_base_sectors())
+def test_certify_fails_on_tampered_base_sector(bad):
+    cert = structural_certify(bad)
+    assert cert.overall == "Failed"
+    assert not cert.checks[-1].passed
+    assert any("base_sector_matches_base" in n for n in cert.notes)
+
+
+def test_certify_external_base_is_read_from_the_sector():
+    base = UMEBCandidate(4, weyl_family(4).elements[:12], External("user d=4 set"))
+    for c in (lift(base, 3), lift(lift(base, 2), 2)):
+        cert = structural_certify(c)
+        assert cert.overall == "CertifiedConditionalOnBase"
+        assert cert.checks[-1].detail < 1e-12
