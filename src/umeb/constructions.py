@@ -10,6 +10,7 @@ they round-trip through a JSON file format for external sets.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -430,45 +431,59 @@ class UMEBFormatError(ValueError):
 
 def matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
     """Row-major [re, im] pair list of a matrix, the file format's element form."""
-    flat = np.asarray(m, dtype=np.complex128).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
+    flat = np.ascontiguousarray(m, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2).tolist()
+
+
+_PAIR_TYPES = {list, tuple}
+# Exact types: bool is an int subclass, and np.array would take "1.5" too.
+_NUMBER_TYPES = {int, float}
+
+
+def _is_pair(entry) -> bool:
+    return (
+        type(entry) in _PAIR_TYPES
+        and len(entry) == 2
+        and all(type(x) in _NUMBER_TYPES for x in entry)
+    )
 
 
 def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
-    """Inverse of :func:`matrix_to_pairs` for a dim x dim matrix."""
+    """Inverse of :func:`matrix_to_pairs` for a dim x dim matrix.
+
+    One vectorised pass: the entry shapes and number types are checked by
+    C-level iteration before any conversion, then all pairs are converted by
+    one ``np.array`` call, which keeps every bit, signed zeros included.
+    """
     if len(pairs) != dim * dim:
         raise UMEBFormatError(
             f"element has {len(pairs)} entries, expected {dim * dim} for dim {dim}"
         )
-    out = np.empty(dim * dim, dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise UMEBFormatError(f"entry {i} is not a [re, im] pair of numbers")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    if not np.all(np.isfinite(out)):
+    if (
+        not set(map(type, pairs)) <= _PAIR_TYPES
+        or set(map(len, pairs)) != {2}
+        or not set(map(type, itertools.chain.from_iterable(pairs))) <= _NUMBER_TYPES
+    ):
+        i = next(i for i, pair in enumerate(pairs) if not _is_pair(pair))
+        raise UMEBFormatError(f"entry {i} is not a [re, im] pair of numbers")
+    try:
+        parts = np.array(pairs, dtype=np.float64)
+    except OverflowError as exc:
+        raise UMEBFormatError(f"matrix entry out of the double range: {exc}") from exc
+    if not np.all(np.isfinite(parts)):
         raise UMEBFormatError("matrix entries must be finite")
-    return out.reshape(dim, dim)
-
-
-def _fmt_real(x: float) -> str:
-    # 17 significant digits round-trip any double exactly; force a decimal
-    # point so json parses the value back as a float (keeps -0.0 intact).
-    s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    return parts.view(np.complex128).reshape(dim, dim)
 
 
 def save_umeb(candidate: UMEBCandidate, path) -> None:
     """Write a candidate to the matrix-set JSON format.
 
-    Reals are serialized with 17 significant digits, which reproduces every
-    double bit-exactly on load; output bytes are deterministic.
+    Each element is one line, encoded in one pass by the C JSON encoder.
+    Reals are written as their shortest round-trip ``repr``, which
+    reproduces every double bit-exactly on load (``-0.0`` included) and
+    always carries a ``.`` or an exponent; output bytes are deterministic.
     """
+    n = len(candidate.elements)
     lines = ["{"]
     lines.append(f'  "dim": {candidate.dim},')
     lines.append(f'  "provenance": {json.dumps(provenance_to_str(candidate.provenance))},')
@@ -479,11 +494,8 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
         lines.append(f'  "exact_cos_theta": [{ect.numerator}, {ect.denominator}],')
     lines.append('  "elements": [')
     for i, e in enumerate(candidate.elements):
-        pairs = ", ".join(
-            f"[{_fmt_real(z.real)}, {_fmt_real(z.imag)}]" for z in e.ravel()
-        )
-        comma = "," if i + 1 < len(candidate.elements) else ""
-        lines.append(f"    [{pairs}]{comma}")
+        comma = "," if i + 1 < n else ""
+        lines.append(f"    {json.dumps(matrix_to_pairs(e), allow_nan=False)}{comma}")
     lines.append("  ]")
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -493,21 +505,27 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
 def load_umeb(path) -> UMEBCandidate:
     """Read a matrix-set JSON file written by :func:`save_umeb` or by hand.
 
-    Canonical provenance strings are parsed back into structured provenance
-    (so certification still applies to files this package wrote); any other
-    string is kept as an External label.
+    Each element is checked and converted in one vectorised pass by
+    :func:`pairs_to_matrix`.  Reals may be written in any JSON number form,
+    so files with 17 significant digits, as older versions wrote them, load
+    bit-exactly too.  Canonical provenance strings are parsed back into
+    structured provenance (so certification still applies to files this
+    package wrote); any other string is kept as an External label.
 
     Raises
     ------
     UMEBFormatError
         On schema violations: missing keys, wrong types, non-square or
-        mismatched elements, non-finite entries, malformed cosine metadata.
+        mismatched elements, non-finite entries or integers beyond the double
+        range, malformed cosine metadata, values nested too deeply to parse.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UMEBFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise UMEBFormatError("not valid JSON: values nested too deeply") from exc
     if not isinstance(doc, dict):
         raise UMEBFormatError("top-level value must be an object")
     for key in ("dim", "provenance", "exact_cos_theta", "elements"):

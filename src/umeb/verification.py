@@ -54,6 +54,8 @@ __all__ = [
     "search_extension",
     "structural_certify",
     "SUB_SEED_STRIDE",
+    "CERT_ZERO_TOL",
+    "CERT_COND_MAX",
 ]
 
 
@@ -450,19 +452,36 @@ def search_extension(
 # Structural certification of lifted candidates
 # ---------------------------------------------------------------------------
 
+CERT_ZERO_TOL = 1e-10
+# Checks 1, 2 and 5 pass only when their entry-wise figure is below this.
+
+CERT_COND_MAX = 1e8
+# Check 4 passes only when the block-trace system's condition number is below this.
+
+
 @dataclass(frozen=True)
 class CertificateCheck:
+    """One certificate check: its measured ``detail`` and the ``threshold``
+    that detail was compared against."""
+
     name: str
     passed: bool
     detail: float
+    threshold: float
 
     def __post_init__(self):
         # numpy comparison results sneak in as np.bool_ / np.float64
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "detail", float(self.detail))
+        object.__setattr__(self, "threshold", float(self.threshold))
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "detail": self.detail,
+            "threshold": self.threshold,
+        }
 
 
 @dataclass(frozen=True)
@@ -531,12 +550,13 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
        Weyl's inequality, with s_min the sector's smallest singular value.
        ``detail`` is that bound (nan when s_min <= ||E||_F, exactly 0.0 for an
        exact lift); the check passes when check 1 does and the bound is
-       below 1e-10.
+       below its threshold.
     3. vandermonde_det_nonzero: the q x q root-of-unity matrix whose rows
-       phase the blocks is invertible (|det| = q^(q/2) exactly).
-    4. base_trace_system_reduces: that matrix is well-conditioned, so the
-       homogeneous system forcing all block traces against the base to vanish
-       has only the zero solution.
+       phase the blocks is invertible (|det| = q^(q/2) exactly; threshold
+       half that).
+    4. base_trace_system_reduces: that matrix is well-conditioned (condition
+       number below CERT_COND_MAX), so the homogeneous system forcing all
+       block traces against the base to vanish has only the zero solution.
     5. base_case_verdict: first base_sector_matches_base, the last qN
        elements are D_i (x) U_n: zero off-diagonal blocks, diagonal block a
        of element (i, n) equal to w^(ia) U_n, and the U_n equal to the
@@ -548,6 +568,12 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
        assumption.  ``detail`` is the largest of the sector's entry-wise
        deviation (nan when no ordering matches) and the base's axiom
        residuals; a failed sector match is named in the notes.
+
+    Every check carries the ``threshold`` its ``detail`` was compared
+    against: CERT_ZERO_TOL for checks 1, 2 and 5 (the figure must be below
+    it), 0.5 q^(q/2) for check 3 (at or above) and CERT_COND_MAX for check 4
+    (below).  Check 5 holds its sector deviation to that threshold and the
+    base's axiom residuals to ``tol``.
     """
     layout = as_lift(c.provenance)
     if layout is None:
@@ -564,7 +590,9 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
     notes: list[str] = []
 
     if c.dim != layout.dim or len(c.elements) != layout.element_count:
-        checks.append(CertificateCheck("weyl_sector_spans_offdiagonal_blocks", False, float("nan")))
+        checks.append(CertificateCheck(
+            "weyl_sector_spans_offdiagonal_blocks", False, float("nan"), CERT_ZERO_TOL
+        ))
         notes.append(
             f"candidate shape ({c.dim}, {len(c.elements)} elements) does not match "
             f"the declared lift (dim {layout.dim}, {layout.element_count} elements)"
@@ -591,25 +619,30 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
         # q = 1: no off-diagonal blocks exist and the complement is everything.
         diag_mass = off_bound = 0.0
         rank = 0
-    span_ok = diag_mass < 1e-10 and rank == n
-    checks.append(CertificateCheck("weyl_sector_spans_offdiagonal_blocks", span_ok, diag_mass))
+    span_ok = diag_mass < CERT_ZERO_TOL and rank == n
+    checks.append(CertificateCheck(
+        "weyl_sector_spans_offdiagonal_blocks", span_ok, diag_mass, CERT_ZERO_TOL
+    ))
     if rank != n:
         notes.append(f"weyl sector rank {rank}, expected {n}")
 
     # Check 2: the complement of the Weyl sector is block-diagonal.
-    checks.append(
-        CertificateCheck("complement_is_block_diagonal", span_ok and off_bound < 1e-10, off_bound)
-    )
+    checks.append(CertificateCheck(
+        "complement_is_block_diagonal", span_ok and off_bound < CERT_ZERO_TOL, off_bound,
+        CERT_ZERO_TOL,
+    ))
 
     # Check 3: the root-of-unity Vandermonde matrix is invertible.
     w = fourier_matrix(q)
     det = abs(np.linalg.det(w))
     det_bound = 0.5 * q ** (q / 2.0)
-    checks.append(CertificateCheck("vandermonde_det_nonzero", det >= det_bound, det))
+    checks.append(CertificateCheck("vandermonde_det_nonzero", det >= det_bound, det, det_bound))
 
     # Check 4: the block-trace system is solvable only by zero.
     cond = float(np.linalg.cond(w))
-    checks.append(CertificateCheck("base_trace_system_reduces", cond < 1e8, cond))
+    checks.append(CertificateCheck(
+        "base_trace_system_reduces", cond < CERT_COND_MAX, cond, CERT_COND_MAX
+    ))
 
     # Check 5: the base sector is D_i (x) U_n over the base, and the base case.
     sector = np.stack(c.elements[n:]).reshape(q, layout.base_count, q, d, q, d)
@@ -627,17 +660,18 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
         base_report.max_gram_offdiag,
         base_report.max_gram_diag_error,
     ]))
-    base_ok = sector_dev < 1e-10 and base_report.passed
+    base_ok = sector_dev < CERT_ZERO_TOL and base_report.passed
     which = "reconstructed" if rebuilt else "extracted"
     if np.isnan(sector_dev):
         notes.append(
             f"base_sector_matches_base failed: no ordering of the {which} base "
             "matches the base sector's diagonal blocks"
         )
-    elif sector_dev >= 1e-10:
+    elif sector_dev >= CERT_ZERO_TOL:
         notes.append(
             f"base_sector_matches_base failed: the base sector deviates from "
-            f"D_i (x) U_n over the {which} base by {sector_dev:.3e} (threshold 1e-10)"
+            f"D_i (x) U_n over the {which} base by {sector_dev:.3e} "
+            f"(threshold {CERT_ZERO_TOL:g})"
         )
     elif not base_report.passed:
         notes.append(
@@ -664,7 +698,7 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
         notes.append(
             "base re-verified numerically; unextendibility taken as assumption"
         )
-    checks.append(CertificateCheck("base_case_verdict", base_ok, base_detail))
+    checks.append(CertificateCheck("base_case_verdict", base_ok, base_detail, CERT_ZERO_TOL))
 
     overall = "CertifiedConditionalOnBase" if all(ch.passed for ch in checks) else "Failed"
     return StructuralCertificate(

@@ -137,6 +137,23 @@ def test_verify_corrupt_file(tmp_path, capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize("elements", [
+    "[[[1" + "0" * 400 + ", 0]]]",
+    "[" * 100_000 + "]" * 100_000,
+], ids=["integer_beyond_double_range", "nested_too_deeply"])
+def test_verify_malformed_numbers_exit_1_without_traceback(tmp_path, capsys, elements):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"dim": 1, "provenance": "x", "exact_cos_theta": null, '
+        f'"elements": {elements}}}'
+    )
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
+
+
 def test_verify_json_payload(tmp_path, capsys):
     path = tmp_path / "u6.json"
     save_umeb(umeb_6(), path)
@@ -280,6 +297,14 @@ def test_certify_json_lists_checks(tmp_path, capsys):
         "base_trace_system_reduces",
         "base_case_verdict",
     ]
+    # Each check reports the threshold its detail was compared against.
+    thresholds = [c["threshold"] for c in payload["checks"]]
+    assert thresholds == [1e-10, 1e-10, 0.5 * 3 ** 1.5, 1e8, 1e-10]
+    for c in payload["checks"]:
+        if c["name"] == "vandermonde_det_nonzero":
+            assert c["detail"] >= c["threshold"]
+        else:
+            assert c["detail"] < c["threshold"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umeb.constructions import (
     BravyiSmolin3,
@@ -329,3 +331,146 @@ def test_loaded_canonical_provenance_is_structured(tmp_path):
     save_umeb(lift(bravyi_smolin_3(), 2), path)
     back = load_umeb(path)
     assert back.provenance == Lift(BravyiSmolin3(), 3, 6, 2)
+
+
+# ---------------------------------------------------------------------------
+# File format: old layout, round trips and corrupted documents
+# ---------------------------------------------------------------------------
+
+def _fmt_real_17g(x):
+    # Entry formatting of files written before shortest round-trip reals.
+    s = format(float(x), ".17g")
+    if not any(c in s for c in ".eE"):
+        s += ".0"
+    return s
+
+
+def _save_17g(c, path):
+    ect = c.exact_cos_theta
+    ect_text = "null" if ect is None else f"[{ect.numerator}, {ect.denominator}]"
+    rows = [
+        "    [" + ", ".join(
+            f"[{_fmt_real_17g(z.real)}, {_fmt_real_17g(z.imag)}]" for z in e.ravel()
+        ) + "]"
+        for e in c.elements
+    ]
+    lines = [
+        "{",
+        f'  "dim": {c.dim},',
+        f'  "provenance": {json.dumps(provenance_to_str(c.provenance))},',
+        f'  "exact_cos_theta": {ect_text},',
+        '  "elements": [',
+        ",\n".join(rows),
+        "  ]",
+        "}",
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _signed_zero_candidate():
+    m = np.array([[complex(-0.0, 0.0), 1.0], [1.0, complex(0.0, -0.0)]])
+    return UMEBCandidate(2, (m,), External("signed zeros"))
+
+
+@pytest.mark.parametrize("make", [umeb_6, _signed_zero_candidate])
+def test_files_with_17_digit_reals_load_bit_exact(tmp_path, make):
+    c = make()
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    _save_17g(c, old)
+    save_umeb(c, new)
+    if make is umeb_6:
+        assert old.read_text() != new.read_text()
+    back = load_umeb(old)
+    assert back.provenance == c.provenance
+    assert back.exact_cos_theta == c.exact_cos_theta
+    assert [e.tobytes() for e in back.elements] == [e.tobytes() for e in c.elements]
+
+
+_SPECIAL_REALS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300, 1e300, -1e300,
+     1.7976931348623157e308, 1.0, -1.0]
+)
+_REALS = st.one_of(_SPECIAL_REALS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _matrix_sets(draw):
+    dim, count = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n = 2 * dim * dim * count
+    parts = draw(st.lists(_REALS, min_size=n, max_size=n))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(count, dim, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_sets())
+def test_save_load_round_trip_property(tmp_path_factory, mats):
+    c = UMEBCandidate(mats.shape[1], tuple(mats), External("drawn"))
+    path = tmp_path_factory.mktemp("rt") / "m.json"
+    save_umeb(c, path)
+    back = load_umeb(path)
+    assert [e.tobytes() for e in back.elements] == [m.tobytes() for m in mats]
+
+
+_BIG_INT = 10**400
+
+
+# Corruptions of one [re, im] entry; "drop" deletes the entry instead.
+_CORRUPTIONS = {
+    "true": lambda re_, im: True,
+    "string": lambda re_, im: "1.5",
+    "null": lambda re_, im: None,
+    "true_part": lambda re_, im: [re_, True],
+    "string_part": lambda re_, im: ["1.5", im],
+    "null_part": lambda re_, im: [re_, None],
+    "one_list": lambda re_, im: [re_],
+    "three_list": lambda re_, im: [re_, im, 0.0],
+    "nested_pair": lambda re_, im: [[re_, im], im],
+    "big_int": lambda re_, im: [_BIG_INT, im],
+    "nan": lambda re_, im: [re_, float("nan")],
+}
+
+
+@pytest.mark.parametrize("how", [*_CORRUPTIONS, "drop"])
+@settings(max_examples=10, deadline=None)
+@given(element=st.integers(0, 5), entry=st.integers(0, 8))
+def test_corrupted_entry_raises_format_error_property(tmp_path_factory, how, element, entry):
+    path = tmp_path_factory.mktemp("bad") / "bs3.json"
+    save_umeb(bravyi_smolin_3(), path)
+    doc = json.loads(path.read_text())
+    pairs = doc["elements"][element]
+    if how == "drop":
+        del pairs[entry]
+    else:
+        pairs[entry] = _CORRUPTIONS[how](*pairs[entry])
+    path.write_text(json.dumps(doc))
+    reason = {
+        "drop": "element has 8 entries, expected 9",
+        "big_int": "matrix entry out of the double range",
+        "nan": "matrix entries must be finite",
+    }.get(how, rf"entry {entry} is not a \[re, im\] pair of numbers")
+    with pytest.raises(UMEBFormatError, match=f"^element {element}: {reason}"):
+        load_umeb(path)
+
+
+def test_load_maps_conversion_and_parser_crashes_to_format_errors(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 1, "provenance": "x", "exact_cos_theta": null, '
+                    f'"elements": [[[{_BIG_INT}, 0]]]}}')
+    with pytest.raises(UMEBFormatError, match="element 0"):
+        load_umeb(path)
+    depth = 100_000
+    path.write_text('{"dim": 1, "provenance": "x", "exact_cos_theta": null, '
+                    f'"elements": {"[" * depth}{"]" * depth}}}')
+    with pytest.raises(UMEBFormatError, match="nested too deeply"):
+        load_umeb(path)
+
+
+def test_d24_lift_round_trip_is_bit_exact_and_deterministic(tmp_path):
+    c = lift(bravyi_smolin_3(), 8)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_umeb(c, p1)
+    save_umeb(c, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    back = load_umeb(p1)
+    assert back.provenance == c.provenance
+    assert [e.tobytes() for e in back.elements] == [e.tobytes() for e in c.elements]

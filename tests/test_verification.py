@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umeb.constructions import (
     BravyiSmolin3,
@@ -478,3 +480,58 @@ def test_certify_external_base_is_read_from_the_sector():
         cert = structural_certify(c)
         assert cert.overall == "CertifiedConditionalOnBase"
         assert cert.checks[-1].detail < 1e-12
+
+
+# Base-sector substitutions of lift(bs3, 2).  Element (i, n) of its base
+# sector is D_i (x) U_n, at index weyl_count + 6i + n; D_0 = I, D_1 = diag(1, -1).
+_FOURIER_ROWS = (np.eye(2), np.diag([1.0, -1.0]))
+_PHASES = (0.0, 0.3, np.pi / 2, np.pi)
+_ROWS = st.sampled_from([(0,), (1,), (0, 1)])
+
+
+@st.composite
+def _drawn_element(draw):
+    kind = draw(st.sampled_from(["weyl", "weyl_block", "bs3", "haar"]))
+    if kind == "weyl":
+        return weyl(6, draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    if kind == "haar":
+        return haar_unitary(6, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    row = _FOURIER_ROWS[draw(st.integers(0, 1))]
+    if kind == "weyl_block":
+        return np.kron(row, weyl(3, draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+    u = bravyi_smolin_3().elements[draw(st.integers(0, 5))]
+    return np.exp(1j * draw(st.sampled_from(_PHASES))) * np.kron(row, u)
+
+
+@st.composite
+def _substituted_lifts(draw):
+    """lift(bs3, 2) with one to three base-sector substitutions: an element
+    replaced by a drawn unitary, two base indices swapped, or one rephased,
+    each in Fourier row 0, row 1 or both.  Swaps and rephasings made in both
+    rows keep the set's span, so some draws must still certify."""
+    good = lift(bravyi_smolin_3(), 2)
+    sector = list(good.elements[good.provenance.weyl_count:])
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "swap", "rephase"]))
+        if op == "replace":
+            sector[draw(st.integers(0, 11))] = draw(_drawn_element())
+            continue
+        n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        phase = np.exp(1j * draw(st.sampled_from(_PHASES[1:])))
+        for i in draw(_ROWS):
+            a, b = 6 * i + n, 6 * i + m
+            if op == "swap":
+                sector[a], sector[b] = sector[b], sector[a]
+            else:
+                sector[a] = phase * sector[a]
+    elements = good.elements[:good.provenance.weyl_count] + tuple(sector)
+    return UMEBCandidate(6, elements, good.provenance)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_substituted_lifts())
+def test_base_sector_substitutions_fail_or_stay_unextendible(c):
+    cert = structural_certify(c)
+    assert cert.overall in ("Failed", "CertifiedConditionalOnBase")
+    if cert.overall != "Failed":
+        assert search_extension(c, restarts=20, iters=200, seed=0).verdict == "NoExtensionFound"
