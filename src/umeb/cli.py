@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .constructions import (
     weyl_family,
 )
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .spectral import sector_summaries, sector_table, signature, compare_signatures
+from .spectral import sector_table, signature, compare_signatures
 from .verification import search_extension, structural_certify, verify_axioms
 
 SCHEMA_VERSION = 1
@@ -69,21 +70,23 @@ def _emit(args, payload: dict, human: str) -> None:
         print(f"note: {note}", file=sys.stderr)
 
 
+_TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
+
+
 def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        unitarity_tol=args.unitarity_tol,
-        gram_tol=args.gram_tol,
-        phase_tol=args.phase_tol,
-    )
+    """The command's tolerances: the flags it registered, defaults otherwise."""
+    given = {k: v for k, v in vars(args).items() if k in _TOLERANCE_NAMES}
+    return replace(DEFAULT_TOLERANCES, **given)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *tolerances: str) -> None:
+    """``--json``, plus a ``--*-tol`` flag for each tolerance the command reads."""
     p.add_argument("--json", action="store_true", help="print a JSON report on stdout")
-    p.add_argument(
-        "--unitarity-tol", type=float, default=DEFAULT_TOLERANCES.unitarity_tol, metavar="T"
-    )
-    p.add_argument("--gram-tol", type=float, default=DEFAULT_TOLERANCES.gram_tol, metavar="T")
-    p.add_argument("--phase-tol", type=float, default=DEFAULT_TOLERANCES.phase_tol, metavar="T")
+    for name in tolerances:
+        p.add_argument(
+            "--" + name.replace("_", "-"), type=float,
+            default=getattr(DEFAULT_TOLERANCES, name), metavar="T",
+        )
 
 
 def _require_positive(name: str, value: int) -> None:
@@ -262,24 +265,15 @@ def cmd_certify(args) -> int:
 
 def cmd_spectral(args) -> int:
     _require_positive("bound", args.bound)
-    c = load_umeb(args.in_path)
-    tol = _tolerances(args)
-    sig = signature(c, args.bound, tol)
-    rows = sector_summaries(c, args.bound, tol)
+    sig = signature(load_umeb(args.in_path), args.bound, _tolerances(args))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectral",
         "path": args.in_path,
-        "dim": sig.dim,
-        "element_count": sig.element_count,
-        "bound": sig.bound,
-        "summary": sig.summary.to_dict(),
-        "sectors": [r.to_dict() for r in rows],
-        "records": [r.to_dict() for r in sig.records],
+        **sig.to_dict(),
         "notes": [],
     }
-    human = sector_table(rows)
-    _emit(args, payload, human)
+    _emit(args, payload, sector_table(sig.sectors))
     return EXIT_OK
 
 
@@ -330,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("in_path", help="input matrix-set JSON")
     p.add_argument("-q", type=int, required=True, help="lift factor (q >= 1)")
     p.add_argument("-o", "--out", required=True, help="output matrix-set JSON path")
-    _add_common(p)
+    _add_common(p, "unitarity_tol")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("verify", help="check count, unitarity, and orthogonality")
     p.add_argument("in_path")
-    _add_common(p)
+    _add_common(p, "unitarity_tol", "gram_tol")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="nuclear-norm search for an extension")
@@ -345,25 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6, help="extension gap tolerance")
     p.add_argument("-w", "--witness", default=None, help="witness output path")
-    _add_common(p)
+    _add_common(p, "unitarity_tol", "gram_tol")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("certify", help="structural certificate for lifted sets")
     p.add_argument("in_path")
-    _add_common(p)
+    _add_common(p, "unitarity_tol", "gram_tol")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("spectral", help="eigenphase orders and sector summary")
     p.add_argument("in_path")
     p.add_argument("--bound", type=int, default=144, help="largest order scanned")
-    _add_common(p)
+    _add_common(p, "unitarity_tol", "phase_tol")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("compare", help="compare two spectral signatures")
     p.add_argument("a_path")
     p.add_argument("b_path")
     p.add_argument("--bound", type=int, default=144)
-    _add_common(p)
+    _add_common(p, "unitarity_tol", "phase_tol")
     p.set_defaults(func=cmd_compare)
 
     return parser

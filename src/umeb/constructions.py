@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -24,7 +24,6 @@ from .linalg import (
     DimensionMismatchError,
     Tolerances,
     as_matrix,
-    kron,
     root_of_unity,
     unitarity_residual,
 )
@@ -184,6 +183,10 @@ def provenance_from_str(s: str) -> Provenance:
 class UMEBCandidate:
     """An ordered set of d x d matrices with provenance and exact metadata.
 
+    ``elements`` may be given as any sequence of matrices, an (n, d, d)
+    array included.  The set is stored once, as the read-only (n, d, d)
+    complex128 array ``matrices``; ``elements`` becomes the tuple of its
+    rows, read-only views.
     ``exact_cos_theta``, when present, is the exact rational cosine of the
     one non-unit eigenphase shared by every Bravyi-Smolin-derived element; the
     spectral layer uses it to prove infinite eigenvalue orders.
@@ -193,21 +196,22 @@ class UMEBCandidate:
     elements: tuple[np.ndarray, ...]
     provenance: Provenance
     exact_cos_theta: Optional[Fraction] = None
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        elems = []
+        stack = np.empty((len(self.elements), self.dim, self.dim), dtype=np.complex128)
         for i, e in enumerate(self.elements):
             m = as_matrix(e)
             if m.shape != (self.dim, self.dim):
                 raise DimensionMismatchError(
                     f"element {i} has shape {m.shape}, expected ({self.dim}, {self.dim})"
                 )
-            m = m.copy()
-            m.flags.writeable = False
-            elems.append(m)
-        object.__setattr__(self, "elements", tuple(elems))
+            stack[i] = m
+        stack.flags.writeable = False
+        object.__setattr__(self, "matrices", stack)
+        object.__setattr__(self, "elements", tuple(stack))
         if self.exact_cos_theta is not None:
             object.__setattr__(self, "exact_cos_theta", Fraction(self.exact_cos_theta))
 
@@ -276,6 +280,16 @@ def row_diag(m, i: int) -> np.ndarray:
     return np.diag(mm[i, :].copy())
 
 
+def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a_i (x) b_j of two stacks, lexicographic in (i, j).
+
+    One broadcast product; each entry is the single multiplication np.kron
+    makes, so the result is bit-identical to it (einsum is not).
+    """
+    n = a.shape[1] * b.shape[1]
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, n, n)
+
+
 # ---------------------------------------------------------------------------
 # Bravyi-Smolin family (d = 3) and the explicit 30-member set (d = 6)
 # ---------------------------------------------------------------------------
@@ -333,16 +347,11 @@ def umeb_6() -> UMEBCandidate:
     eta_plus = np.eye(2, dtype=np.complex128)
     eta_minus = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
-    elements = []
-    for factor in (delta_plus, delta_minus):
-        for n in range(3):
-            for m in range(3):
-                elements.append(kron(factor, weyl(3, n, m)))
-    base = bravyi_smolin_3()
-    for factor in (eta_plus, eta_minus):
-        for u in base.elements:
-            elements.append(kron(factor, u))
-    return UMEBCandidate(6, tuple(elements), Umeb6(), _EXACT_COS_THETA)
+    elements = np.concatenate([
+        _kron_pairs(np.stack([delta_plus, delta_minus]), weyl_family(3).matrices),
+        _kron_pairs(np.stack([eta_plus, eta_minus]), bravyi_smolin_3().matrices),
+    ])
+    return UMEBCandidate(6, elements, Umeb6(), _EXACT_COS_THETA)
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +384,24 @@ def lift(base: UMEBCandidate, q: int, tol: Tolerances = DEFAULT_TOLERANCES) -> U
     """
     if q < 1:
         raise ValueError("lift requires q >= 1")
-    for i, u in enumerate(base.elements):
-        if unitarity_residual(u) >= tol.unitarity_tol:
-            raise ValueError(f"base element {i} is not unitary within tolerance")
+    tol_u = tol.unitarity_tol
+    if unitarity_residual(base.matrices) >= tol_u:
+        i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol_u)
+        raise ValueError(f"base element {i} is not unitary within tolerance")
 
     d = base.dim
-    fourier_rows = [row_diag(fourier_matrix(q), i) for i in range(q)]
+    fourier_rows = np.stack([row_diag(fourier_matrix(q), i) for i in range(q)])
     shift = cyclic_shift(q)
-    shift_powers = [np.linalg.matrix_power(shift, j) for j in range(q)]
-
-    elements = []
-    for i in range(q):
-        for j in range(1, q):
-            factor = fourier_rows[i] @ shift_powers[j]
-            for n in range(d):
-                for m in range(d):
-                    elements.append(kron(factor, weyl(d, n, m)))
-    for i in range(q):
-        for u in base.elements:
-            elements.append(kron(fourier_rows[i], u))
-
+    factors = np.array(
+        [fourier_rows[i] @ np.linalg.matrix_power(shift, j) for i in range(q) for j in range(1, q)],
+        dtype=np.complex128,
+    ).reshape(-1, q, q)
+    elements = np.concatenate([
+        _kron_pairs(factors, weyl_family(d).matrices),
+        _kron_pairs(fourier_rows, base.matrices),
+    ])
     prov = Lift(base=base.provenance, base_dim=d, base_count=len(base.elements), q=q)
-    return UMEBCandidate(q * d, tuple(elements), prov, base.exact_cos_theta)
+    return UMEBCandidate(q * d, elements, prov, base.exact_cos_theta)
 
 
 def rebuild_from_provenance(p: Provenance) -> Optional[UMEBCandidate]:

@@ -25,7 +25,6 @@ __all__ = [
     "gram_matrix",
     "unitarity_residual",
     "singular_values",
-    "eigenvalues",
     "orthonormal_complement",
     "RANK_RTOL",
     "seeded_random_matrix",
@@ -115,43 +114,55 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def gram_matrix(mats) -> np.ndarray:
-    """Matrix of pairwise trace inner products of a list of square matrices.
+def _stack(mats) -> np.ndarray:
+    """(n, d, d) array of square matrices of one dimension d.
 
-    Entry (a, b) is Tr(m_a^dag m_b).  All inputs must be square and share one
-    dimension.
+    Takes such an array as it stands, or a sequence of matrices checked one
+    by one.
     """
-    mats = list(mats)
-    if not mats:
-        raise ValueError("gram_matrix needs at least one matrix")
-    first = _square(mats[0])
-    flat = np.empty((len(mats), first.size), dtype=np.complex128)
-    flat[0] = first.ravel()
-    for i, m in enumerate(mats[1:], start=1):
-        mi = _square(m)
-        if mi.shape != first.shape:
+    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+        m = np.asarray(mats, dtype=np.complex128)
+        if m.shape[1] != m.shape[2]:
+            raise DimensionMismatchError(f"expected square matrices, got shape {m.shape[1:]}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
+        return m
+    mats = [_square(m) for m in mats]
+    for i, m in enumerate(mats):
+        if m.shape != mats[0].shape:
             raise DimensionMismatchError(
-                f"dimension mismatch at element {i}: {mi.shape} vs {first.shape}"
+                f"dimension mismatch at element {i}: {m.shape} vs {mats[0].shape}"
             )
-        flat[i] = mi.ravel()
+    return np.stack(mats) if mats else np.empty((0, 0, 0), dtype=np.complex128)
+
+
+def gram_matrix(mats) -> np.ndarray:
+    """Matrix of pairwise trace inner products of square matrices.
+
+    Entry (a, b) is Tr(m_a^dag m_b).  ``mats`` is an (n, d, d) stack or a
+    sequence of matrices that share one dimension.
+    """
+    m = _stack(mats)
+    if not len(m):
+        raise ValueError("gram_matrix needs at least one matrix")
+    flat = m.reshape(len(m), -1)
     return flat.conj() @ flat.T
 
 
 def unitarity_residual(a) -> float:
-    """Max entry magnitude of a^dag a - I; zero exactly when a is unitary."""
-    m = _square(a)
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    return float(np.max(np.abs(m.conj().T @ m - eye)))
+    """Max entry magnitude of a^dag a - I; zero exactly when a is unitary.
+
+    An (n, d, d) stack gives the largest residual of its matrices, and an
+    empty one 0.0.
+    """
+    m = _stack(a) if np.ndim(a) == 3 else _square(a)
+    eye = np.eye(m.shape[-1], dtype=np.complex128)
+    return float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - eye), initial=0.0))
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values of a square matrix, descending."""
     return np.linalg.svd(_square(a), compute_uv=False)
-
-
-def eigenvalues(a) -> np.ndarray:
-    """Eigenvalue multiset of a square matrix (callers pass normal matrices)."""
-    return np.linalg.eigvals(_square(a))
 
 
 # Relative singular-value floor: a stacked matrix set whose smallest
@@ -170,8 +181,8 @@ def orthonormal_complement(mats) -> list[np.ndarray]:
 
     Parameters
     ----------
-    mats : sequence of square complex matrices, all of one dimension d,
-        linearly independent.
+    mats : (n, d, d) stack or sequence of square complex matrices, all of
+        one dimension d, linearly independent.
 
     Returns
     -------
@@ -185,17 +196,11 @@ def orthonormal_complement(mats) -> list[np.ndarray]:
     DimensionMismatchError
         If the inputs are not square matrices of one common dimension.
     """
-    mats = [_square(m) for m in mats]
-    if not mats:
+    m = _stack(mats)
+    if not len(m):
         raise ValueError("orthonormal_complement needs at least one matrix")
-    d = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape[0] != d:
-            raise DimensionMismatchError(
-                f"dimension mismatch at element {i}: {m.shape} vs ({d}, {d})"
-            )
-    n = len(mats)
-    _, s, vh = np.linalg.svd(np.stack(mats).reshape(n, d * d))
+    n, d = len(m), m.shape[1]
+    _, s, vh = np.linalg.svd(m.reshape(n, d * d))
     rank = int(np.sum(s > RANK_RTOL * s[0]))
     if rank < n:
         raise RankDeficiencyError(

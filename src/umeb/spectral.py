@@ -13,21 +13,14 @@ and multiplying by any root of unity cannot repair that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
 from .constructions import UMEBCandidate, as_lift
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    TWO_PI,
-    Tolerances,
-    as_matrix,
-    eigenvalues,
-    unitarity_residual,
-)
+from .linalg import DEFAULT_TOLERANCES, TWO_PI, Tolerances, unitarity_residual
 
 __all__ = [
     "Finite",
@@ -109,17 +102,20 @@ def _cls_dict(c: OrderClassification) -> dict:
 def eigenphases(u, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Eigenvalue phases of a unitary matrix, ascending in [0, 2*pi).
 
+    An (n, d, d) stack gives one row of d phases per matrix, from one
+    ``eigvals`` call whose rows equal the single-matrix results bit for bit.
     Raises ValueError when the input is not unitary within
-    ``tol.unitarity_tol``; eigenphases of non-unitary matrices would not lie
-    on the circle and have no order to speak of.
+    ``tol.unitarity_tol`` (for a stack, its largest residual); eigenphases of
+    non-unitary matrices would not lie on the circle and have no order to
+    speak of.
     """
-    m = as_matrix(u)
+    m = np.asarray(u, dtype=np.complex128)
     res = unitarity_residual(m)
     if res >= tol.unitarity_tol:
         raise ValueError(f"matrix is not unitary (residual {res:.3e})")
-    phases = np.mod(np.angle(eigenvalues(m)), TWO_PI)
+    phases = np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI)
     phases[phases >= TWO_PI] -= TWO_PI
-    phases.sort()
+    phases.sort(axis=-1)
     return phases
 
 
@@ -204,12 +200,23 @@ class SignatureSummary:
     no_order_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "min_finite_order": self.min_finite_order,
-            "max_finite_order": self.max_finite_order,
-            "provably_infinite_count": self.provably_infinite_count,
-            "no_order_count": self.no_order_count,
-        }
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class SectorRow:
+    """Order statistics of one sector of a candidate, in element order."""
+
+    name: str
+    element_count: int
+    min_finite_order: Optional[int]
+    max_finite_order: Optional[int]
+    provably_infinite_count: int
+    no_order_count: int
+    elements_with_infinite: int
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,8 @@ class SpectralSignature:
 
     Invariant under simultaneous conjugation of every element by one unitary
     and under any permutation of the elements, because records are compared
-    by bucketed phases and sorted.
+    by bucketed phases and sorted.  ``sectors`` summarize the same spectra
+    per sector, in element order; they are not part of the canonical key.
     """
 
     dim: int
@@ -226,6 +234,7 @@ class SpectralSignature:
     bound: int
     records: tuple[ElementSpectrum, ...]
     summary: SignatureSummary
+    sectors: tuple[SectorRow, ...]
 
     def canonical_key(self):
         return (
@@ -240,6 +249,7 @@ class SpectralSignature:
             "element_count": self.element_count,
             "bound": self.bound,
             "summary": self.summary.to_dict(),
+            "sectors": [r.to_dict() for r in self.sectors],
             "records": [r.to_dict() for r in self.records],
         }
 
@@ -271,25 +281,6 @@ def _classify_phase(
     return cls
 
 
-def _element_spectrum(
-    u: np.ndarray,
-    bound: int,
-    tol: Tolerances,
-    exact_cos: Optional[Fraction],
-) -> ElementSpectrum:
-    phases = eigenphases(u, tol)
-    entries = []
-    for phase in phases:
-        cls = _classify_phase(float(phase), bound, tol.phase_tol, exact_cos)
-        entries.append((_bucket(float(phase)), cls, float(phase)))
-    entries.sort(key=lambda e: (e[0], _cls_key(e[1])))
-    return ElementSpectrum(
-        phases=tuple(e[2] for e in entries),
-        phase_ticks=tuple(e[0] for e in entries),
-        classifications=tuple(e[1] for e in entries),
-    )
-
-
 def _summarize(records) -> SignatureSummary:
     finite = [c.order for r in records for c in r.classifications if isinstance(c, Finite)]
     infinite = sum(
@@ -306,6 +297,33 @@ def _summarize(records) -> SignatureSummary:
     )
 
 
+def _sector_rows(c: UMEBCandidate, records: list) -> tuple[SectorRow, ...]:
+    """Per-sector statistics of records in element order.
+
+    A lifted candidate (by provenance) is split into its Weyl sector, the
+    first q(q-1)d^2 elements, and the base sector holding the rest; anything
+    else is summarized as a single sector.
+    """
+    layout = as_lift(c.provenance)
+    if layout is None or len(records) < layout.weyl_count:
+        sectors = [("all", records)]
+    else:
+        cut = layout.weyl_count
+        sectors = [("weyl", records[:cut]), ("base", records[cut:])]
+    return tuple(
+        SectorRow(
+            name,
+            len(recs),
+            **asdict(_summarize(recs)),
+            elements_with_infinite=sum(
+                any(isinstance(cl, ProvablyInfinite) for cl in r.classifications)
+                for r in recs
+            ),
+        )
+        for name, recs in sectors
+    )
+
+
 def signature(
     c: UMEBCandidate, bound: int = 144, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> SpectralSignature:
@@ -315,12 +333,31 @@ def signature(
     promoted to ProvablyInfinite only when the candidate carries exact
     rational-cosine metadata and the phase matches the exact angle up to a
     root of unity (the promotion is as trustworthy as the metadata).
+
+    The spectra come from one :func:`eigenphases` call on the stored array.
+    Each distinct phase value is bucketed and classified once, which labels
+    equal floats equally, as a per-element pass would; lifts repeat most of
+    their phases.  Each element's entries are sorted by (bucket,
+    classification), ties in ascending phase, and keep their raw phases.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    records = [
-        _element_spectrum(u, bound, tol, c.exact_cos_theta) for u in c.elements
+    phases = eigenphases(c.matrices, tol)
+    values, inverse = np.unique(phases, return_inverse=True)
+    ticks = [_bucket(v) for v in values.tolist()]
+    labels = [
+        _classify_phase(v, bound, tol.phase_tol, c.exact_cos_theta) for v in values.tolist()
     ]
+    keys = [(t, _cls_key(cl)) for t, cl in zip(ticks, labels)]
+    records = []
+    for row, idx in zip(phases.tolist(), inverse.reshape(phases.shape).tolist()):
+        order = sorted(range(len(row)), key=lambda k: keys[idx[k]])
+        records.append(ElementSpectrum(
+            phases=tuple(row[k] for k in order),
+            phase_ticks=tuple(ticks[idx[k]] for k in order),
+            classifications=tuple(labels[idx[k]] for k in order),
+        ))
+    sectors = _sector_rows(c, records)
     records.sort(key=lambda r: r.canonical_key())
     return SpectralSignature(
         dim=c.dim,
@@ -328,6 +365,7 @@ def signature(
         bound=bound,
         records=tuple(records),
         summary=_summarize(records),
+        sectors=sectors,
     )
 
 
@@ -346,69 +384,16 @@ def compare_signatures(a: SpectralSignature, b: SpectralSignature) -> str:
 # Sector summaries (positional, for lifted candidates)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorRow:
-    """Order statistics of one sector of a candidate, in element order."""
-
-    name: str
-    element_count: int
-    min_finite_order: Optional[int]
-    max_finite_order: Optional[int]
-    provably_infinite_count: int
-    no_order_count: int
-    elements_with_infinite: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "element_count": self.element_count,
-            "min_finite_order": self.min_finite_order,
-            "max_finite_order": self.max_finite_order,
-            "provably_infinite_count": self.provably_infinite_count,
-            "no_order_count": self.no_order_count,
-            "elements_with_infinite": self.elements_with_infinite,
-        }
-
-
 def sector_summaries(
     c: UMEBCandidate, bound: int = 144, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[SectorRow, ...]:
-    """Per-sector order statistics, splitting lifted candidates positionally.
+    """Per-sector order statistics: the ``sectors`` of :func:`signature`.
 
-    A lifted candidate (by provenance) is split into its Weyl sector, the
-    first q(q-1)d^2 elements, and the base sector holding the rest; anything
-    else is summarized as a single sector.  Unlike :func:`signature`, this
-    view depends on element order, which the lift fixes canonically.
+    A lifted candidate is split positionally into its Weyl and base sectors;
+    anything else is one sector.  Unlike the signature's canonical records,
+    this view depends on element order, which the lift fixes canonically.
     """
-    records = [
-        _element_spectrum(u, bound, tol, c.exact_cos_theta) for u in c.elements
-    ]
-    layout = as_lift(c.provenance)
-    if layout is None or len(records) < layout.weyl_count:
-        sectors = [("all", records)]
-    else:
-        cut = layout.weyl_count
-        sectors = [("weyl", records[:cut]), ("base", records[cut:])]
-
-    rows = []
-    for name, recs in sectors:
-        s = _summarize(recs)
-        carriers = sum(
-            any(isinstance(cl, ProvablyInfinite) for cl in r.classifications)
-            for r in recs
-        )
-        rows.append(
-            SectorRow(
-                name=name,
-                element_count=len(recs),
-                min_finite_order=s.min_finite_order,
-                max_finite_order=s.max_finite_order,
-                provably_infinite_count=s.provably_infinite_count,
-                no_order_count=s.no_order_count,
-                elements_with_infinite=int(carriers),
-            )
-        )
-    return tuple(rows)
+    return signature(c, bound, tol).sectors
 
 
 def sector_table(rows: tuple[SectorRow, ...]) -> str:

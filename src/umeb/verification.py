@@ -145,8 +145,8 @@ def verify_axioms(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -> Ver
     if len(c.elements) == 0:
         raise ValueError("candidate has no elements")
     d = c.dim
-    max_unit = max(unitarity_residual(u) for u in c.elements)
-    g = gram_matrix(c.elements)
+    max_unit = unitarity_residual(c.matrices)
+    g = gram_matrix(c.matrices)
     off = g - np.diag(np.diag(g))
     max_off = float(np.max(np.abs(off))) if len(c.elements) > 1 else 0.0
     max_diag = float(np.max(np.abs(np.diag(g) - d)))
@@ -341,7 +341,7 @@ def search_extension(
         )
 
     d = c.dim
-    basis = orthonormal_complement(c.elements)
+    basis = orthonormal_complement(c.matrices)
     if not basis:
         return ExtendibilitySearchResult(
             verdict="NoExtensionFound",
@@ -521,7 +521,7 @@ def _base_sector_deviation(sector: np.ndarray, base: UMEBCandidate, w: np.ndarra
     q, count, _, d = sector.shape[:4]
     if base.dim != d or len(base.elements) != count:
         return float("nan")
-    ref = np.stack(base.elements)
+    ref = base.matrices
     overlaps = np.einsum("jxy,nxy->nj", ref.conj(), sector[0, :, 0, :, 0, :])
     order = np.argmax(np.abs(overlaps), axis=1)
     if len(set(order.tolist())) != count:
@@ -572,8 +572,8 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
     Every check carries the ``threshold`` its ``detail`` was compared
     against: CERT_ZERO_TOL for checks 1, 2 and 5 (the figure must be below
     it), 0.5 q^(q/2) for check 3 (at or above) and CERT_COND_MAX for check 4
-    (below).  Check 5 holds its sector deviation to that threshold and the
-    base's axiom residuals to ``tol``.
+    (below).  Check 5 holds its whole detail, sector deviation and the base's
+    axiom residuals alike, to that threshold, and the base also to ``tol``.
     """
     layout = as_lift(c.provenance)
     if layout is None:
@@ -607,7 +607,7 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
     # Check 1: zero diagonal blocks and full rank n, the dimension of the
     # off-diagonal-block space.  Check 2 is derived from the same figures.
     if n:
-        flat = np.stack(c.elements[:n]).reshape(n, -1)
+        flat = c.matrices[:n].reshape(n, -1)
         diag_blocks = np.diagonal(flat.reshape(n, q, d, q, d), axis1=1, axis2=3)
         diag_mass = float(np.max(np.abs(diag_blocks)))
         diag_norm = float(np.linalg.norm(diag_blocks))
@@ -645,7 +645,7 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
     ))
 
     # Check 5: the base sector is D_i (x) U_n over the base, and the base case.
-    sector = np.stack(c.elements[n:]).reshape(q, layout.base_count, q, d, q, d)
+    sector = c.matrices[n:].reshape(q, layout.base_count, q, d, q, d)
     base = rebuild_from_provenance(base_prov)
     rebuilt = base is not None
     if not rebuilt:
@@ -660,7 +660,7 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
         base_report.max_gram_offdiag,
         base_report.max_gram_diag_error,
     ]))
-    base_ok = sector_dev < CERT_ZERO_TOL and base_report.passed
+    base_ok = base_detail < CERT_ZERO_TOL and base_report.passed
     which = "reconstructed" if rebuilt else "extracted"
     if np.isnan(sector_dev):
         notes.append(
@@ -677,6 +677,11 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
         notes.append(
             f"{which} base fails the axioms "
             f"(condition (i) ok: {base_report.condition_i_ok})"
+        )
+    elif not base_ok:
+        notes.append(
+            f"{which} base's axiom residuals reach {base_detail:.3e}, "
+            f"above the threshold {CERT_ZERO_TOL:g}"
         )
     elif as_lift(base_prov) is not None:
         inner = structural_certify(base, tol)

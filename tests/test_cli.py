@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from umeb.cli import main
+from umeb.cli import build_parser, main
 from umeb.constructions import (
     External,
     UMEBCandidate,
@@ -331,6 +331,17 @@ def test_spectral_json_payload(tmp_path, capsys):
     assert len(payload["records"]) == 6
 
 
+def test_spectral_json_key_order(tmp_path, capsys):
+    path = tmp_path / "l2.json"
+    save_umeb(lift(bravyi_smolin_3(), 2), path)
+    code, stdout, _ = run(capsys, "spectral", str(path), "--json")
+    assert code == 0
+    assert list(json.loads(stdout)) == [
+        "schema_version", "command", "path", "dim", "element_count", "bound",
+        "summary", "sectors", "records", "notes",
+    ]
+
+
 def test_spectral_rejects_non_unitary(tmp_path, capsys):
     path = tmp_path / "bad.json"
     save_umeb(UMEBCandidate(2, (2.0 * np.eye(2),), External("x")), path)
@@ -356,6 +367,30 @@ def test_compare_distinguishes_finite_from_infinite(tmp_path, capsys):
     code, stdout, _ = run(capsys, "compare", str(a), str(b))
     assert code == 0
     assert "DISTINGUISHED" in stdout
+
+
+def test_tolerance_flags_only_where_read(tmp_path, capsys):
+    code, _, stderr = run(
+        capsys, "construct", "bs3", "-o", str(tmp_path / "x.json"), "--phase-tol", "1e-3"
+    )
+    assert code == 1
+    assert "error:" in stderr
+    flags = ("--unitarity-tol", "--gram-tol", "--phase-tol")
+    registered = {}
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for name, parser in sub.choices.items():
+        registered[name] = sorted(
+            o for a in parser._actions for o in a.option_strings if o in flags
+        )
+    assert registered == {
+        "construct": [],
+        "lift": ["--unitarity-tol"],
+        "verify": ["--gram-tol", "--unitarity-tol"],
+        "search": ["--gram-tol", "--unitarity-tol"],
+        "certify": ["--gram-tol", "--unitarity-tol"],
+        "spectral": ["--phase-tol", "--unitarity-tol"],
+        "compare": ["--phase-tol", "--unitarity-tol"],
+    }
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -214,6 +214,52 @@ def test_lift_block_structure():
                     assert np.max(np.abs(blocks[a, :, b, :])) == 0.0
 
 
+def _kron_reference_lift(base, q):
+    """Per-element np.kron assembly of the lift, in its canonical order."""
+    rows = [np.diag(fourier_matrix(q)[i]) for i in range(q)]
+    weyl_sector = [
+        np.kron(rows[i] @ np.linalg.matrix_power(cyclic_shift(q), j), weyl(base.dim, n, m))
+        for i in range(q) for j in range(1, q)
+        for n in range(base.dim) for m in range(base.dim)
+    ]
+    return np.array(
+        weyl_sector + [np.kron(rows[i], u) for i in range(q) for u in base.elements]
+    ).reshape(-1, q * base.dim, q * base.dim)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_lift_matrices_equal_per_element_kron_bit_for_bit(q):
+    for base in (bravyi_smolin_3(), weyl_family(2)):
+        got = lift(base, q).matrices
+        assert got.tobytes() == _kron_reference_lift(base, q).tobytes()
+
+
+def test_umeb_6_matrices_equal_per_element_kron_bit_for_bit():
+    pairs = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    diags = np.eye(2), np.diag([1.0, -1.0])
+    want = [np.kron(f, weyl(3, n, m)) for f in pairs for n in range(3) for m in range(3)]
+    want += [np.kron(f, u) for f in diags for u in bravyi_smolin_3().elements]
+    assert umeb_6().matrices.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+def test_candidate_stores_one_read_only_array():
+    c = lift(bravyi_smolin_3(), 2)
+    assert c.matrices.shape == (30, 6, 6) and c.matrices.dtype == np.complex128
+    assert not c.matrices.flags.writeable
+    assert isinstance(c.elements, tuple) and len(c.elements) == 30
+    for i, e in enumerate(c.elements):
+        assert not e.flags.writeable
+        assert np.shares_memory(e, c.matrices)
+        assert e.tobytes() == c.matrices[i].tobytes()
+    with pytest.raises(ValueError):
+        c.elements[0][0, 0] = 2.0
+    source = np.eye(2)
+    kept = UMEBCandidate(2, (source,), External("copy"))
+    source[0, 0] = 5.0
+    assert kept.elements[0][0, 0] == 1.0
+    assert UMEBCandidate(3, (), External("empty")).matrices.shape == (0, 3, 3)
+
+
 def test_lift_validates_input():
     base = bravyi_smolin_3()
     with pytest.raises(ValueError):

@@ -90,6 +90,22 @@ def test_unitarity_residual():
     assert unitarity_residual(2.0 * np.eye(2)) == pytest.approx(3.0)
 
 
+def test_stacked_unitarity_residual_is_the_largest_per_matrix_residual():
+    rng = np.random.default_rng(4)
+    stack = np.stack([np.eye(3) + 1e-9 * rng.standard_normal((3, 3)) for _ in range(7)])
+    per_matrix = [unitarity_residual(m) for m in stack]
+    assert unitarity_residual(stack) == max(per_matrix)
+    assert unitarity_residual(np.empty((0, 3, 3))) == 0.0
+    with pytest.raises(DimensionMismatchError):
+        unitarity_residual(np.ones((2, 2, 3)))
+
+
+def test_gram_matrix_of_a_stack_equals_that_of_its_list():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    assert gram_matrix(stack).tobytes() == gram_matrix(list(stack)).tobytes()
+
+
 def test_complement_of_identity_in_dim_2():
     comp = orthonormal_complement([np.eye(2)])
     assert len(comp) == 3

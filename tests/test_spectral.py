@@ -3,8 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from umeb.constructions import External, UMEBCandidate, bravyi_smolin_3, lift, weyl_family
+from umeb.constructions import (
+    External,
+    UMEBCandidate,
+    bravyi_smolin_3,
+    lift,
+    umeb_6,
+    weyl_family,
+)
+from umeb.linalg import DEFAULT_TOLERANCES, DimensionMismatchError, root_of_unity
 from umeb.spectral import (
+    ElementSpectrum,
     Finite,
     NoOrderUpTo,
     ProvablyInfinite,
@@ -16,6 +25,7 @@ from umeb.spectral import (
     sector_table,
     signature,
 )
+from umeb.spectral import _bucket, _classify_phase, _cls_key
 
 THETA = float(np.arccos(-7.0 / 8.0))
 
@@ -47,6 +57,24 @@ def test_eigenphases_of_dimension_3_family():
 def test_eigenphases_rejects_non_unitary():
     with pytest.raises(ValueError):
         eigenphases(2.0 * np.eye(2))
+
+
+def test_eigenphases_of_a_stack_equal_per_matrix_calls_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for stack in (
+        np.stack([haar_unitary(5, rng) for _ in range(10)]),
+        lift(bravyi_smolin_3(), 4).matrices,
+    ):
+        phases = eigenphases(stack)
+        assert phases.shape == stack.shape[:2]
+        for row, u in zip(phases, stack):
+            assert row.tobytes() == eigenphases(u).tobytes()
+    assert eigenphases(np.empty((0, 3, 3))).shape == (0, 3)
+
+
+def test_eigenphases_rejects_non_square():
+    with pytest.raises(DimensionMismatchError):
+        eigenphases(np.ones((2, 3)))
 
 
 def test_eigenphases_sorted_in_range():
@@ -219,3 +247,77 @@ def test_sector_table_renders_aligned_columns():
     assert len(lines) == 4
     assert lines[2].startswith("weyl")
     assert lines[3].startswith("base")
+
+
+def test_sector_summaries_are_the_signature_sectors():
+    for c in (lift(bravyi_smolin_3(), 2), weyl_family(3), umeb_6()):
+        for bound in (7, 144):
+            assert sector_summaries(c, bound) == signature(c, bound).sectors
+
+
+# ---------------------------------------------------------------------------
+# the one-pass signature against the per-element path
+# ---------------------------------------------------------------------------
+
+def _reference_records(c, bound, tol=DEFAULT_TOLERANCES):
+    """Frozen per-element path: each matrix's eigenphases, each phase classified."""
+    records = []
+    for u in c.elements:
+        entries = []
+        for phase in eigenphases(u, tol):
+            cls = _classify_phase(float(phase), bound, tol.phase_tol, c.exact_cos_theta)
+            entries.append((_bucket(float(phase)), cls, float(phase)))
+        entries.sort(key=lambda e: (e[0], _cls_key(e[1])))
+        records.append(ElementSpectrum(
+            phases=tuple(e[2] for e in entries),
+            phase_ticks=tuple(e[0] for e in entries),
+            classifications=tuple(e[1] for e in entries),
+        ))
+    records.sort(key=lambda r: r.canonical_key())
+    return records
+
+
+def _haar_set(cos_theta):
+    rng = np.random.default_rng(17)
+    mats = tuple(haar_unitary(4, rng) for _ in range(6))
+    return UMEBCandidate(4, mats, External("haar"), cos_theta)
+
+
+def _root_of_unity_diagonals():
+    mats = tuple(np.diag([root_of_unity(k * j, 6) for j in range(4)]) for k in range(12))
+    return UMEBCandidate(4, mats, External("repeated phases"))
+
+
+def _wraparound_pair():
+    eps = 1e-13
+    mats = (np.diag([np.exp(1j * eps), 1.0]), np.diag([np.exp(-1j * eps), 1.0]))
+    return UMEBCandidate(2, mats, External("wraparound"))
+
+
+REFERENCE_SETS = {
+    "bs3": bravyi_smolin_3,
+    "umeb6": umeb_6,
+    "lift_bs3_2": lambda: lift(bravyi_smolin_3(), 2),
+    "lift_bs3_3": lambda: lift(bravyi_smolin_3(), 3),
+    "lift_umeb6_2": lambda: lift(umeb_6(), 2),
+    "bs3_no_cosine": lambda: UMEBCandidate(3, bravyi_smolin_3().elements, External("no cos")),
+    "haar_irrational_cosine": lambda: _haar_set(Fraction(-7, 8)),
+    "haar_rational_cosine": lambda: _haar_set(Fraction(1, 2)),
+    "root_of_unity_diagonals": _root_of_unity_diagonals,
+    "wraparound_pair": _wraparound_pair,
+    "empty": lambda: UMEBCandidate(3, (), External("empty")),
+}
+
+
+@pytest.mark.parametrize("bound", [1, 7, 144])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SETS))
+def test_signature_matches_per_element_reference_bit_for_bit(name, bound):
+    c = REFERENCE_SETS[name]()
+    sig = signature(c, bound)
+    ref = _reference_records(c, bound)
+    assert len(sig.records) == len(ref) == len(c)
+    for got, want in zip(sig.records, ref):
+        assert np.array(got.phases).tobytes() == np.array(want.phases).tobytes()
+        assert got.phase_ticks == want.phase_ticks
+        assert got.classifications == want.classifications
+    assert sig.canonical_key() == (c.dim, len(c), tuple(r.canonical_key() for r in ref))

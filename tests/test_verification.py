@@ -9,12 +9,14 @@ from umeb.constructions import (
     Lift,
     UMEBCandidate,
     bravyi_smolin_3,
+    bravyi_smolin_states,
     lift,
     umeb_6,
     weyl,
     weyl_family,
 )
 from umeb.linalg import (
+    Tolerances,
     hs_inner,
     hs_norm,
     orthonormal_complement,
@@ -22,6 +24,7 @@ from umeb.linalg import (
     unitarity_residual,
 )
 from umeb.verification import (
+    CERT_ZERO_TOL,
     SUB_SEED_STRIDE,
     _refine_in_complement,
     search_extension,
@@ -480,6 +483,23 @@ def test_certify_external_base_is_read_from_the_sector():
         cert = structural_certify(c)
         assert cert.overall == "CertifiedConditionalOnBase"
         assert cert.checks[-1].detail < 1e-12
+
+
+def test_certify_holds_base_residuals_to_the_threshold_under_loose_tolerances():
+    # Element 0's non-unit eigenphase moved by 3e-10: the base's Gram
+    # residual (1.9e-10) passes tolerances of 1e-8 but not check 5's threshold.
+    theta = float(np.arccos(-7.0 / 8.0)) + 3e-10
+    psi = bravyi_smolin_states()[0]
+    u0 = np.eye(3) - (1.0 - np.exp(1j * theta)) * np.outer(psi, psi.conj())
+    base = UMEBCandidate(3, (u0,) + bravyi_smolin_3().elements[1:], External("moved phase"))
+    loose = Tolerances(unitarity_tol=1e-8, gram_tol=1e-8)
+    cert = structural_certify(lift(base, 2, loose), loose)
+    assert cert.overall == "Failed"
+    assert not cert.checks[-1].passed
+    assert cert.checks[-1].detail >= CERT_ZERO_TOL
+    for ch in cert.checks:
+        if ch.passed and ch.threshold == CERT_ZERO_TOL:
+            assert ch.detail < ch.threshold, ch.name
 
 
 # Base-sector substitutions of lift(bs3, 2).  Element (i, n) of its base
