@@ -24,6 +24,7 @@ from .linalg import (
     DimensionMismatchError,
     Tolerances,
     as_matrix,
+    as_stack,
     root_of_unity,
     unitarity_residual,
 )
@@ -201,14 +202,17 @@ class UMEBCandidate:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        stack = np.empty((len(self.elements), self.dim, self.dim), dtype=np.complex128)
-        for i, e in enumerate(self.elements):
-            m = as_matrix(e)
-            if m.shape != (self.dim, self.dim):
-                raise DimensionMismatchError(
-                    f"element {i} has shape {m.shape}, expected ({self.dim}, {self.dim})"
-                )
-            stack[i] = m
+        if not len(self.elements):
+            stack = np.empty((0, self.dim, self.dim), dtype=np.complex128)
+        else:
+            stack = as_stack(self.elements)
+            if isinstance(self.elements, np.ndarray):
+                # asarray kept the caller's buffer; a sequence was copied.
+                stack = stack.copy()
+        if stack.shape[1:] != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"elements have shape {stack.shape[1:]}, expected ({self.dim}, {self.dim})"
+            )
         stack.flags.writeable = False
         object.__setattr__(self, "matrices", stack)
         object.__setattr__(self, "elements", tuple(stack))
@@ -359,11 +363,14 @@ def umeb_6() -> UMEBCandidate:
 # ---------------------------------------------------------------------------
 
 def lift_counts(base_dim: int, base_count: int, q: int) -> tuple[int, int]:
-    """Element count of the lift, plus the alternative closed form.
+    """Element count of :func:`lift`, and the count the abstract states.
 
     Returns ``(q(q-1)d^2 + qN, (qd)^2 - (d^2 - N))``.  The first is the size
-    of the constructed set; the second exceeds it by (q-1)(d^2-N) and is
-    reported by the CLI for comparison whenever the two differ.
+    of :func:`lift`'s set, whose complement is comp(base)^q.  The second is
+    not an erratum but the exact size of another valid lift: the Weyl sector,
+    plus D_i (x) W_nm for 1 <= i < q, plus I (x) U_n, whose complement is
+    I (x) comp(base).  The abstract alone does not say which one the paper's
+    body builds; the CLI reports both whenever they differ.
     """
     constructed = Lift(External("lift_counts"), base_dim, base_count, q).element_count
     closed_form = (q * base_dim) ** 2 - (base_dim**2 - base_count)
@@ -382,15 +389,15 @@ def lift(base: UMEBCandidate, q: int, tol: Tolerances = DEFAULT_TOLERANCES) -> U
 
     For q = 1 the Weyl sector is empty and the result is the base itself.
     """
-    if q < 1:
-        raise ValueError("lift requires q >= 1")
+    d = base.dim
+    prov = Lift(base=base.provenance, base_dim=d, base_count=len(base.elements), q=q)
     tol_u = tol.unitarity_tol
     if unitarity_residual(base.matrices) >= tol_u:
         i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol_u)
         raise ValueError(f"base element {i} is not unitary within tolerance")
 
-    d = base.dim
-    fourier_rows = np.stack([row_diag(fourier_matrix(q), i) for i in range(q)])
+    w = fourier_matrix(q)
+    fourier_rows = np.stack([row_diag(w, i) for i in range(q)])
     shift = cyclic_shift(q)
     factors = np.array(
         [fourier_rows[i] @ np.linalg.matrix_power(shift, j) for i in range(q) for j in range(1, q)],
@@ -400,7 +407,6 @@ def lift(base: UMEBCandidate, q: int, tol: Tolerances = DEFAULT_TOLERANCES) -> U
         _kron_pairs(factors, weyl_family(d).matrices),
         _kron_pairs(fourier_rows, base.matrices),
     ])
-    prov = Lift(base=base.provenance, base_dim=d, base_count=len(base.elements), q=q)
     return UMEBCandidate(q * d, elements, prov, base.exact_cos_theta)
 
 
@@ -522,7 +528,8 @@ def load_umeb(path) -> UMEBCandidate:
     UMEBFormatError
         On schema violations: missing keys, wrong types, non-square or
         mismatched elements, non-finite entries or integers beyond the double
-        range, malformed cosine metadata, values nested too deeply to parse.
+        range, malformed cosine metadata, values or provenance nested too
+        deeply to parse, a provenance lift with q or d below 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -542,7 +549,12 @@ def load_umeb(path) -> UMEBCandidate:
         raise UMEBFormatError("dim must be a positive integer")
     if not isinstance(doc["provenance"], str):
         raise UMEBFormatError("provenance must be a string")
-    prov = provenance_from_str(doc["provenance"])
+    try:
+        prov = provenance_from_str(doc["provenance"])
+    except RecursionError as exc:
+        raise UMEBFormatError("provenance is nested too deeply to parse") from exc
+    except ValueError as exc:
+        raise UMEBFormatError(f"provenance describes no valid lift: {exc}") from exc
 
     ect_raw = doc["exact_cos_theta"]
     if ect_raw is None:

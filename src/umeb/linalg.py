@@ -18,6 +18,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "as_matrix",
+    "as_stack",
     "root_of_unity",
     "kron",
     "hs_inner",
@@ -114,26 +115,20 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def _stack(mats) -> np.ndarray:
-    """(n, d, d) array of square matrices of one dimension d.
-
-    Takes such an array as it stands, or a sequence of matrices checked one
-    by one.
-    """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+def as_stack(mats) -> np.ndarray:
+    """Coerce an array or a sequence of d x d matrices to one (n, d, d)
+    complex128 stack, rejecting NaN/Inf; an empty sequence gives (0, 0, 0)."""
+    try:
         m = np.asarray(mats, dtype=np.complex128)
-        if m.shape[1] != m.shape[2]:
-            raise DimensionMismatchError(f"expected square matrices, got shape {m.shape[1:]}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        return m
-    mats = [_square(m) for m in mats]
-    for i, m in enumerate(mats):
-        if m.shape != mats[0].shape:
-            raise DimensionMismatchError(
-                f"dimension mismatch at element {i}: {m.shape} vs {mats[0].shape}"
-            )
-    return np.stack(mats) if mats else np.empty((0, 0, 0), dtype=np.complex128)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"matrices do not form one (n, d, d) stack: {exc}") from exc
+    if m.shape == (0,):
+        m = m.reshape(0, 0, 0)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise DimensionMismatchError(f"expected an (n, d, d) stack, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def gram_matrix(mats) -> np.ndarray:
@@ -142,7 +137,7 @@ def gram_matrix(mats) -> np.ndarray:
     Entry (a, b) is Tr(m_a^dag m_b).  ``mats`` is an (n, d, d) stack or a
     sequence of matrices that share one dimension.
     """
-    m = _stack(mats)
+    m = as_stack(mats)
     if not len(m):
         raise ValueError("gram_matrix needs at least one matrix")
     flat = m.reshape(len(m), -1)
@@ -155,7 +150,7 @@ def unitarity_residual(a) -> float:
     An (n, d, d) stack gives the largest residual of its matrices, and an
     empty one 0.0.
     """
-    m = _stack(a) if np.ndim(a) == 3 else _square(a)
+    m = as_stack(a) if np.ndim(a) == 3 else _square(a)
     eye = np.eye(m.shape[-1], dtype=np.complex128)
     return float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - eye), initial=0.0))
 
@@ -196,7 +191,7 @@ def orthonormal_complement(mats) -> list[np.ndarray]:
     DimensionMismatchError
         If the inputs are not square matrices of one common dimension.
     """
-    m = _stack(mats)
+    m = as_stack(mats)
     if not len(m):
         raise ValueError("orthonormal_complement needs at least one matrix")
     n, d = len(m), m.shape[1]

@@ -18,7 +18,7 @@ Three layers of scrutiny for a candidate set of d x d matrices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -123,15 +123,7 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "element_count": self.element_count,
-            "max_unitarity_residual": self.max_unitarity_residual,
-            "max_gram_offdiag": self.max_gram_offdiag,
-            "max_gram_diag_error": self.max_gram_diag_error,
-            "condition_i_ok": self.condition_i_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_axioms(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
@@ -205,10 +197,10 @@ class ExtendibilitySearchResult:
     iters: int
     seed: int
     complement_dim: int
+    best_restart: int = 0
     extension: Optional[np.ndarray] = None
     extension_unitarity_residual: Optional[float] = None
     extension_max_gram_overlap: Optional[float] = None
-    best_restart: int = 0
     objective_traces: tuple = ()
     restart_final_gaps: tuple = ()
     restart_plateau_iters: tuple = ()
@@ -216,21 +208,11 @@ class ExtendibilitySearchResult:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
+        """Every field in order, but the matrices and the per-iteration traces."""
         return {
-            "verdict": self.verdict,
-            "best_nuclear_norm": self.best_nuclear_norm,
-            "gap": self.gap,
-            "restarts": self.restarts,
-            "iters": self.iters,
-            "seed": self.seed,
-            "complement_dim": self.complement_dim,
-            "best_restart": self.best_restart,
-            "extension_unitarity_residual": self.extension_unitarity_residual,
-            "extension_max_gram_overlap": self.extension_max_gram_overlap,
-            "restart_final_gaps": list(self.restart_final_gaps),
-            "restart_plateau_iters": list(self.restart_plateau_iters),
-            "refined": self.refined,
-            "notes": list(self.notes),
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("witness", "extension", "objective_traces")
         }
 
 
@@ -365,23 +347,18 @@ def search_extension(
     ]))
     m *= (sqrt_d / np.linalg.norm(m, axis=(1, 2)))[:, None, None]
     traces = np.empty((restarts, iters))
-    lengths = np.full(restarts, iters)
-    live = np.ones(restarts, dtype=bool)
     for t in range(iters):
         u, s, vh = np.linalg.svd(m)
         traces[:, t] = s.sum(axis=1)
         if t == iters - 1:
             break
+        # The rescale never divides by zero: for m in the complement,
+        # <P(U V^dag), m> = <U V^dag, m> = ||m||_* >= ||m||_F, so by
+        # Cauchy-Schwarz ||P(U V^dag)||_F >= ||m||_* / ||m||_F >= 1.
         p = _project(flat, u @ vh)
-        pn = np.linalg.norm(p, axis=(1, 2))
-        # A polar factor orthogonal to the complement cannot occur for nonzero
-        # m, but guard the division anyway: such a restart stops where it is.
-        stop = live & (pn < 1e-14)
-        lengths[stop] = t + 1
-        live &= ~stop
-        m[live] = p[live] * (sqrt_d / pn[live])[:, None, None]
+        m = p * (sqrt_d / np.linalg.norm(p, axis=(1, 2)))[:, None, None]
 
-    finals = traces[np.arange(restarts), lengths - 1]
+    finals = traces[:, -1]
     best_restart = int(np.argmax(finals))
     best_norm = float(finals[best_restart])
     best_witness = m[best_restart]
@@ -440,7 +417,7 @@ def search_extension(
         extension_unitarity_residual=ext_unit,
         extension_max_gram_overlap=ext_overlap,
         best_restart=best_restart,
-        objective_traces=tuple(tuple(map(float, t[:n])) for t, n in zip(traces, lengths)),
+        objective_traces=tuple(tuple(map(float, t)) for t in traces),
         restart_final_gaps=tuple(map(float, d - finals)),
         restart_plateau_iters=tuple(map(int, plateau)),
         refined=refined is not None,
@@ -476,12 +453,7 @@ class CertificateCheck:
         object.__setattr__(self, "threshold", float(self.threshold))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -500,12 +472,7 @@ class StructuralCertificate:
     base_provenance: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "checks": [ch.to_dict() for ch in self.checks],
-            "notes": list(self.notes),
-            "base_provenance": self.base_provenance,
-        }
+        return asdict(self)
 
 
 def _base_sector_deviation(sector: np.ndarray, base: UMEBCandidate, w: np.ndarray) -> float:

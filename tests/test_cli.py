@@ -154,6 +154,23 @@ def test_verify_malformed_numbers_exit_1_without_traceback(tmp_path, capsys, ele
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("provenance", [
+    "lift(q=1, d=3, n=6, base=" * 2000 + "bravyi_smolin_3" + ")" * 2000,
+    "lift(q=0, d=3, n=6, base=bravyi_smolin_3)",
+], ids=["nested_too_deeply", "q_zero"])
+def test_verify_bad_provenance_exits_1_without_traceback(tmp_path, capsys, provenance):
+    path = tmp_path / "bad.json"
+    save_umeb(bravyi_smolin_3(), path)
+    doc = json.loads(path.read_text())
+    doc["provenance"] = provenance
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: provenance")
+    assert "Traceback" not in stderr
+
+
 def test_verify_json_payload(tmp_path, capsys):
     path = tmp_path / "u6.json"
     save_umeb(umeb_6(), path)
@@ -340,6 +357,35 @@ def test_spectral_json_key_order(tmp_path, capsys):
         "schema_version", "command", "path", "dim", "element_count", "bound",
         "summary", "sectors", "records", "notes",
     ]
+
+
+def test_verify_search_certify_json_key_order(tmp_path, capsys):
+    path = tmp_path / "l2.json"
+    save_umeb(lift(bravyi_smolin_3(), 2), path)
+    code, stdout, _ = run(capsys, "verify", str(path), "--json")
+    assert code == 0
+    assert list(json.loads(stdout)) == [
+        "schema_version", "command", "path", "dim", "element_count",
+        "max_unitarity_residual", "max_gram_offdiag", "max_gram_diag_error",
+        "condition_i_ok", "passed", "notes",
+    ]
+    code, stdout, _ = run(capsys, "search", str(path), "--restarts", "2", "--iters", "5", "--json")
+    assert code == 0
+    assert list(json.loads(stdout)) == [
+        "schema_version", "command", "path", "verdict", "best_nuclear_norm", "gap",
+        "restarts", "iters", "seed", "complement_dim", "best_restart",
+        "extension_unitarity_residual", "extension_max_gram_overlap",
+        "restart_final_gaps", "restart_plateau_iters", "refined", "notes", "witness_path",
+    ]
+    code, stdout, _ = run(capsys, "certify", str(path), "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert list(payload) == [
+        "schema_version", "command", "path", "overall", "checks", "notes", "base_provenance",
+    ]
+    assert [list(ch) for ch in payload["checks"]] == [
+        ["name", "passed", "detail", "threshold"]
+    ] * 5
 
 
 def test_spectral_rejects_non_unitary(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from umeb.constructions import (
     weyl,
     weyl_family,
 )
-from umeb.linalg import gram_matrix, unitarity_residual
+from umeb.linalg import DimensionMismatchError, gram_matrix, unitarity_residual
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +279,35 @@ def test_candidate_validation():
     assert c2.exact_cos_theta == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "list"])
+def test_candidate_owns_a_read_only_bit_exact_copy(as_array):
+    signed = np.array([[-0.0, complex(1.0, -0.0)], [1.0, complex(-0.0, -0.0)]])
+    given = [signed.copy(), np.eye(2, dtype=np.complex128)]
+    if as_array:
+        given = np.stack(given)
+    c = UMEBCandidate(2, given, External("signed zeros"))
+    assert c.matrices.tobytes() == np.stack([signed, np.eye(2)]).astype(np.complex128).tobytes()
+    assert not c.matrices.flags.writeable
+    given[0][0, 0] = 7.0
+    given[1][1, 1] = 7.0
+    assert c.matrices[0, 0, 0] == 0.0 and c.matrices[1, 1, 1] == 1.0
+    with pytest.raises(ValueError):
+        c.matrices[0, 0, 0] = 1.0
+
+
+def test_candidate_rejects_malformed_stacks():
+    with pytest.raises(DimensionMismatchError, match=r"\(3, 3\).*\(2, 2\)"):
+        UMEBCandidate(2, np.stack([np.eye(3)]), External("wrong dim"))
+    with pytest.raises(DimensionMismatchError):
+        UMEBCandidate(2, (np.eye(2), np.eye(3)), External("ragged"))
+    with pytest.raises(ValueError, match="must be finite"):
+        UMEBCandidate(2, (np.eye(2), np.full((2, 2), np.nan)), External("nan"))
+    with pytest.raises(ValueError, match="must be finite"):
+        UMEBCandidate(2, np.full((1, 2, 2), np.inf), External("inf"))
+    empty = UMEBCandidate(4, np.empty((0, 4, 4)), External("empty"))
+    assert empty.matrices.shape == (0, 4, 4) and empty.elements == ()
+
+
 # ---------------------------------------------------------------------------
 # Provenance strings
 # ---------------------------------------------------------------------------
@@ -509,6 +539,38 @@ def test_load_maps_conversion_and_parser_crashes_to_format_errors(tmp_path):
                     f'"elements": {"[" * depth}{"]" * depth}}}')
     with pytest.raises(UMEBFormatError, match="nested too deeply"):
         load_umeb(path)
+
+
+def _with_provenance(path, provenance):
+    save_umeb(bravyi_smolin_3(), path)
+    doc = json.loads(path.read_text())
+    doc["provenance"] = provenance
+    path.write_text(json.dumps(doc))
+
+
+_DEEP_PROVENANCE = "lift(q=1, d=3, n=6, base=" * 2000 + "bravyi_smolin_3" + ")" * 2000
+
+
+@pytest.mark.parametrize("provenance, reason", [
+    (_DEEP_PROVENANCE, "nested too deeply"),
+    ("lift(q=0, d=3, n=6, base=bravyi_smolin_3)", "q >= 1"),
+    ("lift(q=2, d=0, n=6, base=bravyi_smolin_3)", "positive dimension"),
+], ids=["nested_too_deeply", "q_zero", "d_zero"])
+def test_load_maps_bad_provenance_to_format_errors(tmp_path, provenance, reason):
+    path = tmp_path / "bad.json"
+    _with_provenance(path, provenance)
+    with pytest.raises(UMEBFormatError, match=f"^provenance .*{re.escape(reason)}"):
+        load_umeb(path)
+
+
+def test_load_keeps_moderately_nested_provenance(tmp_path):
+    path = tmp_path / "deep.json"
+    _with_provenance(path, "lift(q=1, d=3, n=6, base=" * 50 + "bravyi_smolin_3" + ")" * 50)
+    p = load_umeb(path).provenance
+    for _ in range(50):
+        assert isinstance(p, Lift) and p.q == 1
+        p = p.base
+    assert p == BravyiSmolin3()
 
 
 def test_d24_lift_round_trip_is_bit_exact_and_deterministic(tmp_path):

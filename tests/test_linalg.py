@@ -7,6 +7,7 @@ from umeb.linalg import (
     RankDeficiencyError,
     Tolerances,
     as_matrix,
+    as_stack,
     gram_matrix,
     hs_inner,
     hs_norm,
@@ -59,6 +60,38 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_as_stack_takes_arrays_and_sequences_alike():
+    signed = np.array([[-0.0, 1.0], [1.0, -0.0j]], dtype=np.complex128)
+    from_list = as_stack([signed, np.eye(2)])
+    assert from_list.shape == (2, 2, 2) and from_list.dtype == np.complex128
+    assert from_list[0].tobytes() == signed.tobytes()
+    assert as_stack(from_list) is from_list
+    assert as_stack([]).shape == (0, 0, 0)
+    assert as_stack(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("mats", [
+    [np.eye(2), np.eye(3)],
+    [np.eye(2), np.ones(2)],
+    np.ones((2, 2, 3)),
+    np.eye(2),
+    [1.0, 2.0],
+], ids=["ragged", "matrix_and_vector", "non_square", "one_matrix", "scalars"])
+def test_as_stack_rejects_shapes_other_than_n_d_d(mats):
+    with pytest.raises(DimensionMismatchError):
+        as_stack(mats)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_as_stack_rejects_non_finite_entries(bad):
+    m = np.eye(2, dtype=np.complex128)
+    m[1, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        as_stack([np.eye(2), m])
+    with pytest.raises(ValueError, match="must be finite"):
+        as_stack(np.stack([np.eye(2), m]))
 
 
 def test_kron_matches_numpy():

@@ -26,6 +26,7 @@ from umeb.linalg import (
 from umeb.verification import (
     CERT_ZERO_TOL,
     SUB_SEED_STRIDE,
+    _project,
     _refine_in_complement,
     search_extension,
     structural_certify,
@@ -194,6 +195,40 @@ def test_search_objective_traces_are_monotone():
     for trace in res.objective_traces:
         diffs = np.diff(np.array(trace))
         assert diffs.min() > -1e-12
+
+
+@pytest.mark.parametrize("make", [
+    bravyi_smolin_3,
+    _weyl_subset_lift,
+    lambda: UMEBCandidate(2, weyl_family(2).elements[:3], External("one short")),
+], ids=["bs3", "weyl_subset_lift", "weyl_2_one_short"])
+def test_search_objective_traces_have_iters_values(make):
+    res = search_extension(make(), restarts=3, iters=37, seed=4)
+    assert [len(t) for t in res.objective_traces] == [37, 37, 37]
+
+
+@st.composite
+def _complement_points(draw):
+    """Orthonormal complement rows of a random span, and a point m of the
+    complement with ||m||_F = sqrt(d)."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, d * d - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    flat = np.array(orthonormal_complement(span)).reshape(-1, d * d)
+    x = rng.standard_normal(len(flat)) + 1j * rng.standard_normal(len(flat))
+    m = (x @ flat).reshape(d, d)
+    return flat, np.sqrt(d) * m / np.linalg.norm(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complement_points())
+def test_projected_polar_factor_never_vanishes(point):
+    # The ascent rescales P(U V^dag) without a guard; this is the bound that
+    # makes that safe: <P(U V^dag), m> = ||m||_* >= ||m||_F.
+    flat, m = point
+    u, _, vh = np.linalg.svd(m)
+    assert np.linalg.norm(_project(flat, (u @ vh)[None])) >= 1 - 1e-12
 
 
 def _complement_rows(c):
