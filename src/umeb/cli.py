@@ -60,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, payload: dict, human: str) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
     if args.json:
         print(json.dumps(payload, indent=2))
         if human:
@@ -110,8 +111,6 @@ def cmd_construct(args) -> int:
         c = bravyi_smolin_3() if args.kind == "bs3" else umeb_6()
     save_umeb(c, args.out)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "construct",
         "kind": args.kind,
         "path": args.out,
         "dim": c.dim,
@@ -144,8 +143,6 @@ def cmd_lift(args) -> int:
         )
     save_umeb(lifted, args.out)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lift",
         "path": args.out,
         "q": args.q,
         "dim": lifted.dim,
@@ -171,8 +168,6 @@ def cmd_verify(args) -> int:
     c = load_umeb(args.in_path)
     report = verify_axioms(c, _tolerances(args))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
         "path": args.in_path,
         **report.to_dict(),
         "notes": [],
@@ -218,8 +213,6 @@ def cmd_search(args) -> int:
         save_umeb(witness_set, witness_path)
 
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "search",
         "path": args.in_path,
         **result.to_dict(),
         "witness_path": witness_path,
@@ -241,8 +234,6 @@ def cmd_certify(args) -> int:
     c = load_umeb(args.in_path)
     cert = structural_certify(c, _tolerances(args))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "certify",
         "path": args.in_path,
         **cert.to_dict(),
     }
@@ -264,8 +255,6 @@ def cmd_spectral(args) -> int:
     _require_positive("bound", args.bound)
     sig = signature(load_umeb(args.in_path), args.bound, _tolerances(args))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectral",
         "path": args.in_path,
         **sig.to_dict(),
         "notes": [],
@@ -281,8 +270,6 @@ def cmd_compare(args) -> int:
     b = signature(load_umeb(args.b_path), args.bound, tol)
     verdict = compare_signatures(a, b)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compare",
         "a_path": args.a_path,
         "b_path": args.b_path,
         "bound": args.bound,
@@ -364,7 +351,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, OSError, ValueError, np.linalg.LinAlgError) as exc:
+    except (_UsageError, OSError, ValueError, np.linalg.LinAlgError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -23,7 +23,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
     Tolerances,
-    as_matrix,
+    as_square,
     as_stack,
     root_of_unity,
     unitarity_residual,
@@ -276,9 +276,7 @@ def fourier_matrix(q: int) -> np.ndarray:
 
 def row_diag(m, i: int) -> np.ndarray:
     """Diagonal matrix whose diagonal is row i (0-indexed) of a square matrix."""
-    mm = as_matrix(m)
-    if mm.shape[0] != mm.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {mm.shape}")
+    mm = as_square(m)
     if not 0 <= i < mm.shape[0]:
         raise IndexError(f"row index {i} out of range for dimension {mm.shape[0]}")
     return np.diag(mm[i, :].copy())

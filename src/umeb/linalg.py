@@ -18,6 +18,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "as_matrix",
+    "as_square",
     "as_stack",
     "root_of_unity",
     "kron",
@@ -69,7 +70,8 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _square(a) -> np.ndarray:
+def as_square(a) -> np.ndarray:
+    """As :func:`as_matrix`, and also reject a matrix that is not square."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -77,7 +79,7 @@ def _square(a) -> np.ndarray:
 
 
 def _same_square(a, b) -> tuple[np.ndarray, np.ndarray]:
-    ma, mb = _square(a), _square(b)
+    ma, mb = as_square(a), as_square(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     return ma, mb
@@ -150,14 +152,14 @@ def unitarity_residual(a) -> float:
     An (n, d, d) stack gives the largest residual of its matrices, and an
     empty one 0.0.
     """
-    m = as_stack(a) if np.ndim(a) == 3 else _square(a)
+    m = as_stack(a) if np.ndim(a) == 3 else as_square(a)
     eye = np.eye(m.shape[-1], dtype=np.complex128)
     return float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - eye), initial=0.0))
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values of a square matrix, descending."""
-    return np.linalg.svd(_square(a), compute_uv=False)
+    return np.linalg.svd(as_square(a), compute_uv=False)
 
 
 # Relative singular-value floor: a stacked matrix set whose smallest

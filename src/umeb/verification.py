@@ -35,7 +35,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     RANK_RTOL,
     Tolerances,
-    as_matrix,
+    as_square,
     gram_matrix,
     orthonormal_complement,
     seeded_random_matrix,
@@ -98,9 +98,7 @@ def to_state(u) -> MaxEntangledState:
     matrices turn into state overlaps divided by d.  Schmidt coefficients are
     the singular values of u over sqrt(d), descending.
     """
-    m = as_matrix(u)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = as_square(u)
     d = m.shape[0]
     amps = m.T.ravel() / np.sqrt(d)
     return MaxEntangledState(d, amps, singular_values(m) / np.sqrt(d))
@@ -526,15 +524,18 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
        block traces against the base to vanish has only the zero solution.
     5. base_case_verdict: first base_sector_matches_base, the last qN
        elements are D_i (x) U_n: zero off-diagonal blocks, diagonal block a
-       of element (i, n) equal to w^(ia) U_n, and the U_n equal to the
-       rebuilt base up to ordering and per-element phase.  A base that cannot
-       be rebuilt (an external set) is read from the sector itself, and the
-       certificate is conditional on that extracted base.  Then the base is
-       certified recursively when its own provenance is a lift, re-verified
-       against the axioms otherwise, and its unextendibility recorded as an
-       assumption.  ``detail`` is the largest of the sector's entry-wise
-       deviation (nan when no ordering matches) and the base's axiom
-       residuals; a failed sector match is named in the notes.
+       of element (i, n) equal to w^(ia) U_n, and the U_n equal to the base
+       up to ordering and per-element phase.  Only a leaf, a base that is
+       not itself a lift, is rebuilt from its provenance; a lifted or
+       external base is read from the sector itself, and the certificate is
+       conditional on that extracted base.  Then the base is re-verified
+       against the axioms.  A lifted base is certified recursively by these
+       five checks on the data it holds, its notes carried over prefixed
+       ``base: ``, so a tower rebuilds only its leaf, once; a leaf's
+       unextendibility is recorded as an assumption.  ``detail`` is the
+       largest of the sector's entry-wise deviation (nan when no ordering
+       matches) and the base's axiom residuals; a failed sector match is
+       named in the notes.
 
     Every check carries the ``threshold`` its ``detail`` was compared
     against: CERT_ZERO_TOL for checks 1, 2 and 5 (the figure must be below
@@ -613,12 +614,14 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
 
     # Check 5: the base sector is D_i (x) U_n over the base, and the base case.
     sector = c.matrices[n:].reshape(q, layout.base_count, q, d, q, d)
-    base = rebuild_from_provenance(base_prov)
+    # Only a leaf is rebuilt.  A lifted base, like one that cannot be rebuilt,
+    # is read from the sector: element (0, n) is I (x) U_n, so its first
+    # diagonal block is U_n.
+    base_is_lift = as_lift(base_prov) is not None
+    base = None if base_is_lift else rebuild_from_provenance(base_prov)
     rebuilt = base is not None
     if not rebuilt:
-        # Nothing to rebuild: certify conditional on the base the sector holds.
-        # Element (0, n) is I (x) U_n, so its first diagonal block is U_n.
-        base = UMEBCandidate(d, tuple(sector[0, :, 0, :, 0, :]), base_prov)
+        base = UMEBCandidate(d, sector[0, :, 0, :, 0, :], base_prov)
     sector_dev = _base_sector_deviation(sector, base, w)
     base_report = verify_axioms(base, tol)
     base_detail = float(np.max([
@@ -650,25 +653,22 @@ def structural_certify(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -
             f"{which} base's axiom residuals reach {base_detail:.3e}, "
             f"above the threshold {CERT_ZERO_TOL:g}"
         )
-    elif as_lift(base_prov) is not None:
+    elif base_is_lift:
         inner = structural_certify(base, tol)
         base_ok = inner.overall == "CertifiedConditionalOnBase"
         notes.append(f"base certified recursively: {inner.overall}")
+        notes.extend(f"base: {note}" for note in inner.notes)
     elif isinstance(base_prov, BravyiSmolin3):
         notes.append(
             "base unextendibility for the six-member dimension-3 family "
             "is a standing assumption here; search_extension supplies the "
             "numerical evidence"
         )
-    elif not rebuilt:
+    else:
         notes.append(
             "base unextendibility assumed for external set "
             f"{provenance_to_str(base_prov)!r}, as extracted from the base sector; "
             "attach extension-search evidence"
-        )
-    else:
-        notes.append(
-            "base re-verified numerically; unextendibility taken as assumption"
         )
     checks.append(CertificateCheck("base_case_verdict", base_ok, base_detail, CERT_ZERO_TOL))
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +326,57 @@ def test_certify_json_lists_checks(tmp_path, capsys):
             assert c["detail"] >= c["threshold"]
         else:
             assert c["detail"] < c["threshold"]
+
+
+# Under a recursion limit of 250, finds the deepest provenance that parses,
+# then certifies a bs3 file under every depth from 25 below it to 2 above.
+_DEEP_CERTIFY_SWEEP = r"""
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from umeb.cli import main
+from umeb.constructions import bravyi_smolin_3, provenance_from_str, save_umeb
+
+def nested(depth):
+    return "lift(q=1, d=3, n=6, base=" * depth + "bravyi_smolin_3" + ")" * depth
+
+sys.setrecursionlimit(250)
+deepest = 0
+while True:
+    try:
+        provenance_from_str(nested(deepest + 1))
+    except RecursionError:
+        break
+    deepest += 1
+save_umeb(bravyi_smolin_3(), "deep.json")
+with open("deep.json") as fh:
+    doc = json.load(fh)
+results = []
+for depth in range(deepest - 25, deepest + 3):
+    doc["provenance"] = nested(depth)
+    with open("deep.json", "w") as fh:
+        json.dump(doc, fh)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["certify", "deep.json"])
+    results.append([depth, code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_certify_too_deep_to_certify_exits_1_without_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_CERTIFY_SWEEP],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)
+    assert len(results) == 28
+    for depth, code, stderr in results:
+        assert code in (0, 1), depth
+        assert (code == 1) == stderr.startswith("error:"), depth
+        assert "Traceback" not in stderr
+    assert any(code == 1 for _, code, _ in results)
 
 
 # ---------------------------------------------------------------------------

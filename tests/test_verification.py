@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umeb import constructions, verification
 from umeb.constructions import (
     BravyiSmolin3,
     External,
@@ -16,6 +17,7 @@ from umeb.constructions import (
     weyl_family,
 )
 from umeb.linalg import (
+    DimensionMismatchError,
     Tolerances,
     hs_inner,
     hs_norm,
@@ -74,6 +76,11 @@ def test_to_state_rank_one_case():
     np.testing.assert_allclose(s.schmidt_coefficients, [1.0, 0.0], atol=1e-15)
     assert s.norm() == pytest.approx(1.0)
     assert not s.is_maximally_entangled()
+
+
+def test_to_state_rejects_non_square_with_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError, match="square"):
+        to_state(np.ones((2, 3)))
 
 
 def test_state_overlap_matches_trace_inner_product():
@@ -535,6 +542,76 @@ def test_certify_holds_base_residuals_to_the_threshold_under_loose_tolerances():
     for ch in cert.checks:
         if ch.passed and ch.threshold == CERT_ZERO_TOL:
             assert ch.detail < ch.threshold, ch.name
+
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_certify_tower_rebuilds_only_its_leaf(monkeypatch):
+    tower = bravyi_smolin_3()
+    for _ in range(60):
+        tower = lift(tower, 1)
+    calls = {"rebuild_from_provenance": 0, "lift": 0}
+    _counting(monkeypatch, verification, "rebuild_from_provenance", calls)
+    _counting(monkeypatch, constructions, "lift", calls)
+    cert = structural_certify(tower)
+    assert cert.overall == "CertifiedConditionalOnBase"
+    assert calls == {"rebuild_from_provenance": 1, "lift": 0}
+
+
+def _conjugated_weyl_sector_tower():
+    # lift(bs3, 2) with its Weyl sector conjugated by I_2 (x) V: no longer the
+    # exact rebuild, but it passes checks 1-5 on its own, and so it must when
+    # it is the base of a further lift.
+    inner = lift(bravyi_smolin_3(), 2)
+    n = inner.provenance.weyl_count
+    v = haar_unitary(3, np.random.default_rng(7))
+    conj = np.kron(np.eye(2), v)
+    weyl_sector = conj @ inner.matrices[:n] @ conj.conj().T
+    moved = UMEBCandidate(6, np.concatenate([weyl_sector, inner.matrices[n:]]), inner.provenance)
+    return moved, lift(moved, 2)
+
+
+def test_certify_reads_a_lifted_base_from_its_sector():
+    moved, nested = _conjugated_weyl_sector_tower()
+    assert structural_certify(moved).overall == "CertifiedConditionalOnBase"
+    assert verify_axioms(nested).passed
+    assert structural_certify(nested).overall == "CertifiedConditionalOnBase"
+    res = search_extension(nested, restarts=20, iters=300, seed=0)
+    assert res.verdict == "NoExtensionFound"
+    assert res.gap == pytest.approx(4 * (3 - np.sqrt(6)), abs=1e-6)
+
+
+def test_certify_fails_on_tampered_inner_level():
+    good = lift(bravyi_smolin_3(), 2)
+    elements = good.matrices.copy()
+    elements[0] = np.kron(np.eye(2), weyl(3, 0, 0))
+    bad = UMEBCandidate(6, elements, good.provenance)
+    cert = structural_certify(lift(bad, 2))
+    assert cert.overall == "Failed"
+    assert not cert.checks[-1].passed
+    assert any("extracted base fails the axioms" in n for n in cert.notes)
+
+
+def test_certify_nested_notes_carry_the_base_notes():
+    leaf_note = structural_certify(lift(bravyi_smolin_3(), 2)).notes[0]
+    assert "standing assumption" in leaf_note
+    for c in (lift(umeb_6(), 4), lift(lift(bravyi_smolin_3(), 2), 2)):
+        assert structural_certify(c).notes == (
+            "base certified recursively: CertifiedConditionalOnBase",
+            f"base: {leaf_note}",
+        )
+    cert = structural_certify(lift(_weyl_subset_lift(), 2))
+    assert cert.overall == "Failed"
+    assert cert.notes[0] == "base certified recursively: Failed"
+    assert cert.notes[1].startswith("base: base_sector_matches_base failed")
 
 
 # Base-sector substitutions of lift(bs3, 2).  Element (i, n) of its base
