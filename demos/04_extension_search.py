@@ -32,6 +32,9 @@ print("full set verdict:      %s" % res.verdict)
 print("best nuclear norm:     %.12f   (d = 3)" % res.best_nuclear_norm)
 print("gap d - nuclear norm:  %.10f" % res.gap)
 print("complement dimension:  %d" % res.complement_dim)
+# iters is a cap: a restart stops once a step no longer moves its matrix.
+print("ascent SVDs taken:     %d   (restarts x iters = %d)"
+      % (sum(map(len, res.objective_traces)), res.restarts * res.iters))
 print()
 
 # The best objective converges to sqrt(6) ~ 2.449: the flat part of the

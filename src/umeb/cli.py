@@ -348,10 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, OSError, ValueError, np.linalg.LinAlgError, RecursionError) as exc:
+    except RecursionError:
+        # A provenance can parse and still be too deep for the recursion
+        # that certifies or renders it.
+        paths = [v for k, v in vars(args).items() if k.endswith("_path")] if args else []
+        print(
+            f"error: {' and '.join(paths) or 'input'}: provenance is nested "
+            "too deeply to process",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
+    except (_UsageError, OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

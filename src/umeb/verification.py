@@ -170,6 +170,11 @@ PLATEAU_TOL = 1e-12
 # A restart has plateaued from the first iteration whose objective is within
 # this of its final value.
 
+STEP_TOL = 1e-13
+# A restart stops at a fixed point of the ascent map: once one step moves its
+# matrix by at most this in every entry.  The map is deterministic, so such an
+# iterate has no further rise to give.
+
 
 @dataclass(frozen=True)
 class ExtendibilitySearchResult:
@@ -277,12 +282,20 @@ def search_extension(
     touches the current objective from above, so the recorded objective is
     non-decreasing along each restart.
 
-    Restarts are independent, so they advance together: each iteration is
-    one stacked SVD of the (restarts, d, d) array and one projection of all
-    polar factors.  ``best_restart`` is the first restart with the largest
-    final objective.  Restarts whose final objectives tie to rounding error
-    may resolve differently from a one-restart-at-a-time loop, whose
-    products sum in another order; the objectives agree to ~1e-14.
+    ``iters`` is a cap.  A restart stops at a fixed point of the ascent
+    map, once one step moves its matrix by at most ``STEP_TOL`` in every
+    entry: the map is deterministic, so that matrix has no further rise to
+    give.  One more SVD records its objective, so each of
+    ``objective_traces`` holds between 2 and ``iters`` values (1 when
+    ``iters`` is 1) and ends on the restart's last matrix.
+
+    Restarts are independent, so the live ones advance together: each
+    iteration is one stacked SVD of their (live, d, d) array and one
+    projection of their polar factors.  ``best_restart`` is the first
+    restart with the largest final objective, and ``witness`` is its last
+    matrix.  Restarts whose final objectives tie to rounding error may
+    resolve differently from a one-restart-at-a-time loop, whose products
+    sum in another order; the objectives agree to ~1e-14.
     ``restart_final_gaps`` and ``restart_plateau_iters`` give, per restart,
     d minus its final objective and the first iteration within
     ``PLATEAU_TOL`` of that final value; ``refined`` says whether the
@@ -338,28 +351,46 @@ def search_extension(
     flat = np.array(basis).reshape(len(basis), d * d)
     sqrt_d = np.sqrt(d)
 
-    # All restarts advance together: one stacked SVD and one projection per
-    # iteration.  Row r is restart r throughout.
+    # The live restarts advance together: one stacked SVD and one projection
+    # per iteration.  Row i of m is restart live[i]; a restart's row is
+    # removed once its last matrix has been evaluated, and that matrix is
+    # kept in row r of last.
     m = _project(flat, np.stack([
         seeded_random_matrix(d, seed * SUB_SEED_STRIDE + r) for r in range(restarts)
     ]))
     m *= (sqrt_d / np.linalg.norm(m, axis=(1, 2)))[:, None, None]
-    traces = np.empty((restarts, iters))
+    last = np.empty_like(m)
+    # Unevaluated iterations stay -inf, below any objective.
+    traces = np.full((restarts, iters), -np.inf)
+    lengths = np.empty(restarts, dtype=int)
+    live = np.arange(restarts)
+    settled = np.zeros(restarts, dtype=bool)
     for t in range(iters):
         u, s, vh = np.linalg.svd(m)
-        traces[:, t] = s.sum(axis=1)
-        if t == iters - 1:
-            break
+        traces[live, t] = s.sum(axis=1)
+        # A row ends once its objective is recorded: at the cap, or after the
+        # step that reached a fixed point.
+        settled |= t == iters - 1
+        if settled.any():
+            done = live[settled]
+            lengths[done] = t + 1
+            last[done] = m[settled]
+            keep = ~settled
+            live, m, u, vh = live[keep], m[keep], u[keep], vh[keep]
+            if not live.size:
+                break
         # The rescale never divides by zero: for m in the complement,
         # <P(U V^dag), m> = <U V^dag, m> = ||m||_* >= ||m||_F, so by
         # Cauchy-Schwarz ||P(U V^dag)||_F >= ||m||_* / ||m||_F >= 1.
         p = _project(flat, u @ vh)
-        m = p * (sqrt_d / np.linalg.norm(p, axis=(1, 2)))[:, None, None]
+        step = p * (sqrt_d / np.linalg.norm(p, axis=(1, 2)))[:, None, None]
+        settled = np.abs(step - m).max(axis=(1, 2)) <= STEP_TOL
+        m = step
 
-    finals = traces[:, -1]
+    finals = traces[np.arange(restarts), lengths - 1]
     best_restart = int(np.argmax(finals))
     best_norm = float(finals[best_restart])
-    best_witness = m[best_restart]
+    best_witness = last[best_restart]
     # First iteration within PLATEAU_TOL of each restart's final objective.
     plateau = np.argmax(traces >= (finals - PLATEAU_TOL)[:, None], axis=1)
 
@@ -415,7 +446,9 @@ def search_extension(
         extension_unitarity_residual=ext_unit,
         extension_max_gram_overlap=ext_overlap,
         best_restart=best_restart,
-        objective_traces=tuple(tuple(map(float, t)) for t in traces),
+        objective_traces=tuple(
+            tuple(map(float, t[:n])) for t, n in zip(traces, lengths)
+        ),
         restart_final_gaps=tuple(map(float, d - finals)),
         restart_plateau_iters=tuple(map(int, plateau)),
         refined=refined is not None,

@@ -379,6 +379,22 @@ def test_certify_too_deep_to_certify_exits_1_without_traceback(tmp_path):
     assert any(code == 1 for _, code, _ in results)
 
 
+def test_certify_too_deep_to_certify_says_so(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_CERTIFY_SWEEP],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    failed = [stderr for _, code, stderr in json.loads(done.stdout) if code == 1]
+    assert failed
+    for stderr in failed:
+        assert "nested too deeply" in stderr
+        assert "maximum recursion depth" not in stderr
+    # Those that parse but are too deep to certify name their input.
+    assert any(s.startswith("error: deep.json: ") for s in failed)
+
+
 # ---------------------------------------------------------------------------
 # spectral / compare
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from umeb.linalg import (
 )
 from umeb.verification import (
     CERT_ZERO_TOL,
+    STEP_TOL,
     SUB_SEED_STRIDE,
     _project,
     _refine_in_complement,
@@ -43,10 +46,26 @@ def _weyl_subset_lift():
     return lift(UMEBCandidate(3, weyl_family(3).elements[:6], BravyiSmolin3()), 2)
 
 
+def _bs3_minus_one():
+    # Extendible, and the ascent climbs towards its unitary for 1,500
+    # iterations and more: it never reaches a fixed point early.
+    return UMEBCandidate(3, bravyi_smolin_3().elements[:5], External("bs3 minus one"))
+
+
 def haar_unitary(d, rng):
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _lu_weyl_subset(d, missing, seed):
+    """The Weyl basis of dimension d less `missing` members, chosen and then
+    rotated by a local unitary U -> A U B^T from `seed`: an extendible set
+    whose complement is spanned by the rotated missing members."""
+    rng = np.random.default_rng(seed)
+    keep = rng.permutation(d * d)[missing:]
+    a, b = haar_unitary(d, rng), haar_unitary(d, rng)
+    return UMEBCandidate(d, a @ weyl_family(d).matrices[keep] @ b.T, External("lu weyl subset"))
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +223,24 @@ def test_search_objective_traces_are_monotone():
         assert diffs.min() > -1e-12
 
 
-@pytest.mark.parametrize("make", [
-    bravyi_smolin_3,
-    _weyl_subset_lift,
-    lambda: UMEBCandidate(2, weyl_family(2).elements[:3], External("one short")),
-], ids=["bs3", "weyl_subset_lift", "weyl_2_one_short"])
-def test_search_objective_traces_have_iters_values(make):
+@pytest.mark.parametrize("make, climbs", [
+    (bravyi_smolin_3, False),
+    (_weyl_subset_lift, False),
+    (lambda: UMEBCandidate(2, weyl_family(2).elements[:3], External("one short")), False),
+    (_bs3_minus_one, True),
+], ids=["bs3", "weyl_subset_lift", "weyl_2_one_short", "bs3_minus_one"])
+def test_search_objective_traces_have_iters_values(make, climbs):
+    # iters is a cap: a restart that reaches a fixed point of the ascent stops
+    # one evaluation later, so a shorter trace ends on two equal objectives.
+    # A restart that is still climbing runs all iters.
     res = search_extension(make(), restarts=3, iters=37, seed=4)
-    assert [len(t) for t in res.objective_traces] == [37, 37, 37]
+    assert len(res.objective_traces) == 3
+    for trace in res.objective_traces:
+        assert 2 <= len(trace) <= 37
+        if len(trace) < 37:
+            assert abs(trace[-1] - trace[-2]) < 1e-12
+    if climbs:
+        assert [len(t) for t in res.objective_traces] == [37, 37, 37]
 
 
 @st.composite
@@ -242,11 +271,13 @@ def _complement_rows(c):
     return np.array(orthonormal_complement(c.elements)).reshape(-1, c.dim * c.dim)
 
 
-def _reference_ascent(c, restarts, iters, seed):
+def _reference_ascent(c, restarts, iters, seed, stop=True):
     """One restart at a time: the loop search_extension batches.
 
-    Returns the (restarts, iters) objective traces and each restart's final
-    matrix.
+    With ``stop``, a restart ends as search_extension's do: after the
+    objective of the first matrix that a step moved by at most STEP_TOL.
+    Without it, every restart runs all iters.  Returns each restart's
+    objective trace and its last matrix.
     """
     d = c.dim
     flat = _complement_rows(c)
@@ -259,16 +290,19 @@ def _reference_ascent(c, restarts, iters, seed):
         m = project(seeded_random_matrix(d, seed * SUB_SEED_STRIDE + r))
         m = np.sqrt(d) * m / np.linalg.norm(m)
         trace = []
+        settled = False
         for t in range(iters):
             u, s, vh = np.linalg.svd(m)
             trace.append(s.sum())
-            if t == iters - 1:
+            if settled or t == iters - 1:
                 break
             p = project(u @ vh)
-            m = np.sqrt(d) * p / np.linalg.norm(p)
+            step = np.sqrt(d) * p / np.linalg.norm(p)
+            settled = stop and np.max(np.abs(step - m)) <= STEP_TOL
+            m = step
         traces.append(trace)
         finals.append(m)
-    return np.array(traces), finals
+    return traces, finals
 
 
 def _reference_refine(witness, flat, d, steps=80):
@@ -296,16 +330,66 @@ def _reference_refine(witness, flat, d, steps=80):
     return best if best_resid <= 1e-9 else None
 
 
-@pytest.mark.parametrize("make", [bravyi_smolin_3, umeb_6])
+@pytest.mark.parametrize("make", [
+    bravyi_smolin_3,
+    umeb_6,
+    # Restarts stop at different iterations, some at the cap: rows are
+    # removed from the batch more than once.
+    lambda: _lu_weyl_subset(3, 7, 1),
+], ids=["bravyi_smolin_3", "umeb_6", "lu_weyl_subset"])
 def test_search_batched_ascent_matches_one_restart_at_a_time(make):
     c = make()
     ref, _ = _reference_ascent(c, restarts=8, iters=200, seed=3)
     res = search_extension(c, restarts=8, iters=200, seed=3)
-    traces = np.array(res.objective_traces)
-    assert traces.shape == ref.shape
-    assert np.max(np.abs(traces - ref)) < 1e-12
-    assert abs(res.gap - (c.dim - ref[:, -1].max())) < 1e-12
-    np.testing.assert_allclose(res.restart_final_gaps, c.dim - ref[:, -1], rtol=0, atol=1e-12)
+    assert [len(t) for t in res.objective_traces] == [len(t) for t in ref]
+    for got, want in zip(res.objective_traces, ref):
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    finals = np.array([t[-1] for t in ref])
+    assert abs(res.gap - (c.dim - finals.max())) < 1e-12
+    np.testing.assert_allclose(res.restart_final_gaps, c.dim - finals, rtol=0, atol=1e-12)
+    # Stopping loses nothing: the unstopped loop ends on the same gaps.
+    full, _ = _reference_ascent(c, restarts=8, iters=200, seed=3, stop=False)
+    np.testing.assert_allclose(
+        res.restart_final_gaps, c.dim - np.array(full)[:, -1], rtol=0, atol=1e-12
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(1, min(8, d * d - 1)), st.integers(0, 2**32 - 1),
+    )),
+    st.integers(0, 1000),
+)
+def test_search_stopped_traces_are_prefixes_of_the_unstopped_ascent(subset, seed):
+    c = _lu_weyl_subset(*subset)
+    res = search_extension(c, restarts=3, iters=200, seed=seed)
+    full, _ = _reference_ascent(c, restarts=3, iters=200, seed=seed, stop=False)
+    for got, want in zip(res.objective_traces, full):
+        assert np.max(np.abs(np.subtract(got, want[:len(got)]))) < 1e-12
+        assert abs(got[-1] - want[-1]) < 1e-12
+    # The same search with the stop rule off runs every restart to the cap.
+    with mock.patch.object(verification, "STEP_TOL", -1.0):
+        unstopped = search_extension(c, restarts=3, iters=200, seed=seed)
+    assert all(len(t) == 200 for t in unstopped.objective_traces)
+    assert res.verdict == unstopped.verdict
+
+
+def test_search_stops_bs3_restarts_at_their_fixed_point():
+    # On bs3 the complement is the antisymmetric 3x3 matrices, where the
+    # nuclear norm is constant, so the ascent has nothing to climb.
+    res = search_extension(bravyi_smolin_3(), 100, 500)
+    assert sum(map(len, res.objective_traces)) <= 300
+    assert res.gap == pytest.approx(3 - np.sqrt(6), abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [bravyi_smolin_3, umeb_6, _bs3_minus_one])
+def test_search_witness_is_the_best_restarts_last_matrix(make):
+    res = search_extension(make(), restarts=8, iters=200, seed=3)
+    assert res.verdict == "NoExtensionFound" and not res.refined
+    last = res.objective_traces[res.best_restart][-1]
+    assert abs(np.linalg.svd(res.witness, compute_uv=False).sum() - last) < 1e-12
+    assert res.best_nuclear_norm == last
 
 
 def test_search_best_restart_is_first_maximiser():
