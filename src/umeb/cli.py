@@ -232,7 +232,7 @@ def cmd_search(args) -> int:
 
 def cmd_certify(args) -> int:
     c = load_umeb(args.in_path)
-    cert = structural_certify(c, _tolerances(args))
+    cert = structural_certify(c)
     payload = {
         "path": args.in_path,
         **cert.to_dict(),
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="structural certificate for lifted sets")
     p.add_argument("in_path")
-    _add_common(p, "unitarity_tol", "gram_tol")
+    _add_common(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("spectral", help="eigenphase orders and sector summary")

@@ -7,11 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from umeb import constructions
 from umeb.cli import build_parser, main
 from umeb.constructions import (
     External,
+    Lift,
     UMEBCandidate,
+    WeylFamily,
     bravyi_smolin_3,
+    bravyi_smolin_states,
     lift,
     load_umeb,
     save_umeb,
@@ -328,6 +332,37 @@ def test_certify_json_lists_checks(tmp_path, capsys):
             assert c["detail"] < c["threshold"]
 
 
+def test_certify_takes_no_tolerance_flag(tmp_path, capsys):
+    # Element 0's non-unit eigenphase moved by 8e-11: its Gram residual,
+    # 5.06e-11, is below check 5's threshold, and no flag can move that.
+    theta = float(np.arccos(-7.0 / 8.0)) + 8e-11
+    psi = bravyi_smolin_states()[0]
+    u0 = np.eye(3) - (1.0 - np.exp(1j * theta)) * np.outer(psi, psi.conj())
+    base = UMEBCandidate(3, (u0,) + bravyi_smolin_3().elements[1:], External("moved phase"))
+    path = tmp_path / "moved.json"
+    save_umeb(lift(base, 2), path)
+    code, stdout, _ = run(capsys, "certify", str(path), "--json")
+    assert code == 0
+    assert json.loads(stdout)["checks"][-1]["detail"] < 1e-10
+    code, stdout, stderr = run(capsys, "certify", str(path), "--gram-tol", "1e-12")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: unrecognized arguments: --gram-tol 1e-12")
+
+
+def test_certify_mislabelled_leaf_exits_2_without_building_it(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "leaf.json"
+    save_umeb(UMEBCandidate(3, bravyi_smolin_3().elements, Lift(WeylFamily(40), 3, 6, 1)), path)
+    real = constructions.weyl_family
+    calls = []
+    monkeypatch.setattr(constructions, "weyl_family", lambda d: calls.append(d) or real(d))
+    code, stdout, stderr = run(capsys, "certify", str(path))
+    assert code == 2
+    assert calls == []
+    assert "FAIL  base_case_verdict" in stdout
+    assert "weyl_family(d=40) has 1600 elements in dimension 40" in stderr
+
+
 # Under a recursion limit of 250, finds the deepest provenance that parses,
 # then certifies a bs3 file under every depth from 25 below it to 2 above.
 _DEEP_CERTIFY_SWEEP = r"""
@@ -504,7 +539,7 @@ def test_tolerance_flags_only_where_read(tmp_path, capsys):
         "lift": ["--unitarity-tol"],
         "verify": ["--gram-tol", "--unitarity-tol"],
         "search": ["--gram-tol", "--unitarity-tol"],
-        "certify": ["--gram-tol", "--unitarity-tol"],
+        "certify": [],
         "spectral": ["--phase-tol", "--unitarity-tol"],
         "compare": ["--phase-tol", "--unitarity-tol"],
     }

@@ -11,9 +11,11 @@ from umeb.constructions import (
     External,
     Lift,
     UMEBCandidate,
+    WeylFamily,
     bravyi_smolin_3,
     bravyi_smolin_states,
     lift,
+    provenance_to_str,
     umeb_6,
     weyl,
     weyl_family,
@@ -619,7 +621,7 @@ def test_certify_holds_base_residuals_to_the_threshold_under_loose_tolerances():
     u0 = np.eye(3) - (1.0 - np.exp(1j * theta)) * np.outer(psi, psi.conj())
     base = UMEBCandidate(3, (u0,) + bravyi_smolin_3().elements[1:], External("moved phase"))
     loose = Tolerances(unitarity_tol=1e-8, gram_tol=1e-8)
-    cert = structural_certify(lift(base, 2, loose), loose)
+    cert = structural_certify(lift(base, 2, loose))
     assert cert.overall == "Failed"
     assert not cert.checks[-1].passed
     assert cert.checks[-1].detail >= CERT_ZERO_TOL
@@ -696,6 +698,88 @@ def test_certify_nested_notes_carry_the_base_notes():
     assert cert.overall == "Failed"
     assert cert.notes[0] == "base certified recursively: Failed"
     assert cert.notes[1].startswith("base: base_sector_matches_base failed")
+
+
+def _moved_phase_base(shift):
+    # The d = 3 base with element 0's non-unit eigenphase moved by shift.
+    theta = float(np.arccos(-7.0 / 8.0)) + shift
+    psi = bravyi_smolin_states()[0]
+    u0 = np.eye(3) - (1.0 - np.exp(1j * theta)) * np.outer(psi, psi.conj())
+    return UMEBCandidate(3, (u0,) + bravyi_smolin_3().elements[1:], External("moved phase"))
+
+
+def test_certify_moved_phase_below_the_threshold_certifies():
+    # Gram residual 5.06e-11: below check 5's threshold, so the base passes
+    # whatever tolerances a caller would have chosen.
+    cert = structural_certify(lift(_moved_phase_base(8e-11), 2))
+    assert cert.overall == "CertifiedConditionalOnBase"
+    assert cert.checks[-1].detail == pytest.approx(5.06e-11, rel=1e-2)
+
+
+def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
+    base = bravyi_smolin_3().elements
+    rephased = tuple(np.exp(0.3j * k) * base[(k + 2) % 6] for k in range(6))
+    loose = Tolerances(unitarity_tol=1e-8, gram_tol=1e-8)
+    inputs = [
+        umeb_6(),
+        *(lift(bravyi_smolin_3(), q) for q in (2, 4, 8)),
+        *_tampered_base_sectors(),
+        lift(UMEBCandidate(3, rephased, BravyiSmolin3()), 2),
+        *_conjugated_weyl_sector_tower(),
+        lift(_moved_phase_base(3e-10), 2, loose),
+        lift(_moved_phase_base(8e-11), 2),
+        # Check 5 fails below its threshold: on the inner verdict, and on
+        # condition (i) of a complete base.
+        lift(_weyl_subset_lift(), 2),
+        lift(UMEBCandidate(3, weyl_family(3).elements, External("complete")), 2),
+    ]
+    reasons = []
+    for c in inputs:
+        cert = structural_certify(c)
+        for ch in cert.checks:
+            if ch.threshold != CERT_ZERO_TOL or ch.passed == (ch.detail < ch.threshold):
+                continue
+            assert ch.name == "base_case_verdict" and not ch.passed
+            reasons += [
+                n for n in cert.notes
+                if n == "base certified recursively: Failed"
+                or n.endswith("base fails the axioms (condition (i) ok: False)")
+            ]
+    assert reasons == [
+        "base certified recursively: Failed",
+        "extracted base fails the axioms (condition (i) ok: False)",
+    ]
+
+
+def test_certify_checks_a_leaf_shape_before_building_it(monkeypatch):
+    bs3 = bravyi_smolin_3().elements
+    calls = {"weyl_family": 0}
+    _counting(monkeypatch, constructions, "weyl_family", calls)
+    for prov, elements, leaf in (
+        (Lift(WeylFamily(40), 3, 6, 1), bs3, "weyl_family(d=40) has 1600 elements in dimension 40"),
+        (Lift(BravyiSmolin3(), 3, 5, 1), bs3[:5], "bravyi_smolin_3 has 6 elements in dimension 3"),
+    ):
+        cert = structural_certify(UMEBCandidate(3, elements, prov))
+        assert cert.overall == "Failed"
+        assert not cert.checks[-1].passed
+        assert cert.notes[-1].startswith(f"base {leaf}, but the lift declares")
+    assert calls == {"weyl_family": 0}
+
+
+def test_certify_tower_renders_its_base_provenance_once(monkeypatch):
+    tower = bravyi_smolin_3()
+    for _ in range(60):
+        tower = lift(tower, 1)
+    expected = provenance_to_str(tower.provenance.base)
+    leaf_note = structural_certify(lift(bravyi_smolin_3(), 1)).notes[0]
+    calls = {"provenance_to_str": 0}
+    _counting(monkeypatch, verification, "provenance_to_str", calls)
+    cert = structural_certify(tower)
+    assert calls == {"provenance_to_str": 1}
+    assert cert.overall == "CertifiedConditionalOnBase"
+    assert cert.base_provenance == expected
+    assert len(cert.notes) == 60
+    assert cert.notes[-1] == "base: " * 59 + leaf_note
 
 
 # Base-sector substitutions of lift(bs3, 2).  Element (i, n) of its base
