@@ -49,6 +49,7 @@ __all__ = [
     "umeb_6",
     "lift",
     "lift_counts",
+    "leaf_shape",
     "provenance_to_str",
     "provenance_from_str",
     "rebuild_from_provenance",
@@ -408,11 +409,26 @@ def lift(base: UMEBCandidate, q: int, tol: Tolerances = DEFAULT_TOLERANCES) -> U
     return UMEBCandidate(q * d, elements, prov, base.exact_cos_theta)
 
 
+def leaf_shape(p: Provenance) -> Optional[tuple[int, int]]:
+    """Dimension and size of the set a leaf provenance names; None if not a leaf.
+
+    A leaf is a set built directly, not as a lift: a Weyl family or the
+    six-member dimension-3 family.
+    """
+    if isinstance(p, WeylFamily):
+        return p.dim, p.dim * p.dim
+    if isinstance(p, BravyiSmolin3):
+        return 3, 6
+    return None
+
+
 def rebuild_from_provenance(p: Provenance) -> Optional[UMEBCandidate]:
     """Reconstruct the candidate a provenance tag describes, if possible.
 
     External sets cannot be rebuilt and give None; a lift is rebuilt
-    recursively when its base can be.
+    recursively when its base can be.  A lift whose base's shape differs
+    from the declared ``base_dim`` and ``base_count`` gives None before
+    anything is built.
     """
     if isinstance(p, WeylFamily):
         return weyl_family(p.dim)
@@ -421,12 +437,12 @@ def rebuild_from_provenance(p: Provenance) -> Optional[UMEBCandidate]:
     if isinstance(p, Umeb6):
         return umeb_6()
     if isinstance(p, Lift):
+        inner = as_lift(p.base)
+        shape = leaf_shape(p.base) if inner is None else (inner.dim, inner.element_count)
+        if shape != (p.base_dim, p.base_count):
+            return None
         base = rebuild_from_provenance(p.base)
-        if base is None:
-            return None
-        if base.dim != p.base_dim or len(base.elements) != p.base_count:
-            return None
-        return lift(base, p.q)
+        return None if base is None else lift(base, p.q)
     return None
 
 
@@ -463,6 +479,10 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     One vectorised pass: the entry shapes and number types are checked by
     C-level iteration before any conversion, then all pairs are converted by
     one ``np.array`` call, which keeps every bit, signed zeros included.
+    The entry that breaks the rules is looked for only on failure.
+    :func:`load_umeb` converts each element of a file through here whenever
+    its elements scan hands the file to the general decoder, so every
+    element error comes from here.
     """
     if len(pairs) != dim * dim:
         raise UMEBFormatError(
@@ -511,31 +531,18 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_umeb(path) -> UMEBCandidate:
-    """Read a matrix-set JSON file written by :func:`save_umeb` or by hand.
+def _decode_document(text: str):
+    """The whole document decoded by ``json``, its errors as UMEBFormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UMEBFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UMEBFormatError("not valid JSON: values nested too deeply") from exc
 
-    Each element is checked and converted in one vectorised pass by
-    :func:`pairs_to_matrix`.  Reals may be written in any JSON number form,
-    so files with 17 significant digits, as older versions wrote them, load
-    bit-exactly too.  Canonical provenance strings are parsed back into
-    structured provenance (so certification still applies to files this
-    package wrote); any other string is kept as an External label.
 
-    Raises
-    ------
-    UMEBFormatError
-        On schema violations: missing keys, wrong types, non-square or
-        mismatched elements, non-finite entries or integers beyond the double
-        range, malformed cosine metadata, values or provenance nested too
-        deeply to parse, a provenance lift with q or d below 1.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UMEBFormatError(f"not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise UMEBFormatError("not valid JSON: values nested too deeply") from exc
+def _read_header(doc) -> tuple[int, Provenance, Optional[Fraction]]:
+    """Dimension, provenance and cosine of a decoded document, checked in file order."""
     if not isinstance(doc, dict):
         raise UMEBFormatError("top-level value must be an object")
     for key in ("dim", "provenance", "exact_cos_theta", "elements"):
@@ -566,7 +573,205 @@ def load_umeb(path) -> UMEBCandidate:
         ect = Fraction(ect_raw[0], ect_raw[1])
     else:
         raise UMEBFormatError("exact_cos_theta must be null or [numerator, denominator]")
+    return dim, prov, ect
 
+
+_DECODER = json.JSONDecoder()
+_WS_RUN = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as json itself skips it
+
+
+def _split_document(text: str) -> Optional[dict]:
+    """The top-level object with every value but ``elements`` decoded.
+
+    ``elements`` maps to the ``(start, end)`` span of its text instead.  None
+    when the text is not one object with distinct keys, an ``elements`` array
+    and only JSON whitespace around it; the full decoder then judges it.
+    """
+    skip = _WS_RUN.match
+    pos = skip(text).end()
+    if not text.startswith("{", pos):
+        return None
+    doc: dict = {}
+    pos = skip(text, pos + 1).end()
+    try:
+        while text.startswith('"', pos):
+            key, pos = _DECODER.raw_decode(text, pos)
+            pos = skip(text, pos).end()
+            if key in doc or not text.startswith(":", pos):
+                return None
+            pos = skip(text, pos + 1).end()
+            if key == "elements":
+                # A plain array holds no '"' or '}', so it ends at the last
+                # ']' before either; the scan checks everything in between.
+                quote = text.find('"', pos)
+                limit = len(text) if quote < 0 else quote
+                brace = text.find("}", pos, limit)
+                end = text.rfind("]", pos, limit if brace < 0 else brace) + 1
+                if not text.startswith("[", pos) or end <= pos:
+                    return None
+                doc[key], pos = (pos, end), end
+            else:
+                doc[key], pos = _DECODER.raw_decode(text, pos)
+            pos = skip(text, pos).end()
+            if text.startswith(",", pos):
+                pos = skip(text, pos + 1).end()
+            elif text.startswith("}", pos) and skip(text, pos + 1).end() == len(text):
+                return doc if "elements" in doc else None
+            else:
+                return None
+    except (ValueError, RecursionError):
+        return None
+    return None
+
+
+def _byte_table(*entries: tuple[bytes, int]) -> bytes:
+    """A bytes.translate table mapping each listed byte to its value, the rest to 0."""
+    table = bytearray(256)
+    for chars, value in entries:
+        for ch in chars:
+            table[ch] = value
+    return bytes(table)
+
+
+# The elements scan works on bytes.translate views of each chunk.  _CLASS
+# gives each byte one bit; 0 marks a byte no plain array of numbers holds.
+_OPEN, _CLOSE, _COMMA, _DIGIT, _MINUS, _PLUS, _DOT, _EXP = (1 << k for k in range(8))
+_JSON_WS = b" \t\n\r"
+_DIGITS = b"0123456789"
+_CLASS = _byte_table(
+    (b"[", _OPEN), (b"]", _CLOSE), (b",", _COMMA), (_DIGITS, _DIGIT),
+    (b"-", _MINUS), (b"+", _PLUS), (b".", _DOT), (b"eE", _EXP),
+)
+# The classes that may follow each byte, whitespace aside, in nested arrays
+# of number tokens -?digits(.digits)?([eE][+-]?digits)?; how many marks a
+# token holds and how its integer part starts are checked apart.
+_FOLLOWERS = _byte_table(
+    (b"[,", _OPEN | _DIGIT | _MINUS), (b"]", _CLOSE | _COMMA),
+    (_DIGITS, _DIGIT | _DOT | _EXP | _COMMA | _CLOSE),
+    (b"-+.", _DIGIT), (b"eE", _DIGIT | _MINUS | _PLUS),
+)
+# Marks within a token, signs and digits dropped: '.' is 1, an exponent 2.
+_MARKS = _byte_table((b".", 1), (b"eE", 2))
+# Integer-part view: '0' is 1, other digits 2, '-' 4, brackets and commas 8.
+_LEADS = _byte_table((b"0", 1), (b"123456789", 2), (b"-", 4), (b"[],", 8))
+_IS_NUMBER = _byte_table((_DIGITS + b"-+.eE", 1))
+_TO_SPACES = bytes.maketrans(b"[],", b"   ")
+_SCAN_CHUNK = 1 << 16
+
+
+def _scan_chunk(piece: bytes) -> Optional[tuple[bytes, int]]:
+    """Check a run of elements text that starts the array or follows a ','.
+
+    Returns the run's brackets and commas and its number of tokens, or None
+    when it breaks a rule of the grammar above that the run can show.
+    """
+    # What precedes the run, a ',' or the array's start, read as two ','s:
+    # no rule looks further back.
+    padded = b",," + piece
+    cls = np.frombuffer(padded.translate(_CLASS, _JSON_WS), dtype=np.uint8)
+    followers = np.frombuffer(padded.translate(_FOLLOWERS, _JSON_WS), dtype=np.uint8)
+    if np.any((followers[1:-1] & cls[2:]) == 0):
+        return None
+    # At most one '.' and one exponent per token, the '.' first.
+    marks = np.frombuffer(piece.translate(_MARKS, _JSON_WS + _DIGITS + b"+-"), dtype=np.uint8)
+    if np.any((marks[1:] != 0) & (marks[:-1] >= marks[1:])):
+        return None
+    # An integer part opening with 0 is that 0 alone, and the integer token
+    # "-0" is json's int 0, +0.0, where the float parse would give -0.0.
+    leads = np.frombuffer(padded.translate(_LEADS, _JSON_WS), dtype=np.uint8)
+    before2, before, zero, after = leads[:-3], leads[1:-2], leads[2:-1] == 1, leads[3:]
+    signed = (before == 4) & (before2 == 8)
+    if np.any(zero & ((before == 8) | signed) & (((after & 3) != 0) | (signed & (after == 8)))):
+        return None
+    # Whitespace must not split a token: the run has as many tokens as its
+    # whitespace-free view.
+    number = np.frombuffer(piece.translate(_IS_NUMBER), dtype=np.bool_)
+    tokens = np.count_nonzero(number[1:] > number[:-1]) + int(number[0])
+    packed = cls[1:] >= _DIGIT
+    if tokens != np.count_nonzero(packed[1:] > packed[:-1]):
+        return None
+    return piece.translate(None, _JSON_WS + _DIGITS + b"-+.eE"), tokens
+
+
+def _scan_elements(text: str, start: int, end: int, dim: int) -> Optional[np.ndarray]:
+    """The (n, dim, dim) array ``text[start:end]`` holds, when it is plain.
+
+    Plain means: an ASCII array of n arrays of dim^2 ``[re, im]`` pairs whose
+    reals are JSON number tokens that json decodes to the same doubles as
+    the C float parse used here, all finite.  None otherwise; the full
+    decoder then gives the value or the error.  Beyond the result, memory
+    stays bounded by the chunk size.
+    """
+    d2 = dim * dim
+    n, rem = divmod(text.count("[", start, end) - 1, d2 + 1)
+    # Every real takes at least two bytes, a digit and what ends it.
+    if rem or n < 1 or 4 * n * d2 > end - start:
+        return None
+    out = np.empty(2 * n * d2, dtype=np.float64)
+    skeletons, filled, pos = [], 0, start
+    while pos < end:
+        # Cut after a ',', which no number token crosses.
+        cut = text.find(",", min(pos + _SCAN_CHUNK, end), end)
+        stop = end if cut < 0 else cut + 1
+        piece = text[pos:stop].encode()  # a non-ASCII byte is in no class
+        scanned = _scan_chunk(piece)
+        if scanned is None or filled + scanned[1] > out.size:
+            return None
+        skeleton, tokens = scanned
+        if tokens:
+            # An all-space string parses as one number, so only runs with tokens.
+            values = np.fromstring(piece.translate(_TO_SPACES), dtype=np.float64, sep=" ")
+            if values.size != tokens:
+                return None
+            out[filled:filled + tokens] = values
+        skeletons.append(skeleton)
+        filled, pos = filled + tokens, stop
+    # The skeleton is '[', the n elements' brackets and commas joined by
+    # ',', then ']'; its length is checked before the expected one is built.
+    skeleton = b"".join(skeletons)
+    if filled != out.size or len(skeleton) != n * (4 * d2 + 2) + 1:
+        return None
+    element = b"[" + b"[,]," * (d2 - 1) + b"[,]]"
+    if skeleton != b"[" + b",".join([element] * n) + b"]" or not np.isfinite(out).all():
+        return None
+    return out.view(np.complex128).reshape(n, dim, dim)
+
+
+def load_umeb(path) -> UMEBCandidate:
+    """Read a matrix-set JSON file written by :func:`save_umeb` or by hand.
+
+    The header keys are decoded by ``json``; the ``elements`` array is read
+    straight from the text: one validating byte scan, in bounded chunks,
+    and one C float parse per chunk, with no Python object per number.  Any
+    other valid layout (strings or non-ASCII text among the elements,
+    duplicate keys, integer ``-0``, values that are not finite) loads
+    through the general decoder and :func:`pairs_to_matrix`, which also
+    give every error; both paths yield the same values and the same errors.
+    Reals may be written in any JSON number form, so files with 17
+    significant digits, as older versions wrote them, load bit-exactly too.
+    Canonical provenance strings are parsed back into structured provenance
+    (so certification still applies to files this package wrote); any other
+    string is kept as an External label.
+
+    Raises
+    ------
+    UMEBFormatError
+        On schema violations: missing keys, wrong types, non-square or
+        mismatched elements, non-finite entries or integers beyond the double
+        range, malformed cosine metadata, values or provenance nested too
+        deeply to parse, a provenance lift with q or d below 1.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    doc = _split_document(text)
+    dim = None if doc is None else doc.get("dim")
+    if type(dim) is int and dim >= 1:
+        matrices = _scan_elements(text, *doc["elements"], dim)
+        if matrices is not None:
+            dim, prov, ect = _read_header(doc)
+            return UMEBCandidate(dim, matrices, prov, ect)
+    doc = _decode_document(text)
+    dim, prov, ect = _read_header(doc)
     if not isinstance(doc["elements"], list) or not doc["elements"]:
         raise UMEBFormatError("elements must be a nonempty list")
     elements = []

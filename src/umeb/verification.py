@@ -27,9 +27,9 @@ from .constructions import (
     BravyiSmolin3,
     Lift,
     UMEBCandidate,
-    WeylFamily,
     as_lift,
     fourier_matrix,
+    leaf_shape,
     provenance_to_str,
     rebuild_from_provenance,
 )
@@ -530,15 +530,6 @@ def _base_sector_deviation(sector: np.ndarray, base: UMEBCandidate, w: np.ndarra
     return float(np.max(np.abs(sector - expected)))
 
 
-def _leaf_shape(p) -> Optional[tuple[int, int]]:
-    """Dimension and size of the set a leaf provenance names; None if not a leaf."""
-    if isinstance(p, WeylFamily):
-        return p.dim, p.dim * p.dim
-    if isinstance(p, BravyiSmolin3):
-        return 3, 6
-    return None
-
-
 def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
     """Certify unextendibility of a lifted candidate, conditional on its base.
 
@@ -654,7 +645,7 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
     # Only a leaf, a base that is not a lift, is rebuilt, once it has the
     # declared shape (a Weyl family in dimension e costs O(e^4) to build).  Any
     # other base is read from the sector: element (0, n) has diagonal blocks U_n.
-    leaf = _leaf_shape(base_prov)
+    leaf = leaf_shape(base_prov)
     if leaf not in (None, (d, layout.base_count)):
         notes.append(
             f"base {provenance_to_str(base_prov)} has {leaf[1]} elements in dimension "

@@ -1,5 +1,8 @@
+import itertools
 import json
 import re
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umeb import constructions
 from umeb.constructions import (
     BravyiSmolin3,
     External,
@@ -20,9 +24,11 @@ from umeb.constructions import (
     bravyi_smolin_states,
     cyclic_shift,
     fourier_matrix,
+    leaf_shape,
     lift,
     lift_counts,
     load_umeb,
+    matrix_to_pairs,
     provenance_from_str,
     provenance_to_str,
     rebuild_from_provenance,
@@ -340,6 +346,29 @@ def test_rebuild_from_provenance():
     assert rebuild_from_provenance(Lift(BravyiSmolin3(), 3, 7, 2)) is None
 
 
+def test_rebuild_checks_the_declared_base_shape_before_building(monkeypatch):
+    calls = []
+    real = constructions.weyl_family
+    monkeypatch.setattr(constructions, "weyl_family", lambda d: calls.append(d) or real(d))
+    # 1,600 operators of size 40 x 40 would be built only to be thrown away.
+    assert rebuild_from_provenance(Lift(WeylFamily(40), 3, 6, 2)) is None
+    assert calls == []
+    # Lifted and explicit bases declare their shape through their own layout.
+    assert rebuild_from_provenance(Lift(Lift(WeylFamily(40), 40, 1600, 2), 3, 6, 2)) is None
+    assert rebuild_from_provenance(Lift(Umeb6(), 6, 29, 2)) is None
+    assert calls == []
+    assert len(rebuild_from_provenance(Lift(Umeb6(), 6, 30, 2))) == lift_counts(6, 30, 2)[0]
+    nested = rebuild_from_provenance(Lift(Lift(BravyiSmolin3(), 3, 6, 2), 6, 30, 2))
+    assert len(nested) == lift_counts(6, 30, 2)[0]
+
+
+def test_leaf_shape_names_only_sets_built_directly():
+    assert leaf_shape(WeylFamily(4)) == (4, 16)
+    assert leaf_shape(BravyiSmolin3()) == (3, 6)
+    for p in (Umeb6(), Lift(BravyiSmolin3(), 3, 6, 2), External("x")):
+        assert leaf_shape(p) is None
+
+
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -582,3 +611,317 @@ def test_d24_lift_round_trip_is_bit_exact_and_deterministic(tmp_path):
     back = load_umeb(p1)
     assert back.provenance == c.provenance
     assert [e.tobytes() for e in back.elements] == [e.tobytes() for e in c.elements]
+
+
+# ---------------------------------------------------------------------------
+# File format: the elements scan against the general decoder
+# ---------------------------------------------------------------------------
+
+# The loader as it was before the elements scan, kept as the reference: the
+# whole document through json, each element through a pair check.
+def _reference_pairs_to_matrix(pairs, dim):
+    if len(pairs) != dim * dim:
+        raise UMEBFormatError(
+            f"element has {len(pairs)} entries, expected {dim * dim} for dim {dim}"
+        )
+    numbers = {int, float}
+    if (
+        not set(map(type, pairs)) <= {list, tuple}
+        or set(map(len, pairs)) != {2}
+        or not set(map(type, itertools.chain.from_iterable(pairs))) <= numbers
+    ):
+        i = next(
+            i for i, pair in enumerate(pairs)
+            if not (type(pair) in {list, tuple} and len(pair) == 2
+                    and all(type(x) in numbers for x in pair))
+        )
+        raise UMEBFormatError(f"entry {i} is not a [re, im] pair of numbers")
+    try:
+        parts = np.array(pairs, dtype=np.float64)
+    except OverflowError as exc:
+        raise UMEBFormatError(f"matrix entry out of the double range: {exc}") from exc
+    if not np.all(np.isfinite(parts)):
+        raise UMEBFormatError("matrix entries must be finite")
+    return parts.view(np.complex128).reshape(dim, dim)
+
+
+def _reference_load(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UMEBFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise UMEBFormatError("not valid JSON: values nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise UMEBFormatError("top-level value must be an object")
+    for key in ("dim", "provenance", "exact_cos_theta", "elements"):
+        if key not in doc:
+            raise UMEBFormatError(f"missing key {key!r}")
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise UMEBFormatError("dim must be a positive integer")
+    if not isinstance(doc["provenance"], str):
+        raise UMEBFormatError("provenance must be a string")
+    try:
+        prov = provenance_from_str(doc["provenance"])
+    except RecursionError as exc:
+        raise UMEBFormatError("provenance is nested too deeply to parse") from exc
+    except ValueError as exc:
+        raise UMEBFormatError(f"provenance describes no valid lift: {exc}") from exc
+    ect_raw = doc["exact_cos_theta"]
+    if ect_raw is None:
+        ect = None
+    elif (
+        isinstance(ect_raw, list)
+        and len(ect_raw) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in ect_raw)
+        and ect_raw[1] != 0
+    ):
+        ect = Fraction(ect_raw[0], ect_raw[1])
+    else:
+        raise UMEBFormatError("exact_cos_theta must be null or [numerator, denominator]")
+    if not isinstance(doc["elements"], list) or not doc["elements"]:
+        raise UMEBFormatError("elements must be a nonempty list")
+    elements = []
+    for i, raw in enumerate(doc["elements"]):
+        if not isinstance(raw, list):
+            raise UMEBFormatError(f"element {i} must be a list of [re, im] pairs")
+        try:
+            elements.append(_reference_pairs_to_matrix(raw, dim))
+        except UMEBFormatError as exc:
+            raise UMEBFormatError(f"element {i}: {exc}") from exc
+    return UMEBCandidate(dim, tuple(elements), prov, ect)
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: its exact values, or its exact error."""
+    try:
+        c = load(path)
+    except Exception as exc:  # the reference's ValueError for > 4300 digits too
+        return ("error", type(exc), str(exc))
+    return ("loaded", c.dim, c.provenance, c.exact_cos_theta, c.matrices.shape,
+            c.matrices.tobytes())
+
+
+def _refuse_general_decoder(text):
+    raise AssertionError("the file was read by the general decoder")
+
+
+@pytest.fixture
+def general_decoder_off(monkeypatch):
+    """Make any load that leaves the elements scan fail loudly."""
+    monkeypatch.setattr(constructions, "_decode_document", _refuse_general_decoder)
+
+
+_PLAIN_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+_EDGE_REALS = st.sampled_from([
+    "-0.0", "0.0", "0", "-0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "1E+2",
+    "2.5e-3", "1e400", "-1e400", "1e-400", str(10**400), "-" + str(10**400), "1" * 309,
+    "-0e0", "00", "01", "-01", "1.", ".5", "+1", "1e", "1e5e3", "1.2.3", "1e5.3", "1.5e+-3",
+    "1-2", "1+2", "--1", "-.5", "1.e5", "2e-", "1e5.", "-", "0x1",
+])
+_ODD_REALS = st.one_of(_EDGE_REALS, st.text("0123456789-+.eE", min_size=1, max_size=6))
+_WHITESPACE = st.sampled_from([" ", "\n", "\t", "\r\n", "  "])
+
+
+def _layout(value, style, depth=0):
+    """A nested list of token strings written like json.dumps would write it."""
+    if isinstance(value, str):
+        return value
+    parts = [_layout(v, style, depth + 1) for v in value]
+    if style == "indent" or (style == "lines" and depth == 0):
+        pad = "\n" + "    " * (depth + 1)
+        return "[" + pad + ("," + pad).join(parts) + "\n" + "    " * depth + "]"
+    return "[" + ", ".join(parts) + "]"
+
+
+@st.composite
+def _documents(draw):
+    """Matrix-set files, most of them plain, each with at most a few faults.
+
+    A plain file holds only JSON number tokens that are finite doubles; the
+    faults are an odd token (or all tokens odd), whitespace inside a token
+    or anywhere, a real or a pair moved to another pair or element (which
+    keeps the count of brackets or of reals), reordered or duplicated keys,
+    a key whose value holds "elements" and '}', and trailing garbage.
+    """
+    dim, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = 2 * dim * dim * count
+    odd = draw(st.sampled_from(["none", "one", "all"]))
+    tokens = draw(st.lists(_ODD_REALS if odd == "all" else _PLAIN_REALS, min_size=n, max_size=n))
+    if odd == "one":
+        tokens[draw(st.integers(0, n - 1))] = draw(_ODD_REALS)
+    if draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, n - 1))
+        at = draw(st.integers(0, len(tokens[k])))
+        tokens[k] = tokens[k][:at] + draw(_WHITESPACE) + tokens[k][at:]
+    pairs = [tokens[i:i + 2] for i in range(0, n, 2)]
+    if draw(st.integers(0, 9)) == 0:
+        i, j = draw(st.integers(0, len(pairs) - 1)), draw(st.integers(0, len(pairs) - 1))
+        pairs[j].append(pairs[i].pop())
+    value = [pairs[i:i + dim * dim] for i in range(0, len(pairs), dim * dim)]
+    if draw(st.integers(0, 9)) == 0:
+        i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
+        value[j].append(value[i].pop())
+    elements = _layout(value, draw(st.sampled_from(["lines", "single", "indent"])))
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(elements)))
+        elements = elements[:at] + draw(_WHITESPACE) + elements[at:]
+    provenance = draw(st.sampled_from([
+        "x", "lift(q=2, d=3, n=6, base=bravyi_smolin_3)", 'elements": [[[1, 0]]]', "elements",
+    ]))
+    members = [
+        ("dim", str(dim)),
+        ("provenance", json.dumps(provenance)),
+        ("exact_cos_theta", draw(st.sampled_from(["null", "[-7, 8]"] * 10 + ["[1, 0]"]))),
+        ("elements", elements),
+    ]
+    members = list(draw(st.permutations(members)))
+    if draw(st.integers(0, 9)) == 0:
+        members.insert(draw(st.integers(0, 4)), draw(st.sampled_from(members)))
+    if draw(st.integers(0, 9)) == 0:
+        members.insert(draw(st.integers(0, 4)), ("note", '{"elements": [1, "}"]}'))
+    text = "{\n" + ",\n".join(f"  {json.dumps(k)}: {v}" for k, v in members) + "\n}\n"
+    return text + draw(st.sampled_from([""] * 39 + ["x", "}", " 1"]))
+
+
+# A chunk size of 1 cuts the elements text after every ',' it can.
+@pytest.mark.parametrize("chunk", [constructions._SCAN_CHUNK, 1])
+@settings(max_examples=300, deadline=None)
+@given(text=_documents())
+def test_load_matches_the_general_decoder_property(tmp_path_factory, chunk, text):
+    path = tmp_path_factory.mktemp("doc") / "m.json"
+    path.write_bytes(text.encode("utf-8"))
+    default, constructions._SCAN_CHUNK = constructions._SCAN_CHUNK, chunk
+    try:
+        assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
+    finally:
+        constructions._SCAN_CHUNK = default
+
+
+_HEADER = '"dim": 1, "provenance": "x", "exact_cos_theta": null'
+
+
+@pytest.mark.parametrize("text", [
+    # The first of two elements values is not valid JSON.
+    '{' + _HEADER + ', "elements": [[[1.0,]]], "elements": [[[1.0, 0.0]]]}',
+    '{' + _HEADER + ', "elements": [[[1.0, 0.0]]], "elements": [[[2.0, 0.0]]]}',
+    '\ufeff{' + _HEADER + ', "elements": [[[1.0, 0.0]]]}',
+    '{' + _HEADER + ', "elements": [[[1.0, 0.0]]]} {}',
+    '{' + _HEADER + ', "elements": [[[1.0, 0.0]]],}',
+    '{' + _HEADER + ', "elements": [[[1.0, 0.0]],]}',
+    '{' + _HEADER + ', "elements": [[[1.0, "0.0"]]]}',
+    '{' + _HEADER + ', "elements": [[[1.0, 0.0]] ]  , "note": "]"}',
+    '{' + _HEADER + ', "elements": [[[1.0, 0.0]]] 5}',
+    '{' + _HEADER + ', "elements": [[[1.0,\u00a00.0]]]}',
+    '{' + _HEADER + ', "elements": [[[1.0, NaN]]]}',
+    '{' + _HEADER + ', "elements": [[[1.0, Infinity]]]}',
+    '{' + _HEADER + ', "elements": [[1.0, 0.0]]}',
+    '{' + _HEADER + ', "elements": [[[[1.0, 0.0]]]]}',
+    '{' + _HEADER + ', "elements": [[[1.0, 0.0]]]',
+    '{"dim": 1, "dim": 2, "provenance": "x", "exact_cos_theta": null, "elements": [[[1.0, 0.0]]]}',
+    '{"dim": true, "provenance": "x", "exact_cos_theta": null, "elements": [[[1.0, 0.0]]]}',
+    '{"dim": 1, "provenance": "x", "elements": [[[1.0, 0.0]]]}',
+    '[' + '[' * 5000 + ']' * 5000 + ']',
+])
+def test_load_matches_the_general_decoder_on_handpicked_files(tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
+
+
+@pytest.mark.parametrize("real, negative", [("-0", False), ("-0.0", True), ("0", False)])
+def test_load_keeps_json_signed_zeros(tmp_path, real, negative):
+    path = tmp_path / "z.json"
+    path.write_text('{"dim": 1, "provenance": "x", "exact_cos_theta": null, '
+                    f'"elements": [[[{real}, 1.5]]]}}')
+    value = load_umeb(path).matrices[0, 0, 0].real
+    assert value == 0.0 and bool(np.signbit(value)) is negative
+
+
+@pytest.mark.parametrize("real, reason", [
+    ("1e400", "matrix entries must be finite"),
+    ("-1e400", "matrix entries must be finite"),
+    (str(10**400), "matrix entry out of the double range"),
+])
+def test_load_keeps_messages_for_reals_beyond_the_double_range(tmp_path, real, reason):
+    path = tmp_path / "big.json"
+    save_umeb(bravyi_smolin_3(), path)
+    text = path.read_text()
+    first = text.index("[[", text.index('"elements"')) + 2  # element 0's first real
+    path.write_text(text[:first] + real + text[text.index(",", first):])
+    with pytest.raises(UMEBFormatError, match=rf"^element 0: {re.escape(reason)}"):
+        load_umeb(path)
+
+
+def test_load_rejects_a_huge_declared_dim_without_allocating(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1000000, "provenance": "x", "exact_cos_theta": null, '
+                    '"elements": [[[1.0, 0.0]]]}')
+    t0 = time.perf_counter()
+    with pytest.raises(UMEBFormatError) as info:
+        load_umeb(path)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(info.value) == "element 0: element has 1 entries, expected 1000000000000 for dim 1000000"
+
+
+@pytest.mark.parametrize("make", [
+    bravyi_smolin_3, umeb_6, _signed_zero_candidate, lambda: weyl_family(1),
+    lambda: lift(umeb_6(), 2),
+])
+def test_saved_files_load_through_the_elements_scan(tmp_path, general_decoder_off, make):
+    c = make()
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    back = load_umeb(path)
+    assert back.provenance == c.provenance and back.exact_cos_theta == c.exact_cos_theta
+    assert back.matrices.tobytes() == c.matrices.tobytes()
+
+
+def test_reordered_and_reindented_files_load_through_the_elements_scan(
+    tmp_path, general_decoder_off
+):
+    c = umeb_6()
+    doc = {
+        "elements": [matrix_to_pairs(e) for e in c.elements],
+        "exact_cos_theta": [-7, 8],
+        "provenance": "umeb_6",
+        "dim": 6,
+    }
+    path = tmp_path / "m.json"
+    for indent in (None, 4):
+        path.write_text(json.dumps(doc, indent=indent))
+        assert load_umeb(path).matrices.tobytes() == c.matrices.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrix_sets())
+def test_saved_drawn_sets_load_through_the_elements_scan_property(tmp_path_factory, mats):
+    path = tmp_path_factory.mktemp("scan") / "m.json"
+    save_umeb(UMEBCandidate(mats.shape[1], mats, External("drawn")), path)
+    # Set per example: hypothesis runs every example under one test call.
+    real, constructions._decode_document = constructions._decode_document, _refuse_general_decoder
+    try:
+        back = load_umeb(path)
+    finally:
+        constructions._decode_document = real
+    assert back.matrices.tobytes() == mats.tobytes()
+
+
+def test_d24_load_reads_the_scan_within_a_memory_bound(tmp_path, general_decoder_off):
+    c = lift(bravyi_smolin_3(), 8)
+    path = tmp_path / "d24.json"
+    save_umeb(c, path)
+    tracemalloc.start()
+    try:
+        back = load_umeb(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.matrices.tobytes() == c.matrices.tobytes()
+    # json.load peaked at 13.6 times the file size here.
+    assert peak < 8 * path.stat().st_size
