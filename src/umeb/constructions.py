@@ -112,6 +112,55 @@ class Lift:
         """Dimension qd of the lifted set's matrices."""
         return self.q * self.base_dim
 
+    def left_factors(self) -> np.ndarray:
+        """The q^2 distinct q x q left factors, D_i S^j (j >= 1) and then D_i.
+
+        Each run is lexicographic in (i, j), where D_i is the diagonal of row i
+        of the Fourier matrix and S the cyclic shift; :meth:`factor_index`
+        names each element's factor.  Row 0 of every factor holds one nonzero
+        entry, exactly 1: in column j of D_i S^j and column 0 of D_i.
+        """
+        q = self.q
+        w = fourier_matrix(q)
+        fourier_rows = np.stack([row_diag(w, i) for i in range(q)])
+        powers = [np.linalg.matrix_power(cyclic_shift(q), j) for j in range(1, q)]
+        shifted = np.array(
+            [row @ power for row in fourier_rows for power in powers], dtype=np.complex128
+        ).reshape(-1, q, q)
+        return np.concatenate([shifted, fourier_rows])
+
+    def factor_index(self) -> np.ndarray:
+        """Index into :meth:`left_factors` of each element's left factor.
+
+        The Weyl sector holds d^2 elements per factor D_i S^j, the base sector
+        N per factor D_i.
+        """
+        q = self.q
+        return np.concatenate([
+            np.repeat(np.arange(q * (q - 1)), self.base_dim**2),
+            np.repeat(np.arange(q * (q - 1), q * q), self.base_count),
+        ])
+
+    def split(self, matrices) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """A stack in this layout as F_k (x) Y_k: ``(factor_index(), Y)``, or None.
+
+        The (n, d, d) right factors Y_k are read from block (0, c) of each
+        element, where F_k[0, c] is exactly 1.  None unless the stack has this
+        layout's shape and equals the products F_k (x) Y_k entry for entry, as
+        every :func:`lift` does; with no tolerance, each element's spectrum is
+        then its factors' product spectrum, up to one rounding per entry.
+        """
+        m = np.asarray(matrices)
+        n, q, d = self.element_count, self.q, self.base_dim
+        if m.shape != (n, self.dim, self.dim):
+            return None
+        left, index = self.left_factors(), self.factor_index()
+        cols = np.argmax(left[:, 0, :] == 1, axis=1)[index]
+        right = m.reshape(n, q, d, q, d)[np.arange(n), 0, :, cols, :]
+        if not np.array_equal(m, _kron_rows(left[index], right)):
+            return None
+        return index, right
+
 
 @dataclass(frozen=True)
 class External:
@@ -181,6 +230,10 @@ def provenance_from_str(s: str) -> Provenance:
 # Candidate container
 # ---------------------------------------------------------------------------
 
+class _Fresh(np.ndarray):
+    """A stack this module built and holds nowhere else: a candidate keeps it uncopied."""
+
+
 @dataclass(frozen=True)
 class UMEBCandidate:
     """An ordered set of d x d matrices with provenance and exact metadata.
@@ -207,8 +260,12 @@ class UMEBCandidate:
             stack = np.empty((0, self.dim, self.dim), dtype=np.complex128)
         else:
             stack = as_stack(self.elements)
-            if isinstance(self.elements, np.ndarray):
-                # asarray kept the caller's buffer; a sequence was copied.
+            # Copy what a caller may still write: its array, or a view of
+            # memory it holds.  A converted sequence or dtype is already a
+            # copy, and the builders here hand over fresh arrays as _Fresh.
+            if not isinstance(self.elements, _Fresh) and (
+                stack is self.elements or not stack.flags.owndata
+            ):
                 stack = stack.copy()
         if stack.shape[1:] != (self.dim, self.dim):
             raise DimensionMismatchError(
@@ -283,6 +340,12 @@ def row_diag(m, i: int) -> np.ndarray:
     return np.diag(mm[i, :].copy())
 
 
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a_k (x) b_k of two stacks of one length, row by row."""
+    n = a.shape[1] * b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, n, n)
+
+
 def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker products a_i (x) b_j of two stacks, lexicographic in (i, j).
 
@@ -354,7 +417,7 @@ def umeb_6() -> UMEBCandidate:
         _kron_pairs(np.stack([delta_plus, delta_minus]), weyl_family(3).matrices),
         _kron_pairs(np.stack([eta_plus, eta_minus]), bravyi_smolin_3().matrices),
     ])
-    return UMEBCandidate(6, elements, Umeb6(), _EXACT_COS_THETA)
+    return UMEBCandidate(6, elements.view(_Fresh), Umeb6(), _EXACT_COS_THETA)
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +458,13 @@ def lift(base: UMEBCandidate, q: int, tol: Tolerances = DEFAULT_TOLERANCES) -> U
         i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol_u)
         raise ValueError(f"base element {i} is not unitary within tolerance")
 
-    w = fourier_matrix(q)
-    fourier_rows = np.stack([row_diag(w, i) for i in range(q)])
-    shift = cyclic_shift(q)
-    factors = np.array(
-        [fourier_rows[i] @ np.linalg.matrix_power(shift, j) for i in range(q) for j in range(1, q)],
-        dtype=np.complex128,
-    ).reshape(-1, q, q)
+    factors = prov.left_factors()
+    cut = q * (q - 1)
     elements = np.concatenate([
-        _kron_pairs(factors, weyl_family(d).matrices),
-        _kron_pairs(fourier_rows, base.matrices),
+        _kron_pairs(factors[:cut], weyl_family(d).matrices),
+        _kron_pairs(factors[cut:], base.matrices),
     ])
-    return UMEBCandidate(q * d, elements, prov, base.exact_cos_theta)
+    return UMEBCandidate(q * d, elements.view(_Fresh), prov, base.exact_cos_theta)
 
 
 def leaf_shape(p: Provenance) -> Optional[tuple[int, int]]:
@@ -693,6 +751,17 @@ def _scan_chunk(piece: bytes) -> Optional[tuple[bytes, int]]:
     return piece.translate(None, _JSON_WS + _DIGITS + b"-+.eE"), tokens
 
 
+def _pattern_span(unit: bytes, size: int, start: int, stop: int) -> bytes:
+    """Bytes start:stop of '[' + unit repeated, ``size`` long, its last byte ']'."""
+    lo = max(start, 1)
+    span = (unit * ((stop - lo) // len(unit) + 2))[(lo - 1) % len(unit):][:stop - lo]
+    if start == 0:
+        span = b"[" + span
+    if stop == size:
+        span = span[:-1] + b"]"
+    return span
+
+
 def _scan_elements(text: str, start: int, end: int, dim: int) -> Optional[np.ndarray]:
     """The (n, dim, dim) array ``text[start:end]`` holds, when it is plain.
 
@@ -708,7 +777,12 @@ def _scan_elements(text: str, start: int, end: int, dim: int) -> Optional[np.nda
     if rem or n < 1 or 4 * n * d2 > end - start:
         return None
     out = np.empty(2 * n * d2, dtype=np.float64)
-    skeletons, filled, pos = [], 0, start
+    # The brackets and commas must read '[', then n elements' joined by ',',
+    # then ']': the n-fold unit below with its last ',' read as ']'.  Each
+    # run's are compared with the same span of that pattern as they come.
+    unit = b"[" + b"[,]," * (d2 - 1) + b"[,]],"
+    size = n * len(unit) + 1
+    checked, filled, pos = 0, 0, start
     while pos < end:
         # Cut after a ',', which no number token crosses.
         cut = text.find(",", min(pos + _SCAN_CHUNK, end), end)
@@ -718,21 +792,17 @@ def _scan_elements(text: str, start: int, end: int, dim: int) -> Optional[np.nda
         if scanned is None or filled + scanned[1] > out.size:
             return None
         skeleton, tokens = scanned
+        stop_at = checked + len(skeleton)
+        if stop_at > size or skeleton != _pattern_span(unit, size, checked, stop_at):
+            return None
         if tokens:
             # An all-space string parses as one number, so only runs with tokens.
             values = np.fromstring(piece.translate(_TO_SPACES), dtype=np.float64, sep=" ")
             if values.size != tokens:
                 return None
             out[filled:filled + tokens] = values
-        skeletons.append(skeleton)
-        filled, pos = filled + tokens, stop
-    # The skeleton is '[', the n elements' brackets and commas joined by
-    # ',', then ']'; its length is checked before the expected one is built.
-    skeleton = b"".join(skeletons)
-    if filled != out.size or len(skeleton) != n * (4 * d2 + 2) + 1:
-        return None
-    element = b"[" + b"[,]," * (d2 - 1) + b"[,]]"
-    if skeleton != b"[" + b",".join([element] * n) + b"]" or not np.isfinite(out).all():
+        checked, filled, pos = stop_at, filled + tokens, stop
+    if filled != out.size or checked != size or not np.isfinite(out).all():
         return None
     return out.view(np.complex128).reshape(n, dim, dim)
 
@@ -769,7 +839,7 @@ def load_umeb(path) -> UMEBCandidate:
         matrices = _scan_elements(text, *doc["elements"], dim)
         if matrices is not None:
             dim, prov, ect = _read_header(doc)
-            return UMEBCandidate(dim, matrices, prov, ect)
+            return UMEBCandidate(dim, matrices.view(_Fresh), prov, ect)
     doc = _decode_document(text)
     dim, prov, ect = _read_header(doc)
     if not isinstance(doc["elements"], list) or not doc["elements"]:

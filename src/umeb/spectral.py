@@ -9,6 +9,11 @@ when a scan finds nothing, or as ProvablyInfinite when exact rational-cosine
 metadata applies: a rational cosine whose square is outside
 {0, 1/4, 1/2, 3/4, 1} belongs to an angle that is no rational multiple of pi,
 and multiplying by any root of unity cannot repair that.
+
+Every element of a lift is a Kronecker product F (x) Y of a q x q and a
+d x d unitary, so its eigenphases are the sums of theirs mod 2*pi.  A set
+whose stored matrices are exactly such products (see ``Lift.split``) takes
+its spectra from the factors; any other set is eigensolved whole.
 """
 
 from __future__ import annotations
@@ -75,13 +80,16 @@ class ProvablyInfinite:
 
 OrderClassification = Union[Finite, NoOrderUpTo, ProvablyInfinite]
 
+# The first entry of each kind's _cls_key.
+_FINITE, _NO_ORDER, _INFINITE = 0, 1, 2
+
 
 def _cls_key(c: OrderClassification) -> tuple[int, int, int]:
     if isinstance(c, Finite):
-        return (0, c.order, 1)
+        return (_FINITE, c.order, 1)
     if isinstance(c, NoOrderUpTo):
-        return (1, c.bound, 1)
-    return (2, c.reason.numerator, c.reason.denominator)
+        return (_NO_ORDER, c.bound, 1)
+    return (_INFINITE, c.reason.numerator, c.reason.denominator)
 
 
 def _cls_dict(c: OrderClassification) -> dict:
@@ -99,6 +107,12 @@ def _cls_dict(c: OrderClassification) -> dict:
 # Per-phase primitives
 # ---------------------------------------------------------------------------
 
+def _require_unitary(m: np.ndarray, tol: Tolerances) -> None:
+    res = unitarity_residual(m)
+    if res >= tol.unitarity_tol:
+        raise ValueError(f"matrix is not unitary (residual {res:.3e})")
+
+
 def eigenphases(u, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Eigenvalue phases of a unitary matrix, ascending in [0, 2*pi).
 
@@ -110,9 +124,7 @@ def eigenphases(u, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     speak of.
     """
     m = np.asarray(u, dtype=np.complex128)
-    res = unitarity_residual(m)
-    if res >= tol.unitarity_tol:
-        raise ValueError(f"matrix is not unitary (residual {res:.3e})")
+    _require_unitary(m, tol)
     phases = np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI)
     phases[phases >= TWO_PI] -= TWO_PI
     phases.sort(axis=-1)
@@ -281,47 +293,76 @@ def _classify_phase(
     return cls
 
 
-def _summarize(records) -> SignatureSummary:
-    finite = [c.order for r in records for c in r.classifications if isinstance(c, Finite)]
-    infinite = sum(
-        isinstance(c, ProvablyInfinite) for r in records for c in r.classifications
-    )
-    unresolved = sum(
-        isinstance(c, NoOrderUpTo) for r in records for c in r.classifications
-    )
+def _summarize(kinds: np.ndarray, orders: np.ndarray, inverse: np.ndarray) -> SignatureSummary:
+    """Order statistics of the phases ``inverse`` points at.
+
+    ``kinds`` and ``orders`` label each distinct phase value: the first entry
+    of its classification's :func:`_cls_key`, and its order when Finite.
+    """
+    counts = np.bincount(inverse.ravel(), minlength=len(kinds))
+    finite = orders[(counts > 0) & (kinds == _FINITE)]
     return SignatureSummary(
-        min_finite_order=min(finite) if finite else None,
-        max_finite_order=max(finite) if finite else None,
-        provably_infinite_count=int(infinite),
-        no_order_count=int(unresolved),
+        min_finite_order=int(finite.min()) if finite.size else None,
+        max_finite_order=int(finite.max()) if finite.size else None,
+        provably_infinite_count=int(counts[kinds == _INFINITE].sum()),
+        no_order_count=int(counts[kinds == _NO_ORDER].sum()),
     )
 
 
-def _sector_rows(c: UMEBCandidate, records: list) -> tuple[SectorRow, ...]:
-    """Per-sector statistics of records in element order.
+def _sector_rows(
+    c: UMEBCandidate, kinds: np.ndarray, orders: np.ndarray, inverse: np.ndarray
+) -> tuple[SectorRow, ...]:
+    """Per-sector statistics of the (element, phase) labels ``inverse``.
 
     A lifted candidate (by provenance) is split into its Weyl sector, the
     first q(q-1)d^2 elements, and the base sector holding the rest; anything
     else is summarized as a single sector.
     """
     layout = as_lift(c.provenance)
-    if layout is None or len(records) < layout.weyl_count:
-        sectors = [("all", records)]
+    if layout is None or len(inverse) < layout.weyl_count:
+        sectors = [("all", inverse)]
     else:
         cut = layout.weyl_count
-        sectors = [("weyl", records[:cut]), ("base", records[cut:])]
+        sectors = [("weyl", inverse[:cut]), ("base", inverse[cut:])]
     return tuple(
         SectorRow(
             name,
-            len(recs),
-            **asdict(_summarize(recs)),
-            elements_with_infinite=sum(
-                any(isinstance(cl, ProvablyInfinite) for cl in r.classifications)
-                for r in recs
-            ),
+            len(rows),
+            **asdict(_summarize(kinds, orders, rows)),
+            elements_with_infinite=int(np.count_nonzero((kinds[rows] == _INFINITE).any(axis=1))),
         )
-        for name, recs in sectors
+        for name, rows in sectors
     )
+
+
+def _element_phases(c: UMEBCandidate, tol: Tolerances) -> np.ndarray:
+    """Eigenphases of each element, one ascending row each, as :func:`eigenphases`.
+
+    A set that :meth:`Lift.split` reads as F_k (x) Y_k takes them from its
+    factors: (phi_F + phi_Y) mod 2*pi, from one :func:`eigenphases` call on
+    the q^2 distinct left factors and one on the right factors.  Any other
+    set is one call on the stored stack.  Unitarity is judged on the stored
+    matrices either way, so both paths raise alike; right factors that miss
+    the threshold by a rounding of their own take the stack path.
+    """
+    layout = as_lift(c.provenance)
+    split = None if layout is None else layout.split(c.matrices)
+    if split is None or unitarity_residual(split[1]) >= tol.unitarity_tol:
+        return eigenphases(c.matrices, tol)
+    _require_unitary(c.matrices, tol)
+    index, right = split
+    left = eigenphases(layout.left_factors(), tol)[index]
+    # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
+    phases = np.mod(left[:, :, None] + eigenphases(right, tol)[:, None, :], TWO_PI)
+    phases = phases.reshape(len(index), -1)
+    phases.sort(axis=-1)
+    return phases
+
+
+def _ranks(keys: list) -> np.ndarray:
+    """Dense rank of each key among the distinct keys, in their sorted order."""
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return np.array([rank[k] for k in keys], dtype=np.int64)
 
 
 def signature(
@@ -334,38 +375,55 @@ def signature(
     rational-cosine metadata and the phase matches the exact angle up to a
     root of unity (the promotion is as trustworthy as the metadata).
 
-    The spectra come from one :func:`eigenphases` call on the stored array.
-    Each distinct phase value is bucketed and classified once, which labels
-    equal floats equally, as a per-element pass would; lifts repeat most of
-    their phases.  Each element's entries are sorted by (bucket,
-    classification), ties in ascending phase, and keep their raw phases.
+    A set laid out as a lift, whose stored matrices equal the Kronecker
+    products of its factors entry for entry, takes its spectra from the
+    factors' spectra; any other set from one :func:`eigenphases` call on the
+    stored array.  Each distinct phase value is bucketed and classified
+    once, which labels equal floats equally, as a per-element pass would;
+    lifts repeat most of their phases.  Each element's entries are sorted by
+    (bucket, classification), ties in ascending phase, and keep their raw
+    phases.  Summary and sector counts are taken over the distinct values.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    phases = eigenphases(c.matrices, tol)
+    phases = _element_phases(c, tol)
     values, inverse = np.unique(phases, return_inverse=True)
+    inverse = inverse.reshape(phases.shape)
     ticks = [_bucket(v) for v in values.tolist()]
     labels = [
         _classify_phase(v, bound, tol.phase_tol, c.exact_cos_theta) for v in values.tolist()
     ]
-    keys = [(t, _cls_key(cl)) for t, cl in zip(ticks, labels)]
-    records = []
-    for row, idx in zip(phases.tolist(), inverse.reshape(phases.shape).tolist()):
-        order = sorted(range(len(row)), key=lambda k: keys[idx[k]])
-        records.append(ElementSpectrum(
-            phases=tuple(row[k] for k in order),
-            phase_ticks=tuple(ticks[idx[k]] for k in order),
-            classifications=tuple(labels[idx[k]] for k in order),
-        ))
-    sectors = _sector_rows(c, records)
-    records.sort(key=lambda r: r.canonical_key())
+    cls_keys = [_cls_key(cl) for cl in labels]
+    kinds = np.array([k[0] for k in cls_keys], dtype=np.int64)
+    orders = np.array([k[1] if k[0] == _FINITE else 0 for k in cls_keys], dtype=np.int64)
+    # Ranks keep the order of ticks and of classification keys, so integer
+    # sorts give the order of the tuples: within each ascending row a stable
+    # sort by (tick, classification), then the rows by canonical key.
+    tick = np.array(ticks, dtype=np.int64)
+    cls_rank = _ranks(cls_keys)
+    within = np.argsort(_ranks(list(zip(ticks, cls_keys)))[inverse], axis=1, kind="stable")
+    entries = np.take_along_axis(inverse, within, axis=1)
+    by_key = np.lexsort(np.concatenate([tick[entries], cls_rank[entries]], axis=1).T[::-1])
+    entries = entries[by_key]
+    records = tuple(
+        ElementSpectrum(
+            phases=tuple(row),
+            phase_ticks=tuple(row_ticks),
+            classifications=tuple(map(labels.__getitem__, idx)),
+        )
+        for row, row_ticks, idx in zip(
+            np.take_along_axis(phases, within, axis=1)[by_key].tolist(),
+            tick[entries].tolist(),
+            entries.tolist(),
+        )
+    )
     return SpectralSignature(
         dim=c.dim,
         element_count=len(c.elements),
         bound=bound,
-        records=tuple(records),
-        summary=_summarize(records),
-        sectors=sectors,
+        records=records,
+        summary=_summarize(kinds, orders, inverse),
+        sectors=_sector_rows(c, kinds, orders, inverse),
     )
 
 

@@ -184,6 +184,41 @@ def test_lift_provenance_owns_the_layout():
         assert lifted.dim == lifted.provenance.dim
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_lift_states_its_left_factors_once(q):
+    p = Lift(BravyiSmolin3(), 3, 6, q)
+    left, index = p.left_factors(), p.factor_index()
+    assert left.shape == (q * q, q, q) and index.shape == (p.element_count,)
+    # Row 0 of each factor is one exact 1: column j of D_i S^j, column 0 of D_i.
+    cols = [j for _ in range(q) for j in range(1, q)] + [0] * q
+    want_rows = np.eye(q)[cols]
+    assert np.array_equal(left[:, 0, :], want_rows)
+    assert np.array_equal(np.bincount(index), [9] * (q * (q - 1)) + [6] * q)
+    base = bravyi_smolin_3()
+    rights = np.concatenate([np.tile(weyl_family(3).matrices, (q * (q - 1), 1, 1)),
+                             np.tile(base.matrices, (q, 1, 1))])
+    c = lift(base, q)
+    got_index, got_rights = p.split(c.matrices)
+    assert np.array_equal(got_index, index)
+    assert np.array_equal(got_rights, rights)
+
+
+def test_lift_split_is_none_unless_the_stack_is_exactly_the_products():
+    c = lift(bravyi_smolin_3(), 3)
+    p = c.provenance
+    assert p.split(c.matrices) is not None
+    assert as_lift(Umeb6()).split(umeb_6().matrices) is not None
+    assert p.split(c.matrices[:, :6, :6]) is None  # wrong shape
+    assert p.split(c.matrices[:-1]) is None  # wrong count
+    assert p.split(c.matrices[0]) is None  # not a stack
+    tampered = c.matrices.copy()
+    tampered[0, 3:6, 6:9] = weyl(3, 1, 1)  # a block of another product
+    assert p.split(tampered) is None
+    nudged = c.matrices.copy()
+    nudged[-1, 8, 8] = np.nextafter(nudged[-1, 8, 8].real, 2.0) + 1j * nudged[-1, 8, 8].imag
+    assert p.split(nudged) is None
+
+
 def test_lift_sizes_and_gram():
     base = bravyi_smolin_3()
     for q in (2, 3):
@@ -299,6 +334,45 @@ def test_candidate_owns_a_read_only_bit_exact_copy(as_array):
     assert c.matrices[0, 0, 0] == 0.0 and c.matrices[1, 1, 1] == 1.0
     with pytest.raises(ValueError):
         c.matrices[0, 0, 0] = 1.0
+
+
+class _CallerArray(np.ndarray):
+    pass
+
+
+def _identities(n, dtype=np.complex128):
+    return np.stack([np.eye(2, dtype=dtype)] * n)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (lambda a: (a, a))(_identities(3)),
+    lambda: (lambda a: (a[::2], a))(_identities(6)),
+    lambda: (lambda a: (a, a))(_identities(3, np.float64)),
+    lambda: (lambda a: (a, a[0]))([np.eye(2, dtype=np.complex128)] * 3),
+    lambda: (lambda a: (memoryview(a), a))(_identities(3)),
+    lambda: (lambda a: (a.view(_CallerArray), a))(_identities(3)),
+    lambda: (lambda a: (_read_only(a.view()), a))(_identities(3)),
+], ids=["array", "strided_view", "float_array", "list", "memoryview", "subclass",
+        "read_only_view"])
+def test_mutating_the_callers_array_never_changes_the_candidate(make):
+    given, writable = make()
+    c = UMEBCandidate(2, given, External("caller's"))
+    writable[..., 0, 0] = 9.0
+    assert c.matrices[0, 0, 0] == 1.0 and not c.matrices.flags.writeable
+
+
+def test_builders_hand_their_fresh_arrays_over_uncopied(tmp_path):
+    path = tmp_path / "m.json"
+    save_umeb(umeb_6(), path)
+    for c in (lift(bravyi_smolin_3(), 3), umeb_6(), load_umeb(path)):
+        # A copy would own its buffer; the builder's own array is kept instead.
+        assert not c.matrices.flags.owndata and not c.matrices.flags.writeable
+    assert UMEBCandidate(6, umeb_6().matrices, External("caller's")).matrices.flags.owndata
 
 
 def test_candidate_rejects_malformed_stacks():
@@ -925,3 +999,7 @@ def test_d24_load_reads_the_scan_within_a_memory_bound(tmp_path, general_decoder
     assert back.matrices.tobytes() == c.matrices.tobytes()
     # json.load peaked at 13.6 times the file size here.
     assert peak < 8 * path.stat().st_size
+    # The text, the parsed stack and one chunk's scan; a copy of the stack on
+    # construction, or the whole skeleton joined for comparison, is one more.
+    assert peak < path.stat().st_size + 1.25 * c.matrices.nbytes
+

@@ -2,16 +2,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umeb import spectral
 from umeb.constructions import (
     External,
+    Lift,
     UMEBCandidate,
+    _kron_rows,
+    as_lift,
     bravyi_smolin_3,
     lift,
     umeb_6,
+    weyl,
     weyl_family,
 )
-from umeb.linalg import DEFAULT_TOLERANCES, DimensionMismatchError, root_of_unity
+from umeb.linalg import (
+    DEFAULT_TOLERANCES,
+    DimensionMismatchError,
+    root_of_unity,
+    unitarity_residual,
+)
 from umeb.spectral import (
     ElementSpectrum,
     Finite,
@@ -25,7 +37,7 @@ from umeb.spectral import (
     sector_table,
     signature,
 )
-from umeb.spectral import _bucket, _classify_phase, _cls_key
+from umeb.spectral import PHASE_BUCKET, _bucket, _classify_phase, _cls_key, _element_phases
 
 THETA = float(np.arccos(-7.0 / 8.0))
 
@@ -309,6 +321,16 @@ REFERENCE_SETS = {
 }
 
 
+# Sets laid out as lifts take their phases from factor sums, which match a
+# per-element eigensolve to rounding; a phase of 0 may read 2*pi - ulp there.
+LIFT_LAID_OUT = {"umeb6", "lift_bs3_2", "lift_bs3_3", "lift_umeb6_2"}
+
+
+def _circular_distance(a, b) -> float:
+    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    return float(np.max(np.minimum(d, 2 * np.pi - d), initial=0.0))
+
+
 @pytest.mark.parametrize("bound", [1, 7, 144])
 @pytest.mark.parametrize("name", sorted(REFERENCE_SETS))
 def test_signature_matches_per_element_reference_bit_for_bit(name, bound):
@@ -317,7 +339,229 @@ def test_signature_matches_per_element_reference_bit_for_bit(name, bound):
     ref = _reference_records(c, bound)
     assert len(sig.records) == len(ref) == len(c)
     for got, want in zip(sig.records, ref):
-        assert np.array(got.phases).tobytes() == np.array(want.phases).tobytes()
+        if name in LIFT_LAID_OUT:
+            assert _circular_distance(got.phases, want.phases) < 1e-12
+        else:
+            assert np.array(got.phases).tobytes() == np.array(want.phases).tobytes()
         assert got.phase_ticks == want.phase_ticks
         assert got.classifications == want.classifications
     assert sig.canonical_key() == (c.dim, len(c), tuple(r.canonical_key() for r in ref))
+
+
+# ---------------------------------------------------------------------------
+# factor spectra of lift-laid-out sets against the full-stack path
+# ---------------------------------------------------------------------------
+
+def _relabel(c):
+    """The same stored matrices as an External set: the full-stack path."""
+    return UMEBCandidate(c.dim, c.matrices, External("relabelled"), c.exact_cos_theta)
+
+
+def _tower():
+    return lift(lift(bravyi_smolin_3(), 2), 2)
+
+
+LIFTS = {
+    **{f"bs3_q{q}": (lambda q=q: lift(bravyi_smolin_3(), q)) for q in range(1, 9)},
+    **{f"umeb6_q{q}": (lambda q=q: lift(umeb_6(), q)) for q in (2, 3, 4)},
+    "umeb6": umeb_6,
+    "tower_2_2": _tower,
+}
+
+
+def _assert_same_up_to_raw_phases(a, b):
+    assert a.canonical_key() == b.canonical_key()
+    assert a.summary == b.summary
+    for ra, rb in zip(a.records, b.records, strict=True):
+        assert ra.phase_ticks == rb.phase_ticks
+        assert ra.classifications == rb.classifications
+        assert _circular_distance(ra.phases, rb.phases) < 1e-12
+
+
+def _assert_bit_identical(a, b):
+    assert a.canonical_key() == b.canonical_key()
+    assert a.summary == b.summary
+    for ra, rb in zip(a.records, b.records, strict=True):
+        assert np.array(ra.phases).tobytes() == np.array(rb.phases).tobytes()
+        assert ra.phase_ticks == rb.phase_ticks
+        assert ra.classifications == rb.classifications
+
+
+@pytest.mark.parametrize("name", sorted(LIFTS))
+def test_lift_signature_matches_the_relabelled_full_stack_path(name):
+    c = LIFTS[name]()
+    assert as_lift(c.provenance).split(c.matrices) is not None
+    _assert_same_up_to_raw_phases(signature(c), signature(_relabel(c)))
+
+
+@pytest.mark.parametrize("name", ["bs3_q2", "bs3_q5", "bs3_q8", "umeb6", "umeb6_q3", "tower_2_2"])
+def test_lift_signature_sectors_match_the_full_stack_path(name, monkeypatch):
+    c = LIFTS[name]()
+    factored = {bound: signature(c, bound) for bound in (7, 144)}
+    # No split: the full-stack path under the same provenance and sectors.
+    monkeypatch.setattr(Lift, "split", lambda self, matrices: None)
+    for bound, sig in factored.items():
+        full = signature(c, bound)
+        _assert_same_up_to_raw_phases(sig, full)
+        assert sig.sectors == full.sectors
+        assert [r.name for r in sig.sectors] == ["weyl", "base"]
+
+
+def _eigenphases_shapes(monkeypatch):
+    shapes = []
+    real = spectral.eigenphases
+
+    def counted(u, tol=DEFAULT_TOLERANCES):
+        shapes.append(np.shape(u))
+        return real(u, tol)
+
+    monkeypatch.setattr(spectral, "eigenphases", counted)
+    return shapes
+
+
+def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
+    shapes = _eigenphases_shapes(monkeypatch)
+    signature(lift(bravyi_smolin_3(), 8))
+    assert shapes == [(64, 8, 8), (552, 3, 3)]
+    shapes.clear()
+    signature(_tower())
+    assert shapes == [(4, 2, 2), (2 * 36 + 2 * 30, 6, 6)]
+    shapes.clear()
+    signature(_relabel(umeb_6()))
+    assert shapes == [(30, 6, 6)]
+
+
+def _circle_rows(phases):
+    # Wrap at 1 rad, where no phase of these sets lies, so the order is stable.
+    return np.sort(np.mod(phases + 1.0, 2 * np.pi), axis=-1)
+
+
+def _near_bucket_edge(phases, margin=1e-12):
+    ticks = np.asarray(phases) / PHASE_BUCKET
+    return bool(np.any(np.abs(ticks - np.floor(ticks) - 0.5) * PHASE_BUCKET < margin))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    q=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 16),
+)
+def test_lifts_of_random_unitary_bases_match_the_full_stack_path_property(d, q, seed, count):
+    # A W_nm B over some Weyl labels: trace-orthogonal unitaries with random spectra.
+    rng = np.random.default_rng(seed)
+    a, b = haar_unitary(d, rng), haar_unitary(d, rng)
+    labels = rng.permutation(d * d)[:min(count, d * d)]
+    base = UMEBCandidate(d, [a @ weyl(d, k // d, k % d) @ b for k in labels], External("drawn"))
+    c = lift(base, q)
+    assert c.provenance.split(c.matrices) is not None
+    full = eigenphases(c.matrices)
+    np.testing.assert_allclose(_circle_rows(_element_phases(c, DEFAULT_TOLERANCES)),
+                               _circle_rows(full), rtol=0, atol=1e-12)
+    sig, ref = signature(c, 24), signature(_relabel(c), 24)
+    assert sig.summary == ref.summary
+    # Phases within rounding of a bucket edge may tick either way.
+    if not _near_bucket_edge(full):
+        _assert_same_up_to_raw_phases(sig, ref)
+
+
+def _nudged(c, k, i, j):
+    m = c.matrices.copy()
+    x = m[k, i, j]
+    m[k, i, j] = complex(np.nextafter(x.real, np.inf), x.imag)
+    return UMEBCandidate(c.dim, m, c.provenance, c.exact_cos_theta)
+
+
+def _weyl_block_swapped(c):
+    """Element 0 of lift(bs3, 3) with its block in row 1 taken from W_01, not W_00."""
+    m = c.matrices.copy()
+    blocks = m.reshape(len(m), 3, 3, 3, 3)
+    col = int(np.flatnonzero(np.abs(blocks[0, 1, 0, :, 0]) > 0)[0])
+    blocks[0, 1, :, col, :] = blocks[0, 1, 0, col, 0] * weyl(3, 0, 1)
+    return UMEBCandidate(c.dim, m, c.provenance, c.exact_cos_theta)
+
+
+TAMPERED = {
+    "nonzero_weyl_entry": lambda: _nudged(lift(bravyi_smolin_3(), 3), 0, 0, 3),
+    "zero_weyl_entry": lambda: _nudged(lift(bravyi_smolin_3(), 3), 5, 0, 0),
+    "base_entry": lambda: _nudged(umeb_6(), 29, 4, 4),
+    "tower_entry": lambda: _nudged(_tower(), 100, 11, 11),
+    "weyl_block_swapped": lambda: _weyl_block_swapped(lift(bravyi_smolin_3(), 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_tampered_lifts_take_the_full_stack_path_bit_for_bit(name, monkeypatch):
+    c = TAMPERED[name]()
+    assert as_lift(c.provenance).split(c.matrices) is None
+    shapes = _eigenphases_shapes(monkeypatch)
+    sig = signature(c)
+    assert shapes == [c.matrices.shape]
+    _assert_bit_identical(sig, signature(_relabel(c)))
+    assert [r.name for r in sig.sectors] == ["weyl", "base"]
+
+
+def test_non_unitary_lift_raises_the_full_stack_error():
+    layout = Lift(External("scaled"), 3, 6, 2)
+    right = 1.5 * np.concatenate([np.tile(weyl_family(3).matrices, (2, 1, 1)),
+                                  np.tile(bravyi_smolin_3().matrices, (2, 1, 1))])
+    c = UMEBCandidate(6, _kron_rows(layout.left_factors()[layout.factor_index()], right), layout)
+    assert layout.split(c.matrices) is not None
+    with pytest.raises(ValueError) as want:
+        eigenphases(c.matrices)
+    for cand in (c, _relabel(c)):
+        with pytest.raises(ValueError) as got:
+            signature(cand)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("matrix is not unitary")
+
+
+def _lift_at_the_threshold(stored_passes: bool):
+    """An exact lift layout on the unitarity threshold: its stored matrices pass
+    it as ``stored_passes`` says, and its right factors, checked on their own,
+    the other way, each missing by a rounding."""
+    rng = np.random.default_rng(0)
+    tol = DEFAULT_TOLERANCES.unitarity_tol
+    layout = Lift(External("threshold"), 2, 1, 4)
+    left = layout.left_factors()[layout.factor_index()]
+    for _ in range(200):
+        u, e = haar_unitary(2, rng), rng.standard_normal((2, 2)) + 0j
+        lo, hi = 0.0, 1e-9  # bisect the perturbation onto the threshold
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if unitarity_residual(u + mid * e) >= tol else (mid, hi)
+        y = u + (hi if stored_passes else lo) * e
+        m = _kron_rows(left, np.concatenate([np.tile(weyl_family(2).matrices, (12, 1, 1)), [y] * 4]))
+        if (unitarity_residual(m) < tol) == stored_passes:
+            return UMEBCandidate(8, m, layout)
+    raise AssertionError("no threshold case found")
+
+
+def test_right_factors_past_the_threshold_take_the_full_stack_path(monkeypatch):
+    c = _lift_at_the_threshold(stored_passes=True)
+    index, right = c.provenance.split(c.matrices)
+    assert unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol
+    shapes = _eigenphases_shapes(monkeypatch)
+    sig = signature(c)
+    assert shapes == [c.matrices.shape]
+    _assert_bit_identical(sig, signature(_relabel(c)))
+
+
+def test_stored_matrices_past_the_threshold_raise_the_full_stack_error():
+    c = _lift_at_the_threshold(stored_passes=False)
+    index, right = c.provenance.split(c.matrices)
+    assert unitarity_residual(right) < DEFAULT_TOLERANCES.unitarity_tol
+    with pytest.raises(ValueError) as want:
+        eigenphases(c.matrices)
+    with pytest.raises(ValueError) as got:
+        signature(c)
+    assert str(got.value) == str(want.value)
+
+
+def test_compare_against_relabelled_and_other_lifts():
+    c = lift(bravyi_smolin_3(), 8)
+    assert compare_signatures(signature(c), signature(_relabel(c))) == "NotDistinguished"
+    a, b = lift(bravyi_smolin_3(), 4), lift(umeb_6(), 2)
+    assert (a.dim, len(a)) == (b.dim, len(b))
+    assert compare_signatures(signature(a), signature(b)) == "Distinguished"
