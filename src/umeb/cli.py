@@ -10,7 +10,8 @@ certification failure, 3 certification not applicable, 4 signatures not
 distinguished.  Every command accepts ``--json`` to print a machine-readable
 report on stdout (the human-readable report then moves to stderr).  Warnings
 always go to stderr and to the report's "notes" array, never into its data
-fields.
+fields.  No command takes a threshold: every verdict is held to
+``DEFAULT_TOLERANCES``, and every report prints the residuals it was judged on.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .constructions import (
     umeb_6,
     weyl_family,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .spectral import sector_table, signature, compare_signatures
 from .verification import search_extension, structural_certify, verify_axioms
 
@@ -71,23 +70,8 @@ def _emit(args, payload: dict, human: str) -> None:
         print(f"note: {note}", file=sys.stderr)
 
 
-_TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
-
-
-def _tolerances(args) -> Tolerances:
-    """The command's tolerances: the flags it registered, defaults otherwise."""
-    given = {k: v for k, v in vars(args).items() if k in _TOLERANCE_NAMES}
-    return replace(DEFAULT_TOLERANCES, **given)
-
-
-def _add_common(p: argparse.ArgumentParser, *tolerances: str) -> None:
-    """``--json``, plus a ``--*-tol`` flag for each tolerance the command reads."""
+def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="print a JSON report on stdout")
-    for name in tolerances:
-        p.add_argument(
-            "--" + name.replace("_", "-"), type=float,
-            default=getattr(DEFAULT_TOLERANCES, name), metavar="T",
-        )
 
 
 def _require_positive(name: str, value: int) -> None:
@@ -133,7 +117,7 @@ def cmd_lift(args) -> int:
             "complete basis, so the count condition fails for it"
         )
 
-    lifted = lift(base, args.q, _tolerances(args))
+    lifted = lift(base, args.q)
     constructed, closed_form = lift_counts(base.dim, len(base.elements), args.q)
     if constructed != closed_form:
         notes.append(
@@ -166,7 +150,7 @@ def cmd_lift(args) -> int:
 
 def cmd_verify(args) -> int:
     c = load_umeb(args.in_path)
-    report = verify_axioms(c, _tolerances(args))
+    report = verify_axioms(c)
     payload = {
         "path": args.in_path,
         **report.to_dict(),
@@ -199,7 +183,6 @@ def cmd_search(args) -> int:
         iters=args.iters,
         seed=args.seed,
         extension_tol=args.tol,
-        tol=_tolerances(args),
     )
     witness_path = None
     if result.verdict == "ExtensionFound":
@@ -253,7 +236,7 @@ def cmd_certify(args) -> int:
 
 def cmd_spectral(args) -> int:
     _require_positive("bound", args.bound)
-    sig = signature(load_umeb(args.in_path), args.bound, _tolerances(args))
+    sig = signature(load_umeb(args.in_path), args.bound)
     payload = {
         "path": args.in_path,
         **sig.to_dict(),
@@ -265,9 +248,8 @@ def cmd_spectral(args) -> int:
 
 def cmd_compare(args) -> int:
     _require_positive("bound", args.bound)
-    tol = _tolerances(args)
-    a = signature(load_umeb(args.a_path), args.bound, tol)
-    b = signature(load_umeb(args.b_path), args.bound, tol)
+    a = signature(load_umeb(args.a_path), args.bound)
+    b = signature(load_umeb(args.b_path), args.bound)
     verdict = compare_signatures(a, b)
     payload = {
         "a_path": args.a_path,
@@ -301,19 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["weyl", "bs3", "umeb6"])
     p.add_argument("-d", "--dim", type=int, default=None, help="dimension (weyl only)")
     p.add_argument("-o", "--out", required=True, help="output matrix-set JSON path")
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("lift", help="lift a matrix set to dimension q*d")
     p.add_argument("in_path", help="input matrix-set JSON")
     p.add_argument("-q", type=int, required=True, help="lift factor (q >= 1)")
     p.add_argument("-o", "--out", required=True, help="output matrix-set JSON path")
-    _add_common(p, "unitarity_tol")
+    _add_json(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("verify", help="check count, unitarity, and orthogonality")
     p.add_argument("in_path")
-    _add_common(p, "unitarity_tol", "gram_tol")
+    _add_json(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="nuclear-norm search for an extension")
@@ -321,27 +303,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6, help="extension gap tolerance")
+    p.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="gap below which a witness is nominated; its verdict is re-verified "
+        "at the package's fixed thresholds",
+    )
     p.add_argument("-w", "--witness", default=None, help="witness output path")
-    _add_common(p, "unitarity_tol", "gram_tol")
+    _add_json(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("certify", help="structural certificate for lifted sets")
     p.add_argument("in_path")
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("spectral", help="eigenphase orders and sector summary")
     p.add_argument("in_path")
     p.add_argument("--bound", type=int, default=144, help="largest order scanned")
-    _add_common(p, "unitarity_tol", "phase_tol")
+    _add_json(p)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("compare", help="compare two spectral signatures")
     p.add_argument("a_path")
     p.add_argument("b_path")
     p.add_argument("--bound", type=int, default=144)
-    _add_common(p, "unitarity_tol", "phase_tol")
+    _add_json(p)
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -22,7 +22,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
-    Tolerances,
     as_square,
     as_stack,
     root_of_unity,
@@ -439,7 +438,7 @@ def lift_counts(base_dim: int, base_count: int, q: int) -> tuple[int, int]:
     return constructed, closed_form
 
 
-def lift(base: UMEBCandidate, q: int, tol: Tolerances = DEFAULT_TOLERANCES) -> UMEBCandidate:
+def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
     """Lift an N-member set in dimension d to q(q-1)d^2 + qN members in qd.
 
     The ordering is canonical: first the Weyl sector (D_i S^j) (x) W_nm,
@@ -450,12 +449,14 @@ def lift(base: UMEBCandidate, q: int, tol: Tolerances = DEFAULT_TOLERANCES) -> U
     trace-orthogonal to the base sector.
 
     For q = 1 the Weyl sector is empty and the result is the base itself.
+    Raises ValueError when a base element's unitarity residual is not below
+    ``DEFAULT_TOLERANCES.unitarity_tol``.
     """
     d = base.dim
     prov = Lift(base=base.provenance, base_dim=d, base_count=len(base.elements), q=q)
-    tol_u = tol.unitarity_tol
-    if unitarity_residual(base.matrices) >= tol_u:
-        i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol_u)
+    tol = DEFAULT_TOLERANCES.unitarity_tol
+    if unitarity_residual(base.matrices) >= tol:
+        i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol)
         raise ValueError(f"base element {i} is not unitary within tolerance")
 
     factors = prov.left_factors()

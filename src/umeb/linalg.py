@@ -8,7 +8,7 @@ statement in this package lives in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,18 +45,20 @@ class RankDeficiencyError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared across verification and spectral checks."""
+    """The type of :data:`DEFAULT_TOLERANCES`.  Its fields take no arguments,
+    so every instance holds the package's fixed thresholds."""
 
-    unitarity_tol: float = 1e-10
-    gram_tol: float = 1e-10
-    phase_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        for name in ("unitarity_tol", "gram_tol", "phase_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+    unitarity_tol: float = field(default=1e-10, init=False)
+    gram_tol: float = field(default=1e-10, init=False)
+    phase_tol: float = field(default=1e-9, init=False)
 
 
+# The one set of numerical thresholds every layer reads; no function or
+# command takes another.  Unitarity residuals must fall below
+# ``unitarity_tol`` and Gram residuals below ``gram_tol``.  An eigenphase has
+# order n when n times it lies within ``phase_tol`` of a multiple of 2*pi, and
+# a state is maximally entangled when its Schmidt coefficients lie within
+# ``phase_tol`` of 1/sqrt(d).
 DEFAULT_TOLERANCES = Tolerances()
 
 

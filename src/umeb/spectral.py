@@ -18,14 +18,14 @@ its spectra from the factors; any other set is eigensolved whole.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
 from .constructions import UMEBCandidate, as_lift
-from .linalg import DEFAULT_TOLERANCES, TWO_PI, Tolerances, unitarity_residual
+from .linalg import DEFAULT_TOLERANCES, TWO_PI, unitarity_residual
 
 __all__ = [
     "Finite",
@@ -107,44 +107,43 @@ def _cls_dict(c: OrderClassification) -> dict:
 # Per-phase primitives
 # ---------------------------------------------------------------------------
 
-def _require_unitary(m: np.ndarray, tol: Tolerances) -> None:
+def _require_unitary(m: np.ndarray) -> None:
     res = unitarity_residual(m)
-    if res >= tol.unitarity_tol:
+    if res >= DEFAULT_TOLERANCES.unitarity_tol:
         raise ValueError(f"matrix is not unitary (residual {res:.3e})")
 
 
-def eigenphases(u, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def eigenphases(u) -> np.ndarray:
     """Eigenvalue phases of a unitary matrix, ascending in [0, 2*pi).
 
     An (n, d, d) stack gives one row of d phases per matrix, from one
     ``eigvals`` call whose rows equal the single-matrix results bit for bit.
     Raises ValueError when the input is not unitary within
-    ``tol.unitarity_tol`` (for a stack, its largest residual); eigenphases of
-    non-unitary matrices would not lie on the circle and have no order to
-    speak of.
+    ``DEFAULT_TOLERANCES.unitarity_tol`` (for a stack, its largest residual);
+    eigenphases of non-unitary matrices would not lie on the circle and have
+    no order to speak of.
     """
     m = np.asarray(u, dtype=np.complex128)
-    _require_unitary(m, tol)
+    _require_unitary(m)
     phases = np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI)
     phases[phases >= TWO_PI] -= TWO_PI
     phases.sort(axis=-1)
     return phases
 
 
-def order_up_to(phase: float, bound: int, tol: float = 1e-9) -> OrderClassification:
-    """Smallest n <= bound with n*phase a multiple of 2*pi, within tol.
+def order_up_to(phase: float, bound: int) -> OrderClassification:
+    """Smallest n <= bound with n*phase a multiple of 2*pi, within
+    ``DEFAULT_TOLERANCES.phase_tol``.
 
     Returns Finite(n) on success and NoOrderUpTo(bound) otherwise; an
     irrational-multiple-of-pi phase can never be confirmed infinite this way.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = np.arange(1, bound + 1)
     r = np.mod(n * float(phase), TWO_PI)
     dist = np.minimum(r, TWO_PI - r)
-    hits = np.flatnonzero(dist < tol)
+    hits = np.flatnonzero(dist < DEFAULT_TOLERANCES.phase_tol)
     if hits.size:
         return Finite(int(n[hits[0]]))
     return NoOrderUpTo(bound)
@@ -239,6 +238,8 @@ class SpectralSignature:
     and under any permutation of the elements, because records are compared
     by bucketed phases and sorted.  ``sectors`` summarize the same spectra
     per sector, in element order; they are not part of the canonical key.
+    ``key`` is that key, (dim, element_count, each record's canonical key),
+    built once by :func:`signature`.
     """
 
     dim: int
@@ -247,13 +248,10 @@ class SpectralSignature:
     records: tuple[ElementSpectrum, ...]
     summary: SignatureSummary
     sectors: tuple[SectorRow, ...]
+    key: tuple = field(repr=False, compare=False)
 
     def canonical_key(self):
-        return (
-            self.dim,
-            self.element_count,
-            tuple(r.canonical_key() for r in self.records),
-        )
+        return self.key
 
     def to_dict(self) -> dict:
         return {
@@ -272,12 +270,9 @@ def _bucket(phase: float) -> int:
 
 
 def _classify_phase(
-    phase: float,
-    bound: int,
-    phase_tol: float,
-    exact_cos: Optional[Fraction],
+    phase: float, bound: int, exact_cos: Optional[Fraction]
 ) -> OrderClassification:
-    cls = order_up_to(phase, bound, phase_tol)
+    cls = order_up_to(phase, bound)
     if isinstance(cls, Finite) or exact_cos is None:
         return cls
     if not isinstance(niven_classify(exact_cos), ProvablyInfinite):
@@ -288,7 +283,7 @@ def _classify_phase(
     # irrational.
     theta = float(np.arccos(float(exact_cos)))
     for shifted in ((phase - theta) % TWO_PI, (phase + theta) % TWO_PI):
-        if isinstance(order_up_to(shifted, bound, phase_tol), Finite):
+        if isinstance(order_up_to(shifted, bound), Finite):
             return ProvablyInfinite(Fraction(exact_cos))
     return cls
 
@@ -335,7 +330,7 @@ def _sector_rows(
     )
 
 
-def _element_phases(c: UMEBCandidate, tol: Tolerances) -> np.ndarray:
+def _element_phases(c: UMEBCandidate) -> np.ndarray:
     """Eigenphases of each element, one ascending row each, as :func:`eigenphases`.
 
     A set that :meth:`Lift.split` reads as F_k (x) Y_k takes them from its
@@ -347,13 +342,13 @@ def _element_phases(c: UMEBCandidate, tol: Tolerances) -> np.ndarray:
     """
     layout = as_lift(c.provenance)
     split = None if layout is None else layout.split(c.matrices)
-    if split is None or unitarity_residual(split[1]) >= tol.unitarity_tol:
-        return eigenphases(c.matrices, tol)
-    _require_unitary(c.matrices, tol)
+    if split is None or unitarity_residual(split[1]) >= DEFAULT_TOLERANCES.unitarity_tol:
+        return eigenphases(c.matrices)
+    _require_unitary(c.matrices)
     index, right = split
-    left = eigenphases(layout.left_factors(), tol)[index]
+    left = eigenphases(layout.left_factors())[index]
     # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
-    phases = np.mod(left[:, :, None] + eigenphases(right, tol)[:, None, :], TWO_PI)
+    phases = np.mod(left[:, :, None] + eigenphases(right)[:, None, :], TWO_PI)
     phases = phases.reshape(len(index), -1)
     phases.sort(axis=-1)
     return phases
@@ -365,9 +360,7 @@ def _ranks(keys: list) -> np.ndarray:
     return np.array([rank[k] for k in keys], dtype=np.int64)
 
 
-def signature(
-    c: UMEBCandidate, bound: int = 144, tol: Tolerances = DEFAULT_TOLERANCES
-) -> SpectralSignature:
+def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
     """Spectral signature of a candidate: sorted spectra with order labels.
 
     Orders are scanned up to ``bound``; phases the scan cannot resolve are
@@ -386,13 +379,11 @@ def signature(
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    phases = _element_phases(c, tol)
+    phases = _element_phases(c)
     values, inverse = np.unique(phases, return_inverse=True)
     inverse = inverse.reshape(phases.shape)
     ticks = [_bucket(v) for v in values.tolist()]
-    labels = [
-        _classify_phase(v, bound, tol.phase_tol, c.exact_cos_theta) for v in values.tolist()
-    ]
+    labels = [_classify_phase(v, bound, c.exact_cos_theta) for v in values.tolist()]
     cls_keys = [_cls_key(cl) for cl in labels]
     kinds = np.array([k[0] for k in cls_keys], dtype=np.int64)
     orders = np.array([k[1] if k[0] == _FINITE else 0 for k in cls_keys], dtype=np.int64)
@@ -405,6 +396,7 @@ def signature(
     entries = np.take_along_axis(inverse, within, axis=1)
     by_key = np.lexsort(np.concatenate([tick[entries], cls_rank[entries]], axis=1).T[::-1])
     entries = entries[by_key]
+    rows = entries.tolist()
     records = tuple(
         ElementSpectrum(
             phases=tuple(row),
@@ -414,8 +406,12 @@ def signature(
         for row, row_ticks, idx in zip(
             np.take_along_axis(phases, within, axis=1)[by_key].tolist(),
             tick[entries].tolist(),
-            entries.tolist(),
+            rows,
         )
+    )
+    # Each record's canonical key, from the keys of the distinct values.
+    record_keys = tuple(
+        (r.phase_ticks, tuple(map(cls_keys.__getitem__, idx))) for r, idx in zip(records, rows)
     )
     return SpectralSignature(
         dim=c.dim,
@@ -424,6 +420,7 @@ def signature(
         records=records,
         summary=_summarize(kinds, orders, inverse),
         sectors=_sector_rows(c, kinds, orders, inverse),
+        key=(c.dim, len(c.elements), record_keys),
     )
 
 
@@ -442,16 +439,14 @@ def compare_signatures(a: SpectralSignature, b: SpectralSignature) -> str:
 # Sector summaries (positional, for lifted candidates)
 # ---------------------------------------------------------------------------
 
-def sector_summaries(
-    c: UMEBCandidate, bound: int = 144, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[SectorRow, ...]:
+def sector_summaries(c: UMEBCandidate, bound: int = 144) -> tuple[SectorRow, ...]:
     """Per-sector order statistics: the ``sectors`` of :func:`signature`.
 
     A lifted candidate is split positionally into its Weyl and base sectors;
     anything else is one sector.  Unlike the signature's canonical records,
     this view depends on element order, which the lift fixes canonically.
     """
-    return signature(c, bound, tol).sectors
+    return signature(c, bound).sectors
 
 
 def sector_table(rows: tuple[SectorRow, ...]) -> str:

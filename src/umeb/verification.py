@@ -7,7 +7,7 @@ Three layers of scrutiny for a candidate set of d x d matrices:
   the diagonal and 0 off it.
 * :func:`search_extension` hunts for a unitary inside the trace-orthogonal
   complement by nuclear-norm ascent.  Finding one is rigorous (a constructive
-  witness that passes re-verification within the tolerances); not finding one
+  witness that passes re-verification within ``DEFAULT_TOLERANCES``); not finding one
   is evidence, not proof.
 * :func:`structural_certify` replays the block-structure argument behind the
   tensor-product lift, giving a rigorous certificate conditional on the
@@ -28,7 +28,6 @@ from .constructions import (
     Lift,
     UMEBCandidate,
     as_lift,
-    fourier_matrix,
     leaf_shape,
     provenance_to_str,
     rebuild_from_provenance,
@@ -36,7 +35,6 @@ from .constructions import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     RANK_RTOL,
-    Tolerances,
     as_square,
     gram_matrix,
     orthonormal_complement,
@@ -88,9 +86,10 @@ class MaxEntangledState:
             raise ValueError("states live on different dimensions")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def is_maximally_entangled(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    def is_maximally_entangled(self) -> bool:
         target = 1.0 / np.sqrt(self.dim)
-        return bool(np.max(np.abs(self.schmidt_coefficients - target)) < tol.phase_tol)
+        deviation = np.max(np.abs(self.schmidt_coefficients - target))
+        return bool(deviation < DEFAULT_TOLERANCES.phase_tol)
 
 
 def to_state(u) -> MaxEntangledState:
@@ -126,14 +125,16 @@ class VerificationReport:
         return asdict(self)
 
 
-def verify_axioms(c: UMEBCandidate, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
+def verify_axioms(c: UMEBCandidate) -> VerificationReport:
     """Check element count, unitarity, and pairwise trace orthogonality.
 
-    ``passed`` requires every unitarity residual below ``tol.unitarity_tol``,
-    every Gram residual (|Tr(U_a^dag U_b)| off-diagonal, |Tr(U_a^dag U_a) - d|
-    on it) below ``tol.gram_tol``, and fewer than d^2 elements.  A complete
+    ``passed`` requires every unitarity residual below
+    ``DEFAULT_TOLERANCES.unitarity_tol``, every Gram residual
+    (|Tr(U_a^dag U_b)| off-diagonal, |Tr(U_a^dag U_a) - d| on it) below
+    ``DEFAULT_TOLERANCES.gram_tol``, and fewer than d^2 elements.  A complete
     orthogonal basis of the matrix space fails only the count condition.
     """
+    tol = DEFAULT_TOLERANCES
     if len(c.elements) == 0:
         raise ValueError("candidate has no elements")
     d = c.dim
@@ -272,7 +273,6 @@ def search_extension(
     iters: int = 500,
     seed: int = 0,
     extension_tol: float = 1e-6,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ExtendibilitySearchResult:
     """Search the trace-orthogonal complement for a unitary matrix.
 
@@ -308,8 +308,9 @@ def search_extension(
     unitarity residual (the ascent alone closes the last stretch only
     quadratically slowly), and its polar factor is re-verified.  The verdict
     is ExtensionFound, with that polar factor as ``extension``, only when its
-    unitarity residual is below ``tol.unitarity_tol`` and every trace overlap
-    below ``tol.gram_tol``; otherwise it is NoExtensionFound and a note gives
+    unitarity residual is below ``DEFAULT_TOLERANCES.unitarity_tol`` and every
+    trace overlap below ``DEFAULT_TOLERANCES.gram_tol``, whatever
+    ``extension_tol`` is; otherwise it is NoExtensionFound and a note gives
     both figures.
 
     A candidate whose span is the whole matrix space has nothing to search:
@@ -324,7 +325,8 @@ def search_extension(
     if extension_tol <= 0:
         raise ValueError("extension_tol must be positive")
 
-    report = verify_axioms(c, tol)
+    tol = DEFAULT_TOLERANCES
+    report = verify_axioms(c)
     if (
         report.max_unitarity_residual >= tol.unitarity_tol
         or report.max_gram_offdiag >= tol.gram_tol
@@ -508,17 +510,17 @@ class StructuralCertificate:
         return asdict(self)
 
 
-def _base_sector_deviation(sector: np.ndarray, base: UMEBCandidate, w: np.ndarray) -> float:
+def _base_sector_deviation(sector: np.ndarray, base: UMEBCandidate, d_i: np.ndarray) -> float:
     """Largest entry of the base sector minus D_i (x) e^(i phi_n) V_pi(n).
 
     ``sector`` is the (q, N, q, d, q, d) block view of the last qN elements,
-    element (i, n) first; ``w`` is the q x q Fourier matrix, whose row i is
-    the diagonal of D_i.  V is the base, N elements in dimension d, and pi
-    and phi are the ordering and per-element phases that best match the
-    first diagonal block of each element (0, n) to it.  nan when no
-    bijective ordering exists.
+    element (i, n) first; ``d_i`` is the (q, q, q) stack of the D_i, the
+    last q factors of :meth:`Lift.left_factors`.  V is the base, N elements
+    in dimension d, and pi and phi are the ordering and per-element phases
+    that best match the first diagonal block of each element (0, n) to it.
+    nan when no bijective ordering exists.
     """
-    q, count = sector.shape[:2]
+    count = sector.shape[1]
     ref = base.matrices
     overlaps = np.einsum("jxy,nxy->nj", ref.conj(), sector[0, :, 0, :, 0, :])
     order = np.argmax(np.abs(overlaps), axis=1)
@@ -526,7 +528,7 @@ def _base_sector_deviation(sector: np.ndarray, base: UMEBCandidate, w: np.ndarra
         return float("nan")
     best = overlaps[np.arange(count), order]
     matched = np.exp(1j * np.angle(best))[:, None, None] * ref[order]
-    expected = np.einsum("ia,ab,nxy->inaxby", w, np.eye(q), matched)
+    expected = np.einsum("iab,nxy->inaxby", d_i, matched)
     return float(np.max(np.abs(sector - expected)))
 
 
@@ -656,7 +658,7 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
     sector = c.matrices[n:].reshape(q, layout.base_count, q, d, q, d)
     base = (rebuild_from_provenance(base_prov) if leaf is not None
             else UMEBCandidate(d, sector[0, :, 0, :, 0, :], base_prov))
-    sector_dev = _base_sector_deviation(sector, base, fourier_matrix(q))
+    sector_dev = _base_sector_deviation(sector, base, layout.left_factors()[q * (q - 1):])
     base_report = verify_axioms(base)
     base_detail = float(np.max([
         sector_dev, base_report.max_unitarity_residual, base_report.max_gram_offdiag,

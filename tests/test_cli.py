@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,21 @@ def test_search_loose_tolerance_writes_no_witness(tmp_path, capsys):
     assert not (tmp_path / "bs3.witness.json").exists()
 
 
+def test_search_cannot_loosen_the_re_verification(tmp_path, capsys):
+    # A Gram threshold of 1 would pass the d = 3 base's best witness, whose
+    # polar factor has a trace overlap of 0.87 with the set; no flag sets it.
+    path = tmp_path / "bs3.json"
+    save_umeb(bravyi_smolin_3(), path)
+    code, stdout, stderr = run(
+        capsys, "search", str(path), "--restarts", "5", "--iters", "50",
+        "--tol", "0.6", "--gram-tol", "1",
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: unrecognized arguments: --gram-tol 1")
+    assert not (tmp_path / "bs3.witness.json").exists()
+
+
 def test_search_usage_errors(tmp_path, capsys):
     path = tmp_path / "bs3.json"
     save_umeb(bravyi_smolin_3(), path)
@@ -521,28 +537,41 @@ def test_compare_distinguishes_finite_from_infinite(tmp_path, capsys):
     assert "DISTINGUISHED" in stdout
 
 
-def test_tolerance_flags_only_where_read(tmp_path, capsys):
-    code, _, stderr = run(
-        capsys, "construct", "bs3", "-o", str(tmp_path / "x.json"), "--phase-tol", "1e-3"
-    )
-    assert code == 1
-    assert "error:" in stderr
-    flags = ("--unitarity-tol", "--gram-tol", "--phase-tol")
-    registered = {}
+# The flags each command took before the thresholds were fixed.
+REMOVED_TOLERANCE_FLAGS = {
+    "lift": ["--unitarity-tol"],
+    "verify": ["--unitarity-tol", "--gram-tol"],
+    "search": ["--unitarity-tol", "--gram-tol"],
+    "spectral": ["--unitarity-tol", "--phase-tol"],
+    "compare": ["--unitarity-tol", "--phase-tol"],
+}
+
+
+def test_no_subcommand_registers_a_tolerance_flag():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
-    for name, parser in sub.choices.items():
-        registered[name] = sorted(
-            o for a in parser._actions for o in a.option_strings if o in flags
-        )
-    assert registered == {
-        "construct": [],
-        "lift": ["--unitarity-tol"],
-        "verify": ["--gram-tol", "--unitarity-tol"],
-        "search": ["--gram-tol", "--unitarity-tol"],
-        "certify": [],
-        "spectral": ["--phase-tol", "--unitarity-tol"],
-        "compare": ["--phase-tol", "--unitarity-tol"],
+    registered = {
+        name: [o for a in parser._actions for o in a.option_strings if re.fullmatch("--.+-tol", o)]
+        for name, parser in sub.choices.items()
     }
+    assert registered == {name: [] for name in sub.choices}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in REMOVED_TOLERANCE_FLAGS.items() for flag in flags],
+)
+def test_removed_tolerance_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    path = tmp_path / "bs3.json"
+    save_umeb(bravyi_smolin_3(), path)
+    operands = {
+        "lift": [str(path), "-q", "2", "-o", str(tmp_path / "l2.json")],
+        "compare": [str(path), str(path)],
+    }.get(command, [str(path)])
+    code, stdout, stderr = run(capsys, command, *operands, flag, "1")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: unrecognized arguments: {flag} 1")
+    assert sorted(os.listdir(tmp_path)) == ["bs3.json"]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

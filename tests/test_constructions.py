@@ -184,11 +184,14 @@ def test_lift_provenance_owns_the_layout():
         assert lifted.dim == lifted.provenance.dim
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 5])
+@pytest.mark.parametrize("q", range(1, 9))
 def test_lift_states_its_left_factors_once(q):
     p = Lift(BravyiSmolin3(), 3, 6, q)
     left, index = p.left_factors(), p.factor_index()
     assert left.shape == (q * q, q, q) and index.shape == (p.element_count,)
+    # The last q are the D_i, bit for bit: certificate check 5 reads them here.
+    for i, d_i in enumerate(left[q * (q - 1):]):
+        assert d_i.tobytes() == row_diag(fourier_matrix(q), i).tobytes()
     # Row 0 of each factor is one exact 1: column j of D_i S^j, column 0 of D_i.
     cols = [j for _ in range(q) for j in range(1, q)] + [0] * q
     want_rows = np.eye(q)[cols]

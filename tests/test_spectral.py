@@ -125,8 +125,6 @@ def test_order_up_to_consistency_across_bounds():
 def test_order_up_to_validates_input():
     with pytest.raises(ValueError):
         order_up_to(1.0, 0)
-    with pytest.raises(ValueError):
-        order_up_to(1.0, 5, tol=0.0)
 
 
 def test_niven_classification():
@@ -271,13 +269,13 @@ def test_sector_summaries_are_the_signature_sectors():
 # the one-pass signature against the per-element path
 # ---------------------------------------------------------------------------
 
-def _reference_records(c, bound, tol=DEFAULT_TOLERANCES):
+def _reference_records(c, bound):
     """Frozen per-element path: each matrix's eigenphases, each phase classified."""
     records = []
     for u in c.elements:
         entries = []
-        for phase in eigenphases(u, tol):
-            cls = _classify_phase(float(phase), bound, tol.phase_tol, c.exact_cos_theta)
+        for phase in eigenphases(u):
+            cls = _classify_phase(float(phase), bound, c.exact_cos_theta)
             entries.append((_bucket(float(phase)), cls, float(phase)))
         entries.sort(key=lambda e: (e[0], _cls_key(e[1])))
         records.append(ElementSpectrum(
@@ -411,9 +409,9 @@ def _eigenphases_shapes(monkeypatch):
     shapes = []
     real = spectral.eigenphases
 
-    def counted(u, tol=DEFAULT_TOLERANCES):
+    def counted(u):
         shapes.append(np.shape(u))
-        return real(u, tol)
+        return real(u)
 
     monkeypatch.setattr(spectral, "eigenphases", counted)
     return shapes
@@ -457,7 +455,7 @@ def test_lifts_of_random_unitary_bases_match_the_full_stack_path_property(d, q, 
     c = lift(base, q)
     assert c.provenance.split(c.matrices) is not None
     full = eigenphases(c.matrices)
-    np.testing.assert_allclose(_circle_rows(_element_phases(c, DEFAULT_TOLERANCES)),
+    np.testing.assert_allclose(_circle_rows(_element_phases(c)),
                                _circle_rows(full), rtol=0, atol=1e-12)
     sig, ref = signature(c, 24), signature(_relabel(c), 24)
     assert sig.summary == ref.summary
@@ -557,6 +555,19 @@ def test_stored_matrices_past_the_threshold_raise_the_full_stack_error():
     with pytest.raises(ValueError) as got:
         signature(c)
     assert str(got.value) == str(want.value)
+
+
+def test_compare_signatures_reads_the_keys_signature_stored(monkeypatch):
+    a, b = signature(lift(bravyi_smolin_3(), 8)), signature(lift(umeb_6(), 4))
+    for sig in (a, b):
+        records = tuple(r.canonical_key() for r in sig.records)
+        assert sig.canonical_key() == (sig.dim, sig.element_count, records)
+    calls = []
+    real = spectral._cls_key
+    monkeypatch.setattr(spectral, "_cls_key", lambda c: calls.append(c) or real(c))
+    assert compare_signatures(a, b) == "Distinguished"
+    assert compare_signatures(a, a) == "NotDistinguished"
+    assert calls == []
 
 
 def test_compare_against_relabelled_and_other_lifts():

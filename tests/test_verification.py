@@ -22,7 +22,6 @@ from umeb.constructions import (
 )
 from umeb.linalg import (
     DimensionMismatchError,
-    Tolerances,
     hs_inner,
     hs_norm,
     orthonormal_complement,
@@ -613,15 +612,10 @@ def test_certify_external_base_is_read_from_the_sector():
         assert cert.checks[-1].detail < 1e-12
 
 
-def test_certify_holds_base_residuals_to_the_threshold_under_loose_tolerances():
+def test_certify_holds_base_residuals_to_the_threshold():
     # Element 0's non-unit eigenphase moved by 3e-10: the base's Gram
-    # residual (1.9e-10) passes tolerances of 1e-8 but not check 5's threshold.
-    theta = float(np.arccos(-7.0 / 8.0)) + 3e-10
-    psi = bravyi_smolin_states()[0]
-    u0 = np.eye(3) - (1.0 - np.exp(1j * theta)) * np.outer(psi, psi.conj())
-    base = UMEBCandidate(3, (u0,) + bravyi_smolin_3().elements[1:], External("moved phase"))
-    loose = Tolerances(unitarity_tol=1e-8, gram_tol=1e-8)
-    cert = structural_certify(lift(base, 2, loose))
+    # residual (1.9e-10) fails check 5's threshold.
+    cert = structural_certify(_moved_phase_lift(3e-10))
     assert cert.overall == "Failed"
     assert not cert.checks[-1].passed
     assert cert.checks[-1].detail >= CERT_ZERO_TOL
@@ -708,9 +702,21 @@ def _moved_phase_base(shift):
     return UMEBCandidate(3, (u0,) + bravyi_smolin_3().elements[1:], External("moved phase"))
 
 
+def _moved_phase_lift(shift):
+    # The moved base is unitary to rounding, so lift takes it as it is: the
+    # q = 2 lift is the Kronecker products it states, bit for bit.
+    base = _moved_phase_base(shift)
+    assert unitarity_residual(base.matrices) < 1e-15
+    c = lift(base, 2)
+    left = c.provenance.left_factors()
+    products = [np.kron(f, w) for f in left[:2] for w in weyl_family(3).elements]
+    products += [np.kron(f, u) for f in left[2:] for u in base.elements]
+    assert c.matrices.tobytes() == np.array(products).tobytes()
+    return c
+
+
 def test_certify_moved_phase_below_the_threshold_certifies():
-    # Gram residual 5.06e-11: below check 5's threshold, so the base passes
-    # whatever tolerances a caller would have chosen.
+    # Gram residual 5.06e-11: below check 5's threshold, so the base passes.
     cert = structural_certify(lift(_moved_phase_base(8e-11), 2))
     assert cert.overall == "CertifiedConditionalOnBase"
     assert cert.checks[-1].detail == pytest.approx(5.06e-11, rel=1e-2)
@@ -719,14 +725,13 @@ def test_certify_moved_phase_below_the_threshold_certifies():
 def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
     base = bravyi_smolin_3().elements
     rephased = tuple(np.exp(0.3j * k) * base[(k + 2) % 6] for k in range(6))
-    loose = Tolerances(unitarity_tol=1e-8, gram_tol=1e-8)
     inputs = [
         umeb_6(),
         *(lift(bravyi_smolin_3(), q) for q in (2, 4, 8)),
         *_tampered_base_sectors(),
         lift(UMEBCandidate(3, rephased, BravyiSmolin3()), 2),
         *_conjugated_weyl_sector_tower(),
-        lift(_moved_phase_base(3e-10), 2, loose),
+        _moved_phase_lift(3e-10),
         lift(_moved_phase_base(8e-11), 2),
         # Check 5 fails below its threshold: on the inner verdict, and on
         # condition (i) of a complete base.
