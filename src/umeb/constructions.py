@@ -140,25 +140,36 @@ class Lift:
             np.repeat(np.arange(q * (q - 1), q * q), self.base_count),
         ])
 
+    def fits(self, matrices) -> bool:
+        """Whether a stack has this layout's shape: the one test of "laid out as this lift"."""
+        return np.shape(matrices) == (self.element_count, self.dim, self.dim)
+
+    def blocks(self, matrices) -> np.ndarray:
+        """A stack that :meth:`fits`, as a view: [k, a, :, b, :] is block (a, b) of element k."""
+        return np.asarray(matrices).reshape(-1, self.q, self.base_dim, self.q, self.base_dim)
+
+    def right_factors(self, matrices) -> np.ndarray:
+        """The right factor Y_k of each element of a stack that :meth:`fits`, read from its
+        block (0, c_k), where F_k[0, c_k] is exactly 1: exact for a product F_k (x) Y_k."""
+        cols = np.argmax(self.left_factors()[:, 0, :] == 1, axis=1)[self.factor_index()]
+        return self.blocks(matrices)[np.arange(len(cols)), 0, :, cols, :]
+
+    def products(self, right: np.ndarray) -> np.ndarray:
+        """The stack F_k (x) Y_k of this layout, from the (n, d, d) right factors Y_k."""
+        return _kron_rows(self.left_factors()[self.factor_index()], right)
+
     def split(self, matrices) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """A stack in this layout as F_k (x) Y_k: ``(factor_index(), Y)``, or None.
 
-        The (n, d, d) right factors Y_k are read from block (0, c) of each
-        element, where F_k[0, c] is exactly 1.  None unless the stack has this
-        layout's shape and equals the products F_k (x) Y_k entry for entry, as
-        every :func:`lift` does; with no tolerance, each element's spectrum is
-        then its factors' product spectrum, up to one rounding per entry.
+        None unless the stack :meth:`fits` and equals the :meth:`products` of
+        its :meth:`right_factors` entry for entry, as every :func:`lift` does;
+        with no tolerance, each element's spectrum is then its factors'
+        product spectrum, up to one rounding per entry.
         """
-        m = np.asarray(matrices)
-        n, q, d = self.element_count, self.q, self.base_dim
-        if m.shape != (n, self.dim, self.dim):
+        right = self.right_factors(matrices) if self.fits(matrices) else None
+        if right is None or not np.array_equal(matrices, self.products(right)):
             return None
-        left, index = self.left_factors(), self.factor_index()
-        cols = np.argmax(left[:, 0, :] == 1, axis=1)[index]
-        right = m.reshape(n, q, d, q, d)[np.arange(n), 0, :, cols, :]
-        if not np.array_equal(m, _kron_rows(left[index], right)):
-            return None
-        return index, right
+        return self.factor_index(), right
 
 
 @dataclass(frozen=True)
@@ -340,19 +351,13 @@ def row_diag(m, i: int) -> np.ndarray:
 
 
 def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products a_k (x) b_k of two stacks of one length, row by row."""
-    n = a.shape[1] * b.shape[1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, n, n)
-
-
-def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products a_i (x) b_j of two stacks, lexicographic in (i, j).
+    """Kronecker products a_k (x) b_k of two stacks of one length, row by row.
 
     One broadcast product; each entry is the single multiplication np.kron
-    makes, so the result is bit-identical to it (einsum is not).
+    makes, so every row is bit-identical to it (einsum is not).
     """
     n = a.shape[1] * b.shape[1]
-    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, n, n)
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +417,10 @@ def umeb_6() -> UMEBCandidate:
     eta_plus = np.eye(2, dtype=np.complex128)
     eta_minus = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
-    elements = np.concatenate([
-        _kron_pairs(np.stack([delta_plus, delta_minus]), weyl_family(3).matrices),
-        _kron_pairs(np.stack([eta_plus, eta_minus]), bravyi_smolin_3().matrices),
-    ])
+    left = np.repeat([delta_plus, delta_minus, eta_plus, eta_minus], [9, 9, 6, 6], axis=0)
+    right = np.concatenate([np.tile(weyl_family(3).matrices, (2, 1, 1)),
+                            np.tile(bravyi_smolin_3().matrices, (2, 1, 1))])
+    elements = _kron_rows(left, right)
     return UMEBCandidate(6, elements.view(_Fresh), Umeb6(), _EXACT_COS_THETA)
 
 
@@ -459,12 +464,9 @@ def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
         i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol)
         raise ValueError(f"base element {i} is not unitary within tolerance")
 
-    factors = prov.left_factors()
-    cut = q * (q - 1)
-    elements = np.concatenate([
-        _kron_pairs(factors[:cut], weyl_family(d).matrices),
-        _kron_pairs(factors[cut:], base.matrices),
-    ])
+    right = np.concatenate([np.tile(weyl_family(d).matrices, (q * (q - 1), 1, 1)),
+                            np.tile(base.matrices, (q, 1, 1))])
+    elements = prov.products(right)
     return UMEBCandidate(q * d, elements.view(_Fresh), prov, base.exact_cos_theta)
 
 

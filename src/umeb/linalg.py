@@ -55,10 +55,10 @@ class Tolerances:
 
 # The one set of numerical thresholds every layer reads; no function or
 # command takes another.  Unitarity residuals must fall below
-# ``unitarity_tol`` and Gram residuals below ``gram_tol``.  An eigenphase has
-# order n when n times it lies within ``phase_tol`` of a multiple of 2*pi, and
-# a state is maximally entangled when its Schmidt coefficients lie within
-# ``phase_tol`` of 1/sqrt(d).
+# ``unitarity_tol`` (a state is maximally entangled when its generating matrix
+# passes that test) and Gram residuals below ``gram_tol``.  ``phase_tol``
+# serves only eigenphase orders: a phase has order n when n times it lies
+# within ``phase_tol`` of a multiple of 2*pi.
 DEFAULT_TOLERANCES = Tolerances()
 
 

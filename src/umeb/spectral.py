@@ -309,14 +309,13 @@ def _sector_rows(
 ) -> tuple[SectorRow, ...]:
     """Per-sector statistics of the (element, phase) labels ``inverse``.
 
-    A lifted candidate (by provenance) is split into its Weyl sector, the
-    first q(q-1)d^2 elements, and the base sector holding the rest; anything
-    else is summarized as a single sector.
+    A candidate laid out as a lift, by provenance and by :meth:`Lift.fits`,
+    is split into its Weyl sector, the first q(q-1)d^2 elements, and the base
+    sector holding the rest; anything else is summarized as a single sector.
     """
     layout = as_lift(c.provenance)
-    if layout is None or len(inverse) < layout.weyl_count:
-        sectors = [("all", inverse)]
-    else:
+    sectors = [("all", inverse)]
+    if layout is not None and layout.fits(c.matrices):
         cut = layout.weyl_count
         sectors = [("weyl", inverse[:cut]), ("base", inverse[cut:])]
     return tuple(

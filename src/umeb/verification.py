@@ -70,7 +70,7 @@ class MaxEntangledState:
     ``amplitudes[i*d + j]`` is the coefficient of |i>|j>.  The state has unit
     norm exactly when the generating matrix has squared Frobenius norm d, and
     it is maximally entangled exactly when all Schmidt coefficients equal
-    1/sqrt(d).
+    1/sqrt(d), that is when the generating matrix is unitary.
     """
 
     dim: int
@@ -87,9 +87,9 @@ class MaxEntangledState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def is_maximally_entangled(self) -> bool:
-        target = 1.0 / np.sqrt(self.dim)
-        deviation = np.max(np.abs(self.schmidt_coefficients - target))
-        return bool(deviation < DEFAULT_TOLERANCES.phase_tol)
+        d = self.dim
+        u = np.sqrt(d) * self.amplitudes.reshape(d, d).T
+        return unitarity_residual(u) < DEFAULT_TOLERANCES.unitarity_tol
 
 
 def to_state(u) -> MaxEntangledState:
@@ -510,26 +510,24 @@ class StructuralCertificate:
         return asdict(self)
 
 
-def _base_sector_deviation(sector: np.ndarray, base: UMEBCandidate, d_i: np.ndarray) -> float:
-    """Largest entry of the base sector minus D_i (x) e^(i phi_n) V_pi(n).
+def _base_sector_deviation(m, layout: Lift, right: np.ndarray, base: UMEBCandidate) -> float:
+    """Largest entry of the base sector of ``m`` minus D_i (x) e^(i phi_n) V_pi(n).
 
-    ``sector`` is the (q, N, q, d, q, d) block view of the last qN elements,
-    element (i, n) first; ``d_i`` is the (q, q, q) stack of the D_i, the
-    last q factors of :meth:`Lift.left_factors`.  V is the base, N elements
-    in dimension d, and pi and phi are the ordering and per-element phases
-    that best match the first diagonal block of each element (0, n) to it.
-    nan when no bijective ordering exists.
+    ``m`` fits ``layout`` and ``right`` is ``layout.right_factors(m)``.  V
+    is the base, and pi and phi are the ordering and per-element phases that
+    best match the right factors U_n of the elements D_0 (x) U_n to it.  nan
+    when no bijective ordering exists.
     """
-    count = sector.shape[1]
+    n, count = layout.weyl_count, layout.base_count
     ref = base.matrices
-    overlaps = np.einsum("jxy,nxy->nj", ref.conj(), sector[0, :, 0, :, 0, :])
+    overlaps = np.einsum("jxy,nxy->nj", ref.conj(), right[n:n + count])
     order = np.argmax(np.abs(overlaps), axis=1)
     if len(set(order.tolist())) != count:
         return float("nan")
     best = overlaps[np.arange(count), order]
     matched = np.exp(1j * np.angle(best))[:, None, None] * ref[order]
-    expected = np.einsum("iab,nxy->inaxby", d_i, matched)
-    return float(np.max(np.abs(sector - expected)))
+    expected = layout.products(np.concatenate([right[:n], np.tile(matched, (layout.q, 1, 1))]))
+    return float(np.max(np.abs(m[n:] - expected[n:])))
 
 
 def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
@@ -558,19 +556,19 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
        system forcing all block traces against the base to vanish has only
        the zero solution.  ``detail`` is the closed form cond W_q = 1.
     5. base_case_verdict: first base_sector_matches_base, the last qN
-       elements are D_i (x) U_n: zero off-diagonal blocks, diagonal block a
-       of element (i, n) equal to w^(ia) U_n, and the U_n equal to the base
-       up to ordering and per-element phase.  Only a leaf, a base that is
-       not itself a lift, is rebuilt from its provenance, once its declared
-       shape matches the lift's; any other base is read from the sector, and
-       the certificate is conditional on that extracted base.  The base is
-       re-verified against the axioms; a lifted base is then certified
-       recursively by these five checks on the data it holds, its notes
-       carried over prefixed ``base: ``, so a tower rebuilds only its leaf,
-       once; a leaf's unextendibility is recorded as an assumption.
-       ``detail`` is the largest of the sector's entry-wise deviation (nan
-       when no ordering matches or the leaf's shape differs) and the base's
-       axiom residuals.
+       elements equal the products D_i (x) U_n that :meth:`Lift.products`
+       forms, with the U_n the base up to ordering and per-element phase.
+       Only a leaf, a base that is not itself a lift, is rebuilt from its
+       provenance, once its declared shape matches the lift's; any other
+       base is read from the sector by :meth:`Lift.right_factors`, as the
+       U_n of the elements D_0 (x) U_n, and the certificate is conditional
+       on that extracted base.  The base is re-verified against the axioms;
+       a lifted base is then certified recursively by these five checks on
+       the data it holds, its notes carried over prefixed ``base: ``, so a
+       tower rebuilds only its leaf, once; a leaf's unextendibility is
+       recorded as an assumption.  ``detail`` is the largest of the sector's
+       entry-wise deviation (nan when no ordering matches or the leaf's
+       shape differs) and the base's axiom residuals.
 
     Each check is held only to the ``threshold`` it reports: CERT_ZERO_TOL
     for checks 1, 2 and 5 (detail below it), 0.5 q^(q/2) for check 3 (at or
@@ -598,7 +596,7 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
     checks: list[CertificateCheck] = []
     notes: list[str] = []
 
-    if c.dim != layout.dim or len(c.elements) != layout.element_count:
+    if not layout.fits(c.matrices):
         checks.append(CertificateCheck(
             "weyl_sector_spans_offdiagonal_blocks", False, float("nan"), CERT_ZERO_TOL
         ))
@@ -611,11 +609,10 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
     # Check 1: zero diagonal blocks and full rank n, the dimension of the
     # off-diagonal-block space.  Check 2 is derived from the same figures.
     if n:
-        flat = c.matrices[:n].reshape(n, -1)
-        diag_blocks = np.diagonal(flat.reshape(n, q, d, q, d), axis1=1, axis2=3)
+        diag_blocks = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
         diag_mass = float(np.max(np.abs(diag_blocks)))
         diag_norm = float(np.linalg.norm(diag_blocks))
-        svals = np.linalg.svd(flat, compute_uv=False)
+        svals = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False)
         rank = int(np.sum(svals > RANK_RTOL * svals[0]))
         margin = svals[-1] - diag_norm
         off_bound = diag_norm / margin if margin > 0 else float("nan")
@@ -646,7 +643,7 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
     # Check 5: the base sector is D_i (x) U_n over the base, and the base case.
     # Only a leaf, a base that is not a lift, is rebuilt, once it has the
     # declared shape (a Weyl family in dimension e costs O(e^4) to build).  Any
-    # other base is read from the sector: element (0, n) has diagonal blocks U_n.
+    # other base is read from the sector: element (0, n) has right factor U_n.
     leaf = leaf_shape(base_prov)
     if leaf not in (None, (d, layout.base_count)):
         notes.append(
@@ -655,10 +652,10 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
         )
         checks.append(CertificateCheck("base_case_verdict", False, float("nan"), CERT_ZERO_TOL))
         return StructuralCertificate(overall="Failed", checks=tuple(checks), notes=tuple(notes))
-    sector = c.matrices[n:].reshape(q, layout.base_count, q, d, q, d)
+    right = layout.right_factors(c.matrices)
     base = (rebuild_from_provenance(base_prov) if leaf is not None
-            else UMEBCandidate(d, sector[0, :, 0, :, 0, :], base_prov))
-    sector_dev = _base_sector_deviation(sector, base, layout.left_factors()[q * (q - 1):])
+            else UMEBCandidate(d, right[n:n + layout.base_count], base_prov))
+    sector_dev = _base_sector_deviation(c.matrices, layout, right, base)
     base_report = verify_axioms(base)
     base_detail = float(np.max([
         sector_dev, base_report.max_unitarity_residual, base_report.max_gram_offdiag,

@@ -3,12 +3,18 @@ import inspect
 import pytest
 
 import umeb
-from umeb import DEFAULT_TOLERANCES, Tolerances
+from umeb import DEFAULT_TOLERANCES, Tolerances, constructions, linalg, spectral, verification
+
+# Every public name of the library modules, not only those the package re-exports.
+PUBLIC = {
+    name: getattr(module, name)
+    for module in (linalg, constructions, verification, spectral)
+    for name in module.__all__
+}
 
 
 def _public_callables():
-    for name in umeb.__all__:
-        obj = getattr(umeb, name)
+    for name, obj in PUBLIC.items():
         if not callable(obj):
             continue
         yield name, obj
@@ -37,3 +43,10 @@ def test_tolerances_hold_only_the_package_thresholds():
     assert Tolerances() == DEFAULT_TOLERANCES
     with pytest.raises(TypeError):
         Tolerances(unitarity_tol=1.0)
+
+
+def test_the_guard_walks_every_module_name_and_the_lift_layout():
+    assert set(umeb.__all__) - {"__version__"} <= set(PUBLIC)
+    names = {name for name, _ in _public_callables()}
+    assert {"as_stack", "as_lift", "leaf_shape", "ElementSpectrum", "CertificateCheck"} <= names
+    assert {f"Lift.{m}" for m in ("fits", "blocks", "right_factors", "products", "split")} <= names

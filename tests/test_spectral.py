@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from umeb import spectral
 from umeb.constructions import (
+    BravyiSmolin3,
     External,
     Lift,
     UMEBCandidate,
@@ -38,6 +39,7 @@ from umeb.spectral import (
     signature,
 )
 from umeb.spectral import PHASE_BUCKET, _bucket, _classify_phase, _cls_key, _element_phases
+from umeb.verification import structural_certify
 
 THETA = float(np.arccos(-7.0 / 8.0))
 
@@ -576,3 +578,91 @@ def test_compare_against_relabelled_and_other_lifts():
     a, b = lift(bravyi_smolin_3(), 4), lift(umeb_6(), 2)
     assert (a.dim, len(a)) == (b.dim, len(b))
     assert compare_signatures(signature(a), signature(b)) == "Distinguished"
+
+
+# ---------------------------------------------------------------------------
+# one owner of the lift's layout
+# ---------------------------------------------------------------------------
+
+def _drawn_base(d, seed, count):
+    # As in the full-stack property above: A W_nm B over some Weyl labels.
+    rng = np.random.default_rng(seed)
+    a, b = haar_unitary(d, rng), haar_unitary(d, rng)
+    labels = rng.permutation(d * d)[:min(count, d * d)]
+    return UMEBCandidate(d, [a @ weyl(d, k // d, k % d) @ b for k in labels], External("drawn"))
+
+
+def _unsigned_zero_bits(a):
+    return (a + 0.0).tobytes()  # -0 + 0 is +0; every other value is kept
+
+
+def _fits_by_every_reader(c):
+    """Sector names, and whether certify's shape check passed and split succeeded."""
+    names = [r.name for r in signature(c, 24).sectors]
+    notes = structural_certify(c).notes
+    shape_ok = not any("does not match the declared lift" in note for note in notes)
+    return names, shape_ok and as_lift(c.provenance).split(c.matrices) is not None
+
+
+def test_a_stack_that_does_not_fit_its_declared_lift_is_one_sector():
+    c = lift(bravyi_smolin_3(), 2)
+    short = UMEBCandidate(6, c.matrices[:-1], c.provenance, c.exact_cos_theta)
+    weyl_20 = UMEBCandidate(6, weyl_family(6).matrices[:20], Lift(BravyiSmolin3(), 3, 6, 2))
+    for bad in (short, weyl_20):
+        assert structural_certify(bad).overall == "Failed"
+        assert _fits_by_every_reader(bad) == (["all"], False)
+        assert [r.element_count for r in signature(bad).sectors] == [len(bad)]
+    assert _fits_by_every_reader(c) == (["weyl", "base"], True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    q=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 16),
+    k=st.integers(0, 3),
+    append=st.booleans(),
+)
+def test_sectors_split_exactly_when_the_stack_fits_its_lift_property(
+    d, q, seed, count, k, append
+):
+    c = lift(_drawn_base(d, seed, count), q)
+    if append:
+        rng = np.random.default_rng(seed)
+        extra = np.reshape([haar_unitary(c.dim, rng) for _ in range(k)], (k, c.dim, c.dim))
+        m = np.concatenate([c.matrices, extra])
+    else:
+        m = c.matrices[:len(c) - min(k, len(c) - 1)]
+    names, fits = _fits_by_every_reader(UMEBCandidate(c.dim, m, c.provenance))
+    assert (names == ["weyl", "base"]) == fits
+    assert fits == (len(m) == len(c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    q=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 16),
+)
+def test_lift_reads_back_the_factors_it_builds_from_property(d, q, seed, count):
+    base = _drawn_base(d, seed, count)
+    m = lift(base, q).matrices
+    layout = Lift(base.provenance, d, len(base), q)
+    right = layout.right_factors(m)
+    tiled = np.concatenate([np.tile(weyl_family(d).matrices, (q * (q - 1), 1, 1)),
+                            np.tile(base.matrices, (q, 1, 1))])
+    # Bit for bit up to the sign of a zero, which the exact 1 of a left factor
+    # can flip: (1 + 0i)(-0 + bi) has real part -0 - 0b, +0 for b < 0.
+    assert _unsigned_zero_bits(layout.products(right)) == _unsigned_zero_bits(m)
+    assert _unsigned_zero_bits(right) == _unsigned_zero_bits(tiled)
+    if q == 1:
+        return  # every entry then lies in the block the right factor is read from
+    # One ulp in the last block row, which the reader never reads.
+    rng = np.random.default_rng(seed)
+    e, i, j = rng.integers(len(m)), (q - 1) * d + rng.integers(d), rng.integers(q * d)
+    moved = m.copy()
+    moved[e, i, j] = complex(np.nextafter(m[e, i, j].real, np.inf), m[e, i, j].imag)
+    assert layout.split(moved) is None
+    assert layout.right_factors(moved).tobytes() == right.tobytes()

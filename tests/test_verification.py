@@ -21,6 +21,7 @@ from umeb.constructions import (
     weyl_family,
 )
 from umeb.linalg import (
+    DEFAULT_TOLERANCES,
     DimensionMismatchError,
     hs_inner,
     hs_norm,
@@ -96,6 +97,16 @@ def test_to_state_rank_one_case():
     np.testing.assert_allclose(s.schmidt_coefficients, [1.0, 0.0], atol=1e-15)
     assert s.norm() == pytest.approx(1.0)
     assert not s.is_maximally_entangled()
+
+
+@pytest.mark.parametrize("eps", [1e-12, 5e-11, 2e-10, 1e-9, 3e-9])
+def test_maximal_entanglement_is_the_unitarity_verdict(eps):
+    # Schmidt coefficients off by ~eps/2 from 1/2; the unitarity residual is ~2 eps.
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    u = q @ np.diag([1.0 + eps, 1.0, 1.0, 1.0])
+    unitary = unitarity_residual(u) < DEFAULT_TOLERANCES.unitarity_tol
+    assert to_state(u).is_maximally_entangled() == unitary
 
 
 def test_to_state_rejects_non_square_with_dimension_mismatch():
