@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -117,8 +118,13 @@ class Lift:
         Each run is lexicographic in (i, j), where D_i is the diagonal of row i
         of the Fourier matrix and S the cyclic shift; :meth:`factor_index`
         names each element's factor.  Row 0 of every factor holds one nonzero
-        entry, exactly 1: in column j of D_i S^j and column 0 of D_i.
+        entry, exactly 1: in column j of D_i S^j and column 0 of D_i.  Built on
+        the first call and shared by every later one, so the array is read-only.
         """
+        return self._left_factors
+
+    @cached_property
+    def _left_factors(self) -> np.ndarray:
         q = self.q
         w = fourier_matrix(q)
         fourier_rows = np.stack([row_diag(w, i) for i in range(q)])
@@ -126,7 +132,9 @@ class Lift:
         shifted = np.array(
             [row @ power for row in fourier_rows for power in powers], dtype=np.complex128
         ).reshape(-1, q, q)
-        return np.concatenate([shifted, fourier_rows])
+        left = np.concatenate([shifted, fourier_rows])
+        left.flags.writeable = False
+        return left
 
     def factor_index(self) -> np.ndarray:
         """Index into :meth:`left_factors` of each element's left factor.
@@ -151,12 +159,46 @@ class Lift:
     def right_factors(self, matrices) -> np.ndarray:
         """The right factor Y_k of each element of a stack that :meth:`fits`, read from its
         block (0, c_k), where F_k[0, c_k] is exactly 1: exact for a product F_k (x) Y_k."""
-        cols = np.argmax(self.left_factors()[:, 0, :] == 1, axis=1)[self.factor_index()]
+        cols = self._lead_columns()
         return self.blocks(matrices)[np.arange(len(cols)), 0, :, cols, :]
 
     def products(self, right: np.ndarray) -> np.ndarray:
         """The stack F_k (x) Y_k of this layout, from the (n, d, d) right factors Y_k."""
         return _kron_rows(self.left_factors()[self.factor_index()], right)
+
+    def base_products(self, base: np.ndarray) -> np.ndarray:
+        """The base sector D_i (x) U_n, lexicographic in (i, n), from the (N, d, d) base
+        U_n: the last qN rows of :meth:`products`, bit for bit, without the Weyl sector."""
+        index = self.factor_index()[self.weyl_count:]
+        return _kron_rows(self.left_factors()[index], np.tile(base, (self.q, 1, 1)))
+
+    def shift_blocks(self, matrices) -> Optional[np.ndarray]:
+        """The Weyl sector of a stack that :meth:`fits` as q - 1 square blocks, or None.
+
+        D_i S^j is nonzero exactly on the q tiles (a, a + j mod q), so element
+        D_i S^j (x) Y lives on those tiles, and distinct shifts j own disjoint
+        tiles.  Block j - 1 holds the q d^2 elements of shift j, one row each
+        in stack order, restricted to those q tiles: (q d^2) x (q d^2).  When
+        every Weyl-sector entry off its element's tiles is exactly zero, the
+        sector, flattened to rows, is these blocks on a diagonal up to a row
+        and column permutation, plus the all-zero columns of the diagonal
+        tiles, so its singular values are exactly the union of the blocks'.
+        None when any such entry is nonzero.
+        """
+        n, q, d = self.weyl_count, self.q, self.base_dim
+        sector = self.blocks(matrices)[:n]
+        order = np.argsort(self._lead_columns()[:n], kind="stable")
+        k, a, b = np.nonzero((self.left_factors() != 0)[self.factor_index()[order]])
+        blocks = sector[order[k], a, :, b, :]
+        # The gathered entries are distinct entries of the sector, so equal
+        # counts leave no nonzero entry off the tiles.
+        if np.count_nonzero(blocks) != np.count_nonzero(sector):
+            return None
+        return blocks.reshape(q - 1, q * d * d, q * d * d)
+
+    def _lead_columns(self) -> np.ndarray:
+        """Each element's column c_k of the exact 1 in row 0 of F_k: j for D_i S^j, 0 for D_i."""
+        return np.argmax(self.left_factors()[:, 0, :] == 1, axis=1)[self.factor_index()]
 
     def split(self, matrices) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """A stack in this layout as F_k (x) Y_k: ``(factor_index(), Y)``, or None.

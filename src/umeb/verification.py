@@ -11,9 +11,10 @@ Three layers of scrutiny for a candidate set of d x d matrices:
   is evidence, not proof.
 * :func:`structural_certify` replays the block-structure argument behind the
   tensor-product lift, giving a rigorous certificate conditional on the
-  unextendibility of the base set.  It reads everything from one SVD of the
-  Weyl sector: its block-diagonal check is a bound derived from the span
-  check, so no complement is computed.
+  unextendibility of the base set.  It reads everything from the singular
+  values of the Weyl sector, one SVD per shift block of the lift: its
+  block-diagonal check is a bound derived from the span check, so no
+  complement is computed.
 """
 
 from __future__ import annotations
@@ -526,8 +527,7 @@ def _base_sector_deviation(m, layout: Lift, right: np.ndarray, base: UMEBCandida
         return float("nan")
     best = overlaps[np.arange(count), order]
     matched = np.exp(1j * np.angle(best))[:, None, None] * ref[order]
-    expected = layout.products(np.concatenate([right[:n], np.tile(matched, (layout.q, 1, 1))]))
-    return float(np.max(np.abs(m[n:] - expected[n:])))
+    return float(np.max(np.abs(m[n:] - layout.base_products(matched))))
 
 
 def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
@@ -540,7 +540,12 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
 
     1. weyl_sector_spans_offdiagonal_blocks: the first q(q-1)d^2 elements
        vanish on diagonal blocks and span that full off-diagonal-block space.
-       ``detail`` is the largest diagonal-block entry.
+       ``detail`` is the largest diagonal-block entry.  The sector's singular
+       values come from the q - 1 square blocks of :meth:`Lift.shift_blocks`,
+       one batched SVD: when each element is exactly zero off the tiles of
+       its left factor, the sector is those blocks on a diagonal up to row
+       and column order, so their singular values are exactly the sector's.
+       A sector with any mass off its tiles takes one SVD of the whole sector.
     2. complement_is_block_diagonal: derived from check 1, not recomputed.
        Split the Weyl sector into off-diagonal-block and diagonal-block parts
        O + E.  A unit matrix trace-orthogonal to the sector has off-block mass
@@ -556,7 +561,7 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
        system forcing all block traces against the base to vanish has only
        the zero solution.  ``detail`` is the closed form cond W_q = 1.
     5. base_case_verdict: first base_sector_matches_base, the last qN
-       elements equal the products D_i (x) U_n that :meth:`Lift.products`
+       elements equal the products D_i (x) U_n that :meth:`Lift.base_products`
        forms, with the U_n the base up to ordering and per-element phase.
        Only a leaf, a base that is not itself a lift, is rebuilt from its
        provenance, once its declared shape matches the lift's; any other
@@ -612,7 +617,11 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
         diag_blocks = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
         diag_mass = float(np.max(np.abs(diag_blocks)))
         diag_norm = float(np.linalg.norm(diag_blocks))
-        svals = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False)
+        blocks = layout.shift_blocks(c.matrices)
+        if blocks is None:
+            svals = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False)
+        else:
+            svals = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
         rank = int(np.sum(svals > RANK_RTOL * svals[0]))
         margin = svals[-1] - diag_norm
         off_bound = diag_norm / margin if margin > 0 else float("nan")

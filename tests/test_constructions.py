@@ -206,6 +206,55 @@ def test_lift_states_its_left_factors_once(q):
     assert np.array_equal(got_rights, rights)
 
 
+@pytest.mark.parametrize("q", range(1, 9))
+def test_lift_shares_one_read_only_build_of_its_left_factors(q):
+    p = Lift(BravyiSmolin3(), 3, 6, q)
+    left = p.left_factors()
+    assert p.left_factors() is left
+    assert not left.flags.writeable
+    with pytest.raises(ValueError):
+        left[0, 0, 0] = 2.0
+    # The build is held outside the fields: equality and hashing are unchanged.
+    assert p == Lift(BravyiSmolin3(), 3, 6, q)
+    assert hash(p) == hash(Lift(BravyiSmolin3(), 3, 6, q))
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 8))
+def test_lift_base_products_are_the_base_sector_bit_for_bit(q):
+    base = bravyi_smolin_3()
+    c = lift(base, q)
+    p = c.provenance
+    assert p.base_products(base.matrices).tobytes() == c.matrices[p.weyl_count:].tobytes()
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 4))
+def test_lift_shift_blocks_hold_each_shift_on_its_tiles(q):
+    d = 3
+    c = lift(bravyi_smolin_3(), q)
+    p = c.provenance
+    blocks = p.shift_blocks(c.matrices)
+    assert blocks.shape == (q - 1, q * d * d, q * d * d)
+    phases = fourier_matrix(q)
+    for j in range(1, q):
+        rows = blocks[j - 1].reshape(q, d * d, q, d, d)  # [i, nm, a] is tile (a, a + j)
+        for i in range(q):
+            for k, w in enumerate(weyl_family(d).matrices):
+                for a in range(q):
+                    assert np.array_equal(rows[i, k, a], phases[i, a] * w)
+
+
+def test_lift_shift_blocks_are_none_with_mass_off_the_tiles():
+    c = lift(bravyi_smolin_3(), 3)
+    p = c.provenance
+    for element, row, col in ((0, 0, 0), (17, 8, 2), (p.weyl_count - 1, 4, 4)):
+        m = c.matrices.copy()
+        m[element, row, col] = 5e-324  # the least subnormal, in a tile the element avoids
+        assert p.shift_blocks(m) is None
+    m = c.matrices.copy()
+    m[p.weyl_count:] = 0.0  # the base sector is not read
+    assert np.array_equal(p.shift_blocks(m), p.shift_blocks(c.matrices))
+
+
 def test_lift_split_is_none_unless_the_stack_is_exactly_the_products():
     c = lift(bravyi_smolin_3(), 3)
     p = c.provenance

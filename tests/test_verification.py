@@ -12,6 +12,7 @@ from umeb.constructions import (
     Lift,
     UMEBCandidate,
     WeylFamily,
+    as_lift,
     bravyi_smolin_3,
     bravyi_smolin_states,
     lift,
@@ -29,6 +30,7 @@ from umeb.linalg import (
     seeded_random_matrix,
     unitarity_residual,
 )
+from umeb.spectral import signature
 from umeb.verification import (
     CERT_ZERO_TOL,
     STEP_TOL,
@@ -851,3 +853,139 @@ def test_base_sector_substitutions_fail_or_stay_unextendible(c):
     assert cert.overall in ("Failed", "CertifiedConditionalOnBase")
     if cert.overall != "Failed":
         assert search_extension(c, restarts=20, iters=200, seed=0).verdict == "NoExtensionFound"
+
+
+# ---------------------------------------------------------------------------
+# Check 1 from the shift blocks of the Weyl sector
+# ---------------------------------------------------------------------------
+
+def _sector_singular_values(c):
+    """The Weyl sector's singular values, descending: from its shift blocks, and
+    from one SVD of the whole sector flattened to rows."""
+    layout = as_lift(c.provenance)
+    n = layout.weyl_count
+    blocks = layout.shift_blocks(c.matrices)
+    assert blocks.shape == (layout.q - 1,) + 2 * (layout.q * layout.base_dim**2,)
+    got = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
+    want = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False) if n else got
+    return got, want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    q=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 16),
+)
+def test_shift_blocks_carry_the_weyl_sector_singular_values_property(d, q, seed, count):
+    # A W_nm B over some Weyl labels, as in the spectral layer's lift property.
+    rng = np.random.default_rng(seed)
+    a, b = haar_unitary(d, rng), haar_unitary(d, rng)
+    labels = rng.permutation(d * d)[:min(count, d * d)]
+    base = UMEBCandidate(d, [a @ weyl(d, k // d, k % d) @ b for k in labels], External("drawn"))
+    got, want = _sector_singular_values(lift(base, q))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_shift_blocks_of_umeb_6_carry_its_weyl_sector_singular_values():
+    got, want = _sector_singular_values(umeb_6())
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _variant(q, change):
+    good = lift(bravyi_smolin_3(), q)
+    m = good.matrices.copy()
+    change(m, good.provenance.weyl_count)
+    return UMEBCandidate(good.dim, m, good.provenance, good.exact_cos_theta)
+
+
+def _rephase(m, n):
+    m[:n] *= np.exp(0.7j * np.arange(n))[:, None, None]
+
+
+def _duplicate(m, n):
+    m[1] = m[0]
+
+
+def _scale(m, n):
+    m[4] *= 1 + 1e-9
+
+
+def _shrink_one_shift(m, n):
+    # Shift 1 of lift(bs3, 3), scaled below the rank threshold of the rest.
+    m[:n].reshape(3, 2, 9, 9, 9)[:, 0] *= 1e-9
+
+
+def _diagonal_entry(m, n):
+    m[2, 0, 1] = 1e-13  # tile (0, 0), where element 2 of lift(bs3, 3) is zero
+
+
+def _swap_shifts(m, n):
+    m[[0, 9]] = m[[9, 0]]  # D_0 S (x) W_00 and D_0 S^2 (x) W_00
+
+
+def _intruder(m, n):
+    m[0] = np.kron(np.eye(2), weyl(3, 0, 0))
+
+
+SHIFT_BLOCK_VARIANTS = {
+    # name: (q, change, whether the Weyl sector keeps its tiles)
+    "rephased": (3, _rephase, True),
+    "duplicated": (2, _duplicate, True),
+    "scaled": (3, _scale, True),
+    "one_shift_shrunk": (3, _shrink_one_shift, True),
+    "diagonal_entry": (3, _diagonal_entry, False),
+    "swapped_across_shifts": (3, _swap_shifts, False),
+    "block_diagonal_intruder": (2, _intruder, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_BLOCK_VARIANTS))
+def test_certificate_from_shift_blocks_equals_the_full_svd_one(name, monkeypatch):
+    q, change, keeps_tiles = SHIFT_BLOCK_VARIANTS[name]
+    c = _variant(q, change)
+    assert (c.provenance.shift_blocks(c.matrices) is not None) == keeps_tiles
+    if keeps_tiles:
+        got, want = _sector_singular_values(c)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    cert = structural_certify(c)
+    monkeypatch.setattr(Lift, "shift_blocks", lambda self, matrices: None)
+    reference = structural_certify(c)
+    # repr tells every float bit apart and holds nan equal to nan.
+    assert repr(cert.to_dict()) == repr(reference.to_dict())
+    if name == "duplicated":
+        assert any("rank 17" in note for note in cert.notes)
+    if name == "one_shift_shrunk":
+        assert any("rank 27" in note for note in cert.notes)
+
+
+def test_certify_makes_no_svd_larger_than_one_shift_block(monkeypatch):
+    svd, rows = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        rows.append(np.shape(a)[-2])
+        return svd(a, *args, **kwargs)
+
+    c = lift(bravyi_smolin_3(), 8)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert structural_certify(c).overall == "CertifiedConditionalOnBase"
+    assert rows and max(rows) <= 8 * 3 * 3
+
+
+def test_certify_and_signature_build_the_left_factors_once_each(monkeypatch):
+    builds = []
+    fourier = constructions.fourier_matrix
+
+    def counting_fourier(q):
+        builds.append(q)
+        return fourier(q)
+
+    c = lift(bravyi_smolin_3(), 8)
+    monkeypatch.setattr(constructions, "fourier_matrix", counting_fourier)
+    for run in (structural_certify, signature):
+        # A fresh layout, so the factors lift built are not already held.
+        fresh = UMEBCandidate(c.dim, c.matrices, Lift(BravyiSmolin3(), 3, 6, 8), c.exact_cos_theta)
+        builds.clear()
+        run(fresh)
+        assert builds == [8]
