@@ -607,31 +607,66 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     return parts.view(np.complex128).reshape(dim, dim)
 
 
+_SAVE_BLOCK = 1 << 15  # reals encoded per json.dumps call on save
+_ZERO_TOKENS = np.array(["0.0", "-0.0"], dtype=object)  # by sign bit
+
+
+def _element_block(reals: np.ndarray, d2: int) -> str:
+    """The file lines of whole elements whose reals, in order, ``reals`` holds.
+
+    Each line is four spaces, ``json.dumps(matrix_to_pairs(e),
+    allow_nan=False)``, a ',' and a newline.  A zero is spelled ``0.0`` or
+    ``-0.0`` by its sign bit, as ``repr`` spells it; the other reals go
+    through one ``json.dumps`` call, which writes each as its ``repr`` and
+    refuses non-finite ones.
+    """
+    tokens = _ZERO_TOKENS[np.signbit(reals).view(np.uint8)]
+    nonzero = reals != 0
+    if nonzero.any():
+        tokens[nonzero] = json.dumps(reals[nonzero].tolist(), allow_nan=False)[1:-1].split(", ")
+    pairs = tokens.reshape(-1, d2, 2)
+    # Per element: '    [[' re ', ' im '], [' re ', ' im ... ']],\n'.
+    grid = np.empty((len(pairs), 4 * d2 + 1), dtype=object)
+    grid[:, 0] = "    [["
+    grid[:, 1::4] = pairs[:, :, 0]
+    grid[:, 2::4] = ", "
+    grid[:, 3::4] = pairs[:, :, 1]
+    grid[:, 4::4] = "], ["
+    grid[:, -1] = "]],\n"
+    return "".join(grid.ravel().tolist())
+
+
 def save_umeb(candidate: UMEBCandidate, path) -> None:
     """Write a candidate to the matrix-set JSON format.
 
-    Each element is one line, encoded in one pass by the C JSON encoder.
-    Reals are written as their shortest round-trip ``repr``, which
-    reproduces every double bit-exactly on load (``-0.0`` included) and
-    always carries a ``.`` or an exponent; output bytes are deterministic.
+    Each element is one line, ``json.dumps`` of its :func:`matrix_to_pairs`:
+    every real is its shortest round-trip ``repr``, which reproduces every
+    double bit-exactly on load (``-0.0`` included) and always carries a
+    ``.`` or an exponent; output bytes are deterministic.  The elements are
+    encoded in blocks of about 2^15 reals, each zero straight from its sign
+    bit and the nonzero reals by one C JSON-encoder call per block.  Every
+    block is encoded before ``path`` is opened, so an encoding error leaves
+    any file there as it was.
     """
-    n = len(candidate.elements)
-    lines = ["{"]
-    lines.append(f'  "dim": {candidate.dim},')
-    lines.append(f'  "provenance": {json.dumps(provenance_to_str(candidate.provenance))},')
+    d2 = candidate.dim * candidate.dim
+    reals = np.ascontiguousarray(candidate.matrices).view(np.float64).reshape(-1)
+    step = 2 * d2 * max(1, _SAVE_BLOCK // (2 * d2))
+    blocks = [_element_block(reals[i:i + step], d2) for i in range(0, reals.size, step)]
+    if blocks:
+        blocks[-1] = blocks[-1][:-2] + "\n"  # no ',' after the last element
     ect = candidate.exact_cos_theta
-    if ect is None:
-        lines.append('  "exact_cos_theta": null,')
-    else:
-        lines.append(f'  "exact_cos_theta": [{ect.numerator}, {ect.denominator}],')
-    lines.append('  "elements": [')
-    for i, e in enumerate(candidate.elements):
-        comma = "," if i + 1 < n else ""
-        lines.append(f"    {json.dumps(matrix_to_pairs(e), allow_nan=False)}{comma}")
-    lines.append("  ]")
-    lines.append("}")
+    ect_text = "null" if ect is None else f"[{ect.numerator}, {ect.denominator}]"
+    header = (
+        "{\n"
+        f'  "dim": {candidate.dim},\n'
+        f'  "provenance": {json.dumps(provenance_to_str(candidate.provenance))},\n'
+        f'  "exact_cos_theta": {ect_text},\n'
+        '  "elements": [\n'
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.writelines(blocks)
+        fh.write("  ]\n}\n")
 
 
 def _decode_document(text: str):
@@ -762,11 +797,12 @@ _TO_SPACES = bytes.maketrans(b"[],", b"   ")
 _SCAN_CHUNK = 1 << 16
 
 
-def _scan_chunk(piece: bytes) -> Optional[tuple[bytes, int]]:
+def _scan_chunk(piece: bytes) -> Optional[tuple[bytes, np.ndarray]]:
     """Check a run of elements text that starts the array or follows a ','.
 
-    Returns the run's brackets and commas and its number of tokens, or None
-    when it breaks a rule of the grammar above that the run can show.
+    Returns the run's brackets and commas and a mask of the bytes of
+    ``piece`` that start a token, or None when it breaks a rule of the
+    grammar above that the run can show.
     """
     # What precedes the run, a ',' or the array's start, read as two ','s:
     # no rule looks further back.
@@ -788,12 +824,58 @@ def _scan_chunk(piece: bytes) -> Optional[tuple[bytes, int]]:
         return None
     # Whitespace must not split a token: the run has as many tokens as its
     # whitespace-free view.
-    number = np.frombuffer(piece.translate(_IS_NUMBER), dtype=np.bool_)
-    tokens = np.count_nonzero(number[1:] > number[:-1]) + int(number[0])
+    number = np.frombuffer(padded.translate(_IS_NUMBER), dtype=np.bool_)
+    first = number[2:] > number[1:-1]
     packed = cls[1:] >= _DIGIT
-    if tokens != np.count_nonzero(packed[1:] > packed[:-1]):
+    if np.count_nonzero(first) != np.count_nonzero(packed[1:] > packed[:-1]):
         return None
-    return piece.translate(None, _JSON_WS + _DIGITS + b"-+.eE"), tokens
+    return piece.translate(None, _JSON_WS + _DIGITS + b"-+.eE"), first
+
+
+# The first bytes of the two zero tokens a saved file holds, as read by
+# _parse_reals: '0.0' or '-0.0' and the ',' or ']' that ends it.
+_POSITIVE_ZEROS = [int.from_bytes(b"0.0" + end, "little") for end in (b",", b"]")]
+_NEGATIVE_ZEROS = [int.from_bytes(b"-0.0" + end, "little") for end in (b",", b"]")]
+_SPACE = ord(" ")
+
+
+def _parse_reals(piece: bytes, first: np.ndarray) -> Optional[np.ndarray]:
+    """The reals of a run that :func:`_scan_chunk` passed, ``first`` marking
+    the byte that starts each token.
+
+    A token that is exactly ``0.0`` or ``-0.0`` and ends at a ',' or ']' is
+    read from its first bytes as the double json gives it, +0.0 or -0.0.
+    Those tokens are blanked and the rest go through one C float parse,
+    which must read exactly as many; None when it does not.  Every other
+    spelling of a zero (``0``, ``0.00``, ``-0.0e0``, a ``0.0`` ended by
+    whitespace) is one of the rest; the scan never passes the integer ``-0``.
+    """
+    text = piece.translate(_TO_SPACES)
+    rest = None  # every token
+    if b"0.0 " in text:  # how each zero token the compare reads shows here
+        starts = np.flatnonzero(first)
+        padded = piece + b" " * 7  # eight bytes from every start
+        heads = np.ndarray(len(piece), dtype="<u8", buffer=padded, strides=(1,))[starts]
+        low4, low5 = heads & 0xFFFFFFFF, heads & 0xFFFFFFFFFF
+        positive = (low4 == _POSITIVE_ZEROS[0]) | (low4 == _POSITIVE_ZEROS[1])
+        negative = (low5 == _NEGATIVE_ZEROS[0]) | (low5 == _NEGATIVE_ZEROS[1])
+        rest = ~(positive | negative)
+        chars = np.frombuffer(text, dtype=np.uint8).copy()
+        zeros = starts[~rest]
+        for k in range(3):
+            chars[zeros + k] = _SPACE
+        chars[starts[negative] + 3] = _SPACE
+        text = chars.tobytes()
+    count = np.count_nonzero(first if rest is None else rest)
+    # An all-space string would parse as one number.
+    values = np.fromstring(text, dtype=np.float64, sep=" ") if count else np.empty(0)
+    if values.size != count:
+        return None
+    if rest is None:
+        return values
+    reals = np.where(negative, -0.0, 0.0)
+    reals[rest] = values
+    return reals
 
 
 def _pattern_span(unit: bytes, size: int, start: int, stop: int) -> bytes:
@@ -812,9 +894,9 @@ def _scan_elements(text: str, start: int, end: int, dim: int) -> Optional[np.nda
 
     Plain means: an ASCII array of n arrays of dim^2 ``[re, im]`` pairs whose
     reals are JSON number tokens that json decodes to the same doubles as
-    the C float parse used here, all finite.  None otherwise; the full
-    decoder then gives the value or the error.  Beyond the result, memory
-    stays bounded by the chunk size.
+    :func:`_parse_reals` reads, all finite: its zero compare and its C float
+    parse.  None otherwise; the full decoder then gives the value or the
+    error.  Beyond the result, memory stays bounded by the chunk size.
     """
     d2 = dim * dim
     n, rem = divmod(text.count("[", start, end) - 1, d2 + 1)
@@ -834,19 +916,17 @@ def _scan_elements(text: str, start: int, end: int, dim: int) -> Optional[np.nda
         stop = end if cut < 0 else cut + 1
         piece = text[pos:stop].encode()  # a non-ASCII byte is in no class
         scanned = _scan_chunk(piece)
-        if scanned is None or filled + scanned[1] > out.size:
+        if scanned is None:
             return None
-        skeleton, tokens = scanned
+        skeleton, first = scanned
         stop_at = checked + len(skeleton)
         if stop_at > size or skeleton != _pattern_span(unit, size, checked, stop_at):
             return None
-        if tokens:
-            # An all-space string parses as one number, so only runs with tokens.
-            values = np.fromstring(piece.translate(_TO_SPACES), dtype=np.float64, sep=" ")
-            if values.size != tokens:
-                return None
-            out[filled:filled + tokens] = values
-        checked, filled, pos = stop_at, filled + tokens, stop
+        values = _parse_reals(piece, first)
+        if values is None or filled + values.size > out.size:
+            return None
+        out[filled:filled + values.size] = values
+        checked, filled, pos = stop_at, filled + values.size, stop
     if filled != out.size or checked != size or not np.isfinite(out).all():
         return None
     return out.view(np.complex128).reshape(n, dim, dim)
@@ -857,11 +937,14 @@ def load_umeb(path) -> UMEBCandidate:
 
     The header keys are decoded by ``json``; the ``elements`` array is read
     straight from the text: one validating byte scan, in bounded chunks,
-    and one C float parse per chunk, with no Python object per number.  Any
-    other valid layout (strings or non-ASCII text among the elements,
-    duplicate keys, integer ``-0``, values that are not finite) loads
-    through the general decoder and :func:`pairs_to_matrix`, which also
-    give every error; both paths yield the same values and the same errors.
+    with no Python object per number.  In each chunk the exact tokens
+    ``0.0`` and ``-0.0`` ended by ',' or ']', most of a saved lift, are set
+    from a byte compare, and the other tokens go through one C float parse
+    (:func:`_parse_reals`).  Any other valid layout (strings or non-ASCII
+    text among the elements, duplicate keys, integer ``-0``, values that
+    are not finite) loads through the general decoder and
+    :func:`pairs_to_matrix`, which also give every error; both paths yield
+    the same values and the same errors.
     Reals may be written in any JSON number form, so files with 17
     significant digits, as older versions wrote them, load bit-exactly too.
     Canonical provenance strings are parsed back into structured provenance

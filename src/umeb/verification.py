@@ -614,13 +614,16 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
     # Check 1: zero diagonal blocks and full rank n, the dimension of the
     # off-diagonal-block space.  Check 2 is derived from the same figures.
     if n:
-        diag_blocks = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
-        diag_mass = float(np.max(np.abs(diag_blocks)))
-        diag_norm = float(np.linalg.norm(diag_blocks))
         blocks = layout.shift_blocks(c.matrices)
         if blocks is None:
+            diag_blocks = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
+            diag_mass = float(np.max(np.abs(diag_blocks)))
+            diag_norm = float(np.linalg.norm(diag_blocks))
             svals = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False)
         else:
+            # The diagonal tiles lie off every Weyl element's tiles, so
+            # shift_blocks has just found each of their entries zero.
+            diag_mass = diag_norm = 0.0
             svals = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
         rank = int(np.sum(svals > RANK_RTOL * svals[0]))
         margin = svals[-1] - diag_norm

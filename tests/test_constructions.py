@@ -740,6 +740,111 @@ def test_d24_lift_round_trip_is_bit_exact_and_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# File format: the block writer against one json.dumps per element
+# ---------------------------------------------------------------------------
+
+# The writer as it was before block encoding, kept as the reference: each
+# element one line, one json.dumps of its pair list.
+def _reference_save_text(c):
+    ect = c.exact_cos_theta
+    ect_text = "null" if ect is None else f"[{ect.numerator}, {ect.denominator}]"
+    lines = [
+        "{",
+        f'  "dim": {c.dim},',
+        f'  "provenance": {json.dumps(provenance_to_str(c.provenance))},',
+        f'  "exact_cos_theta": {ect_text},',
+        '  "elements": [',
+    ]
+    n = len(c.elements)
+    for i, e in enumerate(c.elements):
+        comma = "," if i + 1 < n else ""
+        lines.append(f"    {json.dumps(matrix_to_pairs(e), allow_nan=False)}{comma}")
+    lines += ["  ]", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _dense_unitaries(dim, count):
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return UMEBCandidate(dim, np.linalg.qr(z)[0], External("dense"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lift(bravyi_smolin_3(), 2), lambda: lift(bravyi_smolin_3(), 4),
+    lambda: lift(bravyi_smolin_3(), 8), lambda: lift(umeb_6(), 4), lambda: weyl_family(4),
+    lambda: _dense_unitaries(6, 40), _signed_zero_candidate,
+    lambda: UMEBCandidate(2, (), External("empty")),
+], ids=["lift_bs3_2", "lift_bs3_4", "lift_bs3_8", "lift_umeb6_4", "weyl_4", "dense", "signed_zeros",
+        "empty"])
+def test_save_writes_the_reference_bytes(tmp_path, make):
+    c = make()
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    assert path.read_bytes() == _reference_save_text(c).encode("utf-8")
+
+
+# Mostly the zeros a lift holds, among reals whose repr is short, long,
+# subnormal or has an exponent.
+_SAVED_REALS = st.sampled_from([0.0, -0.0] * 6 + [5e-324, -5e-324, 1e-05, 1e308, 1e16, -1.0, 0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    count=st.integers(1, 6),
+    block=st.integers(1, 40),
+    data=st.data(),
+)
+def test_save_writes_the_reference_bytes_property(tmp_path_factory, dim, count, block, data):
+    n = 2 * dim * dim * count
+    parts = data.draw(st.lists(_SAVED_REALS, min_size=n, max_size=n))
+    mats = np.array(parts, dtype=np.float64).view(np.complex128).reshape(count, dim, dim)
+    c = UMEBCandidate(dim, mats, External("drawn"))
+    path = tmp_path_factory.mktemp("save") / "m.json"
+    # A block of 1 to 40 reals: one element per block, or several, or all.
+    default, constructions._SAVE_BLOCK = constructions._SAVE_BLOCK, block
+    try:
+        save_umeb(c, path)
+    finally:
+        constructions._SAVE_BLOCK = default
+    assert path.read_bytes() == _reference_save_text(c).encode("utf-8")
+
+
+def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save_umeb(bravyi_smolin_3(), path)
+    old = path.read_bytes()
+    encode, calls = constructions._element_block, []
+
+    def failing_block(reals, d2):
+        calls.append(d2)
+        if len(calls) == 2:
+            raise RuntimeError("encoding failed")
+        return encode(reals, d2)
+
+    monkeypatch.setattr(constructions, "_element_block", failing_block)
+    monkeypatch.setattr(constructions, "_SAVE_BLOCK", 72)  # one element of dim 6 per block
+    with pytest.raises(RuntimeError, match="encoding failed"):
+        save_umeb(umeb_6(), path)
+    assert len(calls) == 2
+    assert path.read_bytes() == old
+
+
+def test_d24_save_stays_within_a_memory_bound(tmp_path):
+    c = lift(bravyi_smolin_3(), 8)
+    path = tmp_path / "d24.json"
+    tracemalloc.start()
+    try:
+        save_umeb(c, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The encoded blocks are about the file; one string joining them, or
+    # the whole file's pair lists, is one more file size or several.
+    assert peak < 1.5 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
 # File format: the elements scan against the general decoder
 # ---------------------------------------------------------------------------
 
@@ -852,6 +957,21 @@ _EDGE_REALS = st.sampled_from([
 ])
 _ODD_REALS = st.one_of(_EDGE_REALS, st.text("0123456789-+.eE", min_size=1, max_size=6))
 _WHITESPACE = st.sampled_from([" ", "\n", "\t", "\r\n", "  "])
+# Spellings next to the zeros the loader reads by a byte compare: other
+# zeros, non-zeros that start like them, and those zeros ended by whitespace.
+_NEAR_ZEROS = [
+    "0.00", "-0.00", "0.0e0", "-0.0e-0", "0.0E+1", "0.05", "-0.05", "0.0e5", "-0.0e5", "0.01",
+    "-0", "0", "00.0", "0.0.0", "-0.0-", "0.0 ", "-0.0\n", "0.0\t", " 0.0", "-0.0\r\n",
+]
+
+
+@st.composite
+def _sparse_reals(draw):
+    """About 90% the tokens 0.0 and -0.0, as in a saved lift; else a nearby spelling or any real."""
+    k = draw(st.integers(0, 19))
+    if k < 18:
+        return draw(st.sampled_from(["0.0", "-0.0"]))
+    return draw(st.sampled_from(_NEAR_ZEROS) if k == 18 else _PLAIN_REALS)
 
 
 def _layout(value, style, depth=0):
@@ -869,16 +989,18 @@ def _layout(value, style, depth=0):
 def _documents(draw):
     """Matrix-set files, most of them plain, each with at most a few faults.
 
-    A plain file holds only JSON number tokens that are finite doubles; the
-    faults are an odd token (or all tokens odd), whitespace inside a token
-    or anywhere, a real or a pair moved to another pair or element (which
-    keeps the count of brackets or of reals), reordered or duplicated keys,
-    a key whose value holds "elements" and '}', and trailing garbage.
+    A plain file holds only JSON number tokens that are finite doubles; half
+    the files are sparse, mostly the tokens 0.0 and -0.0.  The faults are an
+    odd token (or all tokens odd), whitespace inside a token or anywhere, a
+    real or a pair moved to another pair or element (which keeps the count
+    of brackets or of reals), reordered or duplicated keys, a key whose
+    value holds "elements" and '}', and trailing garbage.
     """
     dim, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     n = 2 * dim * dim * count
     odd = draw(st.sampled_from(["none", "one", "all"]))
-    tokens = draw(st.lists(_ODD_REALS if odd == "all" else _PLAIN_REALS, min_size=n, max_size=n))
+    plain = draw(st.sampled_from([_PLAIN_REALS, _sparse_reals()]))
+    tokens = draw(st.lists(_ODD_REALS if odd == "all" else plain, min_size=n, max_size=n))
     if odd == "one":
         tokens[draw(st.integers(0, n - 1))] = draw(_ODD_REALS)
     if draw(st.integers(0, 4)) == 0:
@@ -958,6 +1080,54 @@ def test_load_matches_the_general_decoder_on_handpicked_files(tmp_path, text):
     path = tmp_path / "m.json"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
+
+
+# Zero spellings in every place a real can sit: each needs json's double,
+# whether the byte compare reads it or the float parse does.
+_ZERO_SPELLING_FILES = [
+    '{' + _HEADER + f', "elements": [[[{re_}, {im}]]]}}'
+    for re_, im in [
+        ("0.0", "-0.0"), ("-0.0", "0.0"), ("0.0", "1.5"), ("-0.0 ", "-0.0\n"), ("0.0\t", "0.0 "),
+        ("-0", "0.0"), ("0.0", "-0"), ("0", "-0.0"), ("0.00", "-0.00"), ("0.0e0", "-0.0e-0"),
+        ("0.0e5", "-0.0e5"), ("0.05", "-0.05"), ("0.0E+1", "-0.01"), ("10.0", "-10.0"),
+        ("1e-0", "0.0e-5"), ("\n0.0", "\n-0.0"), ("0.0\r\n", "-0.0\r\n"),
+    ]
+] + [
+    '{"dim": 2, "provenance": "x", "exact_cos_theta": null, "elements": ['
+    '[[0.0, -0.0], [-0.0, 0.0], [0.0,-0.0], [-0.0 ,0.0]],\n'
+    '[[-0.0, 0.0],[0.0,\t-0.0], [0.0, 0.0], [1.0, -0.0]]]}',
+    '{"dim": 1, "provenance": "x", "exact_cos_theta": null, "elements": [[[0.0, -0.0]],'
+    ' [[-0.0, 0.0]], [[0.0, 0.0]], [[-0.0, -0.0]]]}',
+]
+
+
+@pytest.mark.parametrize("chunk", [constructions._SCAN_CHUNK, 1])
+@pytest.mark.parametrize("text", _ZERO_SPELLING_FILES)
+def test_load_matches_the_general_decoder_on_zero_spellings(tmp_path, monkeypatch, chunk, text):
+    path = tmp_path / "m.json"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(constructions, "_SCAN_CHUNK", chunk)
+    assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
+
+
+@pytest.mark.parametrize("real", ["-0", "0"])
+def test_load_reads_an_integer_zero_as_positive_zero(tmp_path, real):
+    path = tmp_path / "z.json"
+    path.write_text('{' + _HEADER + f', "elements": [[[{real}, -0.0]]]}}')
+    value = load_umeb(path).matrices[0, 0, 0]
+    assert value.real == 0.0 and not np.signbit(value.real) and np.signbit(value.imag)
+
+
+@pytest.mark.parametrize("real, value", [
+    ("0.0e5", 0.0), ("-0.0e5", -0.0), ("0.05", 0.05), ("-0.05", -0.05), ("0.01", 0.01),
+    ("0.00", 0.0), ("-0.00", -0.0), ("0.0E+1", 0.0),
+])
+def test_load_reads_reals_that_start_like_a_zero_as_json_does(tmp_path, real, value):
+    path = tmp_path / "z.json"
+    path.write_text('{' + _HEADER + f', "elements": [[[{real}, {real}]], [[0.0, -0.0]]]}}')
+    got = load_umeb(path).matrices[0, 0, 0]
+    for part in (got.real, got.imag):
+        assert np.float64(part).tobytes() == np.float64(value).tobytes()
 
 
 @pytest.mark.parametrize("real, negative", [("-0", False), ("-0.0", True), ("0", False)])

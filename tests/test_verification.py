@@ -960,6 +960,24 @@ def test_certificate_from_shift_blocks_equals_the_full_svd_one(name, monkeypatch
         assert any("rank 27" in note for note in cert.notes)
 
 
+@pytest.mark.parametrize("name, mass", [
+    ("diagonal_entry", 1e-13), ("block_diagonal_intruder", 1.0),
+])
+def test_certificate_with_mass_off_the_tiles_reports_its_diagonal_mass(name, mass):
+    q, change, _ = SHIFT_BLOCK_VARIANTS[name]
+    c = _variant(q, change)
+    n, d = c.provenance.weyl_count, c.provenance.base_dim
+    tiles = c.matrices[:n].reshape(n, q, d, q, d)
+    diag = np.stack([tiles[:, a, :, a, :] for a in range(q)])
+    span, off = structural_certify(c).checks[:2]
+    assert span.detail == np.max(np.abs(diag)) == mass
+    # Check 2's bound is ||E||_F / (s_min - ||E||_F), nan past the margin.
+    s_min = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False)[-1]
+    norm = np.linalg.norm(diag)
+    want = norm / (s_min - norm) if s_min > norm else float("nan")
+    assert repr(off.detail) == repr(float(want))
+
+
 def test_certify_makes_no_svd_larger_than_one_shift_block(monkeypatch):
     svd, rows = np.linalg.svd, []
 
