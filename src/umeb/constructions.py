@@ -800,9 +800,9 @@ _SCAN_CHUNK = 1 << 16
 def _scan_chunk(piece: bytes) -> Optional[tuple[bytes, np.ndarray]]:
     """Check a run of elements text that starts the array or follows a ','.
 
-    Returns the run's brackets and commas and a mask of the bytes of
-    ``piece`` that start a token, or None when it breaks a rule of the
-    grammar above that the run can show.
+    Returns the run's brackets and commas and the offsets in ``piece`` at
+    which its tokens start, or None when it breaks a rule of the grammar
+    above that the run can show.
     """
     # What precedes the run, a ',' or the array's start, read as two ','s:
     # no rule looks further back.
@@ -825,11 +825,11 @@ def _scan_chunk(piece: bytes) -> Optional[tuple[bytes, np.ndarray]]:
     # Whitespace must not split a token: the run has as many tokens as its
     # whitespace-free view.
     number = np.frombuffer(padded.translate(_IS_NUMBER), dtype=np.bool_)
-    first = number[2:] > number[1:-1]
+    starts = np.flatnonzero(number[2:] > number[1:-1])
     packed = cls[1:] >= _DIGIT
-    if np.count_nonzero(first) != np.count_nonzero(packed[1:] > packed[:-1]):
+    if starts.size != np.count_nonzero(packed[1:] > packed[:-1]):
         return None
-    return piece.translate(None, _JSON_WS + _DIGITS + b"-+.eE"), first
+    return piece.translate(None, _JSON_WS + _DIGITS + b"-+.eE"), starts
 
 
 # The first bytes of the two zero tokens a saved file holds, as read by
@@ -839,9 +839,9 @@ _NEGATIVE_ZEROS = [int.from_bytes(b"-0.0" + end, "little") for end in (b",", b"]
 _SPACE = ord(" ")
 
 
-def _parse_reals(piece: bytes, first: np.ndarray) -> Optional[np.ndarray]:
-    """The reals of a run that :func:`_scan_chunk` passed, ``first`` marking
-    the byte that starts each token.
+def _parse_reals(piece: bytes, starts: np.ndarray) -> Optional[np.ndarray]:
+    """The reals of a run that :func:`_scan_chunk` passed, its tokens
+    starting at the offsets ``starts``.
 
     A token that is exactly ``0.0`` or ``-0.0`` and ends at a ',' or ']' is
     read from its first bytes as the double json gives it, +0.0 or -0.0.
@@ -850,29 +850,23 @@ def _parse_reals(piece: bytes, first: np.ndarray) -> Optional[np.ndarray]:
     spelling of a zero (``0``, ``0.00``, ``-0.0e0``, a ``0.0`` ended by
     whitespace) is one of the rest; the scan never passes the integer ``-0``.
     """
-    text = piece.translate(_TO_SPACES)
-    rest = None  # every token
-    if b"0.0 " in text:  # how each zero token the compare reads shows here
-        starts = np.flatnonzero(first)
-        padded = piece + b" " * 7  # eight bytes from every start
-        heads = np.ndarray(len(piece), dtype="<u8", buffer=padded, strides=(1,))[starts]
-        low4, low5 = heads & 0xFFFFFFFF, heads & 0xFFFFFFFFFF
-        positive = (low4 == _POSITIVE_ZEROS[0]) | (low4 == _POSITIVE_ZEROS[1])
-        negative = (low5 == _NEGATIVE_ZEROS[0]) | (low5 == _NEGATIVE_ZEROS[1])
-        rest = ~(positive | negative)
-        chars = np.frombuffer(text, dtype=np.uint8).copy()
-        zeros = starts[~rest]
-        for k in range(3):
-            chars[zeros + k] = _SPACE
-        chars[starts[negative] + 3] = _SPACE
-        text = chars.tobytes()
-    count = np.count_nonzero(first if rest is None else rest)
+    padded = piece + b" " * 7  # eight bytes from every start
+    heads = np.ndarray(len(piece), dtype="<u8", buffer=padded, strides=(1,))[starts]
+    low4, low5 = heads & 0xFFFFFFFF, heads & 0xFFFFFFFFFF
+    positive = (low4 == _POSITIVE_ZEROS[0]) | (low4 == _POSITIVE_ZEROS[1])
+    negative = (low5 == _NEGATIVE_ZEROS[0]) | (low5 == _NEGATIVE_ZEROS[1])
+    rest = ~(positive | negative)
+    text = bytearray(piece.translate(_TO_SPACES))
+    chars = np.frombuffer(text, dtype=np.uint8)
+    zeros = starts[~rest]
+    for k in range(3):
+        chars[zeros + k] = _SPACE
+    chars[starts[negative] + 3] = _SPACE
+    count = starts.size - zeros.size
     # An all-space string would parse as one number.
-    values = np.fromstring(text, dtype=np.float64, sep=" ") if count else np.empty(0)
+    values = np.fromstring(bytes(text), dtype=np.float64, sep=" ") if count else np.empty(0)
     if values.size != count:
         return None
-    if rest is None:
-        return values
     reals = np.where(negative, -0.0, 0.0)
     reals[rest] = values
     return reals
@@ -918,11 +912,11 @@ def _scan_elements(text: str, start: int, end: int, dim: int) -> Optional[np.nda
         scanned = _scan_chunk(piece)
         if scanned is None:
             return None
-        skeleton, first = scanned
+        skeleton, starts = scanned
         stop_at = checked + len(skeleton)
         if stop_at > size or skeleton != _pattern_span(unit, size, checked, stop_at):
             return None
-        values = _parse_reals(piece, first)
+        values = _parse_reals(piece, starts)
         if values is None or filled + values.size > out.size:
             return None
         out[filled:filled + values.size] = values
