@@ -79,6 +79,14 @@ def _require_positive(name: str, value: int) -> None:
         raise _UsageError(f"{name} must be a positive integer, got {value}")
 
 
+def _load(path: str) -> UMEBCandidate:
+    """:func:`load_umeb`, with a format or decoding error prefixed by its path."""
+    try:
+        return load_umeb(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -109,7 +117,7 @@ def cmd_construct(args) -> int:
 
 def cmd_lift(args) -> int:
     _require_positive("q", args.q)
-    base = load_umeb(args.in_path)
+    base = _load(args.in_path)
     notes = []
     if len(base.elements) >= base.dim ** 2:
         notes.append(
@@ -149,7 +157,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    c = load_umeb(args.in_path)
+    c = _load(args.in_path)
     report = verify_axioms(c)
     payload = {
         "path": args.in_path,
@@ -176,7 +184,7 @@ def cmd_search(args) -> int:
     _require_positive("iters", args.iters)
     if args.seed < 0:
         raise _UsageError(f"seed must be non-negative, got {args.seed}")
-    c = load_umeb(args.in_path)
+    c = _load(args.in_path)
     result = search_extension(
         c,
         restarts=args.restarts,
@@ -214,7 +222,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    c = load_umeb(args.in_path)
+    c = _load(args.in_path)
     cert = structural_certify(c)
     payload = {
         "path": args.in_path,
@@ -236,7 +244,7 @@ def cmd_certify(args) -> int:
 
 def cmd_spectral(args) -> int:
     _require_positive("bound", args.bound)
-    sig = signature(load_umeb(args.in_path), args.bound)
+    sig = signature(_load(args.in_path), args.bound)
     payload = {
         "path": args.in_path,
         **sig.to_dict(),
@@ -248,8 +256,8 @@ def cmd_spectral(args) -> int:
 
 def cmd_compare(args) -> int:
     _require_positive("bound", args.bound)
-    a = signature(load_umeb(args.a_path), args.bound)
-    b = signature(load_umeb(args.b_path), args.bound)
+    a = signature(_load(args.a_path), args.bound)
+    b = signature(_load(args.b_path), args.bound)
     verdict = compare_signatures(a, b)
     payload = {
         "a_path": args.a_path,

@@ -583,9 +583,9 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     C-level iteration before any conversion, then all pairs are converted by
     one ``np.array`` call, which keeps every bit, signed zeros included.
     The entry that breaks the rules is looked for only on failure.
-    :func:`load_umeb` converts each element of a file through here whenever
-    its elements scan hands the file to the general decoder, so every
-    element error comes from here.
+    :func:`load_umeb` converts each element through here whenever a file is
+    not in the saved layout or its fast read fails, so every element error
+    comes from here.
     """
     if len(pairs) != dim * dim:
         raise UMEBFormatError(
@@ -609,6 +609,25 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
 
 _SAVE_BLOCK = 1 << 15  # reals encoded per json.dumps call on save
 _ZERO_TOKENS = np.array(["0.0", "-0.0"], dtype=object)  # by sign bit
+# The saved layout: a header, one line per element, the footer.  Each line
+# is '    [[' re ', ' im '], [' re ', ' im ... ']],' and a newline, the last
+# one without its ','.
+_LINE_OPEN, _REAL_SEP, _PAIR_SEP = "    [[", ", ", "], ["
+_LINE_CLOSE, _LAST_LINE_CLOSE = "]],\n", "]]\n"
+_HEADER_END = '  "elements": [\n'
+_FOOTER = "  ]\n}\n"
+
+
+def _header(dim: int, provenance: Provenance, cos: Optional[Fraction]) -> str:
+    """The lines of a saved file before its first element."""
+    cos_text = "null" if cos is None else f"[{cos.numerator}, {cos.denominator}]"
+    return (
+        "{\n"
+        f'  "dim": {dim},\n'
+        f'  "provenance": {json.dumps(provenance_to_str(provenance))},\n'
+        f'  "exact_cos_theta": {cos_text},\n'
+        + _HEADER_END
+    )
 
 
 def _element_block(reals: np.ndarray, d2: int) -> str:
@@ -625,48 +644,41 @@ def _element_block(reals: np.ndarray, d2: int) -> str:
     if nonzero.any():
         tokens[nonzero] = json.dumps(reals[nonzero].tolist(), allow_nan=False)[1:-1].split(", ")
     pairs = tokens.reshape(-1, d2, 2)
-    # Per element: '    [[' re ', ' im '], [' re ', ' im ... ']],\n'.
     grid = np.empty((len(pairs), 4 * d2 + 1), dtype=object)
-    grid[:, 0] = "    [["
+    grid[:, 0] = _LINE_OPEN
     grid[:, 1::4] = pairs[:, :, 0]
-    grid[:, 2::4] = ", "
+    grid[:, 2::4] = _REAL_SEP
     grid[:, 3::4] = pairs[:, :, 1]
-    grid[:, 4::4] = "], ["
-    grid[:, -1] = "]],\n"
+    grid[:, 4::4] = _PAIR_SEP
+    grid[:, -1] = _LINE_CLOSE
     return "".join(grid.ravel().tolist())
 
 
 def save_umeb(candidate: UMEBCandidate, path) -> None:
     """Write a candidate to the matrix-set JSON format.
 
-    Each element is one line, ``json.dumps`` of its :func:`matrix_to_pairs`:
-    every real is its shortest round-trip ``repr``, which reproduces every
-    double bit-exactly on load (``-0.0`` included) and always carries a
-    ``.`` or an exponent; output bytes are deterministic.  The elements are
-    encoded in blocks of about 2^15 reals, each zero straight from its sign
-    bit and the nonzero reals by one C JSON-encoder call per block.  Every
-    block is encoded before ``path`` is opened, so an encoding error leaves
-    any file there as it was.
+    The file is a fixed header, one line per element, ``json.dumps`` of its
+    :func:`matrix_to_pairs`, and a fixed footer; :func:`load_umeb` reads
+    exactly this layout without the general JSON decoder.  Every real is its
+    shortest round-trip ``repr``, which reproduces every double bit-exactly
+    on load (``-0.0`` included) and always carries a ``.`` or an exponent;
+    output bytes are deterministic.  The elements are encoded in blocks of
+    about 2^15 reals, each zero straight from its sign bit and the nonzero
+    reals by one C JSON-encoder call per block.  Every block is encoded
+    before ``path`` is opened, so an encoding error leaves any file there as
+    it was.
     """
     d2 = candidate.dim * candidate.dim
     reals = np.ascontiguousarray(candidate.matrices).view(np.float64).reshape(-1)
     step = 2 * d2 * max(1, _SAVE_BLOCK // (2 * d2))
     blocks = [_element_block(reals[i:i + step], d2) for i in range(0, reals.size, step)]
     if blocks:
-        blocks[-1] = blocks[-1][:-2] + "\n"  # no ',' after the last element
-    ect = candidate.exact_cos_theta
-    ect_text = "null" if ect is None else f"[{ect.numerator}, {ect.denominator}]"
-    header = (
-        "{\n"
-        f'  "dim": {candidate.dim},\n'
-        f'  "provenance": {json.dumps(provenance_to_str(candidate.provenance))},\n'
-        f'  "exact_cos_theta": {ect_text},\n'
-        '  "elements": [\n'
-    )
+        blocks[-1] = blocks[-1][:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE
+    header = _header(candidate.dim, candidate.provenance, candidate.exact_cos_theta)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.writelines(blocks)
-        fh.write("  ]\n}\n")
+        fh.write(_FOOTER)
 
 
 def _decode_document(text: str):
@@ -714,231 +726,112 @@ def _read_header(doc) -> tuple[int, Provenance, Optional[Fraction]]:
     return dim, prov, ect
 
 
-_DECODER = json.JSONDecoder()
-_WS_RUN = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as json itself skips it
-
-
-def _split_document(text: str) -> Optional[dict]:
-    """The top-level object with every value but ``elements`` decoded.
-
-    ``elements`` maps to the ``(start, end)`` span of its text instead.  None
-    when the text is not one object with distinct keys, an ``elements`` array
-    and only JSON whitespace around it; the full decoder then judges it.
-    """
-    skip = _WS_RUN.match
-    pos = skip(text).end()
-    if not text.startswith("{", pos):
-        return None
-    doc: dict = {}
-    pos = skip(text, pos + 1).end()
-    try:
-        while text.startswith('"', pos):
-            key, pos = _DECODER.raw_decode(text, pos)
-            pos = skip(text, pos).end()
-            if key in doc or not text.startswith(":", pos):
-                return None
-            pos = skip(text, pos + 1).end()
-            if key == "elements":
-                # A plain array holds no '"' or '}', so it ends at the last
-                # ']' before either; the scan checks everything in between.
-                quote = text.find('"', pos)
-                limit = len(text) if quote < 0 else quote
-                brace = text.find("}", pos, limit)
-                end = text.rfind("]", pos, limit if brace < 0 else brace) + 1
-                if not text.startswith("[", pos) or end <= pos:
-                    return None
-                doc[key], pos = (pos, end), end
-            else:
-                doc[key], pos = _DECODER.raw_decode(text, pos)
-            pos = skip(text, pos).end()
-            if text.startswith(",", pos):
-                pos = skip(text, pos + 1).end()
-            elif text.startswith("}", pos) and skip(text, pos + 1).end() == len(text):
-                return doc if "elements" in doc else None
-            else:
-                return None
-    except (ValueError, RecursionError):
-        return None
-    return None
-
-
-def _byte_table(*entries: tuple[bytes, int]) -> bytes:
-    """A bytes.translate table mapping each listed byte to its value, the rest to 0."""
-    table = bytearray(256)
-    for chars, value in entries:
-        for ch in chars:
-            table[ch] = value
-    return bytes(table)
-
-
-# The elements scan works on bytes.translate views of each chunk.  _CLASS
-# gives each byte one bit; 0 marks a byte no plain array of numbers holds.
-_OPEN, _CLOSE, _COMMA, _DIGIT, _MINUS, _PLUS, _DOT, _EXP = (1 << k for k in range(8))
-_JSON_WS = b" \t\n\r"
-_DIGITS = b"0123456789"
-_CLASS = _byte_table(
-    (b"[", _OPEN), (b"]", _CLOSE), (b",", _COMMA), (_DIGITS, _DIGIT),
-    (b"-", _MINUS), (b"+", _PLUS), (b".", _DOT), (b"eE", _EXP),
-)
-# The classes that may follow each byte, whitespace aside, in nested arrays
-# of number tokens -?digits(.digits)?([eE][+-]?digits)?; how many marks a
-# token holds and how its integer part starts are checked apart.
-_FOLLOWERS = _byte_table(
-    (b"[,", _OPEN | _DIGIT | _MINUS), (b"]", _CLOSE | _COMMA),
-    (_DIGITS, _DIGIT | _DOT | _EXP | _COMMA | _CLOSE),
-    (b"-+.", _DIGIT), (b"eE", _DIGIT | _MINUS | _PLUS),
-)
-# Marks within a token, signs and digits dropped: '.' is 1, an exponent 2.
-_MARKS = _byte_table((b".", 1), (b"eE", 2))
-# Integer-part view: '0' is 1, other digits 2, '-' 4, brackets and commas 8.
-_LEADS = _byte_table((b"0", 1), (b"123456789", 2), (b"-", 4), (b"[],", 8))
-_IS_NUMBER = _byte_table((_DIGITS + b"-+.eE", 1))
-_TO_SPACES = bytes.maketrans(b"[],", b"   ")
-_SCAN_CHUNK = 1 << 16
-
-
-def _scan_chunk(piece: bytes) -> Optional[tuple[bytes, np.ndarray]]:
-    """Check a run of elements text that starts the array or follows a ','.
-
-    Returns the run's brackets and commas and the offsets in ``piece`` at
-    which its tokens start, or None when it breaks a rule of the grammar
-    above that the run can show.
-    """
-    # What precedes the run, a ',' or the array's start, read as two ','s:
-    # no rule looks further back.
-    padded = b",," + piece
-    cls = np.frombuffer(padded.translate(_CLASS, _JSON_WS), dtype=np.uint8)
-    followers = np.frombuffer(padded.translate(_FOLLOWERS, _JSON_WS), dtype=np.uint8)
-    if np.any((followers[1:-1] & cls[2:]) == 0):
-        return None
-    # At most one '.' and one exponent per token, the '.' first.
-    marks = np.frombuffer(piece.translate(_MARKS, _JSON_WS + _DIGITS + b"+-"), dtype=np.uint8)
-    if np.any((marks[1:] != 0) & (marks[:-1] >= marks[1:])):
-        return None
-    # An integer part opening with 0 is that 0 alone, and the integer token
-    # "-0" is json's int 0, +0.0, where the float parse would give -0.0.
-    leads = np.frombuffer(padded.translate(_LEADS, _JSON_WS), dtype=np.uint8)
-    before2, before, zero, after = leads[:-3], leads[1:-2], leads[2:-1] == 1, leads[3:]
-    signed = (before == 4) & (before2 == 8)
-    if np.any(zero & ((before == 8) | signed) & (((after & 3) != 0) | (signed & (after == 8)))):
-        return None
-    # Whitespace must not split a token: the run has as many tokens as its
-    # whitespace-free view.
-    number = np.frombuffer(padded.translate(_IS_NUMBER), dtype=np.bool_)
-    starts = np.flatnonzero(number[2:] > number[1:-1])
-    packed = cls[1:] >= _DIGIT
-    if starts.size != np.count_nonzero(packed[1:] > packed[:-1]):
-        return None
-    return piece.translate(None, _JSON_WS + _DIGITS + b"-+.eE"), starts
-
-
-# The first bytes of the two zero tokens a saved file holds, as read by
-# _parse_reals: '0.0' or '-0.0' and the ',' or ']' that ends it.
+# Bytes a JSON number token is made of: each run of them in an element line
+# is one token, which json reads.
+_IS_NUMBER = bytes(ch in b"0123456789-+.eE" for ch in range(256))
+_TO_SPACES = bytes.maketrans(b"[],\n", b"    ")
+_SCAN_CHUNK = 1 << 16  # bytes of element lines read at a time, rounded up to a line
+# The first bytes of the two zero tokens a saved file holds: '0.0' or
+# '-0.0' and the ',' or ']' that ends it.
 _POSITIVE_ZEROS = [int.from_bytes(b"0.0" + end, "little") for end in (b",", b"]")]
 _NEGATIVE_ZEROS = [int.from_bytes(b"-0.0" + end, "little") for end in (b",", b"]")]
 _SPACE = ord(" ")
 
 
-def _parse_reals(piece: bytes, starts: np.ndarray) -> Optional[np.ndarray]:
-    """The reals of a run that :func:`_scan_chunk` passed, its tokens
-    starting at the offsets ``starts``.
+def _read_lines(piece: bytes, pattern: bytes) -> Optional[np.ndarray]:
+    """The reals of the element lines ``piece``, or None unless it reads
+    ``pattern`` with each run of number bytes cut to one '#'.
 
     A token that is exactly ``0.0`` or ``-0.0`` and ends at a ',' or ']' is
-    read from its first bytes as the double json gives it, +0.0 or -0.0.
-    Those tokens are blanked and the rest go through one C float parse,
-    which must read exactly as many; None when it does not.  Every other
-    spelling of a zero (``0``, ``0.00``, ``-0.0e0``, a ``0.0`` ended by
-    whitespace) is one of the rest; the scan never passes the integer ``-0``.
+    read from its first bytes as the double json gives it, +0.0 or -0.0;
+    every other token goes through one ``json.loads``.
     """
-    padded = piece + b" " * 7  # eight bytes from every start
-    heads = np.ndarray(len(piece), dtype="<u8", buffer=padded, strides=(1,))[starts]
+    number = np.frombuffer(piece.translate(_IS_NUMBER), dtype=np.bool_)
+    first = number.copy()
+    first[1:] &= ~number[:-1]
+    starts = np.flatnonzero(first)
+    skeleton = np.frombuffer(piece, dtype=np.uint8).copy()
+    skeleton[starts] = ord("#")
+    if skeleton[first | ~number].tobytes() != pattern:
+        return None
+    heads = np.ndarray(len(piece), dtype="<u8", buffer=piece + b" " * 7, strides=(1,))[starts]
     low4, low5 = heads & 0xFFFFFFFF, heads & 0xFFFFFFFFFF
     positive = (low4 == _POSITIVE_ZEROS[0]) | (low4 == _POSITIVE_ZEROS[1])
     negative = (low5 == _NEGATIVE_ZEROS[0]) | (low5 == _NEGATIVE_ZEROS[1])
     rest = ~(positive | negative)
+    reals = np.where(negative, -0.0, 0.0)
     text = bytearray(piece.translate(_TO_SPACES))
     chars = np.frombuffer(text, dtype=np.uint8)
     zeros = starts[~rest]
     for k in range(3):
         chars[zeros + k] = _SPACE
     chars[starts[negative] + 3] = _SPACE
-    count = starts.size - zeros.size
-    # An all-space string would parse as one number.
-    values = np.fromstring(bytes(text), dtype=np.float64, sep=" ") if count else np.empty(0)
-    if values.size != count:
+    try:
+        values = json.loads(b"[" + b",".join(text.split()) + b"]")
+        reals[rest] = np.array(values, dtype=np.float64)
+    except (ValueError, OverflowError):  # not JSON numbers, or beyond the double range
         return None
-    reals = np.where(negative, -0.0, 0.0)
-    reals[rest] = values
     return reals
 
 
-def _pattern_span(unit: bytes, size: int, start: int, stop: int) -> bytes:
-    """Bytes start:stop of '[' + unit repeated, ``size`` long, its last byte ']'."""
-    lo = max(start, 1)
-    span = (unit * ((stop - lo) // len(unit) + 2))[(lo - 1) % len(unit):][:stop - lo]
-    if start == 0:
-        span = b"[" + span
-    if stop == size:
-        span = span[:-1] + b"]"
-    return span
+def _load_saved(text: str) -> Optional[UMEBCandidate]:
+    """The candidate ``text`` holds when it is laid out as :func:`save_umeb` writes.
 
-
-def _scan_elements(text: str, start: int, end: int, dim: int) -> Optional[np.ndarray]:
-    """The (n, dim, dim) array ``text[start:end]`` holds, when it is plain.
-
-    Plain means: an ASCII array of n arrays of dim^2 ``[re, im]`` pairs whose
-    reals are JSON number tokens that json decodes to the same doubles as
-    :func:`_parse_reals` reads, all finite: its zero compare and its C float
-    parse.  None otherwise; the full decoder then gives the value or the
-    error.  Beyond the result, memory stays bounded by the chunk size.
+    The header must be what :func:`_header` writes for the values json reads
+    from it, and the element lines, read in chunks of whole lines, must each
+    be the saved line with any JSON number token for each real
+    (:func:`_read_lines`), then the footer.  None on any mismatch or error,
+    or a real that is not a finite double; the general decoder then gives
+    the value or the error.  Beyond the result, memory stays bounded by the
+    chunk size.
     """
-    d2 = dim * dim
-    n, rem = divmod(text.count("[", start, end) - 1, d2 + 1)
-    # Every real takes at least two bytes, a digit and what ends it.
-    if rem or n < 1 or 4 * n * d2 > end - start:
+    start = text.find(_HEADER_END) + len(_HEADER_END)
+    end = len(text) - len(_FOOTER)
+    if start < len(_HEADER_END) or start >= end or not text.endswith(_FOOTER):
         return None
-    out = np.empty(2 * n * d2, dtype=np.float64)
-    # The brackets and commas must read '[', then n elements' joined by ',',
-    # then ']': the n-fold unit below with its last ',' read as ']'.  Each
-    # run's are compared with the same span of that pattern as they come.
-    unit = b"[" + b"[,]," * (d2 - 1) + b"[,]],"
-    size = n * len(unit) + 1
-    checked, filled, pos = 0, 0, start
+    try:
+        dim, prov, cos = _read_header(json.loads(text[:start] + "]}"))
+        if text[:start] != _header(dim, prov, cos):
+            return None
+    except (ValueError, RecursionError):
+        return None
+    d2, n = dim * dim, text.count("\n", start, end)
+    pair = "#" + _REAL_SEP + "#"
+    # No stack larger than the text can hold, with one byte per real, is allocated.
+    if n * d2 * len(pair) > end - start:
+        return None
+    line = (_LINE_OPEN + pair + (_PAIR_SEP + pair) * (d2 - 1) + _LINE_CLOSE).encode()
+    last_line = line[:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE.encode()
+    out = np.empty((n, 2 * d2), dtype=np.float64)
+    row, pos = 0, start
     while pos < end:
-        # Cut after a ',', which no number token crosses.
-        cut = text.find(",", min(pos + _SCAN_CHUNK, end), end)
-        stop = end if cut < 0 else cut + 1
-        piece = text[pos:stop].encode()  # a non-ASCII byte is in no class
-        scanned = _scan_chunk(piece)
-        if scanned is None:
+        stop = text.find("\n", min(pos + _SCAN_CHUNK, end) - 1, end) + 1
+        if stop <= pos:
             return None
-        skeleton, starts = scanned
-        stop_at = checked + len(skeleton)
-        if stop_at > size or skeleton != _pattern_span(unit, size, checked, stop_at):
+        lines = text.count("\n", pos, stop)
+        pattern = line * lines
+        if stop == end:
+            pattern = pattern[:-len(line)] + last_line
+        reals = _read_lines(text[pos:stop].encode(), pattern)
+        if reals is None:
             return None
-        values = _parse_reals(piece, starts)
-        if values is None or filled + values.size > out.size:
-            return None
-        out[filled:filled + values.size] = values
-        checked, filled, pos = stop_at, filled + values.size, stop
-    if filled != out.size or checked != size or not np.isfinite(out).all():
+        out[row:row + lines] = reals.reshape(lines, 2 * d2)
+        row, pos = row + lines, stop
+    if not np.isfinite(out).all():
         return None
-    return out.view(np.complex128).reshape(n, dim, dim)
+    return UMEBCandidate(dim, out.view(np.complex128).reshape(n, dim, dim).view(_Fresh), prov, cos)
 
 
 def load_umeb(path) -> UMEBCandidate:
     """Read a matrix-set JSON file written by :func:`save_umeb` or by hand.
 
-    The header keys are decoded by ``json``; the ``elements`` array is read
-    straight from the text: one validating byte scan, in bounded chunks,
-    with no Python object per number.  In each chunk the exact tokens
-    ``0.0`` and ``-0.0`` ended by ',' or ']', most of a saved lift, are set
-    from a byte compare, and the other tokens go through one C float parse
-    (:func:`_parse_reals`).  Any other valid layout (strings or non-ASCII
-    text among the elements, duplicate keys, integer ``-0``, values that
-    are not finite) loads through the general decoder and
-    :func:`pairs_to_matrix`, which also give every error; both paths yield
-    the same values and the same errors.
+    A file in exactly the layout :func:`save_umeb` writes, with any JSON
+    number spelling for each real, is read straight from the text in chunks
+    of whole element lines, with no Python object per zero
+    (:func:`_load_saved`).  Every other file, in any other layout (another
+    key order or indentation, duplicate keys, integer ``-0``, values that
+    are not finite, malformed text), loads through ``json`` and
+    :func:`pairs_to_matrix`, which give the same values and every error.
     Reals may be written in any JSON number form, so files with 17
     significant digits, as older versions wrote them, load bit-exactly too.
     Canonical provenance strings are parsed back into structured provenance
@@ -955,13 +848,9 @@ def load_umeb(path) -> UMEBCandidate:
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    doc = _split_document(text)
-    dim = None if doc is None else doc.get("dim")
-    if type(dim) is int and dim >= 1:
-        matrices = _scan_elements(text, *doc["elements"], dim)
-        if matrices is not None:
-            dim, prov, ect = _read_header(doc)
-            return UMEBCandidate(dim, matrices.view(_Fresh), prov, ect)
+    saved = _load_saved(text)
+    if saved is not None:
+        return saved
     doc = _decode_document(text)
     dim, prov, ect = _read_header(doc)
     if not isinstance(doc["elements"], list) or not doc["elements"]:

@@ -163,6 +163,28 @@ def test_verify_malformed_numbers_exit_1_without_traceback(tmp_path, capsys, ele
     assert "Traceback" not in stderr
 
 
+def test_compare_names_the_malformed_file(tmp_path, capsys):
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    save_umeb(bravyi_smolin_3(), good)
+    bad.write_text('{"dim": 2, "provenance": "x", "exact_cos_theta": null, '
+                   '"elements": [[[1.0, 0.0], [0.0, 0.0], [0.0], [1.0, 0.0]]]}')
+    code, stdout, stderr = run(capsys, "compare", str(good), str(bad))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {bad}: element 0: entry 2 is not a [re, im] pair of numbers\n"
+
+
+def test_verify_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    save_umeb(bravyi_smolin_3(), path)
+    path.write_bytes(path.read_bytes().replace(b'"bravyi_smolin_3"', b'"\xff"'))
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("provenance", [
     "lift(q=1, d=3, n=6, base=" * 2000 + "bravyi_smolin_3" + ")" * 2000,
     "lift(q=0, d=3, n=6, base=bravyi_smolin_3)",
@@ -176,7 +198,7 @@ def test_verify_bad_provenance_exits_1_without_traceback(tmp_path, capsys, prove
     code, stdout, stderr = run(capsys, "verify", str(path))
     assert code == 1
     assert stdout == ""
-    assert stderr.startswith("error: provenance")
+    assert stderr.startswith(f"error: {path}: provenance")
     assert "Traceback" not in stderr
 
 

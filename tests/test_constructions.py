@@ -1082,10 +1082,26 @@ def test_load_matches_the_general_decoder_on_handpicked_files(tmp_path, text):
     assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
 
 
+def _saved_layout(dim, tokens, provenance="x", cos="null"):
+    """The text save_umeb writes for a set whose reals are spelled ``tokens``."""
+    d2 = dim * dim
+    lines = []
+    for k in range(0, len(tokens), 2 * d2):
+        row = tokens[k:k + 2 * d2]
+        lines.append("    [" + ", ".join(f"[{a}, {b}]" for a, b in zip(row[::2], row[1::2])) + "]")
+    return (
+        "{\n"
+        f'  "dim": {dim},\n'
+        f'  "provenance": {json.dumps(provenance)},\n'
+        f'  "exact_cos_theta": {cos},\n'
+        '  "elements": [\n' + ",\n".join(lines) + "\n  ]\n}\n"
+    )
+
+
 # Zero spellings in every place a real can sit: each needs json's double,
-# whether the byte compare reads it or the float parse does.
+# whether the byte compare reads it or json does.
 _ZERO_SPELLING_FILES = [
-    '{' + _HEADER + f', "elements": [[[{re_}, {im}]]]}}'
+    _saved_layout(1, [re_, im])
     for re_, im in [
         ("0.0", "-0.0"), ("-0.0", "0.0"), ("0.0", "1.5"), ("-0.0 ", "-0.0\n"), ("0.0\t", "0.0 "),
         ("-0", "0.0"), ("0.0", "-0"), ("0", "-0.0"), ("0.00", "-0.00"), ("0.0e0", "-0.0e-0"),
@@ -1093,11 +1109,9 @@ _ZERO_SPELLING_FILES = [
         ("10.0", "-10.0"), ("1e-0", "0.0e-5"), ("\n0.0", "\n-0.0"), ("0.0\r\n", "-0.0\r\n"),
     ]
 ] + [
-    '{"dim": 2, "provenance": "x", "exact_cos_theta": null, "elements": ['
-    '[[0.0, -0.0], [-0.0, 0.0], [0.0,-0.0], [-0.0 ,0.0]],\n'
-    '[[-0.0, 0.0],[0.0,\t-0.0], [0.0, 0.0], [1.0, -0.0]]]}',
-    '{"dim": 1, "provenance": "x", "exact_cos_theta": null, "elements": [[[0.0, -0.0]],'
-    ' [[-0.0, 0.0]], [[0.0, 0.0]], [[-0.0, -0.0]]]}',
+    _saved_layout(2, "0.0 -0.0 -0.0 0.0 0.0 -0.0 -0.0 0.0 "
+                     "-0.0 0.0 0.0 -0.0 0.0 0.0 1.0 -0.0".split()),
+    _saved_layout(1, "0.0 -0.0 -0.0 0.0 0.0 0.0 -0.0 -0.0".split()),
 ]
 
 
@@ -1108,6 +1122,56 @@ def test_load_matches_the_general_decoder_on_zero_spellings(tmp_path, monkeypatc
     path.write_bytes(text.encode("utf-8"))
     monkeypatch.setattr(constructions, "_SCAN_CHUNK", chunk)
     assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
+
+
+@st.composite
+def _saved_documents(draw):
+    """Files in the saved layout with any number tokens, then up to three
+    single-byte deletions, insertions or swaps anywhere in the text."""
+    dim, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = 2 * dim * dim * count
+    tokens = draw(st.lists(draw(st.sampled_from([_PLAIN_REALS, _sparse_reals()])),
+                           min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        odd = st.one_of(_ODD_REALS, st.sampled_from(_NEAR_ZEROS))
+        tokens[draw(st.integers(0, n - 1))] = draw(odd)
+    text = _saved_layout(
+        dim, tokens,
+        provenance=draw(st.sampled_from(
+            ["x", "lift(q=2, d=3, n=6, base=bravyi_smolin_3)", 'a"b\\'])),
+        cos=draw(st.sampled_from(["null", "[-7, 8]"])),
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(text) - 2))
+        how = draw(st.sampled_from(["delete", "insert", "swap"]))
+        if how == "delete":
+            text = text[:at] + text[at + 1:]
+        elif how == "insert":
+            text = text[:at] + draw(st.sampled_from('0123456789-+.eE[],: \n"{}x')) + text[at:]
+        else:
+            text = text[:at] + text[at + 1] + text[at] + text[at + 2:]
+    return text
+
+
+@pytest.mark.parametrize("chunk", [constructions._SCAN_CHUNK, 1])
+def test_load_matches_the_general_decoder_on_saved_layouts_property(tmp_path_factory, chunk):
+    fast = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_saved_documents())
+    def check(text):
+        path = tmp_path_factory.mktemp("saved") / "m.json"
+        path.write_bytes(text.encode("utf-8"))
+        fast.append(constructions._load_saved(text) is not None)
+        assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
+
+    default, constructions._SCAN_CHUNK = constructions._SCAN_CHUNK, chunk
+    try:
+        check()
+    finally:
+        constructions._SCAN_CHUNK = default
+    # The fast path must see a fair share of the files, not only fall back.
+    assert sum(fast) >= 0.2 * len(fast)
 
 
 @pytest.mark.parametrize("real, negative", [("-0", False), ("-0.0", True), ("0", False)])
@@ -1145,6 +1209,21 @@ def test_load_rejects_a_huge_declared_dim_without_allocating(tmp_path):
     assert str(info.value) == "element 0: element has 1 entries, expected 1000000000000 for dim 1000000"
 
 
+def test_saved_layout_declaring_more_reals_than_it_holds_allocates_nothing(tmp_path):
+    # Read as 10^5 lines of dim 300, the one pair would be a 144 GB stack.
+    text = _saved_layout(1, ["1.0", "0.0"]).replace('"dim": 1', '"dim": 300')
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace("\n  ]", "\n" * 100_000 + "  ]"))
+    tracemalloc.start()
+    try:
+        outcome = _outcome(load_umeb, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == _outcome(_reference_load, path)
+    assert peak < 20 * path.stat().st_size
+
+
 @pytest.mark.parametrize("make", [
     bravyi_smolin_3, umeb_6, _signed_zero_candidate, lambda: weyl_family(1),
     lambda: lift(umeb_6(), 2),
@@ -1158,9 +1237,31 @@ def test_saved_files_load_through_the_elements_scan(tmp_path, general_decoder_of
     assert back.matrices.tobytes() == c.matrices.tobytes()
 
 
-def test_reordered_and_reindented_files_load_through_the_elements_scan(
-    tmp_path, general_decoder_off
-):
+# Headers that json reads to the saved values but that save_umeb never writes.
+_OTHER_HEADERS = [
+    ('"dim": 3,', '"dim":3,'),
+    ('"dim": 3,', '"dim": 2, "dim": 3,'),
+    ('"exact_cos_theta": [-7, 8]', '"exact_cos_theta": [-14, 16]'),
+    ('"provenance": "bravyi_smolin_3"', '"provenance": "bravyi_smolin_\\u0033"'),
+    ('{\n  "dim": 3,\n  "provenance": "bravyi_smolin_3",\n',
+     '{\n  "provenance": "bravyi_smolin_3",\n  "dim": 3,\n'),
+]
+
+
+@pytest.mark.parametrize("old, new", _OTHER_HEADERS)
+def test_only_the_saved_header_takes_the_fast_path(tmp_path, old, new):
+    path = tmp_path / "m.json"
+    save_umeb(bravyi_smolin_3(), path)
+    text = path.read_text()
+    assert constructions._load_saved(text) is not None
+    text = text.replace(old, new, 1)
+    path.write_text(text)
+    assert constructions._load_saved(text) is None
+    assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
+    assert load_umeb(path).matrices.tobytes() == bravyi_smolin_3().matrices.tobytes()
+
+
+def test_reordered_and_reindented_files_load_the_same_values(tmp_path):
     c = umeb_6()
     doc = {
         "elements": [matrix_to_pairs(e) for e in c.elements],
