@@ -297,6 +297,14 @@ class UMEBCandidate:
     ``exact_cos_theta``, when present, is the exact rational cosine of the
     one non-unit eigenphase shared by every Bravyi-Smolin-derived element; the
     spectral layer uses it to prove infinite eigenvalue orders.
+
+    Two whole-stack facts are computed on first use and then held:
+    :attr:`split`, the stack read as F_k (x) Y_k by its lift layout, and
+    :attr:`unitarity_residual`, the largest residual of the stored matrices.
+    The axiom check and the spectral layer both read them, so a candidate
+    verified and then signed pays for each once.  Holding them is safe
+    because ``matrices`` is read-only and ``dim`` and ``provenance`` are
+    frozen: nothing either fact depends on can change.
     """
 
     dim: int
@@ -331,6 +339,22 @@ class UMEBCandidate:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def split(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """``as_lift(provenance).split(matrices)``, or None when the provenance
+        names no lift; both arrays read-only."""
+        layout = as_lift(self.provenance)
+        split = None if layout is None else layout.split(self.matrices)
+        if split is not None:
+            for part in split:
+                part.flags.writeable = False
+        return split
+
+    @cached_property
+    def unitarity_residual(self) -> float:
+        """``unitarity_residual(matrices)``: the largest residual of the stored matrices."""
+        return unitarity_residual(self.matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +526,7 @@ def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
     d = base.dim
     prov = Lift(base=base.provenance, base_dim=d, base_count=len(base.elements), q=q)
     tol = DEFAULT_TOLERANCES.unitarity_tol
-    if unitarity_residual(base.matrices) >= tol:
+    if base.unitarity_residual >= tol:
         i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol)
         raise ValueError(f"base element {i} is not unitary within tolerance")
 

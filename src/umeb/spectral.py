@@ -107,8 +107,8 @@ def _cls_dict(c: OrderClassification) -> dict:
 # Per-phase primitives
 # ---------------------------------------------------------------------------
 
-def _require_unitary(m: np.ndarray) -> None:
-    res = unitarity_residual(m)
+def _require_unitary(res: float) -> None:
+    """Raise unless ``res``, a unitarity residual, is below the threshold."""
     if res >= DEFAULT_TOLERANCES.unitarity_tol:
         raise ValueError(f"matrix is not unitary (residual {res:.3e})")
 
@@ -124,7 +124,7 @@ def eigenphases(u) -> np.ndarray:
     no order to speak of.
     """
     m = np.asarray(u, dtype=np.complex128)
-    _require_unitary(m)
+    _require_unitary(unitarity_residual(m))
     phases = np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI)
     phases[phases >= TWO_PI] -= TWO_PI
     phases.sort(axis=-1)
@@ -337,15 +337,15 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
     the q^2 distinct left factors and one on the right factors.  Any other
     set is one call on the stored stack.  Unitarity is judged on the stored
     matrices either way, so both paths raise alike; right factors that miss
-    the threshold by a rounding of their own take the stack path.
+    the threshold by a rounding of their own take the stack path.  The split
+    and the stored stack's residual are the candidate's own, computed once.
     """
-    layout = as_lift(c.provenance)
-    split = None if layout is None else layout.split(c.matrices)
+    split = c.split
     if split is None or unitarity_residual(split[1]) >= DEFAULT_TOLERANCES.unitarity_tol:
         return eigenphases(c.matrices)
-    _require_unitary(c.matrices)
+    _require_unitary(c.unitarity_residual)
     index, right = split
-    left = eigenphases(layout.left_factors())[index]
+    left = eigenphases(as_lift(c.provenance).left_factors())[index]
     # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
     phases = np.mod(left[:, :, None] + eigenphases(right)[:, None, :], TWO_PI)
     phases = phases.reshape(len(index), -1)

@@ -4,7 +4,11 @@ Three layers of scrutiny for a candidate set of d x d matrices:
 
 * :func:`verify_axioms` checks the defining conditions exactly as stated:
   fewer than d^2 elements, all unitary, pairwise trace inner products d on
-  the diagonal and 0 off it.
+  the diagonal and 0 off it.  A lift's Gram comes from its Kronecker
+  factors, Tr((F (x) Y)^dag (F' (x) Y')) = Tr(F^dag F') Tr(Y^dag Y'), when
+  its stored matrices are exactly those products (``Lift.split``); it then
+  differs from the Gram of the stored stack by rounding only.  Any other
+  set takes the Gram of its stored stack.
 * :func:`search_extension` hunts for a unitary inside the trace-orthogonal
   complement by nuclear-norm ascent.  Finding one is rigorous (a constructive
   witness that passes re-verification within ``DEFAULT_TOLERANCES``); not finding one
@@ -112,7 +116,11 @@ def to_state(u) -> MaxEntangledState:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Numeric residuals of the three defining conditions."""
+    """Numeric residuals of the three defining conditions.
+
+    ``gram_from`` says how the Gram residuals were formed: ``"factors"``
+    from a lift's Kronecker factors, ``"stack"`` from the stored matrices.
+    """
 
     dim: int
     element_count: int
@@ -121,6 +129,7 @@ class VerificationReport:
     max_gram_diag_error: float
     condition_i_ok: bool
     passed: bool
+    gram_from: str
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -134,13 +143,30 @@ def verify_axioms(c: UMEBCandidate) -> VerificationReport:
     (|Tr(U_a^dag U_b)| off-diagonal, |Tr(U_a^dag U_a) - d| on it) below
     ``DEFAULT_TOLERANCES.gram_tol``, and fewer than d^2 elements.  A complete
     orthogonal basis of the matrix space fails only the count condition.
+
+    Unitarity is judged on the stored matrices.  The Gram is formed one of
+    two ways, named by ``gram_from``.  When the candidate's
+    :attr:`~UMEBCandidate.split` holds, every stored element equals
+    F_k (x) Y_k entry for entry, and Tr((F (x) Y)^dag (F' (x) Y')) =
+    Tr(F^dag F') Tr(Y^dag Y') gives the Gram as the q^2 x q^2 Gram of the
+    left factors, indexed per element, times the n x n Gram of the d x d
+    right factors: ``"factors"``.  The two sides are equal in exact
+    arithmetic, so it differs from the Gram of the stored (n, qd, qd) stack
+    by rounding only.  Every other set takes the Gram of its stored stack:
+    ``"stack"``.
     """
     tol = DEFAULT_TOLERANCES
     if len(c.elements) == 0:
         raise ValueError("candidate has no elements")
     d = c.dim
-    max_unit = unitarity_residual(c.matrices)
-    g = gram_matrix(c.matrices)
+    max_unit = c.unitarity_residual
+    split = c.split
+    if split is None:
+        g = gram_matrix(c.matrices)
+    else:
+        index, right = split
+        left = gram_matrix(as_lift(c.provenance).left_factors())
+        g = left[index][:, index] * gram_matrix(right)
     off = g - np.diag(np.diag(g))
     max_off = float(np.max(np.abs(off))) if len(c.elements) > 1 else 0.0
     max_diag = float(np.max(np.abs(np.diag(g) - d)))
@@ -159,6 +185,7 @@ def verify_axioms(c: UMEBCandidate) -> VerificationReport:
         max_gram_diag_error=max_diag,
         condition_i_ok=condition_i,
         passed=passed,
+        gram_from="stack" if split is None else "factors",
     )
 
 

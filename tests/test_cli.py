@@ -511,7 +511,7 @@ def test_verify_search_certify_json_key_order(tmp_path, capsys):
     assert list(json.loads(stdout)) == [
         "schema_version", "command", "path", "dim", "element_count",
         "max_unitarity_residual", "max_gram_offdiag", "max_gram_diag_error",
-        "condition_i_ok", "passed", "notes",
+        "condition_i_ok", "passed", "gram_from", "notes",
     ]
     code, stdout, _ = run(capsys, "search", str(path), "--restarts", "2", "--iters", "5", "--json")
     assert code == 0

@@ -399,9 +399,12 @@ def test_lift_signature_sectors_match_the_full_stack_path(name, monkeypatch):
     c = LIFTS[name]()
     factored = {bound: signature(c, bound) for bound in (7, 144)}
     # No split: the full-stack path under the same provenance and sectors.
+    # A fresh candidate, since c holds the split it has already made.
     monkeypatch.setattr(Lift, "split", lambda self, matrices: None)
+    unsplit = UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta)
+    assert unsplit.split is None
     for bound, sig in factored.items():
-        full = signature(c, bound)
+        full = signature(unsplit, bound)
         _assert_same_up_to_raw_phases(sig, full)
         assert sig.sectors == full.sectors
         assert [r.name for r in sig.sectors] == ["weyl", "base"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umeb import constructions, verification
+from umeb import constructions, spectral, verification
 from umeb.constructions import (
     BravyiSmolin3,
     External,
@@ -30,7 +30,7 @@ from umeb.linalg import (
     seeded_random_matrix,
     unitarity_residual,
 )
-from umeb.spectral import signature
+from umeb.spectral import sector_summaries, signature
 from umeb.verification import (
     CERT_ZERO_TOL,
     STEP_TOL,
@@ -1007,3 +1007,156 @@ def test_certify_and_signature_build_the_left_factors_once_each(monkeypatch):
         builds.clear()
         run(fresh)
         assert builds == [8]
+
+
+# ---------------------------------------------------------------------------
+# The Gram from a lift's factors, and the facts a candidate holds
+# ---------------------------------------------------------------------------
+
+GRAM_ROUNDING = 1e-13
+# The factored and the stack Gram sum the same products in another order.
+# For the sets drawn here, D <= 24 and every element unitary, their residuals
+# differed by at most 7.1e-15 over 600 draws; this bound leaves a margin of
+# 14 and is still 1000 times below gram_tol.
+
+
+def _stack_report(c):
+    """verify_axioms on the stored stack: a fresh candidate whose split is forced to None."""
+    with mock.patch.object(Lift, "split", lambda self, matrices: None):
+        return verify_axioms(UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta))
+
+
+def _report_and_gram_shapes(c):
+    """verify_axioms on c, and the shape of every stack gram_matrix received."""
+    shapes, real = [], verification.gram_matrix
+
+    def spy(mats):
+        shapes.append(np.shape(mats))
+        return real(mats)
+
+    with mock.patch.object(verification, "gram_matrix", spy):
+        return verify_axioms(c), shapes
+
+
+def _drawn_base(d, kind, count, rng):
+    if kind == "orthogonal":
+        # A W_nm B over some Weyl labels: trace-orthogonal unitaries.
+        a, b = haar_unitary(d, rng), haar_unitary(d, rng)
+        labels = rng.permutation(d * d)[:min(count, d * d)]
+        mats = [a @ weyl(d, k // d, k % d) @ b for k in labels]
+    elif kind == "haar":
+        # Independent unitaries: off-diagonal Gram entries of order d.
+        mats = [haar_unitary(d, rng) for _ in range(count)]
+    else:
+        # One unitary repeated: off-diagonal Gram entries exactly d.
+        mats = [haar_unitary(d, rng)] * count
+    return UMEBCandidate(d, mats, External(f"drawn {kind}"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    q=st.integers(1, 4),
+    outer=st.sampled_from([None, 2, 3]),
+    kind=st.sampled_from(["orthogonal", "haar", "repeated"]),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_gram_matches_the_stack_gram_property(d, q, outer, kind, count, seed):
+    c = lift(_drawn_base(d, kind, count, np.random.default_rng(seed)), q)
+    if outer is not None and c.dim * outer <= 24:
+        c = lift(c, outer)  # a tower of depth 2
+    assert c.split is not None
+    got, shapes = _report_and_gram_shapes(c)
+    want = _stack_report(c)
+    assert (got.gram_from, want.gram_from) == ("factors", "stack")
+    # No Gram of D x D matrices, but for q = 1, where the right factors are the stack.
+    if c.provenance.q > 1:
+        assert max(shape[-1] for shape in shapes) < c.dim
+    assert got.passed == want.passed
+    assert got.max_unitarity_residual == want.max_unitarity_residual
+    assert got.condition_i_ok == want.condition_i_ok
+    assert abs(got.max_gram_offdiag - want.max_gram_offdiag) <= GRAM_ROUNDING
+    assert abs(got.max_gram_diag_error - want.max_gram_diag_error) <= GRAM_ROUNDING
+
+
+def _added(m, n):
+    m[0] += 0.5 * m[1]
+
+
+def _doubled(m, n):
+    m[0] *= 2
+
+
+TAMPERED = {
+    **{name: (q, change) for name, (q, change, _) in SHIFT_BLOCK_VARIANTS.items()},
+    "added": (2, _added),
+    "doubled": (2, _doubled),
+}
+# Whether verify_axioms passes each, judged on its stored stack, and whether
+# it is still an exact product F_k (x) Y_k, so that the factored Gram serves it.
+TAMPERED_VERDICTS = {
+    # name: (passes, splits)
+    "rephased": (True, False),
+    "duplicated": (False, True),
+    "scaled": (False, True),
+    "one_shift_shrunk": (False, False),
+    "diagonal_entry": (True, False),
+    "swapped_across_shifts": (True, False),
+    "block_diagonal_intruder": (False, False),
+    "added": (False, True),
+    "doubled": (False, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_tampered_lifts_keep_their_stack_verdict(name):
+    c = _variant(*TAMPERED[name])
+    passes, splits = TAMPERED_VERDICTS[name]
+    assert (c.split is not None) == splits
+    got, shapes = _report_and_gram_shapes(c)
+    want = _stack_report(c)
+    assert got.passed == want.passed == passes
+    if splits:
+        assert got.gram_from == "factors"
+        assert max(shape[-1] for shape in shapes) < c.dim
+        assert abs(got.max_gram_offdiag - want.max_gram_offdiag) <= GRAM_ROUNDING
+        assert abs(got.max_gram_diag_error - want.max_gram_diag_error) <= GRAM_ROUNDING
+    else:
+        # The dense path, exactly as the stack reference takes it.
+        assert shapes == [c.matrices.shape]
+        assert got.to_dict() == want.to_dict()
+
+
+def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch):
+    c = lift(bravyi_smolin_3(), 8)
+    splits, residuals = [], []
+    real_split, real_residual = Lift.split, constructions.unitarity_residual
+
+    def counting_split(self, matrices):
+        splits.append(np.shape(matrices))
+        return real_split(self, matrices)
+
+    def counting_residual(a):
+        if np.shape(a) == c.matrices.shape:
+            residuals.append(1)
+        return real_residual(a)
+
+    monkeypatch.setattr(Lift, "split", counting_split)
+    for module in (constructions, verification, spectral):
+        monkeypatch.setattr(module, "unitarity_residual", counting_residual)
+    report = verify_axioms(c)
+    sig = signature(c)
+    rows = sector_summaries(c)
+    assert report.passed and report.gram_from == "factors"
+    assert (len(splits), len(residuals)) == (1, 1)
+    assert c.split is c.split
+    assert not any(part.flags.writeable for part in c.split)
+
+    # A fresh candidate over the same stack holds nothing yet.
+    fresh = UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta)
+    again = signature(fresh)
+    assert (len(splits), len(residuals)) == (2, 2)
+    assert repr(again.to_dict()) == repr(sig.to_dict())
+    assert again.canonical_key() == sig.canonical_key()
+    assert rows == again.sectors
