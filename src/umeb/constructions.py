@@ -136,6 +136,20 @@ class Lift:
         left.flags.writeable = False
         return left
 
+    def left_phases(self) -> np.ndarray:
+        """Eigenphases of :meth:`left_factors`, one ascending row per factor,
+        from one ``spectral.eigenphases`` call.  Built on the first call and
+        shared by every later one, so the array is read-only."""
+        return self._left_phases
+
+    @cached_property
+    def _left_phases(self) -> np.ndarray:
+        from . import spectral  # the spectral layer imports this module
+
+        phases = spectral.eigenphases(self.left_factors())
+        phases.flags.writeable = False
+        return phases
+
     def factor_index(self) -> np.ndarray:
         """Index into :meth:`left_factors` of each element's left factor.
 
@@ -223,17 +237,22 @@ class External:
 
 Provenance = Union[WeylFamily, BravyiSmolin3, Umeb6, Lift, External]
 
+# The layout of the explicit 30-member set, one for every caller, so its
+# left factors and their spectra are built once.
+_UMEB6_LAYOUT = Lift(BravyiSmolin3(), 3, 6, 2)
+
 
 def as_lift(p: Provenance) -> Optional[Lift]:
     """The lift a provenance describes, or None when it describes none.
 
     The explicit 30-member set counts: it is the q = 2 lift of the d = 3 base
-    in the same element order, so the sector split carries over.
+    in the same element order, so the sector split carries over; every such
+    set shares one layout.
     """
     if isinstance(p, Lift):
         return p
     if isinstance(p, Umeb6):
-        return Lift(BravyiSmolin3(), 3, 6, 2)
+        return _UMEB6_LAYOUT
     return None
 
 

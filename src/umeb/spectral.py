@@ -125,28 +125,50 @@ def eigenphases(u) -> np.ndarray:
     """
     m = np.asarray(u, dtype=np.complex128)
     _require_unitary(unitarity_residual(m))
+    return _phases(m)
+
+
+def _phases(m: np.ndarray) -> np.ndarray:
+    """:func:`eigenphases` of a complex128 matrix or stack already judged unitary."""
     phases = np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI)
     phases[phases >= TWO_PI] -= TWO_PI
     phases.sort(axis=-1)
     return phases
 
 
-def order_up_to(phase: float, bound: int) -> OrderClassification:
+# Entries of one block of an order scan's phases x powers table: a long scan
+# of many phases runs in blocks of rows, so its memory stays bounded.
+_SCAN_ENTRIES = 1 << 18
+
+
+def order_up_to(
+    phase, bound: int
+) -> Union[OrderClassification, tuple[OrderClassification, ...]]:
     """Smallest n <= bound with n*phase a multiple of 2*pi, within
     ``DEFAULT_TOLERANCES.phase_tol``.
 
     Returns Finite(n) on success and NoOrderUpTo(bound) otherwise; an
     irrational-multiple-of-pi phase can never be confirmed infinite this way.
+    A 1-D array of phases gives a tuple of one classification per phase, from
+    one broadcast scan; a single phase is its one-element case.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
+    p = np.asarray(phase, dtype=np.float64)
+    flat = p.ravel()
     n = np.arange(1, bound + 1)
-    r = np.mod(n * float(phase), TWO_PI)
-    dist = np.minimum(r, TWO_PI - r)
-    hits = np.flatnonzero(dist < DEFAULT_TOLERANCES.phase_tol)
-    if hits.size:
-        return Finite(int(n[hits[0]]))
-    return NoOrderUpTo(bound)
+    orders = np.zeros(flat.size, dtype=np.int64)
+    step = max(1, _SCAN_ENTRIES // len(n))
+    for lo in range(0, flat.size, step):
+        r = flat[lo:lo + step, None] * n
+        np.mod(r, TWO_PI, out=r)
+        np.minimum(r, TWO_PI - r, out=r)  # the distance to a multiple of 2*pi
+        hits = r < DEFAULT_TOLERANCES.phase_tol
+        orders[lo:lo + step] = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)
+    orders = orders.tolist()
+    label = {k: Finite(k) if k else NoOrderUpTo(bound) for k in set(orders)}
+    labels = tuple(map(label.__getitem__, orders))
+    return labels[0] if p.ndim == 0 else labels
 
 
 # Rational cosines whose angle is a rational multiple of pi, with the order
@@ -269,23 +291,38 @@ def _bucket(phase: float) -> int:
     return 0 if tick >= _FULL_TURN_TICKS else tick
 
 
-def _classify_phase(
-    phase: float, bound: int, exact_cos: Optional[Fraction]
-) -> OrderClassification:
-    cls = order_up_to(phase, bound)
-    if isinstance(cls, Finite) or exact_cos is None:
-        return cls
-    if not isinstance(niven_classify(exact_cos), ProvablyInfinite):
-        return cls
-    # The phase resisted the finite scan.  If it equals +/-theta shifted by a
-    # root of unity, with cos(theta) rational of irrational angle, the order
-    # is infinite: a rational multiple of pi plus an irrational one stays
-    # irrational.
-    theta = float(np.arccos(float(exact_cos)))
-    for shifted in ((phase - theta) % TWO_PI, (phase + theta) % TWO_PI):
-        if isinstance(order_up_to(shifted, bound), Finite):
-            return ProvablyInfinite(Fraction(exact_cos))
-    return cls
+def _classify(
+    values: np.ndarray, bound: int, exact_cos: Optional[Fraction]
+) -> tuple[OrderClassification, ...]:
+    """Order classification of each phase in ``values``, from one
+    :func:`order_up_to` scan.
+
+    A phase that resists the finite scan is ProvablyInfinite when it equals
+    +/-theta shifted by a root of unity, with cos(theta) = ``exact_cos``
+    rational of irrational angle: a rational multiple of pi plus an
+    irrational one stays irrational.  The shifted phases join the same scan.
+    """
+    k = len(values)
+    scan = [values]
+    if exact_cos is not None and -1 <= exact_cos <= 1:
+        theta = float(np.arccos(float(exact_cos)))
+        scan += [np.mod(values - theta, TWO_PI), np.mod(values + theta, TWO_PI)]
+    labels = order_up_to(np.concatenate(scan), bound)
+    own = labels[:k]
+    if (
+        exact_cos is None
+        or all(isinstance(cls, Finite) for cls in own)
+        or not isinstance(niven_classify(exact_cos), ProvablyInfinite)
+    ):
+        return own
+    infinite = ProvablyInfinite(Fraction(exact_cos))
+    return tuple(
+        infinite
+        if not isinstance(cls, Finite)
+        and (isinstance(minus, Finite) or isinstance(plus, Finite))
+        else cls
+        for cls, minus, plus in zip(own, labels[k:2 * k], labels[2 * k:])
+    )
 
 
 def _summarize(kinds: np.ndarray, orders: np.ndarray, inverse: np.ndarray) -> SignatureSummary:
@@ -329,28 +366,45 @@ def _sector_rows(
     )
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``a`` (each a[k], flattened) told apart by their exact bytes.
+
+    Returns the index of one row of each distinct kind and, for every row,
+    the position of its kind among them.  Bytes, not float equality: rows
+    one ulp apart, or holding 0.0 against -0.0, stay apart.
+    """
+    flat = np.ascontiguousarray(a).reshape(len(a), int(np.prod(a.shape[1:])))
+    rows = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
 def _element_phases(c: UMEBCandidate) -> np.ndarray:
     """Eigenphases of each element, one ascending row each, as :func:`eigenphases`.
 
-    A set that :meth:`Lift.split` reads as F_k (x) Y_k takes them from its
-    factors: (phi_F + phi_Y) mod 2*pi, from one :func:`eigenphases` call on
-    the q^2 distinct left factors and one on the right factors.  Any other
-    set is one call on the stored stack.  Unitarity is judged on the stored
-    matrices either way, so both paths raise alike; right factors that miss
-    the threshold by a rounding of their own take the stack path.  The split
-    and the stored stack's residual are the candidate's own, computed once.
+    Unitarity is judged on the stored matrices, by the residual the
+    candidate holds, so every path raises alike.  A set that
+    :meth:`Lift.split` reads as F_k (x) Y_k takes its phases from the
+    factors: (phi_F + phi_Y) mod 2*pi, with the left factors' phases held by
+    the layout and one eigensolve of the distinct right factors, checked once
+    for unitarity.  Any other set, and one whose right factors miss the
+    threshold by a rounding of their own, is one eigensolve of the stored
+    stack.
     """
-    split = c.split
-    if split is None or unitarity_residual(split[1]) >= DEFAULT_TOLERANCES.unitarity_tol:
-        return eigenphases(c.matrices)
     _require_unitary(c.unitarity_residual)
-    index, right = split
-    left = eigenphases(as_lift(c.provenance).left_factors())[index]
-    # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
-    phases = np.mod(left[:, :, None] + eigenphases(right)[:, None, :], TWO_PI)
-    phases = phases.reshape(len(index), -1)
-    phases.sort(axis=-1)
-    return phases
+    split = c.split
+    if split is not None:
+        index, right = split
+        first, kind = _distinct_rows(right)
+        distinct = right[first]
+        if unitarity_residual(distinct) < DEFAULT_TOLERANCES.unitarity_tol:
+            left = as_lift(c.provenance).left_phases()[index]
+            # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
+            phases = np.mod(left[:, :, None] + _phases(distinct)[kind][:, None, :], TWO_PI)
+            phases = phases.reshape(len(index), -1)
+            phases.sort(axis=-1)
+            return phases
+    return _phases(c.matrices)
 
 
 def _ranks(keys: list) -> np.ndarray:
@@ -369,12 +423,17 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
 
     A set laid out as a lift, whose stored matrices equal the Kronecker
     products of its factors entry for entry, takes its spectra from the
-    factors' spectra; any other set from one :func:`eigenphases` call on the
-    stored array.  Each distinct phase value is bucketed and classified
-    once, which labels equal floats equally, as a per-element pass would;
-    lifts repeat most of their phases.  Each element's entries are sorted by
-    (bucket, classification), ties in ascending phase, and keep their raw
-    phases.  Summary and sector counts are taken over the distinct values.
+    factors' spectra; any other set from one eigensolve of the stored array.
+    Work is done once per distinct thing, which gives what a
+    per-element pass gives, since equal inputs give equal outputs: a lift's
+    right factors are eigensolved once per distinct matrix, each distinct
+    phase value is bucketed and all are classified in one
+    :func:`order_up_to` scan, and each distinct phase row, told apart by its
+    exact bytes, makes one frozen record, which every element with that row
+    shares.  Lifts repeat most of their factors, phases and rows.  Each
+    element's entries are sorted by (bucket, classification), ties in
+    ascending phase, and keep their raw phases.  Summary and sector counts
+    are taken over the distinct values.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -382,44 +441,45 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
     values, inverse = np.unique(phases, return_inverse=True)
     inverse = inverse.reshape(phases.shape)
     ticks = [_bucket(v) for v in values.tolist()]
-    labels = [_classify_phase(v, bound, c.exact_cos_theta) for v in values.tolist()]
+    labels = _classify(values, bound, c.exact_cos_theta)
     cls_keys = [_cls_key(cl) for cl in labels]
     kinds = np.array([k[0] for k in cls_keys], dtype=np.int64)
     orders = np.array([k[1] if k[0] == _FINITE else 0 for k in cls_keys], dtype=np.int64)
-    # Ranks keep the order of ticks and of classification keys, so integer
-    # sorts give the order of the tuples: within each ascending row a stable
-    # sort by (tick, classification), then the rows by canonical key.
+    # One record per distinct phase row.  Ranks keep the order of ticks and
+    # of classification keys, so integer sorts give the order of the tuples:
+    # within each ascending row a stable sort by (tick, classification),
+    # then the elements, stably, by their row's canonical key.
+    first, kind = _distinct_rows(phases)
+    distinct = inverse[first]
     tick = np.array(ticks, dtype=np.int64)
-    cls_rank = _ranks(cls_keys)
-    within = np.argsort(_ranks(list(zip(ticks, cls_keys)))[inverse], axis=1, kind="stable")
-    entries = np.take_along_axis(inverse, within, axis=1)
-    by_key = np.lexsort(np.concatenate([tick[entries], cls_rank[entries]], axis=1).T[::-1])
-    entries = entries[by_key]
+    within = np.argsort(_ranks(list(zip(ticks, cls_keys)))[distinct], axis=1, kind="stable")
+    entries = np.take_along_axis(distinct, within, axis=1)
+    row_key = np.concatenate([tick[entries], _ranks(cls_keys)[entries]], axis=1)
+    by_key = np.lexsort(row_key[kind].T[::-1])
     rows = entries.tolist()
-    records = tuple(
+    shared = [
         ElementSpectrum(
             phases=tuple(row),
             phase_ticks=tuple(row_ticks),
             classifications=tuple(map(labels.__getitem__, idx)),
         )
         for row, row_ticks, idx in zip(
-            np.take_along_axis(phases, within, axis=1)[by_key].tolist(),
+            np.take_along_axis(phases[first], within, axis=1).tolist(),
             tick[entries].tolist(),
             rows,
         )
-    )
+    ]
     # Each record's canonical key, from the keys of the distinct values.
-    record_keys = tuple(
-        (r.phase_ticks, tuple(map(cls_keys.__getitem__, idx))) for r, idx in zip(records, rows)
-    )
+    keys = [(r.phase_ticks, tuple(map(cls_keys.__getitem__, idx))) for r, idx in zip(shared, rows)]
+    picks = kind[by_key].tolist()
     return SpectralSignature(
         dim=c.dim,
         element_count=len(c.elements),
         bound=bound,
-        records=records,
+        records=tuple(map(shared.__getitem__, picks)),
         summary=_summarize(kinds, orders, inverse),
         sectors=_sector_rows(c, kinds, orders, inverse),
-        key=(c.dim, len(c.elements), record_keys),
+        key=(c.dim, len(c.elements), tuple(map(keys.__getitem__, picks))),
     )
 
 

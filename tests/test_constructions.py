@@ -39,6 +39,7 @@ from umeb.constructions import (
     weyl_family,
 )
 from umeb.linalg import DimensionMismatchError, gram_matrix, unitarity_residual
+from umeb.spectral import eigenphases
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,7 @@ def test_lift_provenance_owns_the_layout():
     assert (p.weyl_count, p.element_count, p.dim) == (108, 132, 12)
     assert as_lift(p) is p
     assert as_lift(Umeb6()) == Lift(BravyiSmolin3(), 3, 6, 2)
+    assert as_lift(Umeb6()) is as_lift(Umeb6())
     assert as_lift(WeylFamily(3)) is None
     assert as_lift(External("x")) is None
     for q in (1, 2, 3):
@@ -217,6 +219,16 @@ def test_lift_shares_one_read_only_build_of_its_left_factors(q):
     # The build is held outside the fields: equality and hashing are unchanged.
     assert p == Lift(BravyiSmolin3(), 3, 6, q)
     assert hash(p) == hash(Lift(BravyiSmolin3(), 3, 6, q))
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_lift_holds_the_eigenphases_of_its_left_factors(q):
+    p = Lift(BravyiSmolin3(), 3, 6, q)
+    phases = p.left_phases()
+    assert p.left_phases() is phases
+    assert not phases.flags.writeable
+    assert phases.tobytes() == eigenphases(p.left_factors()).tobytes()
+    assert p == Lift(BravyiSmolin3(), 3, 6, q)
 
 
 @pytest.mark.parametrize("q", (1, 2, 3, 8))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from umeb.spectral import (
     sector_table,
     signature,
 )
-from umeb.spectral import PHASE_BUCKET, _bucket, _classify_phase, _cls_key, _element_phases
+from umeb.spectral import PHASE_BUCKET, _bucket, _cls_key, _element_phases
 from umeb.verification import structural_certify
 
 THETA = float(np.arccos(-7.0 / 8.0))
@@ -271,20 +272,49 @@ def test_sector_summaries_are_the_signature_sectors():
 # the one-pass signature against the per-element path
 # ---------------------------------------------------------------------------
 
-def _reference_records(c, bound):
-    """Frozen per-element path: each matrix's eigenphases, each phase classified."""
-    records = []
-    for u in c.elements:
-        entries = []
-        for phase in eigenphases(u):
-            cls = _classify_phase(float(phase), bound, c.exact_cos_theta)
-            entries.append((_bucket(float(phase)), cls, float(phase)))
-        entries.sort(key=lambda e: (e[0], _cls_key(e[1])))
-        records.append(ElementSpectrum(
-            phases=tuple(e[2] for e in entries),
-            phase_ticks=tuple(e[0] for e in entries),
-            classifications=tuple(e[1] for e in entries),
-        ))
+def _reference_order(phase, bound):
+    """Frozen single-phase order scan: the first n <= bound that returns to 1."""
+    n = np.arange(1, bound + 1)
+    r = np.mod(n * float(phase), 2 * np.pi)
+    hits = np.flatnonzero(np.minimum(r, 2 * np.pi - r) < DEFAULT_TOLERANCES.phase_tol)
+    return Finite(int(n[hits[0]])) if hits.size else NoOrderUpTo(bound)
+
+
+def _reference_classify(phase, bound, exact_cos):
+    """Frozen per-phase classification, with the rational-cosine promotion."""
+    cls = _reference_order(phase, bound)
+    if isinstance(cls, Finite) or exact_cos is None:
+        return cls
+    if not isinstance(niven_classify(exact_cos), ProvablyInfinite):
+        return cls
+    theta = float(np.arccos(float(exact_cos)))
+    for shifted in ((phase - theta) % (2 * np.pi), (phase + theta) % (2 * np.pi)):
+        if isinstance(_reference_order(shifted, bound), Finite):
+            return ProvablyInfinite(Fraction(exact_cos))
+    return cls
+
+
+def _reference_spectrum(phases, bound, exact_cos):
+    """One element's record from its own phases, each classified by its own scans."""
+    entries = []
+    for phase in phases:
+        cls = _reference_classify(float(phase), bound, exact_cos)
+        entries.append((_bucket(float(phase)), cls, float(phase)))
+    entries.sort(key=lambda e: (e[0], _cls_key(e[1])))
+    return ElementSpectrum(
+        phases=tuple(e[2] for e in entries),
+        phase_ticks=tuple(e[0] for e in entries),
+        classifications=tuple(e[1] for e in entries),
+    )
+
+
+def _reference_records(c, bound, rows=None):
+    """Frozen per-element path: each matrix's eigenphases (or the given phase
+    ``rows``, one per element), with none of the signature's batched helpers;
+    the records sorted by canonical key."""
+    if rows is None:
+        rows = [eigenphases(u) for u in c.elements]
+    records = [_reference_spectrum(row, bound, c.exact_cos_theta) for row in rows]
     records.sort(key=lambda r: r.canonical_key())
     return records
 
@@ -410,25 +440,33 @@ def test_lift_signature_sectors_match_the_full_stack_path(name, monkeypatch):
         assert [r.name for r in sig.sectors] == ["weyl", "base"]
 
 
-def _eigenphases_shapes(monkeypatch):
+def _eigensolve_shapes(monkeypatch):
+    """Shapes of the arrays the spectral layer eigensolves, by every path."""
     shapes = []
-    real = spectral.eigenphases
+    real = spectral._phases
 
-    def counted(u):
-        shapes.append(np.shape(u))
-        return real(u)
+    def counted(m):
+        shapes.append(np.shape(m))
+        return real(m)
 
-    monkeypatch.setattr(spectral, "eigenphases", counted)
+    monkeypatch.setattr(spectral, "_phases", counted)
     return shapes
 
 
 def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
-    shapes = _eigenphases_shapes(monkeypatch)
-    signature(lift(bravyi_smolin_3(), 8))
-    assert shapes == [(64, 8, 8), (552, 3, 3)]
+    # The left factors once per layout, then the distinct right factors: 552
+    # right factors of lift(bs3, 8) are 15 distinct matrices, the tower's 132
+    # are 65.
+    shapes = _eigensolve_shapes(monkeypatch)
+    c = lift(bravyi_smolin_3(), 8)
+    signature(c)
+    assert shapes == [(64, 8, 8), (15, 3, 3)]
+    shapes.clear()
+    signature(c)
+    assert shapes == [(15, 3, 3)]
     shapes.clear()
     signature(_tower())
-    assert shapes == [(4, 2, 2), (2 * 36 + 2 * 30, 6, 6)]
+    assert shapes == [(4, 2, 2), (65, 6, 6)]
     shapes.clear()
     signature(_relabel(umeb_6()))
     assert shapes == [(30, 6, 6)]
@@ -498,7 +536,7 @@ TAMPERED = {
 def test_tampered_lifts_take_the_full_stack_path_bit_for_bit(name, monkeypatch):
     c = TAMPERED[name]()
     assert as_lift(c.provenance).split(c.matrices) is None
-    shapes = _eigenphases_shapes(monkeypatch)
+    shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
     assert shapes == [c.matrices.shape]
     _assert_bit_identical(sig, signature(_relabel(c)))
@@ -545,7 +583,7 @@ def test_right_factors_past_the_threshold_take_the_full_stack_path(monkeypatch):
     c = _lift_at_the_threshold(stored_passes=True)
     index, right = c.provenance.split(c.matrices)
     assert unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol
-    shapes = _eigenphases_shapes(monkeypatch)
+    shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
     assert shapes == [c.matrices.shape]
     _assert_bit_identical(sig, signature(_relabel(c)))
@@ -581,6 +619,181 @@ def test_compare_against_relabelled_and_other_lifts():
     a, b = lift(bravyi_smolin_3(), 4), lift(umeb_6(), 2)
     assert (a.dim, len(a)) == (b.dim, len(b))
     assert compare_signatures(signature(a), signature(b)) == "Distinguished"
+
+
+# ---------------------------------------------------------------------------
+# each distinct factor, phase and row once, against the per-element reference
+# ---------------------------------------------------------------------------
+
+def _reference_element_phases(c):
+    """Each element's phases from eigensolves of its own: of its two factors,
+    one at a time, when the set takes the factor path, else of the element."""
+    split = c.split
+    if split is None or unitarity_residual(split[1]) >= DEFAULT_TOLERANCES.unitarity_tol:
+        return [eigenphases(u) for u in c.elements]
+    left = as_lift(c.provenance).left_factors()
+    return [
+        np.sort(np.mod(eigenphases(left[i])[:, None] + eigenphases(y)[None, :], 2 * np.pi).ravel())
+        for i, y in zip(*split)
+    ]
+
+
+def _reference_stats(spectra):
+    cls = [x for r in spectra for x in r.classifications]
+    finite = [x.order for x in cls if isinstance(x, Finite)]
+    return {
+        "min_finite_order": min(finite, default=None),
+        "max_finite_order": max(finite, default=None),
+        "provably_infinite_count": sum(isinstance(x, ProvablyInfinite) for x in cls),
+        "no_order_count": sum(isinstance(x, NoOrderUpTo) for x in cls),
+    }
+
+
+def _reference_signature(c, bound):
+    """Records, key and to_dict() of a per-element pass over ``c``."""
+    rows = _reference_element_phases(c)
+    spectra = [_reference_spectrum(row, bound, c.exact_cos_theta) for row in rows]
+    records = _reference_records(c, bound, rows)
+    layout = as_lift(c.provenance)
+    groups = [("all", spectra)]
+    if layout is not None and layout.fits(c.matrices):
+        groups = [("weyl", spectra[:layout.weyl_count]), ("base", spectra[layout.weyl_count:])]
+    sectors = [
+        {"name": name, "element_count": len(group), **_reference_stats(group),
+         "elements_with_infinite": sum(
+             any(isinstance(x, ProvablyInfinite) for x in r.classifications) for r in group)}
+        for name, group in groups
+    ]
+    key = (c.dim, len(c), tuple(r.canonical_key() for r in records))
+    doc = {"dim": c.dim, "element_count": len(c), "bound": bound,
+           "summary": _reference_stats(spectra), "sectors": sectors,
+           "records": [r.to_dict() for r in records]}
+    return tuple(records), key, doc
+
+
+def _permuted(c, provenance):
+    order = np.random.default_rng(5).permutation(len(c))
+    return UMEBCandidate(c.dim, c.matrices[order], provenance, c.exact_cos_theta)
+
+
+def _with_duplicates(c):
+    m = np.concatenate([c.matrices, c.matrices[3:9], c.matrices[-2:]])
+    return UMEBCandidate(c.dim, m, External("duplicated"), c.exact_cos_theta)
+
+
+def _conjugated(c):
+    """The complex conjugate set: each phase theta + 2*pi*k/n becomes its
+    negative, which the promotion reaches by the other shift."""
+    return UMEBCandidate(c.dim, c.matrices.conj(), External("conjugated"), c.exact_cos_theta)
+
+
+def _one_ulp_apart():
+    """lift(bs3, 2) with the right factor of its first base element one ulp
+    off, in an entry that moves that factor's eigenphases: still exactly the
+    products of its factors, so it takes the factor path with 16 distinct
+    right factors, two of them one ulp apart."""
+    c = lift(bravyi_smolin_3(), 2)
+    layout = c.provenance
+    right = c.split[1].copy()
+    y = right[layout.weyl_count]
+    y[0, 0] = complex(np.nextafter(y[0, 0].real, np.inf), y[0, 0].imag)
+    return UMEBCandidate(c.dim, layout.products(right), layout, c.exact_cos_theta)
+
+
+DISTINCT = {
+    **{f"bs3_q{q}": (lambda q=q: lift(bravyi_smolin_3(), q)) for q in (2, 4, 8)},
+    **{f"umeb6_q{q}": (lambda q=q: lift(umeb_6(), q)) for q in (1, 2, 3, 4)},
+    "umeb6": umeb_6,
+    "tower_2_2": _tower,
+    "relabelled_bs3_q4": lambda: _relabel(lift(bravyi_smolin_3(), 4)),
+    "permuted_external_bs3_q4": lambda: _permuted(lift(bravyi_smolin_3(), 4), External("perm")),
+    "permuted_under_its_lift": lambda: _permuted(lift(bravyi_smolin_3(), 2), Lift(BravyiSmolin3(), 3, 6, 2)),
+    "duplicated_bs3_q2": lambda: _with_duplicates(lift(bravyi_smolin_3(), 2)),
+    "duplicated_weyl": lambda: _with_duplicates(weyl_family(4)),
+    "conjugated_bs3_q4": lambda: _conjugated(lift(bravyi_smolin_3(), 4)),
+    "one_ulp_apart": _one_ulp_apart,
+}
+
+
+@pytest.mark.parametrize("bound", [7, 144])
+@pytest.mark.parametrize("name", sorted(DISTINCT))
+def test_signature_equals_the_per_element_reference(name, bound):
+    c = DISTINCT[name]()
+    sig = signature(c, bound)
+    records, key, doc = _reference_signature(c, bound)
+    assert sig.records == records
+    assert sig.key == key
+    assert json.dumps(sig.to_dict()) == json.dumps(doc)
+
+
+def test_signature_at_bound_7_promotes_and_leaves_phases_unresolved():
+    for name in ("bs3_q8", "umeb6_q4", "relabelled_bs3_q4", "conjugated_bs3_q4"):
+        summary = signature(DISTINCT[name](), 7).summary
+        assert summary.provably_infinite_count > 0 and summary.no_order_count > 0
+
+
+def test_right_factors_one_ulp_apart_are_solved_apart(monkeypatch):
+    c, plain = _one_ulp_apart(), lift(bravyi_smolin_3(), 2)
+    shapes = _eigensolve_shapes(monkeypatch)
+    a, b = signature(c), signature(plain)
+    assert [s for s in shapes if s[1:] == (3, 3)] == [(16, 3, 3), (15, 3, 3)]
+    assert json.dumps(a.to_dict()) != json.dumps(b.to_dict())
+
+
+def test_elements_with_one_phase_row_share_one_record():
+    sig = signature(lift(bravyi_smolin_3(), 8))
+    assert len(sig.records) == 552
+    distinct = {id(r) for r in sig.records}
+    assert len(distinct) == len({np.array(r.phases).tobytes() for r in sig.records}) < 552
+
+
+def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
+    calls = []
+    real = spectral.unitarity_residual
+    monkeypatch.setattr(spectral, "unitarity_residual", lambda m: calls.append(np.shape(m)) or real(m))
+    stack = _relabel(lift(bravyi_smolin_3(), 4))
+    stack.unitarity_residual  # held once, as verify_axioms leaves it
+    signature(stack)
+    assert calls == []
+    c = lift(bravyi_smolin_3(), 4)
+    c.provenance.left_phases()
+    calls.clear()
+    signature(c)
+    assert calls == [(15, 3, 3)]  # the distinct right factors, checked once
+
+
+# ---------------------------------------------------------------------------
+# the batched order scan
+# ---------------------------------------------------------------------------
+
+_TOL = DEFAULT_TOLERANCES.phase_tol
+_roots = st.builds(lambda n, k: 2 * np.pi * (k % n) / n, st.integers(1, 250), st.integers(0, 250))
+_near_roots = st.builds(
+    lambda root, shift: float(np.mod(root + shift, 2 * np.pi)),
+    _roots, st.floats(-2 * _TOL, 2 * _TOL),
+)
+_anywhere = st.floats(0.0, 2 * np.pi, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    phases=st.lists(st.one_of(_roots, _near_roots, _anywhere), max_size=40),
+    bound=st.integers(1, 200),
+)
+def test_order_up_to_of_an_array_is_each_phase_alone_property(phases, bound):
+    labels = order_up_to(np.array(phases, dtype=float), bound)
+    assert labels == tuple(order_up_to(p, bound) for p in phases)
+    assert labels == tuple(_reference_order(p, bound) for p in phases)
+
+
+def test_order_up_to_scans_long_arrays_in_blocks(monkeypatch):
+    phases = np.concatenate([2 * np.pi * np.arange(40) / 40, [THETA, -THETA, np.pi]])
+    whole = order_up_to(phases, 50)
+    monkeypatch.setattr(spectral, "_SCAN_ENTRIES", 120)  # two phases per block at bound 50
+    assert order_up_to(phases, 50) == whole
+    assert whole == tuple(_reference_order(p, 50) for p in phases)
+    assert order_up_to(np.empty(0), 5) == ()
+    assert order_up_to(np.float64(np.pi), 4) == Finite(2)
 
 
 # ---------------------------------------------------------------------------

@@ -1009,6 +1009,22 @@ def test_certify_and_signature_build_the_left_factors_once_each(monkeypatch):
         assert builds == [8]
 
 
+def test_every_layer_reads_the_one_layout_of_umeb_6(monkeypatch):
+    layout = as_lift(umeb_6().provenance)
+    # Drop what earlier callers built, so the count starts from an empty layout.
+    for held in ("_left_factors", "_left_phases"):
+        monkeypatch.delitem(layout.__dict__, held, raising=False)
+    builds = []
+    fourier = constructions.fourier_matrix
+    monkeypatch.setattr(constructions, "fourier_matrix", lambda q: builds.append(q) or fourier(q))
+    c = umeb_6()
+    assert verify_axioms(c).passed
+    assert signature(c).summary.provably_infinite_count == 24
+    assert structural_certify(c).overall == "CertifiedConditionalOnBase"
+    assert builds == [2]
+    assert as_lift(c.provenance) is layout
+
+
 # ---------------------------------------------------------------------------
 # The Gram from a lift's factors, and the facts a candidate holds
 # ---------------------------------------------------------------------------
