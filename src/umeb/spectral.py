@@ -304,6 +304,8 @@ def _classify(
     """
     k = len(values)
     scan = [values]
+    # Outside [-1, 1] there is no angle; niven_classify below raises for it
+    # once a phase resists the scan.
     if exact_cos is not None and -1 <= exact_cos <= 1:
         theta = float(np.arccos(float(exact_cos)))
         scan += [np.mod(values - theta, TWO_PI), np.mod(values + theta, TWO_PI)]

@@ -715,10 +715,10 @@ DISTINCT = {
 }
 
 
-@pytest.mark.parametrize("bound", [7, 144])
-@pytest.mark.parametrize("name", sorted(DISTINCT))
+@pytest.mark.parametrize("bound", [1, 7, 144])
+@pytest.mark.parametrize("name", sorted({**REFERENCE_SETS, **DISTINCT}))
 def test_signature_equals_the_per_element_reference(name, bound):
-    c = DISTINCT[name]()
+    c = {**REFERENCE_SETS, **DISTINCT}[name]()
     sig = signature(c, bound)
     records, key, doc = _reference_signature(c, bound)
     assert sig.records == records
