@@ -25,6 +25,7 @@ from .linalg import (
     DimensionMismatchError,
     as_square,
     as_stack,
+    distinct_rows,
     root_of_unity,
     unitarity_residual,
 )
@@ -227,6 +228,28 @@ class Lift:
             return None
         return self.factor_index(), right
 
+    def tiles(self, matrices, right: np.ndarray) -> np.ndarray:
+        """The distinct nonzero d x d tiles of a stack that :meth:`split` reads as
+        F_k (x) Y_k, with ``right`` its Y_k.
+
+        Every left factor is monomial, one nonzero entry f per row and per
+        column, so row-tile a of F_k (x) Y_k holds one nonzero tile f Y_k and
+        every other tile is exactly zero: (F (x) Y)^dag (F (x) Y) is block
+        diagonal with the blocks T^dag T of those tiles.  Returns one tile,
+        read from the stack, per distinct pair (f, Y_k) that occurs, both
+        told apart by exact bytes.
+        """
+        q = self.q
+        left = self.left_factors()
+        cols = np.argmax(left != 0, axis=2)
+        _, value = distinct_rows(np.take_along_axis(left, cols[:, :, None], axis=2).reshape(-1, 1))
+        _, kind = distinct_rows(right)
+        index = self.factor_index()
+        pairs = value.reshape(q * q, q)[index] * len(right) + kind[:, None]
+        _, first = np.unique(pairs, return_index=True)
+        k, a = np.divmod(first, q)
+        return self.blocks(matrices)[k, a, :, cols[index[k], a], :]
+
 
 @dataclass(frozen=True)
 class External:
@@ -317,13 +340,15 @@ class UMEBCandidate:
     one non-unit eigenphase shared by every Bravyi-Smolin-derived element; the
     spectral layer uses it to prove infinite eigenvalue orders.
 
-    Two whole-stack facts are computed on first use and then held:
-    :attr:`split`, the stack read as F_k (x) Y_k by its lift layout, and
-    :attr:`unitarity_residual`, the largest residual of the stored matrices.
-    The axiom check and the spectral layer both read them, so a candidate
-    verified and then signed pays for each once.  Holding them is safe
-    because ``matrices`` is read-only and ``dim`` and ``provenance`` are
-    frozen: nothing either fact depends on can change.
+    Three whole-stack facts are computed on first use and then held:
+    :attr:`split`, the stack read as F_k (x) Y_k by its lift layout;
+    :attr:`unitarity_residual`, the largest residual of the stored matrices,
+    read from the distinct tiles of a split set; and :attr:`axiom_report`,
+    the report :func:`~umeb.verification.verify_axioms` returns.  The axiom
+    check, the certificate and the spectral layer all read them, so a
+    candidate verified, certified and then signed pays for each once.
+    Holding them is safe because ``matrices`` is read-only and ``dim`` and
+    ``provenance`` are frozen: nothing these facts depend on can change.
     """
 
     dim: int
@@ -372,8 +397,26 @@ class UMEBCandidate:
 
     @cached_property
     def unitarity_residual(self) -> float:
-        """``unitarity_residual(matrices)``: the largest residual of the stored matrices."""
-        return unitarity_residual(self.matrices)
+        """The largest unitarity residual of the stored matrices.
+
+        When :attr:`split` holds, it is ``unitarity_residual`` of the distinct
+        nonzero tiles :meth:`Lift.tiles` reads (at most q per distinct right
+        factor), whose products T^dag T are the only nonzero blocks of each
+        element's U^dag U: the stack's figure, summed over d terms rather
+        than over qd, so equal to it up to rounding.  Any other set takes
+        ``unitarity_residual(matrices)``.
+        """
+        split = self.split
+        if split is None:
+            return unitarity_residual(self.matrices)
+        return unitarity_residual(as_lift(self.provenance).tiles(self.matrices, split[1]))
+
+    @cached_property
+    def axiom_report(self) -> "VerificationReport":
+        """The :func:`~umeb.verification.verify_axioms` report of this set."""
+        from . import verification  # the verification layer imports this module
+
+        return verification.VerificationReport.of(self)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +589,10 @@ def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
     prov = Lift(base=base.provenance, base_dim=d, base_count=len(base.elements), q=q)
     tol = DEFAULT_TOLERANCES.unitarity_tol
     if base.unitarity_residual >= tol:
-        i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol)
+        # The element with the largest residual of its own: a split base's held
+        # residual is summed over its tiles, so it may pass tol by a rounding
+        # that no element's own residual shows.
+        i = int(np.argmax([unitarity_residual(u) for u in base.matrices]))
         raise ValueError(f"base element {i} is not unitary within tolerance")
 
     right = np.concatenate([np.tile(weyl_family(d).matrices, (q * (q - 1), 1, 1)),

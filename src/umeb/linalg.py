@@ -20,6 +20,7 @@ __all__ = [
     "as_matrix",
     "as_square",
     "as_stack",
+    "distinct_rows",
     "root_of_unity",
     "kron",
     "hs_inner",
@@ -133,6 +134,19 @@ def as_stack(mats) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``a`` (each a[k], flattened) told apart by their exact bytes.
+
+    Returns the index of one row of each distinct kind and, for every row,
+    the position of its kind among them.  Bytes, not float equality: rows
+    one ulp apart, or holding 0.0 against -0.0, stay apart.
+    """
+    flat = np.ascontiguousarray(a).reshape(len(a), int(np.prod(a.shape[1:])))
+    rows = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 def gram_matrix(mats) -> np.ndarray:

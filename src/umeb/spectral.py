@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .constructions import UMEBCandidate, as_lift
-from .linalg import DEFAULT_TOLERANCES, TWO_PI, unitarity_residual
+from .linalg import DEFAULT_TOLERANCES, TWO_PI, distinct_rows, unitarity_residual
 
 __all__ = [
     "Finite",
@@ -368,19 +368,6 @@ def _sector_rows(
     )
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``a`` (each a[k], flattened) told apart by their exact bytes.
-
-    Returns the index of one row of each distinct kind and, for every row,
-    the position of its kind among them.  Bytes, not float equality: rows
-    one ulp apart, or holding 0.0 against -0.0, stay apart.
-    """
-    flat = np.ascontiguousarray(a).reshape(len(a), int(np.prod(a.shape[1:])))
-    rows = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
-
-
 def _element_phases(c: UMEBCandidate) -> np.ndarray:
     """Eigenphases of each element, one ascending row each, as :func:`eigenphases`.
 
@@ -397,7 +384,7 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
     split = c.split
     if split is not None:
         index, right = split
-        first, kind = _distinct_rows(right)
+        first, kind = distinct_rows(right)
         distinct = right[first]
         if unitarity_residual(distinct) < DEFAULT_TOLERANCES.unitarity_tol:
             left = as_lift(c.provenance).left_phases()[index]
@@ -451,7 +438,7 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
     # of classification keys, so integer sorts give the order of the tuples:
     # within each ascending row a stable sort by (tick, classification),
     # then the elements, stably, by their row's canonical key.
-    first, kind = _distinct_rows(phases)
+    first, kind = distinct_rows(phases)
     distinct = inverse[first]
     tick = np.array(ticks, dtype=np.int64)
     within = np.argsort(_ranks(list(zip(ticks, cls_keys)))[distinct], axis=1, kind="stable")

@@ -6,19 +6,21 @@ Three layers of scrutiny for a candidate set of d x d matrices:
   fewer than d^2 elements, all unitary, pairwise trace inner products d on
   the diagonal and 0 off it.  A lift's Gram comes from its Kronecker
   factors, Tr((F (x) Y)^dag (F' (x) Y')) = Tr(F^dag F') Tr(Y^dag Y'), when
-  its stored matrices are exactly those products (``Lift.split``); it then
-  differs from the Gram of the stored stack by rounding only.  Any other
-  set takes the Gram of its stored stack.
+  its stored matrices are exactly those products (``Lift.split``), and its
+  unitarity residual from the distinct nonzero tiles of those products; both
+  then differ from the stored stack's figures by rounding only.  Any other
+  set takes both from its stored stack.
 * :func:`search_extension` hunts for a unitary inside the trace-orthogonal
   complement by nuclear-norm ascent.  Finding one is rigorous (a constructive
   witness that passes re-verification within ``DEFAULT_TOLERANCES``); not finding one
   is evidence, not proof.
 * :func:`structural_certify` replays the block-structure argument behind the
   tensor-product lift, giving a rigorous certificate conditional on the
-  unextendibility of the base set.  It reads everything from the singular
+  unextendibility of the base set.  It reads the span from the singular
   values of the Weyl sector, one SVD per shift block of the lift: its
   block-diagonal check is a bound derived from the span check, so no
-  complement is computed.
+  complement is computed.  A last check holds the whole set to
+  :func:`verify_axioms`, whose report the candidate holds.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     RANK_RTOL,
     as_square,
+    distinct_rows,
     gram_matrix,
     orthonormal_complement,
     seeded_random_matrix,
@@ -120,6 +123,9 @@ class VerificationReport:
 
     ``gram_from`` says how the Gram residuals were formed: ``"factors"``
     from a lift's Kronecker factors, ``"stack"`` from the stored matrices.
+    ``unitarity_from`` says the same of the unitarity residual: ``"tiles"``
+    from the distinct nonzero tiles of a lift's stored matrices, ``"stack"``
+    from every stored matrix.
     """
 
     dim: int
@@ -130,9 +136,55 @@ class VerificationReport:
     condition_i_ok: bool
     passed: bool
     gram_from: str
+    unitarity_from: str
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def of(cls, c: UMEBCandidate) -> "VerificationReport":
+        """The report of ``c``, computed afresh; :func:`verify_axioms` documents it."""
+        tol = DEFAULT_TOLERANCES
+        n = len(c.elements)
+        if n == 0:
+            raise ValueError("candidate has no elements")
+        d = c.dim
+        max_unit = c.unitarity_residual
+        split = c.split
+        if split is None:
+            g = gram_matrix(c.matrices)
+            diag = np.diag(g).copy()
+            np.fill_diagonal(g, 0.0)
+            max_off = float(np.max(np.abs(g)))
+        else:
+            index, right = split
+            first, kind = distinct_rows(right)
+            left = gram_matrix(as_lift(c.provenance).left_factors())
+            distinct = gram_matrix(right[first])
+            diag = np.diag(left)[index] * np.diag(distinct)[kind]
+            # |L_ab R_ab| = |L_ab| |R_ab|, taken in one real n x n array.
+            g = np.abs(left)[index[:, None], index]
+            g *= np.abs(distinct)[kind[:, None], kind]
+            np.fill_diagonal(g, 0.0)
+            max_off = float(np.max(g))
+        max_diag = float(np.max(np.abs(diag - d)))
+        condition_i = n < d * d
+        return cls(
+            dim=d,
+            element_count=n,
+            max_unitarity_residual=float(max_unit),
+            max_gram_offdiag=max_off,
+            max_gram_diag_error=max_diag,
+            condition_i_ok=condition_i,
+            passed=(
+                max_unit < tol.unitarity_tol
+                and max_off < tol.gram_tol
+                and max_diag < tol.gram_tol
+                and condition_i
+            ),
+            gram_from="stack" if split is None else "factors",
+            unitarity_from="stack" if split is None else "tiles",
+        )
 
 
 def verify_axioms(c: UMEBCandidate) -> VerificationReport:
@@ -144,49 +196,25 @@ def verify_axioms(c: UMEBCandidate) -> VerificationReport:
     ``DEFAULT_TOLERANCES.gram_tol``, and fewer than d^2 elements.  A complete
     orthogonal basis of the matrix space fails only the count condition.
 
-    Unitarity is judged on the stored matrices.  The Gram is formed one of
-    two ways, named by ``gram_from``.  When the candidate's
-    :attr:`~UMEBCandidate.split` holds, every stored element equals
-    F_k (x) Y_k entry for entry, and Tr((F (x) Y)^dag (F' (x) Y')) =
-    Tr(F^dag F') Tr(Y^dag Y') gives the Gram as the q^2 x q^2 Gram of the
-    left factors, indexed per element, times the n x n Gram of the d x d
-    right factors: ``"factors"``.  The two sides are equal in exact
-    arithmetic, so it differs from the Gram of the stored (n, qd, qd) stack
-    by rounding only.  Every other set takes the Gram of its stored stack:
-    ``"stack"``.
+    When the candidate's :attr:`~UMEBCandidate.split` holds, every stored
+    element equals F_k (x) Y_k entry for entry, and both residuals are taken
+    at the factors' size.  Unitarity is the candidate's held residual, read
+    from the distinct nonzero tiles f Y_k of the stored matrices
+    (``unitarity_from`` ``"tiles"``).  Tr((F (x) Y)^dag (F' (x) Y')) =
+    Tr(F^dag F') Tr(Y^dag Y') gives each Gram entry as an entry of the
+    q^2 x q^2 Gram of the left factors times one of the Gram of the distinct
+    right factors (``gram_from`` ``"factors"``): the off-diagonal residual
+    is the largest product of their magnitudes, formed in one real n x n
+    array, and the diagonal error comes from the n diagonal products alone.
+    Both sides are equal in exact arithmetic, so every residual differs from
+    the stored (n, qd, qd) stack's by rounding only.  Every other set takes
+    the residual and the Gram of its stored stack (both ``"stack"``).
+
+    The report is computed on first use and held by the candidate
+    (:attr:`~UMEBCandidate.axiom_report`), so the certificate and a second
+    call read it without forming the Gram again.
     """
-    tol = DEFAULT_TOLERANCES
-    if len(c.elements) == 0:
-        raise ValueError("candidate has no elements")
-    d = c.dim
-    max_unit = c.unitarity_residual
-    split = c.split
-    if split is None:
-        g = gram_matrix(c.matrices)
-    else:
-        index, right = split
-        left = gram_matrix(as_lift(c.provenance).left_factors())
-        g = left[index][:, index] * gram_matrix(right)
-    off = g - np.diag(np.diag(g))
-    max_off = float(np.max(np.abs(off))) if len(c.elements) > 1 else 0.0
-    max_diag = float(np.max(np.abs(np.diag(g) - d)))
-    condition_i = len(c.elements) < d * d
-    passed = (
-        max_unit < tol.unitarity_tol
-        and max_off < tol.gram_tol
-        and max_diag < tol.gram_tol
-        and condition_i
-    )
-    return VerificationReport(
-        dim=d,
-        element_count=len(c.elements),
-        max_unitarity_residual=float(max_unit),
-        max_gram_offdiag=max_off,
-        max_gram_diag_error=max_diag,
-        condition_i_ok=condition_i,
-        passed=passed,
-        gram_from="stack" if split is None else "factors",
-    )
+    return c.axiom_report
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +629,21 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
        recorded as an assumption.  ``detail`` is the largest of the sector's
        entry-wise deviation (nan when no ordering matches or the leaf's
        shape differs) and the base's axiom residuals.
+    6. set_passes_axioms: the whole set passes :func:`verify_axioms`.  Checks
+       1-5 read the span of the Weyl sector and the base sector's match to
+       the base, and an edit that keeps both (an element rescaled, or
+       replaced by a combination of others) leaves them passing while the
+       set is no longer unitary and orthogonal.  ``detail`` is the largest of
+       the report's three residuals; the report is the one the candidate
+       holds, so a set verified first, or a tower's base already verified
+       by check 5 one level up, forms no Gram again.
 
     Each check is held only to the ``threshold`` it reports: CERT_ZERO_TOL
     for checks 1, 2 and 5 (detail below it), 0.5 q^(q/2) for check 3 (at or
-    above) and CERT_COND_MAX for check 4 (below).  Check 5 also needs the
-    base to meet condition (i) and a lifted base to certify; the notes name
-    whichever part failed.
+    above), CERT_COND_MAX for check 4 (below) and the axiom tolerances for
+    check 6 (below).  Check 5 also needs the base to meet condition (i) and
+    a lifted base to certify, and check 6 the set to meet condition (i); the
+    notes name whichever part failed.
     """
     layout = as_lift(c.provenance)
     if layout is None:
@@ -737,6 +774,23 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
             "attach extension-search evidence"
         )
     checks.append(CertificateCheck("base_case_verdict", base_ok, base_detail, CERT_ZERO_TOL))
+
+    # Check 6: the whole set satisfies the axioms.  Checks 1-5 read only the
+    # span and the base sector, which edits such as rescaling an element
+    # leave intact.
+    report = verify_axioms(c)
+    if not report.passed:
+        notes.append(
+            "the set fails verify_axioms: unitarity residual "
+            f"{report.max_unitarity_residual:.3e}, Gram off-diagonal "
+            f"{report.max_gram_offdiag:.3e}, Gram diagonal error "
+            f"{report.max_gram_diag_error:.3e} (condition (i) ok: {report.condition_i_ok})"
+        )
+    checks.append(CertificateCheck(
+        "set_passes_axioms", report.passed,
+        max(report.max_unitarity_residual, report.max_gram_offdiag, report.max_gram_diag_error),
+        min(DEFAULT_TOLERANCES.unitarity_tol, DEFAULT_TOLERANCES.gram_tol),
+    ))
 
     overall = "CertifiedConditionalOnBase" if all(ch.passed for ch in checks) else "Failed"
     return StructuralCertificate(overall=overall, checks=tuple(checks), notes=tuple(notes))

@@ -359,10 +359,11 @@ def test_certify_json_lists_checks(tmp_path, capsys):
         "vandermonde_det_nonzero",
         "base_trace_system_reduces",
         "base_case_verdict",
+        "set_passes_axioms",
     ]
     # Each check reports the threshold its detail was compared against.
     thresholds = [c["threshold"] for c in payload["checks"]]
-    assert thresholds == [1e-10, 1e-10, 0.5 * 3 ** 1.5, 1e8, 1e-10]
+    assert thresholds == [1e-10, 1e-10, 0.5 * 3 ** 1.5, 1e8, 1e-10, 1e-10]
     for c in payload["checks"]:
         if c["name"] == "vandermonde_det_nonzero":
             assert c["detail"] >= c["threshold"]
@@ -372,7 +373,8 @@ def test_certify_json_lists_checks(tmp_path, capsys):
 
 def test_certify_takes_no_tolerance_flag(tmp_path, capsys):
     # Element 0's non-unit eigenphase moved by 8e-11: its Gram residual,
-    # 5.06e-11, is below check 5's threshold, and no flag can move that.
+    # 5.06e-11, is below check 5's threshold.  The lift doubles it, to
+    # 1.01e-10, past check 6's, and no flag can move either.
     theta = float(np.arccos(-7.0 / 8.0)) + 8e-11
     psi = bravyi_smolin_states()[0]
     u0 = np.eye(3) - (1.0 - np.exp(1j * theta)) * np.outer(psi, psi.conj())
@@ -380,8 +382,12 @@ def test_certify_takes_no_tolerance_flag(tmp_path, capsys):
     path = tmp_path / "moved.json"
     save_umeb(lift(base, 2), path)
     code, stdout, _ = run(capsys, "certify", str(path), "--json")
-    assert code == 0
-    assert json.loads(stdout)["checks"][-1]["detail"] < 1e-10
+    assert code == 2
+    checks = {ch["name"]: ch for ch in json.loads(stdout)["checks"]}
+    assert checks["base_case_verdict"]["passed"]
+    assert checks["base_case_verdict"]["detail"] < 1e-10
+    assert not checks["set_passes_axioms"]["passed"]
+    assert checks["set_passes_axioms"]["detail"] == pytest.approx(1.012e-10, rel=1e-3)
     code, stdout, stderr = run(capsys, "certify", str(path), "--gram-tol", "1e-12")
     assert code == 1
     assert stdout == ""
@@ -511,7 +517,7 @@ def test_verify_search_certify_json_key_order(tmp_path, capsys):
     assert list(json.loads(stdout)) == [
         "schema_version", "command", "path", "dim", "element_count",
         "max_unitarity_residual", "max_gram_offdiag", "max_gram_diag_error",
-        "condition_i_ok", "passed", "gram_from", "notes",
+        "condition_i_ok", "passed", "gram_from", "unitarity_from", "notes",
     ]
     code, stdout, _ = run(capsys, "search", str(path), "--restarts", "2", "--iters", "5", "--json")
     assert code == 0
@@ -529,7 +535,7 @@ def test_verify_search_certify_json_key_order(tmp_path, capsys):
     ]
     assert [list(ch) for ch in payload["checks"]] == [
         ["name", "passed", "detail", "threshold"]
-    ] * 5
+    ] * 6
 
 
 def test_spectral_rejects_non_unitary(tmp_path, capsys):

@@ -17,6 +17,7 @@ from umeb.constructions import (
     bravyi_smolin_states,
     lift,
     provenance_to_str,
+    save_umeb,
     umeb_6,
     weyl,
     weyl_family,
@@ -24,6 +25,8 @@ from umeb.constructions import (
 from umeb.linalg import (
     DEFAULT_TOLERANCES,
     DimensionMismatchError,
+    distinct_rows,
+    gram_matrix,
     hs_inner,
     hs_norm,
     orthonormal_complement,
@@ -472,6 +475,7 @@ def test_certify_explicit_30_member_set():
         "vandermonde_det_nonzero",
         "base_trace_system_reduces",
         "base_case_verdict",
+        "set_passes_axioms",
     ]
     assert all(ch.passed for ch in cert.checks)
     assert cert.base_provenance == "bravyi_smolin_3"
@@ -569,8 +573,8 @@ def test_certify_rejects_base_sector_that_is_not_the_base():
     assert search_extension(c, restarts=4, iters=300, seed=0).verdict == "ExtensionFound"
     cert = structural_certify(c)
     assert cert.overall == "Failed"
-    assert cert.checks[-1].name == "base_case_verdict"
-    assert not cert.checks[-1].passed
+    assert cert.checks[-2].name == "base_case_verdict"
+    assert not cert.checks[-2].passed
     assert any("base_sector_matches_base" in n for n in cert.notes)
     for cand in (umeb_6(), *(lift(bravyi_smolin_3(), q) for q in (2, 4, 8))):
         assert structural_certify(cand).overall == "CertifiedConditionalOnBase"
@@ -728,11 +732,19 @@ def _moved_phase_lift(shift):
     return c
 
 
-def test_certify_moved_phase_below_the_threshold_certifies():
+def test_certify_moved_phase_base_passes_but_its_lift_fails_the_axioms():
     # Gram residual 5.06e-11: below check 5's threshold, so the base passes.
-    cert = structural_certify(lift(_moved_phase_base(8e-11), 2))
-    assert cert.overall == "CertifiedConditionalOnBase"
-    assert cert.checks[-1].detail == pytest.approx(5.06e-11, rel=1e-2)
+    # Tr(F^dag F) = q = 2 doubles it in the lift, to 1.01e-10, so the lifted
+    # set fails verify_axioms, and with it check 6.
+    c = lift(_moved_phase_base(8e-11), 2)
+    cert = structural_certify(c)
+    assert cert.overall == "Failed"
+    base_case, axioms = cert.checks[-2:]
+    assert base_case.passed and base_case.detail == pytest.approx(5.06e-11, rel=1e-2)
+    report = verify_axioms(c)
+    assert not report.passed
+    assert not axioms.passed and axioms.detail == report.max_gram_offdiag
+    assert axioms.detail == pytest.approx(1.012e-10, rel=1e-3)
 
 
 def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
@@ -757,6 +769,10 @@ def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
         for ch in cert.checks:
             if ch.threshold != CERT_ZERO_TOL or ch.passed == (ch.detail < ch.threshold):
                 continue
+            if ch.name == "set_passes_axioms":
+                assert not ch.passed and not verify_axioms(c).condition_i_ok
+                reasons.append("the set fails condition (i)")
+                continue
             assert ch.name == "base_case_verdict" and not ch.passed
             reasons += [
                 n for n in cert.notes
@@ -766,6 +782,7 @@ def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
     assert reasons == [
         "base certified recursively: Failed",
         "extracted base fails the axioms (condition (i) ok: False)",
+        "the set fails condition (i)",
     ]
 
 
@@ -1030,10 +1047,12 @@ def test_every_layer_reads_the_one_layout_of_umeb_6(monkeypatch):
 # ---------------------------------------------------------------------------
 
 GRAM_ROUNDING = 1e-13
-# The factored and the stack Gram sum the same products in another order.
-# For the sets drawn here, D <= 24 and every element unitary, their residuals
-# differed by at most 7.1e-15 over 600 draws; this bound leaves a margin of
-# 14 and is still 1000 times below gram_tol.
+# The factored and the stack Gram sum the same products in another order, and
+# the tile and the stack unitarity residual sum T^dag T over d terms against
+# qd.  For the sets drawn here, D <= 24 and every element unitary, the Gram
+# residuals differed by at most 7.1e-15 over 600 draws and the unitarity
+# residuals by at most 2.3e-16; this bound leaves a margin of 14 and is still
+# 1000 times below gram_tol.
 
 
 def _stack_report(c):
@@ -1042,16 +1061,42 @@ def _stack_report(c):
         return verify_axioms(UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta))
 
 
-def _report_and_gram_shapes(c):
-    """verify_axioms on c, and the shape of every stack gram_matrix received."""
-    shapes, real = [], verification.gram_matrix
+def _parent_stack_report(c):
+    """The dense report as verify_axioms formed it before the tile residual,
+    frozen here: every figure from the stored stack, with today's key added."""
+    g = gram_matrix(c.matrices)
+    d, n = c.dim, len(c.matrices)
+    off = g - np.diag(np.diag(g))
+    max_unit = unitarity_residual(c.matrices)
+    max_off = float(np.max(np.abs(off))) if n > 1 else 0.0
+    max_diag = float(np.max(np.abs(np.diag(g) - d)))
+    tol = DEFAULT_TOLERANCES
+    return {
+        "dim": d,
+        "element_count": n,
+        "max_unitarity_residual": float(max_unit),
+        "max_gram_offdiag": max_off,
+        "max_gram_diag_error": max_diag,
+        "condition_i_ok": n < d * d,
+        "passed": (max_unit < tol.unitarity_tol and max_off < tol.gram_tol
+                   and max_diag < tol.gram_tol and n < d * d),
+        "gram_from": "stack",
+        "unitarity_from": "stack",
+    }
 
-    def spy(mats):
-        shapes.append(np.shape(mats))
-        return real(mats)
 
-    with mock.patch.object(verification, "gram_matrix", spy):
-        return verify_axioms(c), shapes
+def _report_and_shapes(c):
+    """verify_axioms on c, and the shape of every stack that gram_matrix and
+    the candidate's unitarity_residual received."""
+    grams, residuals = [], []
+
+    def spy(real, shapes):
+        return lambda mats: shapes.append(np.shape(mats)) or real(mats)
+
+    with mock.patch.object(verification, "gram_matrix", spy(verification.gram_matrix, grams)), \
+            mock.patch.object(constructions, "unitarity_residual",
+                              spy(constructions.unitarity_residual, residuals)):
+        return verify_axioms(c), grams, residuals
 
 
 def _drawn_base(d, kind, count, rng):
@@ -1069,8 +1114,9 @@ def _drawn_base(d, kind, count, rng):
     return UMEBCandidate(d, mats, External(f"drawn {kind}"))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+# Random towers: a drawn base in dimension d <= 4, lifted by q <= 4 and then,
+# while D stays <= 24, once more by the outer q.
+TOWERS = dict(
     d=st.integers(2, 4),
     q=st.integers(1, 4),
     outer=st.sampled_from([None, 2, 3]),
@@ -1078,22 +1124,74 @@ def _drawn_base(d, kind, count, rng):
     count=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_factored_gram_matches_the_stack_gram_property(d, q, outer, kind, count, seed):
-    c = lift(_drawn_base(d, kind, count, np.random.default_rng(seed)), q)
+
+
+def _drawn_tower(base, q, outer):
+    c = lift(base, q)
     if outer is not None and c.dim * outer <= 24:
         c = lift(c, outer)  # a tower of depth 2
+    return c
+
+
+def _tower(d, q, outer, kind, count, seed):
+    return _drawn_tower(_drawn_base(d, kind, count, np.random.default_rng(seed)), q, outer)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**TOWERS)
+def test_factored_gram_matches_the_stack_gram_property(d, q, outer, kind, count, seed):
+    c = _tower(d, q, outer, kind, count, seed)
     assert c.split is not None
-    got, shapes = _report_and_gram_shapes(c)
+    got, shapes, _ = _report_and_shapes(c)
     want = _stack_report(c)
     assert (got.gram_from, want.gram_from) == ("factors", "stack")
     # No Gram of D x D matrices, but for q = 1, where the right factors are the stack.
     if c.provenance.q > 1:
         assert max(shape[-1] for shape in shapes) < c.dim
     assert got.passed == want.passed
-    assert got.max_unitarity_residual == want.max_unitarity_residual
+    assert abs(got.max_unitarity_residual - want.max_unitarity_residual) <= GRAM_ROUNDING
     assert got.condition_i_ok == want.condition_i_ok
     assert abs(got.max_gram_offdiag - want.max_gram_offdiag) <= GRAM_ROUNDING
     assert abs(got.max_gram_diag_error - want.max_gram_diag_error) <= GRAM_ROUNDING
+
+
+@settings(max_examples=40, deadline=None)
+@given(**TOWERS)
+def test_tile_residual_matches_the_stack_residual_property(d, q, outer, kind, count, seed):
+    c = _tower(d, q, outer, kind, count, seed)
+    index, right = c.split
+    layout = c.provenance
+    got, grams, residuals = _report_and_shapes(c)
+    assert (got.unitarity_from, _stack_report(c).unitarity_from) == ("tiles", "stack")
+    assert abs(c.unitarity_residual - unitarity_residual(c.matrices)) <= GRAM_ROUNDING
+    assert got.passed == _stack_report(c).passed
+    # One residual, of at most q tiles per distinct right factor, each d x d.
+    distinct = len(distinct_rows(right)[0])
+    assert len(residuals) == 1
+    count, d = residuals[0][0], residuals[0][-1]
+    assert d == layout.base_dim and count <= layout.q * distinct
+    # Nothing of the stack's size reaches either, but for q = 1, where the
+    # tiles are the elements.
+    if layout.q > 1:
+        assert max(np.prod(shape) for shape in grams + residuals) < c.matrices.size
+
+
+def test_tiles_of_lift_bs3_8():
+    c = lift(bravyi_smolin_3(), 8)
+    index, right = c.split
+    tiles = c.provenance.tiles(c.matrices, right)
+    # 15 distinct right factors (9 Weyl operators, 6 bs3 elements), each met
+    # by the 8 distinct nonzero entries f of the left factors it sits on.
+    assert tiles.shape == (15 * 8, 3, 3)
+    # Each tile, read from the stack, is one of the products f Y, and no two
+    # are equal.
+    left = c.provenance.left_factors()
+    values = np.unique(left[left != 0])
+    distinct = np.unique(right.reshape(len(right), -1), axis=0).reshape(-1, 3, 3)
+    products = np.array([f * y for f in values for y in distinct])
+    matches = [[np.array_equal(t, p) for p in products] for t in tiles]
+    assert sorted(map(np.argmax, matches)) == list(range(len(products)))
+    assert all(sum(row) == 1 for row in matches)
 
 
 def _added(m, n):
@@ -1130,18 +1228,118 @@ def test_tampered_lifts_keep_their_stack_verdict(name):
     c = _variant(*TAMPERED[name])
     passes, splits = TAMPERED_VERDICTS[name]
     assert (c.split is not None) == splits
-    got, shapes = _report_and_gram_shapes(c)
+    got, grams, residuals = _report_and_shapes(c)
     want = _stack_report(c)
     assert got.passed == want.passed == passes
     if splits:
-        assert got.gram_from == "factors"
-        assert max(shape[-1] for shape in shapes) < c.dim
+        assert (got.gram_from, got.unitarity_from) == ("factors", "tiles")
+        assert max(shape[-1] for shape in grams + residuals) < c.dim
+        assert abs(got.max_unitarity_residual - want.max_unitarity_residual) <= GRAM_ROUNDING
         assert abs(got.max_gram_offdiag - want.max_gram_offdiag) <= GRAM_ROUNDING
         assert abs(got.max_gram_diag_error - want.max_gram_diag_error) <= GRAM_ROUNDING
     else:
-        # The dense path, exactly as the stack reference takes it.
-        assert shapes == [c.matrices.shape]
+        # The dense path, exactly as the stack reference takes it, and bit
+        # for bit the report formed before the tile residual existed.
+        assert grams == residuals == [c.matrices.shape]
         assert got.to_dict() == want.to_dict()
+        assert repr(got.to_dict()) == repr(_parent_stack_report(c))
+
+
+@pytest.mark.parametrize("name", ["added", "doubled", "scaled"])
+def test_certify_fails_a_set_that_fails_the_axioms(name, tmp_path, capsys):
+    from umeb.cli import EXIT_VERIFY_FAIL, main
+
+    c = _variant(*TAMPERED[name])
+    assert not verify_axioms(c).passed
+    cert = structural_certify(c)
+    assert cert.overall == "Failed"
+    # Checks 1-5 pass: the span and the base sector are intact.
+    assert [ch.passed for ch in cert.checks] == [True] * 5 + [False]
+    assert cert.checks[-1].name == "set_passes_axioms"
+    assert any(n.startswith("the set fails verify_axioms") for n in cert.notes)
+    path = tmp_path / f"{name}.json"
+    save_umeb(c, path)
+    assert main(["certify", str(path)]) == EXIT_VERIFY_FAIL
+    assert "FAIL  set_passes_axioms" in capsys.readouterr().out
+
+
+def _scale_one(m, k, t):
+    m[k] *= 1 + t
+
+
+def _add_another(m, k, t):
+    m[k] += t * m[(k + 1) % len(m)]
+
+
+def _rephase_one(m, k, t):
+    m[k] *= np.exp(1j * t)
+
+
+def _move_one_entry(m, k, t):
+    m[k, 0, -1] += t
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["bs3", "orthogonal"]),
+    q=st.integers(1, 3),
+    outer=st.sampled_from([None, 2]),
+    edit=st.sampled_from([_scale_one, _add_another, _rephase_one, _move_one_entry]),
+    where=st.integers(0, 10**6),
+    size=st.sampled_from([1e-9, 1e-6, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_an_edit_that_fails_the_axioms_never_certifies_property(
+    kind, q, outer, edit, where, size, seed
+):
+    if kind == "bs3":
+        base = bravyi_smolin_3()
+    else:
+        base = _drawn_base(3, "orthogonal", 6, np.random.default_rng(seed))
+    good = _drawn_tower(base, q, outer)
+    assert structural_certify(good).overall == "CertifiedConditionalOnBase"
+    m = good.matrices.copy()
+    edit(m, where % len(m), size)
+    c = UMEBCandidate(good.dim, m, good.provenance, good.exact_cos_theta)
+    if not verify_axioms(c).passed:
+        assert structural_certify(c).overall == "Failed"
+    else:
+        assert edit is _rephase_one
+
+
+def test_verify_then_certify_forms_each_report_once(monkeypatch):
+    made = []
+    real = verification.VerificationReport.of.__func__
+
+    def counting(cls, c):
+        made.append(provenance_to_str(c.provenance))
+        return real(cls, c)
+
+    monkeypatch.setattr(verification.VerificationReport, "of", classmethod(counting))
+    c = lift(lift(bravyi_smolin_3(), 2), 2)
+    report = verify_axioms(c)
+    assert verify_axioms(c) is report is c.axiom_report
+    assert structural_certify(c).overall == "CertifiedConditionalOnBase"
+    # The tower, its extracted base (check 5, then check 6 one level down) and
+    # the rebuilt leaf: one report each.
+    assert made == [
+        provenance_to_str(c.provenance), provenance_to_str(c.provenance.base), "bravyi_smolin_3",
+    ]
+
+
+def test_verify_of_a_fresh_lift_stays_below_one_and_a_half_stacks():
+    import tracemalloc
+
+    c = lift(bravyi_smolin_3(), 8)
+    tracemalloc.start()
+    try:
+        assert verify_axioms(c).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The split builds one stack of products to compare; nothing after it
+    # is of the stack's size (the dense path peaks at 2.8 stacks).
+    assert peak < 1.5 * c.matrices.nbytes
 
 
 def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch):
@@ -1154,8 +1352,7 @@ def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch):
         return real_split(self, matrices)
 
     def counting_residual(a):
-        if np.shape(a) == c.matrices.shape:
-            residuals.append(1)
+        residuals.append(np.shape(a))
         return real_residual(a)
 
     monkeypatch.setattr(Lift, "split", counting_split)
@@ -1164,15 +1361,21 @@ def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch):
     report = verify_axioms(c)
     sig = signature(c)
     rows = sector_summaries(c)
-    assert report.passed and report.gram_from == "factors"
-    assert (len(splits), len(residuals)) == (1, 1)
+    assert report.passed and (report.gram_from, report.unitarity_from) == ("factors", "tiles")
+    # One split; no residual of the full stack, but one of the tiles and one
+    # of the distinct right factors per signature.
+    assert len(splits) == 1
+    assert c.matrices.shape not in residuals
+    assert residuals.count((120, 3, 3)) == 1
     assert c.split is c.split
     assert not any(part.flags.writeable for part in c.split)
 
     # A fresh candidate over the same stack holds nothing yet.
     fresh = UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta)
     again = signature(fresh)
-    assert (len(splits), len(residuals)) == (2, 2)
+    assert len(splits) == 2
+    assert c.matrices.shape not in residuals
+    assert residuals.count((120, 3, 3)) == 2
     assert repr(again.to_dict()) == repr(sig.to_dict())
     assert again.canonical_key() == sig.canonical_key()
     assert rows == again.sectors
