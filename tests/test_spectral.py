@@ -598,6 +598,10 @@ def test_lifts_at_the_threshold_follow_the_held_residual(stored_passes, monkeypa
         with pytest.raises(ValueError) as got:
             signature(c)
         assert str(got.value) == f"matrix is not unitary (residual {held:.3e})"
+        # No element's own residual reaches tol; lift names the largest.
+        assert max(map(unitarity_residual, c.elements)) < tol
+        with pytest.raises(ValueError, match="^base element 48 is not unitary"):
+            lift(c, 2)
     else:
         c.provenance.left_phases()
         shapes = _eigensolve_shapes(monkeypatch)

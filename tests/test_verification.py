@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umeb import constructions, spectral, verification
+from umeb.cli import EXIT_VERIFY_FAIL, main
 from umeb.constructions import (
     BravyiSmolin3,
     External,
@@ -1159,7 +1161,7 @@ def test_factored_gram_matches_the_stack_gram_property(d, q, outer, kind, count,
 @given(**TOWERS)
 def test_tile_residual_matches_the_stack_residual_property(d, q, outer, kind, count, seed):
     c = _tower(d, q, outer, kind, count, seed)
-    index, right = c.split
+    _, right = c.split
     layout = c.provenance
     got, grams, residuals = _report_and_shapes(c)
     assert (got.unitarity_from, _stack_report(c).unitarity_from) == ("tiles", "stack")
@@ -1178,7 +1180,7 @@ def test_tile_residual_matches_the_stack_residual_property(d, q, outer, kind, co
 
 def test_tiles_of_lift_bs3_8():
     c = lift(bravyi_smolin_3(), 8)
-    index, right = c.split
+    _, right = c.split
     tiles = c.provenance.tiles(c.matrices, right)
     # 15 distinct right factors (9 Weyl operators, 6 bs3 elements), each met
     # by the 8 distinct nonzero entries f of the left factors it sits on.
@@ -1247,8 +1249,6 @@ def test_tampered_lifts_keep_their_stack_verdict(name):
 
 @pytest.mark.parametrize("name", ["added", "doubled", "scaled"])
 def test_certify_fails_a_set_that_fails_the_axioms(name, tmp_path, capsys):
-    from umeb.cli import EXIT_VERIFY_FAIL, main
-
     c = _variant(*TAMPERED[name])
     assert not verify_axioms(c).passed
     cert = structural_certify(c)
@@ -1328,8 +1328,6 @@ def test_verify_then_certify_forms_each_report_once(monkeypatch):
 
 
 def test_verify_of_a_fresh_lift_stays_below_one_and_a_half_stacks():
-    import tracemalloc
-
     c = lift(bravyi_smolin_3(), 8)
     tracemalloc.start()
     try:
@@ -1338,7 +1336,7 @@ def test_verify_of_a_fresh_lift_stays_below_one_and_a_half_stacks():
     finally:
         tracemalloc.stop()
     # The split builds one stack of products to compare; nothing after it
-    # is of the stack's size (the dense path peaks at 2.8 stacks).
+    # is of the stack's size.
     assert peak < 1.5 * c.matrices.nbytes
 
 
