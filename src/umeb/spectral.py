@@ -384,7 +384,7 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
     split = c.split
     if split is not None:
         index, right = split
-        first, kind = distinct_rows(right)
+        first, kind = c.right_kinds
         distinct = right[first]
         if unitarity_residual(distinct) < DEFAULT_TOLERANCES.unitarity_tol:
             left = as_lift(c.provenance).left_phases()[index]

@@ -43,7 +43,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     RANK_RTOL,
     as_square,
-    distinct_rows,
     gram_matrix,
     orthonormal_complement,
     seeded_random_matrix,
@@ -149,7 +148,7 @@ class VerificationReport:
         if n == 0:
             raise ValueError("candidate has no elements")
         d = c.dim
-        max_unit = c.unitarity_residual
+        max_unit, unitarity_from = c.unitarity
         split = c.split
         if split is None:
             g = gram_matrix(c.matrices)
@@ -158,7 +157,7 @@ class VerificationReport:
             max_off = float(np.max(np.abs(g)))
         else:
             index, right = split
-            first, kind = distinct_rows(right)
+            first, kind = c.right_kinds
             left = gram_matrix(as_lift(c.provenance).left_factors())
             distinct = gram_matrix(right[first])
             diag = np.diag(left)[index] * np.diag(distinct)[kind]
@@ -183,7 +182,7 @@ class VerificationReport:
                 and condition_i
             ),
             gram_from="stack" if split is None else "factors",
-            unitarity_from="stack" if split is None else "tiles",
+            unitarity_from=unitarity_from,
         )
 
 
@@ -200,7 +199,8 @@ def verify_axioms(c: UMEBCandidate) -> VerificationReport:
     element equals F_k (x) Y_k entry for entry, and both residuals are taken
     at the factors' size.  Unitarity is the candidate's held residual, read
     from the distinct nonzero tiles f Y_k of the stored matrices
-    (``unitarity_from`` ``"tiles"``).  Tr((F (x) Y)^dag (F' (x) Y')) =
+    (``unitarity_from`` ``"tiles"``), or from the stored matrices when the
+    tiles' figure lies within a rounding of the threshold (``"stack"``).  Tr((F (x) Y)^dag (F' (x) Y')) =
     Tr(F^dag F') Tr(Y^dag Y') gives each Gram entry as an entry of the
     q^2 x q^2 Gram of the left factors times one of the Gram of the distinct
     right factors (``gram_from`` ``"factors"``): the off-diagonal residual

@@ -579,34 +579,45 @@ def _lift_at_the_threshold(stored_passes: bool):
     raise AssertionError("no threshold case found")
 
 
-@pytest.mark.parametrize("stored_passes", [True, False])
-def test_lifts_at_the_threshold_follow_the_held_residual(stored_passes, monkeypatch):
-    # The stored stack and the right factors, each judged on its own, fall on
-    # either side of the threshold.  The held residual is read from the
-    # distinct tiles f Y_k, and each Y_k is one of them (row 0 of every left
-    # factor is exactly 1), so it is never below the right factors' residual
-    # and every layer follows it.
-    c = _lift_at_the_threshold(stored_passes)
-    index, right = c.split
-    tol = DEFAULT_TOLERANCES.unitarity_tol
-    held = c.unitarity_residual
-    assert held >= unitarity_residual(right)
-    assert abs(held - unitarity_residual(c.matrices)) <= 1e-13
-    assert (held < tol) == (unitarity_residual(right) < tol) == (not stored_passes)
-    assert verify_axioms(c).max_unitarity_residual == held
-    if held >= tol:
-        with pytest.raises(ValueError) as got:
-            signature(c)
-        assert str(got.value) == f"matrix is not unitary (residual {held:.3e})"
-        # No element's own residual reaches tol; lift names the largest.
-        assert max(map(unitarity_residual, c.elements)) < tol
-        with pytest.raises(ValueError, match="^base element 48 is not unitary"):
-            lift(c, 2)
-    else:
-        c.provenance.left_phases()
-        shapes = _eigensolve_shapes(monkeypatch)
+def test_right_factors_past_the_threshold_take_the_full_stack_path(monkeypatch):
+    c = _lift_at_the_threshold(stored_passes=True)
+    index, right = c.provenance.split(c.matrices)
+    assert unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol
+    shapes = _eigensolve_shapes(monkeypatch)
+    sig = signature(c)
+    assert shapes == [c.matrices.shape]
+    _assert_bit_identical(sig, signature(_relabel(c)))
+
+
+def test_stored_matrices_past_the_threshold_raise_the_full_stack_error():
+    c = _lift_at_the_threshold(stored_passes=False)
+    index, right = c.provenance.split(c.matrices)
+    assert unitarity_residual(right) < DEFAULT_TOLERANCES.unitarity_tol
+    with pytest.raises(ValueError) as want:
+        eigenphases(c.matrices)
+    with pytest.raises(ValueError) as got:
         signature(c)
-        assert shapes == [(5, 2, 2)]  # the factor path: four Weyl operators and Y
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("stored_passes", [True, False])
+def test_lifts_at_the_threshold_are_judged_on_their_stored_matrices(stored_passes):
+    # The tile residual lies within a rounding of the threshold, so every
+    # verdict is the stored stack's, and lift names an element that fails
+    # on its own.
+    c = _lift_at_the_threshold(stored_passes)
+    stored = unitarity_residual(c.matrices)
+    assert c.unitarity == (stored, "stack")
+    report = verify_axioms(c)
+    assert (report.max_unitarity_residual, report.unitarity_from) == (stored, "stack")
+    assert report.passed == stored_passes
+    if stored_passes:
+        lift(c, 2)  # accepted, as its stored matrices pass
+    else:
+        with pytest.raises(ValueError, match=r"^base element (\d+) is not unitary") as err:
+            lift(c, 2)
+        i = int(err.value.args[0].split()[2])
+        assert unitarity_residual(c.elements[i]) >= DEFAULT_TOLERANCES.unitarity_tol
 
 
 def test_compare_signatures_reads_the_keys_signature_stored(monkeypatch):

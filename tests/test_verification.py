@@ -1181,7 +1181,7 @@ def test_tile_residual_matches_the_stack_residual_property(d, q, outer, kind, co
 def test_tiles_of_lift_bs3_8():
     c = lift(bravyi_smolin_3(), 8)
     _, right = c.split
-    tiles = c.provenance.tiles(c.matrices, right)
+    tiles = c.provenance.tiles(c.matrices, c.right_kinds)
     # 15 distinct right factors (9 Weyl operators, 6 bs3 elements), each met
     # by the 8 distinct nonzero entries f of the left factors it sits on.
     assert tiles.shape == (15 * 8, 3, 3)
@@ -1377,3 +1377,22 @@ def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch):
     assert repr(again.to_dict()) == repr(sig.to_dict())
     assert again.canonical_key() == sig.canonical_key()
     assert rows == again.sectors
+
+
+def test_right_factors_are_told_apart_once(monkeypatch):
+    c = lift(bravyi_smolin_3(), 8)
+    _, right = c.split
+    shapes = []
+    for module in (constructions, spectral):
+        real = module.distinct_rows
+        monkeypatch.setattr(module, "distinct_rows",
+                            lambda a, real=real: shapes.append(np.shape(a)) or real(a))
+    fresh = UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta)
+    verify_axioms(fresh)
+    structural_certify(fresh)
+    signature(fresh)
+    # The tiles, the factored Gram and the factored spectra all read the
+    # kinds the candidate holds.
+    assert shapes.count(right.shape) == 1
+    assert fresh.right_kinds is fresh.right_kinds
+    assert not any(part.flags.writeable for part in fresh.right_kinds)
