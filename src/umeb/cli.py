@@ -58,10 +58,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _dumps(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, as it reads ``level`` deep.
+
+    Dicts with string keys are walked, and each list encodes each distinct
+    item, by identity, once: a signature's records share one dict per
+    distinct record.  Everything else goes through ``json.dumps`` and is
+    re-indented; its output holds no raw newline but those of its layout.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        body = (f"{json.dumps(k)}: {_dumps(v, level + 1)}" for k, v in value.items())
+        return "{" + pad + ("," + pad).join(body) + pad[:-2] + "}"
+    if isinstance(value, (list, tuple)) and value:
+        texts = {}
+        for item in value:
+            if id(item) not in texts:
+                texts[id(item)] = json.dumps(item, indent=2).replace("\n", pad)
+        return "[" + pad + ("," + pad).join(texts[id(item)] for item in value) + pad[:-2] + "]"
+    return json.dumps(value, indent=2).replace("\n", pad[:-2])
+
+
 def _emit(args, payload: dict, human: str) -> None:
     payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         if human:
             print(human, file=sys.stderr)
     elif human:

@@ -222,11 +222,37 @@ class Lift:
         its :meth:`right_factors` entry for entry, as every :func:`lift` does;
         with no tolerance, each element's spectrum is then its factors'
         product spectrum, up to one rounding per entry.
+
+        The products are not formed.  Every left factor is monomial, so row-tile
+        a of F_k (x) Y_k is f Y_k in the column of row a's one nonzero f, and
+        every other tile is 0 Y_k.  Each element's q such tiles are read from
+        the stack and compared with f Y_k, the complex multiply of
+        :meth:`products`.  Those compares fail for a non-finite Y_k (in row-tile
+        0, f is exactly 1, and 1 times inf or nan leaves a nan), so a passing
+        Y_k is finite and every other product entry is +-0.  The stack then
+        equals its products exactly when it holds no more nonzero reals than
+        its tiles do: the tiles are distinct entries of the stack, and a nan
+        counts as nonzero.
         """
-        right = self.right_factors(matrices) if self.fits(matrices) else None
-        if right is None or not np.array_equal(matrices, self.products(right)):
+        if not self.fits(matrices):
             return None
-        return self.factor_index(), right
+        m = np.ascontiguousarray(matrices, dtype=np.complex128)
+        right = self.right_factors(m)
+        index = self.factor_index()
+        cols, values = self._nonzeros()
+        rows = np.arange(self.q)
+        tiles = self.blocks(m)[np.arange(len(m))[:, None], rows, :, cols[index], :]
+        if not np.array_equal(tiles, values[index][:, :, None, None] * right[:, None]):
+            return None
+        if np.count_nonzero(m.view(np.float64)) != np.count_nonzero(tiles.view(np.float64)):
+            return None
+        return index, right
+
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column and value of the one nonzero entry in each row of each left factor, (q^2, q) each."""
+        left = self.left_factors()
+        cols = np.argmax(left != 0, axis=2)
+        return cols, np.take_along_axis(left, cols[:, :, None], axis=2)[:, :, 0]
 
     def tiles(self, matrices, kinds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """The distinct nonzero d x d tiles of a stack that :meth:`split` reads as
@@ -240,9 +266,8 @@ class Lift:
         told apart by exact bytes.
         """
         q = self.q
-        left = self.left_factors()
-        cols = np.argmax(left != 0, axis=2)
-        _, value = distinct_rows(np.take_along_axis(left, cols[:, :, None], axis=2).reshape(-1, 1))
+        cols, values = self._nonzeros()
+        _, value = distinct_rows(values.reshape(-1, 1))
         first, kind = kinds
         index = self.factor_index()
         pairs = value.reshape(q * q, q)[index] * len(first) + kind[:, None]

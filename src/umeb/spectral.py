@@ -276,13 +276,16 @@ class SpectralSignature:
         return self.key
 
     def to_dict(self) -> dict:
+        """The signature as JSON-ready data.  Records that are one object,
+        as :func:`signature` shares them, share one dict."""
+        made = {key: r.to_dict() for key, r in {id(r): r for r in self.records}.items()}
         return {
             "dim": self.dim,
             "element_count": self.element_count,
             "bound": self.bound,
             "summary": self.summary.to_dict(),
             "sectors": [r.to_dict() for r in self.sectors],
-            "records": [r.to_dict() for r in self.records],
+            "records": [made[id(r)] for r in self.records],
         }
 
 

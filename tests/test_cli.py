@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from umeb import constructions
-from umeb.cli import build_parser, main
+from umeb import cli, constructions
+from umeb.cli import SCHEMA_VERSION, build_parser, main
 from umeb.constructions import (
     External,
     Lift,
@@ -25,6 +27,7 @@ from umeb.constructions import (
     weyl_family,
 )
 from umeb.linalg import hs_inner, unitarity_residual
+from umeb.spectral import signature
 
 
 def run(capsys, *argv):
@@ -536,6 +539,70 @@ def test_verify_search_certify_json_key_order(tmp_path, capsys):
     assert [list(ch) for ch in payload["checks"]] == [
         ["name", "passed", "detail", "threshold"]
     ] * 6
+
+
+JSON_SETS = {
+    "lift_bs3_8": lambda: lift(bravyi_smolin_3(), 8),
+    "lift_umeb_6_4": lambda: lift(umeb_6(), 4),
+    "tower": lambda: lift(lift(bravyi_smolin_3(), 2), 2),
+    "external": lambda: UMEBCandidate(6, umeb_6().matrices, External("plain stack")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_SETS))
+def test_json_reports_are_the_bytes_of_json_dumps(name, tmp_path, capsys, monkeypatch):
+    # A path with a quote, a backslash, a newline and non-ASCII characters.
+    path = str(tmp_path / f'{name} "q" \\ line\nbreak \u00e9\u4e2d.json')
+    save_umeb(JSON_SETS[name](), path)
+    emitted = []
+    emit = cli._emit
+
+    def spy(args, payload, human):
+        emitted.append({"schema_version": SCHEMA_VERSION, "command": args.command, **payload})
+        emit(args, payload, human)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    for argv in (["verify", path], ["certify", path], ["spectral", path],
+                 ["compare", path, path]):
+        _, stdout, _ = run(capsys, *argv, "--json")
+        assert stdout == json.dumps(emitted.pop(), indent=2) + "\n"
+    # The spectral payload, rebuilt here from a signature of the loaded set.
+    _, stdout, _ = run(capsys, "spectral", path, "--json")
+    want = {"schema_version": SCHEMA_VERSION, "command": "spectral", "path": path,
+            **signature(load_umeb(path)).to_dict(), "notes": []}
+    assert stdout == json.dumps(want, indent=2) + "\n"
+
+
+def test_signature_records_share_one_dict_per_distinct_record():
+    records = signature(lift(bravyi_smolin_3(), 8)).to_dict()["records"]
+    assert len(records) == 552
+    assert len({id(r) for r in records}) == 89
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+def _with_repeats(items):
+    # The same objects again, as a signature's shared records recur.
+    return items + items[::2]
+
+
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4).map(_with_repeats)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+        | st.dictionaries(st.integers(), inner, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+def test_dumps_is_json_dumps_with_indent_2_property(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
 
 
 def test_spectral_rejects_non_unitary(tmp_path, capsys):

@@ -283,6 +283,83 @@ def test_lift_split_is_none_unless_the_stack_is_exactly_the_products():
     assert p.split(nudged) is None
 
 
+def _split_by_products(layout, matrices):
+    """The split verdict as a whole-stack compare with the products of the
+    stack's own right factors."""
+    return layout.fits(matrices) and np.array_equal(
+        matrices, layout.products(layout.right_factors(matrices))
+    )
+
+
+def _next_up(x):
+    return complex(np.nextafter(x.real, np.inf), x.imag)
+
+
+def _add_tiny(x):
+    return x + 1e-13
+
+
+def _flip_zero_signs(x):
+    # -0.0 against 0.0 in each part that is zero; a nonzero part is kept.
+    return complex(-x.real if x.real == 0 else x.real, -x.imag if x.imag == 0 else x.imag)
+
+
+def _nan(x):
+    return complex(np.nan, x.imag)
+
+
+def _inf(x):
+    return complex(np.inf, x.imag)
+
+
+def _imag_inf(x):
+    return complex(x.real, -np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.integers(1, 4),
+    edit=st.sampled_from([_next_up, _add_tiny, _flip_zero_signs, _nan, _inf, _imag_inf]),
+    on_tile=st.booleans(),
+    element=st.integers(0, 10**6),
+    row=st.integers(0, 10**6),
+    entry=st.integers(0, 10**6),
+)
+def test_lift_split_verdict_equals_the_whole_stack_compare_property(
+    q, edit, on_tile, element, row, entry
+):
+    c = lift(bravyi_smolin_3(), q)
+    layout, d = c.provenance, 3
+    left = layout.left_factors()[layout.factor_index()]
+    k, a = element % len(c.matrices), row % q
+    nonzero = int(np.flatnonzero(left[k, a])[0])
+    # Off the tiles: any other column of tiles in row-tile a (none when q = 1).
+    b = nonzero if on_tile or q == 1 else (nonzero + 1 + entry % (q - 1)) % q
+    i, j = a * d + entry // q % d, b * d + entry // (q * d) % d
+    m = c.matrices.copy()
+    m[k, i, j] = edit(m[k, i, j])
+    with np.errstate(invalid="ignore"):
+        got = layout.split(m)
+        want = _split_by_products(layout, m)
+    assert (got is not None) == want
+    if want:
+        assert np.array_equal(got[0], layout.factor_index())
+        assert got[1].tobytes() == layout.right_factors(m).tobytes()
+
+
+def test_lift_split_of_a_fresh_lift_stays_below_half_a_stack():
+    c = lift(bravyi_smolin_3(), 8)
+    tracemalloc.start()
+    try:
+        assert c.split is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Each element's q tiles, and their expected f Y, are 1/q of the stack
+    # each; the products themselves are not formed.
+    assert peak < 0.5 * c.matrices.nbytes
+
+
 def test_lift_sizes_and_gram():
     base = bravyi_smolin_3()
     for q in (2, 3):

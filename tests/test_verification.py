@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -747,6 +748,24 @@ def test_certify_moved_phase_base_passes_but_its_lift_fails_the_axioms():
     assert not report.passed
     assert not axioms.passed and axioms.detail == report.max_gram_offdiag
     assert axioms.detail == pytest.approx(1.012e-10, rel=1e-3)
+    # Check 5 passes the base, and its note names the scaling that fails the lift.
+    assert cert.notes[1] == (
+        "the lift scales the base's Gram residuals by Tr(D_i^dag D_i) = 2: "
+        "base 5.060e-11 -> 1.012e-10, at or above gram_tol 1e-10"
+    )
+    assert cert.notes[2].startswith("the set fails verify_axioms")
+
+
+def test_certify_names_the_scaling_only_when_the_lift_reaches_gram_tol():
+    # 3e-11 moves the base's Gram residual to about 1.9e-11: doubled, it stays
+    # below gram_tol, so the lift passes and no note names the scaling.
+    base = _moved_phase_base(3e-11)
+    assert 1e-11 < 2 * verify_axioms(base).max_gram_offdiag < DEFAULT_TOLERANCES.gram_tol
+    c = lift(base, 2)
+    cert = structural_certify(c)
+    assert verify_axioms(c).passed and cert.overall == "CertifiedConditionalOnBase"
+    for c in (c, umeb_6(), lift(umeb_6(), 2), lift(lift(bravyi_smolin_3(), 2), 3)):
+        assert not any("scales the base's Gram" in n for n in structural_certify(c).notes)
 
 
 def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
@@ -968,6 +987,8 @@ def test_certificate_from_shift_blocks_equals_the_full_svd_one(name, monkeypatch
     if keeps_tiles:
         got, want = _sector_singular_values(c)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # Both certificates read the SVD branch, not the held report.
+    monkeypatch.setattr(verification, "_report_spans_sector", lambda *args: False)
     cert = structural_certify(c)
     monkeypatch.setattr(Lift, "shift_blocks", lambda self, matrices: None)
     reference = structural_certify(c)
@@ -997,17 +1018,32 @@ def test_certificate_with_mass_off_the_tiles_reports_its_diagonal_mass(name, mas
     assert repr(off.detail) == repr(float(want))
 
 
-def test_certify_makes_no_svd_larger_than_one_shift_block(monkeypatch):
-    svd, rows = np.linalg.svd, []
+def _svd_calls(monkeypatch):
+    """Record the shape of every np.linalg.svd input from here on."""
+    svd, shapes = np.linalg.svd, []
 
     def recording_svd(a, *args, **kwargs):
-        rows.append(np.shape(a)[-2])
+        shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    c = lift(bravyi_smolin_3(), 8)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes
+
+
+VOUCHED = {
+    "umeb_6": umeb_6,
+    **{f"lift_bs3_{q}": (lambda q=q: lift(bravyi_smolin_3(), q)) for q in range(2, 9)},
+    "lift_lift_bs3_2_2": lambda: lift(lift(bravyi_smolin_3(), 2), 2),
+    "lift_umeb_6_3": lambda: lift(umeb_6(), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VOUCHED))
+def test_certify_makes_no_svd_on_a_set_its_report_vouches_for(name, monkeypatch):
+    c = VOUCHED[name]()
+    shapes = _svd_calls(monkeypatch)
     assert structural_certify(c).overall == "CertifiedConditionalOnBase"
-    assert rows and max(rows) <= 8 * 3 * 3
+    assert shapes == []
 
 
 def test_certify_and_signature_build_the_left_factors_once_each(monkeypatch):
@@ -1263,6 +1299,79 @@ def test_certify_fails_a_set_that_fails_the_axioms(name, tmp_path, capsys):
     assert "FAIL  set_passes_axioms" in capsys.readouterr().out
 
 
+# The tampered sets whose certificate still reads the sector's singular
+# values: every one that fails the axioms or has mass on a diagonal tile.
+REACHES_THE_SVD = {
+    "duplicated", "scaled", "one_shift_shrunk", "diagonal_entry",
+    "block_diagonal_intruder", "added", "doubled",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_certify_of_a_tampered_set_reaches_the_svd_only_when_its_report_cannot_vouch(
+    name, monkeypatch
+):
+    c = _variant(*TAMPERED[name])
+    layout = c.provenance
+    diag = np.diagonal(layout.blocks(c.matrices)[:layout.weyl_count], axis1=1, axis2=3)
+    assert (name in REACHES_THE_SVD) == (not verify_axioms(c).passed or bool(np.any(diag)))
+    shapes = _svd_calls(monkeypatch)
+    structural_certify(c)
+    assert bool(shapes) == (name in REACHES_THE_SVD)
+
+
+def _certificates_with_and_without_the_report(c):
+    cert = structural_certify(c)
+    with mock.patch.object(verification, "_report_spans_sector", lambda *args: False):
+        reference = structural_certify(c)
+    return cert, reference
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_certificate_from_the_report_equals_the_svd_one(name):
+    cert, reference = _certificates_with_and_without_the_report(_variant(*TAMPERED[name]))
+    # repr tells every float bit apart and holds nan equal to nan.
+    assert repr(cert.to_dict()) == repr(reference.to_dict())
+
+
+@settings(max_examples=30, deadline=None)
+@given(**TOWERS)
+def test_certificate_from_the_report_equals_the_svd_one_property(d, q, outer, kind, count, seed):
+    c = _tower(d, q, outer, kind, count, seed)
+    cert, reference = _certificates_with_and_without_the_report(c)
+    assert repr(cert.to_dict()) == repr(reference.to_dict())
+
+
+def test_report_vouches_only_within_the_gershgorin_rank_bound():
+    c = umeb_6()
+    layout = as_lift(c.provenance)
+    n = layout.weyl_count
+    diag = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
+    report = verify_axioms(c)
+    assert report.passed and report.dim == 6 and n == 18
+    vouches = verification._report_spans_sector
+    assert vouches(report, diag, n)
+    assert not vouches(replace(report, passed=False), diag, n)
+    # Exact zeros: -0.0 is one, the least subnormal is not.
+    for entry, vouched in ((-0.0, True), (5e-324, False)):
+        moved = diag.copy()
+        moved[0, 0, 0, 0] = entry
+        assert vouches(report, moved, n) == vouched
+
+    def residuals(diag_err, off_err):
+        return replace(report, max_gram_diag_error=diag_err, max_gram_offdiag=off_err)
+
+    # L = D - diag_err - (n - 1) off_err, U = D + the same spread.
+    # L = 2^-50 > 0, but sqrt(L) = 3.0e-8 <= RANK_RTOL sqrt(U) = 3.5e-8.
+    assert not vouches(residuals(6 - 2.0**-50, 0.0), diag, n)
+    # L = 2^-45: sqrt(L) = 1.7e-7 clears it.
+    assert vouches(residuals(6 - 2.0**-45, 0.0), diag, n)
+    assert not vouches(residuals(6.0, 0.0), diag, n)
+    # The off-diagonal residual counts n - 1 times: 17 * (6 / 16) > 6.
+    assert not vouches(residuals(0.0, 6 / 16), diag, n)
+    assert vouches(residuals(0.0, 6 / 18), diag, n)
+
+
 def _scale_one(m, k, t):
     m[k] *= 1 + t
 
@@ -1335,8 +1444,8 @@ def test_verify_of_a_fresh_lift_stays_below_one_and_a_half_stacks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The split builds one stack of products to compare; nothing after it
-    # is of the stack's size.
+    # The split compares tile by tile, and nothing after it is of the
+    # stack's size.
     assert peak < 1.5 * c.matrices.nbytes
 
 
