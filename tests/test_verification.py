@@ -1032,7 +1032,7 @@ def _svd_calls(monkeypatch):
 
 VOUCHED = {
     "umeb_6": umeb_6,
-    **{f"lift_bs3_{q}": (lambda q=q: lift(bravyi_smolin_3(), q)) for q in range(2, 9)},
+    **{f"lift_bs3_{q}": (lambda q=q: lift(bravyi_smolin_3(), q)) for q in range(1, 9)},
     "lift_lift_bs3_2_2": lambda: lift(lift(bravyi_smolin_3(), 2), 2),
     "lift_umeb_6_3": lambda: lift(umeb_6(), 3),
 }
