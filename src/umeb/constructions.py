@@ -724,9 +724,9 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     C-level iteration before any conversion, then all pairs are converted by
     one ``np.array`` call, which keeps every bit, signed zeros included.
     The entry that breaks the rules is looked for only on failure.
-    :func:`load_umeb` converts each element through here whenever a file is
-    not in the saved layout or its fast read fails, so every element error
-    comes from here.
+    :func:`load_umeb` checks every matrix of a file it decodes by these rules
+    at once, and on failure converts each through here, so every matrix
+    error comes from here.
     """
     if len(pairs) != dim * dim:
         raise UMEBFormatError(
@@ -748,6 +748,39 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     return parts.view(np.complex128).reshape(dim, dim)
 
 
+def _pairs_to_stack(items: list, dim: int, what: str) -> np.ndarray:
+    """The (n, dim, dim) stack of a nonempty list of :func:`matrix_to_pairs`
+    lists, by the rules of :func:`pairs_to_matrix`.
+
+    All items are checked and converted in one vectorised pass.  Only when
+    some item breaks a rule is each converted in turn, so that the error
+    names the first such item, ``what`` and its index, as a loop would.
+    """
+    d2 = dim * dim
+    if set(map(type, items)) == {list} and set(map(len, items)) == {d2}:
+        pairs = list(itertools.chain.from_iterable(items))
+        if (
+            set(map(type, pairs)) <= _PAIR_TYPES
+            and set(map(len, pairs)) == {2}
+            and set(map(type, itertools.chain.from_iterable(pairs))) <= _NUMBER_TYPES
+        ):
+            try:
+                parts = np.array(pairs, dtype=np.float64)
+            except OverflowError:
+                parts = None
+            if parts is not None and np.isfinite(parts).all():
+                return parts.view(np.complex128).reshape(len(items), dim, dim)
+    matrices = []
+    for i, item in enumerate(items):
+        if not isinstance(item, list):
+            raise UMEBFormatError(f"{what} {i} must be a list of [re, im] pairs")
+        try:
+            matrices.append(pairs_to_matrix(item, dim))
+        except UMEBFormatError as exc:
+            raise UMEBFormatError(f"{what} {i}: {exc}") from exc
+    return np.stack(matrices)
+
+
 _SAVE_BLOCK = 1 << 15  # reals encoded per json.dumps call on save
 _ZERO_TOKENS = np.array(["0.0", "-0.0"], dtype=object)  # by sign bit
 # The saved layout: a header, one line per element, the footer.  Each line
@@ -755,19 +788,27 @@ _ZERO_TOKENS = np.array(["0.0", "-0.0"], dtype=object)  # by sign bit
 # one without its ','.
 _LINE_OPEN, _REAL_SEP, _PAIR_SEP = "    [[", ", ", "], ["
 _LINE_CLOSE, _LAST_LINE_CLOSE = "]],\n", "]]\n"
-_HEADER_END = '  "elements": [\n'
 _FOOTER = "  ]\n}\n"
+# The two layouts: a lift whose stack is exactly the products of its right
+# factors is saved as those d x d factors, any other set as its matrices.
+_ELEMENTS, _RIGHT_FACTORS = "elements", "right_factors"
+_HEADER_END = f'  "{_ELEMENTS}": [\n'
+# The largest stack a file of right factors is rebuilt to: the stack is q^2
+# times the factors, so a small file could otherwise ask for any size.
+_MAX_REBUILT_BYTES = 1 << 31
 
 
-def _header(dim: int, provenance: Provenance, cos: Optional[Fraction]) -> str:
-    """The lines of a saved file before its first element."""
+def _header(
+    dim: int, provenance: Provenance, cos: Optional[Fraction], key: str = _ELEMENTS
+) -> str:
+    """The lines of a saved file before its first matrix line, ``key`` the list they open."""
     cos_text = "null" if cos is None else f"[{cos.numerator}, {cos.denominator}]"
     return (
         "{\n"
         f'  "dim": {dim},\n'
         f'  "provenance": {json.dumps(provenance_to_str(provenance))},\n'
         f'  "exact_cos_theta": {cos_text},\n'
-        + _HEADER_END
+        f'  "{key}": [\n'
     )
 
 
@@ -795,27 +836,50 @@ def _element_block(reals: np.ndarray, d2: int) -> str:
     return "".join(grid.ravel().tolist())
 
 
+def _lossless_right_factors(candidate: UMEBCandidate) -> Optional[np.ndarray]:
+    """The right factors Y_k of a candidate whose stack is the :meth:`Lift.products`
+    of them bit for bit, signed zeros included; None for any other candidate.
+
+    :attr:`~UMEBCandidate.split` alone does not show it: it compares values,
+    so -0.0 passes for 0.0, and ``umeb_6()`` splits although 87 of its zeros
+    change sign when it is rebuilt from its factors.
+    """
+    if candidate.matrices.nbytes > _MAX_REBUILT_BYTES or candidate.split is None:
+        return None
+    right = candidate.split[1]
+    rebuilt = as_lift(candidate.provenance).products(right)
+    stored = np.ascontiguousarray(candidate.matrices)
+    return right if np.array_equal(rebuilt.view(np.int64), stored.view(np.int64)) else None
+
+
 def save_umeb(candidate: UMEBCandidate, path) -> None:
     """Write a candidate to the matrix-set JSON format.
 
-    The file is a fixed header, one line per element, ``json.dumps`` of its
+    A candidate whose stack is exactly the products F_k (x) Y_k of its lift
+    layout, bit for bit (every :func:`lift` of the d = 3 set), is saved as
+    its d x d right factors Y_k under ``"right_factors"``, one per line in
+    element order; :func:`load_umeb` rebuilds the stack from them.  Every
+    other candidate is saved as its matrices under ``"elements"``.
+    The file is a fixed header, one line per matrix, ``json.dumps`` of its
     :func:`matrix_to_pairs`, and a fixed footer; :func:`load_umeb` reads
-    exactly this layout without the general JSON decoder.  Every real is its
-    shortest round-trip ``repr``, which reproduces every double bit-exactly
-    on load (``-0.0`` included) and always carries a ``.`` or an exponent;
-    output bytes are deterministic.  The elements are encoded in blocks of
-    about 2^15 reals, each zero straight from its sign bit and the nonzero
-    reals by one C JSON-encoder call per block.  Every block is encoded
-    before ``path`` is opened, so an encoding error leaves any file there as
-    it was.
+    the ``"elements"`` layout without the general JSON decoder.  Every real
+    is its shortest round-trip ``repr``, which reproduces every double
+    bit-exactly on load (``-0.0`` included) and always carries a ``.`` or an
+    exponent; output bytes are deterministic.  The matrices are encoded in
+    blocks of about 2^15 reals, each zero straight from its sign bit and the
+    nonzero reals by one C JSON-encoder call per block.  Every block is
+    encoded before ``path`` is opened, so an encoding error leaves any file
+    there as it was.
     """
-    d2 = candidate.dim * candidate.dim
-    reals = np.ascontiguousarray(candidate.matrices).view(np.float64).reshape(-1)
+    right = _lossless_right_factors(candidate)
+    key, matrices = (_ELEMENTS, candidate.matrices) if right is None else (_RIGHT_FACTORS, right)
+    d2 = matrices.shape[1] ** 2
+    reals = np.ascontiguousarray(matrices).view(np.float64).reshape(-1)
     step = 2 * d2 * max(1, _SAVE_BLOCK // (2 * d2))
     blocks = [_element_block(reals[i:i + step], d2) for i in range(0, reals.size, step)]
     if blocks:
         blocks[-1] = blocks[-1][:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE
-    header = _header(candidate.dim, candidate.provenance, candidate.exact_cos_theta)
+    header = _header(candidate.dim, candidate.provenance, candidate.exact_cos_theta, key)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.writelines(blocks)
@@ -833,12 +897,20 @@ def _decode_document(text: str):
 
 
 def _read_header(doc) -> tuple[int, Provenance, Optional[Fraction]]:
-    """Dimension, provenance and cosine of a decoded document, checked in file order."""
+    """Dimension, provenance and cosine of a decoded document, checked in file order.
+
+    The document holds its matrices under exactly one of ``"elements"`` and
+    ``"right_factors"``.
+    """
     if not isinstance(doc, dict):
         raise UMEBFormatError("top-level value must be an object")
-    for key in ("dim", "provenance", "exact_cos_theta", "elements"):
+    for key in ("dim", "provenance", "exact_cos_theta"):
         if key not in doc:
             raise UMEBFormatError(f"missing key {key!r}")
+    if _ELEMENTS in doc and _RIGHT_FACTORS in doc:
+        raise UMEBFormatError(f"a file holds {_ELEMENTS!r} or {_RIGHT_FACTORS!r}, not both")
+    if _ELEMENTS not in doc and _RIGHT_FACTORS not in doc:
+        raise UMEBFormatError(f"missing key {_ELEMENTS!r}")
 
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -963,6 +1035,25 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
     return UMEBCandidate(dim, out.view(np.complex128).reshape(n, dim, dim).view(_Fresh), prov, cos)
 
 
+def _rebuild_lift(right, dim: int, prov: Provenance, cos: Optional[Fraction]) -> UMEBCandidate:
+    """The candidate a file's ``"right_factors"`` list holds: the
+    :meth:`Lift.products` of the layout its provenance names."""
+    layout = as_lift(prov)
+    if layout is None:
+        raise UMEBFormatError(
+            f"right_factors need a provenance that names a lift, not {provenance_to_str(prov)!r}"
+        )
+    if dim != layout.dim:
+        raise UMEBFormatError(f"dim {dim} is not the lift's q*d = {layout.dim}")
+    n = layout.element_count
+    if n * dim * dim * 16 > _MAX_REBUILT_BYTES:
+        raise UMEBFormatError(f"the lift's {n} elements of dim {dim} are too large to rebuild")
+    if not isinstance(right, list) or len(right) != n:
+        raise UMEBFormatError(f"right_factors must be a list of the lift's {n} factors")
+    stack = layout.products(_pairs_to_stack(right, layout.base_dim, "right factor"))
+    return UMEBCandidate(dim, stack.view(_Fresh), prov, cos)
+
+
 def load_umeb(path) -> UMEBCandidate:
     """Read a matrix-set JSON file written by :func:`save_umeb` or by hand.
 
@@ -975,6 +1066,8 @@ def load_umeb(path) -> UMEBCandidate:
     :func:`pairs_to_matrix`, which give the same values and every error.
     Reals may be written in any JSON number form, so files with 17
     significant digits, as older versions wrote them, load bit-exactly too.
+    A file of ``"right_factors"`` loads through ``json`` as well: its
+    provenance must name a lift, whose stack is rebuilt from them.
     Canonical provenance strings are parsed back into structured provenance
     (so certification still applies to files this package wrote); any other
     string is kept as an External label.
@@ -985,7 +1078,11 @@ def load_umeb(path) -> UMEBCandidate:
         On schema violations: missing keys, wrong types, non-square or
         mismatched elements, non-finite entries or integers beyond the double
         range, malformed cosine metadata, values or provenance nested too
-        deeply to parse, a provenance lift with q or d below 1.
+        deeply to parse, a provenance lift with q or d below 1; for
+        ``"right_factors"``, both matrix keys present, a provenance that names
+        no lift, a ``dim`` other than the lift's q d, a factor count other than
+        its element count, a factor other than d x d, or a lift too large to
+        rebuild.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -994,14 +1091,9 @@ def load_umeb(path) -> UMEBCandidate:
         return saved
     doc = _decode_document(text)
     dim, prov, ect = _read_header(doc)
-    if not isinstance(doc["elements"], list) or not doc["elements"]:
+    if _RIGHT_FACTORS in doc:
+        return _rebuild_lift(doc[_RIGHT_FACTORS], dim, prov, ect)
+    if not isinstance(doc[_ELEMENTS], list) or not doc[_ELEMENTS]:
         raise UMEBFormatError("elements must be a nonempty list")
-    elements = []
-    for i, raw in enumerate(doc["elements"]):
-        if not isinstance(raw, list):
-            raise UMEBFormatError(f"element {i} must be a list of [re, im] pairs")
-        try:
-            elements.append(pairs_to_matrix(raw, dim))
-        except UMEBFormatError as exc:
-            raise UMEBFormatError(f"element {i}: {exc}") from exc
-    return UMEBCandidate(dim, tuple(elements), prov, ect)
+    stack = _pairs_to_stack(doc[_ELEMENTS], dim, "element")
+    return UMEBCandidate(dim, stack.view(_Fresh), prov, ect)

@@ -29,6 +29,8 @@ from umeb.constructions import (
 from umeb.linalg import hs_inner, unitarity_residual
 from umeb.spectral import signature
 
+from test_constructions import _BAD_FACTORED_FILES, _bad_factored_file, _reference_save_text
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -202,6 +204,17 @@ def test_verify_bad_provenance_exits_1_without_traceback(tmp_path, capsys, prove
     assert code == 1
     assert stdout == ""
     assert stderr.startswith(f"error: {path}: provenance")
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_FACTORED_FILES))
+def test_verify_bad_factored_file_exits_1_without_traceback(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    _bad_factored_file(path, name)
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {path}: ")
     assert "Traceback" not in stderr
 
 
@@ -571,6 +584,28 @@ def test_json_reports_are_the_bytes_of_json_dumps(name, tmp_path, capsys, monkey
     want = {"schema_version": SCHEMA_VERSION, "command": "spectral", "path": path,
             **signature(load_umeb(path)).to_dict(), "notes": []}
     assert stdout == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("q", [2, 8])
+def test_reports_on_a_factored_file_equal_those_on_its_dense_file(tmp_path, capsys, q):
+    c = lift(bravyi_smolin_3(), q)
+    path, other = tmp_path / "m.json", tmp_path / "other.json"
+    save_umeb(lift(umeb_6(), q // 2), other)
+    outputs = []
+    for layout in ("dense", "factored"):
+        if layout == "dense":
+            path.write_text(_reference_save_text(c), encoding="utf-8")
+        else:
+            save_umeb(c, path)
+        assert ('"right_factors"' in path.read_text()) == (layout == "factored")
+        outputs.append([
+            run(capsys, *argv, "--json")
+            for argv in (["verify", str(path)], ["certify", str(path)], ["spectral", str(path)],
+                         ["compare", str(path), str(other)])
+        ])
+    assert outputs[0] == outputs[1]
+    # compare exits 4 at q = 2, where both files hold the 30-member set.
+    assert [code for code, _, _ in outputs[0]] == [0, 0, 0, 4 if q == 2 else 0]
 
 
 def test_signature_records_share_one_dict_per_distinct_record():

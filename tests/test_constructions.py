@@ -833,23 +833,30 @@ def test_d24_lift_round_trip_is_bit_exact_and_deterministic(tmp_path):
 # ---------------------------------------------------------------------------
 
 # The writer as it was before block encoding, kept as the reference: each
-# element one line, one json.dumps of its pair list.
-def _reference_save_text(c):
+# element one line, one json.dumps of its pair list.  Given ``right``, the
+# lines are those matrices, under "right_factors".
+def _reference_save_text(c, right=None):
     ect = c.exact_cos_theta
     ect_text = "null" if ect is None else f"[{ect.numerator}, {ect.denominator}]"
+    key, matrices = ("elements", c.elements) if right is None else ("right_factors", right)
     lines = [
         "{",
         f'  "dim": {c.dim},',
         f'  "provenance": {json.dumps(provenance_to_str(c.provenance))},',
         f'  "exact_cos_theta": {ect_text},',
-        '  "elements": [',
+        f'  "{key}": [',
     ]
-    n = len(c.elements)
-    for i, e in enumerate(c.elements):
+    n = len(matrices)
+    for i, e in enumerate(matrices):
         comma = "," if i + 1 < n else ""
         lines.append(f"    {json.dumps(matrix_to_pairs(e), allow_nan=False)}{comma}")
     lines += ["  ]", "}"]
     return "\n".join(lines) + "\n"
+
+
+def _external(c):
+    """The same stack under an External label, which save_umeb always writes as elements."""
+    return UMEBCandidate(c.dim, c.matrices, External("stack copy"), c.exact_cos_theta)
 
 
 def _dense_unitaries(dim, count):
@@ -858,9 +865,13 @@ def _dense_unitaries(dim, count):
     return UMEBCandidate(dim, np.linalg.qr(z)[0], External("dense"))
 
 
+# A lift of the d = 3 set is saved as its right factors, so the element
+# lines of its stack are pinned under an External label.
 @pytest.mark.parametrize("make", [
-    lambda: lift(bravyi_smolin_3(), 2), lambda: lift(bravyi_smolin_3(), 4),
-    lambda: lift(bravyi_smolin_3(), 8), lambda: lift(umeb_6(), 4), lambda: weyl_family(4),
+    lambda: _external(lift(bravyi_smolin_3(), 2)),
+    lambda: _external(lift(bravyi_smolin_3(), 4)),
+    lambda: _external(lift(bravyi_smolin_3(), 8)),
+    lambda: lift(umeb_6(), 4), lambda: weyl_family(4),
     lambda: _dense_unitaries(6, 40), _signed_zero_candidate,
     lambda: UMEBCandidate(2, (), External("empty")),
 ], ids=["lift_bs3_2", "lift_bs3_4", "lift_bs3_8", "lift_umeb6_4", "weyl_4", "dense", "signed_zeros",
@@ -870,6 +881,15 @@ def test_save_writes_the_reference_bytes(tmp_path, make):
     path = tmp_path / "m.json"
     save_umeb(c, path)
     assert path.read_bytes() == _reference_save_text(c).encode("utf-8")
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8])
+def test_save_writes_the_factored_reference_bytes(tmp_path, q):
+    c = lift(bravyi_smolin_3(), q)
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    right = c.provenance.right_factors(c.matrices)
+    assert path.read_bytes() == _reference_save_text(c, right).encode("utf-8")
 
 
 # Mostly the zeros a lift holds, among reals whose repr is short, long,
@@ -920,7 +940,7 @@ def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
 
 
 def test_d24_save_stays_within_a_memory_bound(tmp_path):
-    c = lift(bravyi_smolin_3(), 8)
+    c = _external(lift(bravyi_smolin_3(), 8))
     path = tmp_path / "d24.json"
     tracemalloc.start()
     try:
@@ -1379,7 +1399,7 @@ def test_saved_drawn_sets_load_through_the_elements_scan_property(tmp_path_facto
 
 
 def test_d24_load_reads_the_scan_within_a_memory_bound(tmp_path, general_decoder_off):
-    c = lift(bravyi_smolin_3(), 8)
+    c = _external(lift(bravyi_smolin_3(), 8))
     path = tmp_path / "d24.json"
     save_umeb(c, path)
     tracemalloc.start()
@@ -1395,3 +1415,219 @@ def test_d24_load_reads_the_scan_within_a_memory_bound(tmp_path, general_decoder
     # construction, or the whole skeleton joined for comparison, is one more.
     assert peak < path.stat().st_size + 1.25 * c.matrices.nbytes
 
+
+
+
+# ---------------------------------------------------------------------------
+# File format: a lift saved as its right factors
+# ---------------------------------------------------------------------------
+
+_FACTORED_LINE = '\n  "right_factors": [\n'
+
+
+def _rebuilds_bit_for_bit(c):
+    """Whether the stack is the products of its own right factors, every bit
+    compared, signed zeros included: the sets saved as right factors."""
+    layout = as_lift(c.provenance)
+    if layout is None or not layout.fits(c.matrices):
+        return False
+    rebuilt = layout.products(layout.right_factors(c.matrices))
+    return np.array_equal(rebuilt.view(np.int64), c.matrices.view(np.int64))
+
+
+def _saved_and_loaded(c, path):
+    save_umeb(c, path)
+    return load_umeb(path)
+
+
+def _assert_same_set(back, c):
+    assert back.dim == c.dim and back.provenance == c.provenance
+    assert back.exact_cos_theta == c.exact_cos_theta
+    assert np.array_equal(back.matrices.view(np.int64), c.matrices.view(np.int64))
+
+
+@pytest.mark.parametrize("make, factored", [
+    (lambda tmp: lift(bravyi_smolin_3(), 1), True),
+    (lambda tmp: lift(bravyi_smolin_3(), 8), True),
+    (lambda tmp: lift(_saved_and_loaded(bravyi_smolin_3(), tmp / "bs3.json"), 4), True),
+    (lambda tmp: umeb_6(), False),  # 87 zeros change sign when rebuilt
+    (lambda tmp: lift(umeb_6(), 4), False),  # 192 of them
+    (lambda tmp: lift(lift(bravyi_smolin_3(), 2), 2), False),  # 24 of them
+    (lambda tmp: bravyi_smolin_3(), False),
+    (lambda tmp: _external(lift(bravyi_smolin_3(), 2)), False),
+], ids=["lift_bs3_1", "lift_bs3_8", "lift_loaded_bs3_4", "umeb6", "lift_umeb6_4", "tower",
+        "bs3", "external"])
+def test_save_writes_right_factors_exactly_when_they_rebuild_the_stack(tmp_path, make, factored):
+    c = make(tmp_path)
+    path = tmp_path / "m.json"
+    assert _rebuilds_bit_for_bit(c) == factored
+    # Each of these splits: split compares values, not zero signs.
+    assert (c.split is not None) == (as_lift(c.provenance) is not None)
+    back = _saved_and_loaded(c, path)
+    assert (_FACTORED_LINE in path.read_text()) == factored
+    _assert_same_set(back, c)
+
+
+def _orthogonal_base(d, count, rng):
+    labels = rng.permutation(d * d)[:count]
+    return UMEBCandidate(d, weyl_family(d).matrices[labels], External("weyl subset"))
+
+
+def _random_unitary_base(d, count, rng):
+    z = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    return UMEBCandidate(d, np.linalg.qr(z)[0], External("random unitaries"))
+
+
+_TOWER_BASES = {
+    "weyl_subset": _orthogonal_base,
+    "random_unitaries": _random_unitary_base,
+    "umeb6": lambda d, count, rng: umeb_6(),
+}
+
+
+def test_saved_towers_round_trip_bit_for_bit_property(tmp_path_factory):
+    layouts = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.sampled_from(sorted(_TOWER_BASES)),
+        d=st.integers(2, 3),
+        count=st.integers(1, 4),
+        qs=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        edit=st.sampled_from([None, _next_up, _add_tiny, _flip_zero_signs]),
+        entry=st.integers(0, 10**9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(base, d, count, qs, edit, entry, seed):
+        c = _TOWER_BASES[base](d, count, np.random.default_rng(seed))
+        for q in qs:
+            if c.dim * q <= 24:
+                c = lift(c, q)
+        if edit is not None:  # a tampered copy under the same provenance
+            m = c.matrices.copy()
+            flat = m.reshape(-1)
+            flat[entry % flat.size] = edit(flat[entry % flat.size])
+            c = UMEBCandidate(c.dim, m, c.provenance, c.exact_cos_theta)
+        path = tmp_path_factory.mktemp("tower") / "m.json"
+        back = _saved_and_loaded(c, path)
+        layouts.append(_FACTORED_LINE in path.read_text())
+        assert layouts[-1] == _rebuilds_bit_for_bit(c)
+        _assert_same_set(back, c)
+
+    check()
+    # Both layouts must be seen, not only one.
+    assert 0.1 * len(layouts) <= sum(layouts) <= 0.9 * len(layouts)
+
+
+def test_the_elements_scan_declines_a_factored_file_at_once(tmp_path, monkeypatch):
+    path = tmp_path / "l8.json"
+    save_umeb(lift(bravyi_smolin_3(), 8), path)
+    text = path.read_text()
+    assert _FACTORED_LINE in text and '"elements"' not in text
+
+    def refuse(piece, pattern):
+        raise AssertionError("a factored file was scanned as elements")
+
+    monkeypatch.setattr(constructions, "_read_lines", refuse)
+    assert constructions._load_saved(text) is None
+
+
+def test_d24_factored_file_is_small_and_loads_one_stack(tmp_path):
+    c = lift(bravyi_smolin_3(), 8)
+    path = tmp_path / "l8.json"
+    save_umeb(c, path)
+    # 552 right factors of 3 x 3, not 552 elements of 24 x 24.
+    assert path.stat().st_size < 0.05 * len(_reference_save_text(c))
+    tracemalloc.start()
+    try:
+        back = load_umeb(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_set(back, c)
+    # The rebuilt stack, the left factor of each element and the decoded
+    # factors; a copy of the stack on construction would be one stack more.
+    assert peak < 1.75 * c.matrices.nbytes
+    assert not back.matrices.flags.owndata and not back.matrices.flags.writeable
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _factors(edit):
+    def apply(doc):
+        edit(doc["right_factors"])
+    return apply
+
+
+def _entry(value):
+    def edit(factors):
+        factors[2][1] = value
+    return edit
+
+
+_L2 = lift(bravyi_smolin_3(), 2)
+_NOT_A_LIFT = "right_factors need a provenance that names a lift, not "
+_NOT_30 = "right_factors must be a list of the lift's 30 factors"
+_NOT_A_PAIR = "right factor 2: entry 1 is not a [re, im] pair of numbers"
+
+_BAD_FACTORED_FILES = {
+    "both_keys": (_set("elements", [matrix_to_pairs(e) for e in _L2.elements]),
+                  "a file holds 'elements' or 'right_factors', not both"),
+    "bs3_provenance": (_set("provenance", "bravyi_smolin_3"), _NOT_A_LIFT + "'bravyi_smolin_3'"),
+    "weyl_provenance": (_set("provenance", "weyl_family(d=3)"), _NOT_A_LIFT + "'weyl_family(d=3)'"),
+    "external_provenance": (_set("provenance", "hand-made set"), _NOT_A_LIFT + "'hand-made set'"),
+    "one_factor_short": (_factors(lambda f: f.pop()), _NOT_30),
+    "one_factor_over": (_factors(lambda f: f.append(f[0])), _NOT_30),
+    "empty": (_set("right_factors", []), _NOT_30),
+    "not_a_list": (_set("right_factors", {"0": 1}), _NOT_30),
+    "factor_2x2": (_factors(lambda f: f.__setitem__(4, f[4][:4])),
+                   "right factor 4: element has 4 entries, expected 9 for dim 3"),
+    "factor_4x4": (_factors(lambda f: f.__setitem__(4, f[4] + f[4][:7])),
+                   "right factor 4: element has 16 entries, expected 9 for dim 3"),
+    "factor_not_a_list": (_factors(lambda f: f.__setitem__(3, "x")),
+                          "right factor 3 must be a list of [re, im] pairs"),
+    "dim_not_qd": (_set("dim", 7), "dim 7 is not the lift's q*d = 6"),
+    "nan": (_factors(_entry([float("nan"), 0.0])), "right factor 2: matrix entries must be finite"),
+    "true": (_factors(_entry([True, 0.0])), _NOT_A_PAIR),
+    "string": (_factors(_entry(["1.5", 0.0])), _NOT_A_PAIR),
+    "big_int": (_factors(_entry([_BIG_INT, 0.0])),
+                "right factor 2: matrix entry out of the double range"),
+}
+
+
+def _bad_factored_file(path, name):
+    save_umeb(_L2, path)
+    doc = json.loads(path.read_text())
+    assert "right_factors" in doc
+    _BAD_FACTORED_FILES[name][0](doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_FACTORED_FILES))
+def test_bad_factored_files_raise_format_errors(tmp_path, name):
+    path = tmp_path / "bad.json"
+    _bad_factored_file(path, name)
+    with pytest.raises(UMEBFormatError, match="^" + re.escape(_BAD_FACTORED_FILES[name][1])):
+        load_umeb(path)
+
+
+def test_a_factored_file_too_large_to_rebuild_allocates_nothing(tmp_path):
+    # 40,000 factors of 1 x 1 would rebuild to a 25.6 GB stack of 200 x 200.
+    q = 200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "dim": q, "provenance": f"lift(q={q}, d=1, n=1, base=x)", "exact_cos_theta": None,
+        "right_factors": [[[1.0, 0.0]]] * (q * q),
+    }))
+    tracemalloc.start()
+    try:
+        with pytest.raises(UMEBFormatError, match="too large to rebuild"):
+            load_umeb(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * path.stat().st_size

@@ -1449,6 +1449,40 @@ def test_verify_of_a_fresh_lift_stays_below_one_and_a_half_stacks():
     assert peak < 1.5 * c.matrices.nbytes
 
 
+def test_verify_of_a_fresh_lift_stays_below_half_a_stack():
+    c = lift(bravyi_smolin_3(), 8)
+    tracemalloc.start()
+    try:
+        assert verify_axioms(c).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The split peaks at about a third of the stack; the Gram's off-diagonal
+    # maximum, taken over blocks of rows, forms no 552 x 552 array.
+    assert peak < 0.5 * c.matrices.nbytes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    left_kinds=st.integers(1, 5),
+    right_kinds=st.integers(1, 5),
+    block=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_offdiag_product_equals_the_whole_array_maximum_property(
+    n, left_kinds, right_kinds, block, seed
+):
+    rng = np.random.default_rng(seed)
+    left, right = rng.random((left_kinds, left_kinds)), rng.random((right_kinds, right_kinds))
+    index, kind = rng.integers(0, left_kinds, n), rng.integers(0, right_kinds, n)
+    whole = left[index][:, index] * right[kind][:, kind]
+    np.fill_diagonal(whole, 0.0)
+    # A block of 1 to 200 entries: one row per block, a few, or all.
+    with mock.patch.object(verification, "_GRAM_BLOCK", block):
+        assert verification._max_offdiag_product(left, index, right, kind) == whole.max()
+
+
 def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch):
     c = lift(bravyi_smolin_3(), 8)
     splits, residuals = [], []
