@@ -219,9 +219,13 @@ class Lift:
         """A stack in this layout as F_k (x) Y_k: ``(factor_index(), Y)``, or None.
 
         None unless the stack :meth:`fits` and equals the :meth:`products` of
-        its :meth:`right_factors` entry for entry, as every :func:`lift` does;
-        with no tolerance, each element's spectrum is then its factors'
-        product spectrum, up to one rounding per entry.
+        its :meth:`right_factors` in value, as every :func:`lift` does; with
+        no tolerance, each element's spectrum is then its factors' product
+        spectrum, up to one rounding per entry.  Values, not bits: -0.0
+        equals 0.0, so those products can differ from the stack in the sign
+        of a zero: ``umeb_6()`` splits, and so does a lift of it, whose
+        factors read back from block (0, c_k), (1 + 0j) Y_k, hold 0.0 at
+        some places where the Y_k it was built from hold -0.0.
 
         The products are not formed.  Every left factor is monomial, so row-tile
         a of F_k (x) Y_k is f Y_k in the column of row a's one nonzero f, and
@@ -372,6 +376,10 @@ class UMEBCandidate:
     one non-unit eigenphase shared by every Bravyi-Smolin-derived element; the
     spectral layer uses it to prove infinite eigenvalue orders.
 
+    A set built from its right factors Y_k, by :func:`lift` or by
+    :func:`load_umeb` from a file of them, holds those factors: it is saved
+    as them, and its :attr:`split` is read from the stack without a compare.
+
     Four whole-stack facts are computed on first use and then held:
     :attr:`split`, the stack read as F_k (x) Y_k by its lift layout;
     :attr:`right_kinds`, its distinct right factors; :attr:`unitarity`, the
@@ -389,6 +397,11 @@ class UMEBCandidate:
     provenance: Provenance
     exact_cos_theta: Optional[Fraction] = None
     matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    # The right factors whose Lift.products the stack is, bit for bit, when
+    # _lifted built it from them; None for any other set.
+    _right_factors: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -420,9 +433,16 @@ class UMEBCandidate:
     @cached_property
     def split(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """``as_lift(provenance).split(matrices)``, or None when the provenance
-        names no lift; both arrays read-only."""
+        names no lift; both arrays read-only.  A set built from its right
+        factors is their products, which split, so its split is read from the
+        stack as :meth:`Lift.split` reads it, with no compare."""
         layout = as_lift(self.provenance)
-        split = None if layout is None else layout.split(self.matrices)
+        if layout is None:
+            split = None
+        elif self._right_factors is not None:
+            split = layout.factor_index(), layout.right_factors(self.matrices)
+        else:
+            split = layout.split(self.matrices)
         if split is not None:
             for part in split:
                 part.flags.writeable = False
@@ -649,8 +669,26 @@ def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
 
     right = np.concatenate([np.tile(weyl_family(d).matrices, (q * (q - 1), 1, 1)),
                             np.tile(base.matrices, (q, 1, 1))])
-    elements = prov.products(right)
-    return UMEBCandidate(q * d, elements.view(_Fresh), prov, base.exact_cos_theta)
+    return _lifted(prov, right, base.exact_cos_theta)
+
+
+def _lifted(prov: Provenance, right: np.ndarray, cos: Optional[Fraction]) -> UMEBCandidate:
+    """The set F_k (x) Y_k of the lift layout ``prov`` names, from its
+    (n, d, d) right factors Y_k, which the caller built and hands over.
+
+    The candidate holds them read-only: :func:`save_umeb` writes them, and
+    its :attr:`~UMEBCandidate.split` is read from the stack.  Factors read
+    back from the stack need not be these bit for bit: (1 + 0j) Y_k turns
+    -0.0 - 0.0j into 0.0 - 0.0j, so only these rebuild every zero's sign
+    (:meth:`Lift.split`).  A stack beyond ``_MAX_REBUILT_BYTES`` holds none,
+    so it is saved as elements, since a file of its factors would not load.
+    """
+    layout = as_lift(prov)
+    candidate = UMEBCandidate(layout.dim, layout.products(right).view(_Fresh), prov, cos)
+    if candidate.matrices.nbytes <= _MAX_REBUILT_BYTES:
+        right.flags.writeable = False
+        object.__setattr__(candidate, "_right_factors", right)
+    return candidate
 
 
 def leaf_shape(p: Provenance) -> Optional[tuple[int, int]]:
@@ -789,18 +827,18 @@ _ZERO_TOKENS = np.array(["0.0", "-0.0"], dtype=object)  # by sign bit
 _LINE_OPEN, _REAL_SEP, _PAIR_SEP = "    [[", ", ", "], ["
 _LINE_CLOSE, _LAST_LINE_CLOSE = "]],\n", "]]\n"
 _FOOTER = "  ]\n}\n"
-# The two layouts: a lift whose stack is exactly the products of its right
-# factors is saved as those d x d factors, any other set as its matrices.
+# The two layouts: a set built from its right factors is saved as those
+# d x d factors, any other set as its matrices.
 _ELEMENTS, _RIGHT_FACTORS = "elements", "right_factors"
-_HEADER_END = f'  "{_ELEMENTS}": [\n'
+# The end of a saved header, the line that opens either list: no earlier
+# header line ends so, and JSON strings hold no raw newline.
+_HEADER_END = '": [\n'
 # The largest stack a file of right factors is rebuilt to: the stack is q^2
 # times the factors, so a small file could otherwise ask for any size.
 _MAX_REBUILT_BYTES = 1 << 31
 
 
-def _header(
-    dim: int, provenance: Provenance, cos: Optional[Fraction], key: str = _ELEMENTS
-) -> str:
+def _header(dim: int, provenance: Provenance, cos: Optional[Fraction], key: str) -> str:
     """The lines of a saved file before its first matrix line, ``key`` the list they open."""
     cos_text = "null" if cos is None else f"[{cos.numerator}, {cos.denominator}]"
     return (
@@ -836,33 +874,18 @@ def _element_block(reals: np.ndarray, d2: int) -> str:
     return "".join(grid.ravel().tolist())
 
 
-def _lossless_right_factors(candidate: UMEBCandidate) -> Optional[np.ndarray]:
-    """The right factors Y_k of a candidate whose stack is the :meth:`Lift.products`
-    of them bit for bit, signed zeros included; None for any other candidate.
-
-    :attr:`~UMEBCandidate.split` alone does not show it: it compares values,
-    so -0.0 passes for 0.0, and ``umeb_6()`` splits although 87 of its zeros
-    change sign when it is rebuilt from its factors.
-    """
-    if candidate.matrices.nbytes > _MAX_REBUILT_BYTES or candidate.split is None:
-        return None
-    right = candidate.split[1]
-    rebuilt = as_lift(candidate.provenance).products(right)
-    stored = np.ascontiguousarray(candidate.matrices)
-    return right if np.array_equal(rebuilt.view(np.int64), stored.view(np.int64)) else None
-
-
 def save_umeb(candidate: UMEBCandidate, path) -> None:
     """Write a candidate to the matrix-set JSON format.
 
-    A candidate whose stack is exactly the products F_k (x) Y_k of its lift
-    layout, bit for bit (every :func:`lift` of the d = 3 set), is saved as
-    its d x d right factors Y_k under ``"right_factors"``, one per line in
-    element order; :func:`load_umeb` rebuilds the stack from them.  Every
-    other candidate is saved as its matrices under ``"elements"``.
+    A candidate built from its right factors, by :func:`lift` or by
+    :func:`load_umeb` from a file of them, is saved as those d x d factors
+    Y_k under ``"right_factors"``, one per line in element order;
+    :func:`load_umeb` rebuilds the stack from them bit for bit.  Every other
+    candidate, ``umeb_6()`` among them (it is assembled from its own 2 x 2
+    factors), is saved as its matrices under ``"elements"``.
     The file is a fixed header, one line per matrix, ``json.dumps`` of its
     :func:`matrix_to_pairs`, and a fixed footer; :func:`load_umeb` reads
-    the ``"elements"`` layout without the general JSON decoder.  Every real
+    either layout without the general JSON decoder.  Every real
     is its shortest round-trip ``repr``, which reproduces every double
     bit-exactly on load (``-0.0`` included) and always carries a ``.`` or an
     exponent; output bytes are deterministic.  The matrices are encoded in
@@ -871,7 +894,7 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     encoded before ``path`` is opened, so an encoding error leaves any file
     there as it was.
     """
-    right = _lossless_right_factors(candidate)
+    right = candidate._right_factors
     key, matrices = (_ELEMENTS, candidate.matrices) if right is None else (_RIGHT_FACTORS, right)
     d2 = matrices.shape[1] ** 2
     reals = np.ascontiguousarray(matrices).view(np.float64).reshape(-1)
@@ -939,11 +962,11 @@ def _read_header(doc) -> tuple[int, Provenance, Optional[Fraction]]:
     return dim, prov, ect
 
 
-# Bytes a JSON number token is made of: each run of them in an element line
+# Bytes a JSON number token is made of: each run of them in a matrix line
 # is one token, which json reads.
 _IS_NUMBER = bytes(ch in b"0123456789-+.eE" for ch in range(256))
 _TO_SPACES = bytes.maketrans(b"[],\n", b"    ")
-_SCAN_CHUNK = 1 << 16  # bytes of element lines read at a time, rounded up to a line
+_SCAN_CHUNK = 1 << 16  # bytes of matrix lines read at a time, rounded up to a line
 # The first bytes of the two zero tokens a saved file holds: '0.0' or
 # '-0.0' and the ',' or ']' that ends it.
 _POSITIVE_ZEROS = [int.from_bytes(b"0.0" + end, "little") for end in (b",", b"]")]
@@ -952,7 +975,7 @@ _SPACE = ord(" ")
 
 
 def _read_lines(piece: bytes, pattern: bytes) -> Optional[np.ndarray]:
-    """The reals of the element lines ``piece``, or None unless it reads
+    """The reals of the matrix lines ``piece``, or None unless it reads
     ``pattern`` with each run of number bytes cut to one '#'.
 
     A token that is exactly ``0.0`` or ``-0.0`` and ends at a ',' or ']' is
@@ -991,24 +1014,30 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
     """The candidate ``text`` holds when it is laid out as :func:`save_umeb` writes.
 
     The header must be what :func:`_header` writes for the values json reads
-    from it, and the element lines, read in chunks of whole lines, must each
+    from it, and the matrix lines, read in chunks of whole lines, must each
     be the saved line with any JSON number token for each real
-    (:func:`_read_lines`), then the footer.  None on any mismatch or error,
-    or a real that is not a finite double; the general decoder then gives
-    the value or the error.  Beyond the result, memory stays bounded by the
-    chunk size.
+    (:func:`_read_lines`), then the footer.  Lines of right factors must
+    first pass the checks of :func:`_factored_layout`, so no product is
+    formed for a file the general decoder refuses.  None on any mismatch or
+    error, or a real that is not a finite double; the general decoder then
+    gives the value or the error.  Beyond the result, memory stays bounded
+    by the chunk size.
     """
     start = text.find(_HEADER_END) + len(_HEADER_END)
     end = len(text) - len(_FOOTER)
     if start < len(_HEADER_END) or start >= end or not text.endswith(_FOOTER):
         return None
+    n = text.count("\n", start, end)
     try:
-        dim, prov, cos = _read_header(json.loads(text[:start] + "]}"))
-        if text[:start] != _header(dim, prov, cos):
+        doc = json.loads(text[:start] + "]}")
+        dim, prov, cos = _read_header(doc)
+        key = _RIGHT_FACTORS if _RIGHT_FACTORS in doc else _ELEMENTS
+        if text[:start] != _header(dim, prov, cos, key):
             return None
+        d = dim if key == _ELEMENTS else _factored_layout(dim, prov, n).base_dim
     except (ValueError, RecursionError):
         return None
-    d2, n = dim * dim, text.count("\n", start, end)
+    d2 = d * d
     pair = "#" + _REAL_SEP + "#"
     # No stack larger than the text can hold, with one byte per real, is allocated.
     if n * d2 * len(pair) > end - start:
@@ -1032,12 +1061,16 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
         row, pos = row + lines, stop
     if not np.isfinite(out).all():
         return None
-    return UMEBCandidate(dim, out.view(np.complex128).reshape(n, dim, dim).view(_Fresh), prov, cos)
+    matrices = out.view(np.complex128).reshape(n, d, d)
+    if key == _RIGHT_FACTORS:
+        return _lifted(prov, matrices, cos)
+    return UMEBCandidate(dim, matrices.view(_Fresh), prov, cos)
 
 
-def _rebuild_lift(right, dim: int, prov: Provenance, cos: Optional[Fraction]) -> UMEBCandidate:
-    """The candidate a file's ``"right_factors"`` list holds: the
-    :meth:`Lift.products` of the layout its provenance names."""
+def _factored_layout(dim: int, prov: Provenance, count: Optional[int]) -> Lift:
+    """The lift layout of a file of ``count`` right factors (None for a
+    value that is not a list) under this ``dim`` and provenance, checked
+    before any product is formed."""
     layout = as_lift(prov)
     if layout is None:
         raise UMEBFormatError(
@@ -1048,10 +1081,16 @@ def _rebuild_lift(right, dim: int, prov: Provenance, cos: Optional[Fraction]) ->
     n = layout.element_count
     if n * dim * dim * 16 > _MAX_REBUILT_BYTES:
         raise UMEBFormatError(f"the lift's {n} elements of dim {dim} are too large to rebuild")
-    if not isinstance(right, list) or len(right) != n:
+    if count != n:
         raise UMEBFormatError(f"right_factors must be a list of the lift's {n} factors")
-    stack = layout.products(_pairs_to_stack(right, layout.base_dim, "right factor"))
-    return UMEBCandidate(dim, stack.view(_Fresh), prov, cos)
+    return layout
+
+
+def _rebuild_lift(right, dim: int, prov: Provenance, cos: Optional[Fraction]) -> UMEBCandidate:
+    """The candidate a decoded file's ``"right_factors"`` value holds: the
+    :meth:`Lift.products` of the layout its provenance names."""
+    layout = _factored_layout(dim, prov, len(right) if isinstance(right, list) else None)
+    return _lifted(prov, _pairs_to_stack(right, layout.base_dim, "right factor"), cos)
 
 
 def load_umeb(path) -> UMEBCandidate:
@@ -1059,15 +1098,16 @@ def load_umeb(path) -> UMEBCandidate:
 
     A file in exactly the layout :func:`save_umeb` writes, with any JSON
     number spelling for each real, is read straight from the text in chunks
-    of whole element lines, with no Python object per zero
+    of whole matrix lines, with no Python object per zero
     (:func:`_load_saved`).  Every other file, in any other layout (another
     key order or indentation, duplicate keys, integer ``-0``, values that
     are not finite, malformed text), loads through ``json`` and
     :func:`pairs_to_matrix`, which give the same values and every error.
     Reals may be written in any JSON number form, so files with 17
     significant digits, as older versions wrote them, load bit-exactly too.
-    A file of ``"right_factors"`` loads through ``json`` as well: its
-    provenance must name a lift, whose stack is rebuilt from them.
+    A file of ``"right_factors"`` is read the same two ways: its provenance
+    must name a lift, whose stack is rebuilt from them, and the candidate
+    holds them, so a save writes the same file again.
     Canonical provenance strings are parsed back into structured provenance
     (so certification still applies to files this package wrote); any other
     string is kept as an External label.

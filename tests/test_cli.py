@@ -586,11 +586,20 @@ def test_json_reports_are_the_bytes_of_json_dumps(name, tmp_path, capsys, monkey
     assert stdout == json.dumps(want, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("q", [2, 8])
-def test_reports_on_a_factored_file_equal_those_on_its_dense_file(tmp_path, capsys, q):
-    c = lift(bravyi_smolin_3(), q)
+# Each set against lift(umeb_6(), other_q), itself saved factored.
+@pytest.mark.parametrize("make, other_q", [
+    (lambda: lift(bravyi_smolin_3(), 2), 1),
+    (lambda: lift(bravyi_smolin_3(), 8), 4),
+    (lambda: lift(umeb_6(), 2), 4),
+    (lambda: lift(lift(bravyi_smolin_3(), 2), 2), 4),
+], ids=["2", "8", "lift_umeb6_2", "tower"])
+def test_reports_on_a_factored_file_equal_those_on_its_dense_file(
+    tmp_path, capsys, make, other_q
+):
+    # Dense, the stack's elements; factored, the right factors it was built from.
+    c = make()
     path, other = tmp_path / "m.json", tmp_path / "other.json"
-    save_umeb(lift(umeb_6(), q // 2), other)
+    save_umeb(lift(umeb_6(), other_q), other)
     outputs = []
     for layout in ("dense", "factored"):
         if layout == "dense":
@@ -604,8 +613,8 @@ def test_reports_on_a_factored_file_equal_those_on_its_dense_file(tmp_path, caps
                          ["compare", str(path), str(other)])
         ])
     assert outputs[0] == outputs[1]
-    # compare exits 4 at q = 2, where both files hold the 30-member set.
-    assert [code for code, _, _ in outputs[0]] == [0, 0, 0, 4 if q == 2 else 0]
+    # compare exits 4 on lift(bs3, 2) against lift(umeb_6(), 1), both the 30-member set.
+    assert [code for code, _, _ in outputs[0]] == [0, 0, 0, 4 if other_q == 1 else 0]
 
 
 def test_signature_records_share_one_dict_per_distinct_record():

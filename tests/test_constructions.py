@@ -38,7 +38,7 @@ from umeb.constructions import (
     weyl,
     weyl_family,
 )
-from umeb.linalg import DimensionMismatchError, gram_matrix, unitarity_residual
+from umeb.linalg import DimensionMismatchError, distinct_rows, gram_matrix, unitarity_residual
 from umeb.spectral import eigenphases
 
 
@@ -865,13 +865,13 @@ def _dense_unitaries(dim, count):
     return UMEBCandidate(dim, np.linalg.qr(z)[0], External("dense"))
 
 
-# A lift of the d = 3 set is saved as its right factors, so the element
-# lines of its stack are pinned under an External label.
+# A lift is saved as its right factors, so the element lines of its stack
+# are pinned under an External label.
 @pytest.mark.parametrize("make", [
     lambda: _external(lift(bravyi_smolin_3(), 2)),
     lambda: _external(lift(bravyi_smolin_3(), 4)),
     lambda: _external(lift(bravyi_smolin_3(), 8)),
-    lambda: lift(umeb_6(), 4), lambda: weyl_family(4),
+    lambda: _external(lift(umeb_6(), 4)), lambda: weyl_family(4),
     lambda: _dense_unitaries(6, 40), _signed_zero_candidate,
     lambda: UMEBCandidate(2, (), External("empty")),
 ], ids=["lift_bs3_2", "lift_bs3_4", "lift_bs3_8", "lift_umeb6_4", "weyl_4", "dense", "signed_zeros",
@@ -883,6 +883,8 @@ def test_save_writes_the_reference_bytes(tmp_path, make):
     assert path.read_bytes() == _reference_save_text(c).encode("utf-8")
 
 
+# The factors read back from a lift of the d = 3 set are the ones it was
+# built from, so these files keep the bytes they had when the save read them.
 @pytest.mark.parametrize("q", [1, 2, 4, 8])
 def test_save_writes_the_factored_reference_bytes(tmp_path, q):
     c = lift(bravyi_smolin_3(), q)
@@ -890,6 +892,21 @@ def test_save_writes_the_factored_reference_bytes(tmp_path, q):
     save_umeb(c, path)
     right = c.provenance.right_factors(c.matrices)
     assert path.read_bytes() == _reference_save_text(c, right).encode("utf-8")
+
+
+def test_a_lift_of_umeb6_is_saved_as_the_factors_it_was_built_from(tmp_path):
+    c = lift(umeb_6(), 4)
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    right = np.concatenate([np.tile(weyl_family(6).matrices, (12, 1, 1)),
+                            np.tile(umeb_6().matrices, (4, 1, 1))])
+    assert path.read_bytes() == _reference_save_text(c, right).encode("utf-8")
+    # Read back from the stack, 96 of their zeros have another sign, and
+    # their products miss 192 zero signs of the stack.
+    read_back = c.provenance.right_factors(c.matrices)
+    assert np.count_nonzero(read_back.view(np.int64) != right.view(np.int64)) == 96
+    rebuilt = c.provenance.products(read_back)
+    assert np.count_nonzero(rebuilt.view(np.int64) != c.matrices.view(np.int64)) == 192
 
 
 # Mostly the zeros a lift holds, among reals whose repr is short, long,
@@ -1191,9 +1208,10 @@ def test_load_matches_the_general_decoder_on_handpicked_files(tmp_path, text):
     assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
 
 
-def _saved_layout(dim, tokens, provenance="x", cos="null"):
-    """The text save_umeb writes for a set whose reals are spelled ``tokens``."""
-    d2 = dim * dim
+def _saved_layout(dim, tokens, provenance="x", cos="null", key="elements", side=None):
+    """The text save_umeb writes for a set whose reals are spelled ``tokens``:
+    ``side`` x ``side`` matrices (``dim`` by default) under ``key``."""
+    d2 = (dim if side is None else side) ** 2
     lines = []
     for k in range(0, len(tokens), 2 * d2):
         row = tokens[k:k + 2 * d2]
@@ -1203,7 +1221,7 @@ def _saved_layout(dim, tokens, provenance="x", cos="null"):
         f'  "dim": {dim},\n'
         f'  "provenance": {json.dumps(provenance)},\n'
         f'  "exact_cos_theta": {cos},\n'
-        '  "elements": [\n' + ",\n".join(lines) + "\n  ]\n}\n"
+        f'  "{key}": [\n' + ",\n".join(lines) + "\n  ]\n}\n"
     )
 
 
@@ -1250,6 +1268,11 @@ def _saved_documents(draw):
             ["x", "lift(q=2, d=3, n=6, base=bravyi_smolin_3)", 'a"b\\'])),
         cos=draw(st.sampled_from(["null", "[-7, 8]"])),
     )
+    return _byte_edits(draw, text)
+
+
+def _byte_edits(draw, text):
+    """``text`` after up to three single-byte deletions, insertions or swaps."""
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
         at = draw(st.integers(0, len(text) - 2))
         how = draw(st.sampled_from(["delete", "insert", "swap"]))
@@ -1280,6 +1303,56 @@ def test_load_matches_the_general_decoder_on_saved_layouts_property(tmp_path_fac
     finally:
         constructions._SCAN_CHUNK = default
     # The fast path must see a fair share of the files, not only fall back.
+    assert sum(fast) >= 0.2 * len(fast)
+
+
+@st.composite
+def _saved_factored_documents(draw):
+    """Files of right factors in the saved layout with any number tokens,
+    mostly of the count and dim of the lift they name, then byte edits."""
+    q, d, n = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    layout = Lift(External("x"), d, n, q)
+    count = max(1, layout.element_count + draw(st.sampled_from([0] * 8 + [-1, 1])))
+    dim = layout.dim + draw(st.sampled_from([0] * 8 + [1]))
+    size = 2 * d * d * count
+    tokens = draw(st.lists(draw(st.sampled_from([_PLAIN_REALS, _sparse_reals()])),
+                           min_size=size, max_size=size))
+    provenance = draw(st.sampled_from([provenance_to_str(layout)] * 8 + ["x"]))
+    text = _saved_layout(dim, tokens, provenance, draw(st.sampled_from(["null", "[-7, 8]"])),
+                         key="right_factors", side=d)
+    return _byte_edits(draw, text)
+
+
+def _general_load(path):
+    """load_umeb with the saved-layout scan declining every file."""
+    real, constructions._load_saved = constructions._load_saved, lambda text: None
+    try:
+        return load_umeb(path)
+    finally:
+        constructions._load_saved = real
+
+
+@pytest.mark.parametrize("chunk", [constructions._SCAN_CHUNK, 1])
+def test_factored_files_load_as_the_general_decoder_reads_them_property(tmp_path_factory, chunk):
+    fast = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_saved_factored_documents())
+    def check(text):
+        path = tmp_path_factory.mktemp("factored") / "m.json"
+        path.write_bytes(text.encode("utf-8"))
+        scanned = constructions._load_saved(text)
+        fast.append(scanned is not None)
+        assert _outcome(load_umeb, path) == _outcome(_general_load, path)
+        if scanned is not None:
+            right = _general_load(path)._right_factors
+            assert scanned._right_factors.tobytes() == right.tobytes()
+
+    default, constructions._SCAN_CHUNK = constructions._SCAN_CHUNK, chunk
+    try:
+        check()
+    finally:
+        constructions._SCAN_CHUNK = default
     assert sum(fast) >= 0.2 * len(fast)
 
 
@@ -1425,16 +1498,6 @@ def test_d24_load_reads_the_scan_within_a_memory_bound(tmp_path, general_decoder
 _FACTORED_LINE = '\n  "right_factors": [\n'
 
 
-def _rebuilds_bit_for_bit(c):
-    """Whether the stack is the products of its own right factors, every bit
-    compared, signed zeros included: the sets saved as right factors."""
-    layout = as_lift(c.provenance)
-    if layout is None or not layout.fits(c.matrices):
-        return False
-    rebuilt = layout.products(layout.right_factors(c.matrices))
-    return np.array_equal(rebuilt.view(np.int64), c.matrices.view(np.int64))
-
-
 def _saved_and_loaded(c, path):
     save_umeb(c, path)
     return load_umeb(path)
@@ -1446,26 +1509,35 @@ def _assert_same_set(back, c):
     assert np.array_equal(back.matrices.view(np.int64), c.matrices.view(np.int64))
 
 
+def _copy(c):
+    """The same stack and provenance in a candidate that was not built from factors."""
+    return UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta)
+
+
 @pytest.mark.parametrize("make, factored", [
     (lambda tmp: lift(bravyi_smolin_3(), 1), True),
     (lambda tmp: lift(bravyi_smolin_3(), 8), True),
     (lambda tmp: lift(_saved_and_loaded(bravyi_smolin_3(), tmp / "bs3.json"), 4), True),
-    (lambda tmp: umeb_6(), False),  # 87 zeros change sign when rebuilt
-    (lambda tmp: lift(umeb_6(), 4), False),  # 192 of them
-    (lambda tmp: lift(lift(bravyi_smolin_3(), 2), 2), False),  # 24 of them
+    (lambda tmp: lift(umeb_6(), 4), True),
+    (lambda tmp: lift(lift(bravyi_smolin_3(), 2), 2), True),
+    (lambda tmp: _saved_and_loaded(lift(umeb_6(), 2), tmp / "u2.json"), True),
+    (lambda tmp: umeb_6(), False),  # assembled from its own 2 x 2 factors
+    (lambda tmp: _copy(lift(bravyi_smolin_3(), 2)), False),
     (lambda tmp: bravyi_smolin_3(), False),
     (lambda tmp: _external(lift(bravyi_smolin_3(), 2)), False),
-], ids=["lift_bs3_1", "lift_bs3_8", "lift_loaded_bs3_4", "umeb6", "lift_umeb6_4", "tower",
-        "bs3", "external"])
-def test_save_writes_right_factors_exactly_when_they_rebuild_the_stack(tmp_path, make, factored):
+], ids=["lift_bs3_1", "lift_bs3_8", "lift_loaded_bs3_4", "lift_umeb6_4", "tower", "loaded_factored",
+        "umeb6", "copy", "bs3", "external"])
+def test_save_writes_right_factors_exactly_when_built_from_them(tmp_path, make, factored):
     c = make(tmp_path)
     path = tmp_path / "m.json"
-    assert _rebuilds_bit_for_bit(c) == factored
-    # Each of these splits: split compares values, not zero signs.
-    assert (c.split is not None) == (as_lift(c.provenance) is not None)
+    assert (c._right_factors is not None) == factored
     back = _saved_and_loaded(c, path)
     assert (_FACTORED_LINE in path.read_text()) == factored
     _assert_same_set(back, c)
+    # A loaded factored file holds its factors, so it saves to the same bytes.
+    again = tmp_path / "again.json"
+    save_umeb(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _orthogonal_base(d, count, rng):
@@ -1483,6 +1555,16 @@ _TOWER_BASES = {
     "random_unitaries": _random_unitary_base,
     "umeb6": lambda d, count, rng: umeb_6(),
 }
+
+
+def _assert_split_is_lift_split(c):
+    """The split a candidate holds, and its distinct right factors, are byte
+    for byte those Lift.split and distinct_rows give for its stack."""
+    want = as_lift(c.provenance).split(c.matrices)
+    assert want is not None
+    assert [part.tobytes() for part in c.split] == [part.tobytes() for part in want]
+    kinds = distinct_rows(want[1])
+    assert [part.tobytes() for part in c.right_kinds] == [part.tobytes() for part in kinds]
 
 
 def test_saved_towers_round_trip_bit_for_bit_property(tmp_path_factory):
@@ -1503,33 +1585,42 @@ def test_saved_towers_round_trip_bit_for_bit_property(tmp_path_factory):
         for q in qs:
             if c.dim * q <= 24:
                 c = lift(c, q)
+        built = isinstance(c.provenance, Lift)
+        if built:
+            _assert_split_is_lift_split(c)
         if edit is not None:  # a tampered copy under the same provenance
             m = c.matrices.copy()
             flat = m.reshape(-1)
             flat[entry % flat.size] = edit(flat[entry % flat.size])
             c = UMEBCandidate(c.dim, m, c.provenance, c.exact_cos_theta)
+            assert c._right_factors is None
         path = tmp_path_factory.mktemp("tower") / "m.json"
         back = _saved_and_loaded(c, path)
         layouts.append(_FACTORED_LINE in path.read_text())
-        assert layouts[-1] == _rebuilds_bit_for_bit(c)
+        assert layouts[-1] == (built and edit is None)
         _assert_same_set(back, c)
+        if layouts[-1]:
+            _assert_split_is_lift_split(back)
 
     check()
     # Both layouts must be seen, not only one.
     assert 0.1 * len(layouts) <= sum(layouts) <= 0.9 * len(layouts)
 
 
-def test_the_elements_scan_declines_a_factored_file_at_once(tmp_path, monkeypatch):
-    path = tmp_path / "l8.json"
-    save_umeb(lift(bravyi_smolin_3(), 8), path)
-    text = path.read_text()
-    assert _FACTORED_LINE in text and '"elements"' not in text
-
-    def refuse(piece, pattern):
-        raise AssertionError("a factored file was scanned as elements")
-
-    monkeypatch.setattr(constructions, "_read_lines", refuse)
-    assert constructions._load_saved(text) is None
+@pytest.mark.parametrize("make", [
+    lambda: lift(bravyi_smolin_3(), 8), lambda: lift(umeb_6(), 4),
+    lambda: lift(lift(bravyi_smolin_3(), 2), 2),
+], ids=["lift_bs3_8", "lift_umeb6_4", "tower"])
+def test_the_scan_reads_a_saved_factored_file(tmp_path, general_decoder_off, make):
+    c = make()
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    assert _FACTORED_LINE in path.read_text()
+    back = load_umeb(path)
+    _assert_same_set(back, c)
+    assert back._right_factors.tobytes() == c._right_factors.tobytes()
+    assert not back._right_factors.flags.writeable
+    _assert_split_is_lift_split(back)
 
 
 def test_d24_factored_file_is_small_and_loads_one_stack(tmp_path):
@@ -1574,6 +1665,11 @@ _NOT_A_LIFT = "right_factors need a provenance that names a lift, not "
 _NOT_30 = "right_factors must be a list of the lift's 30 factors"
 _NOT_A_PAIR = "right factor 2: entry 1 is not a [re, im] pair of numbers"
 
+def _huge_lift(doc):
+    # 40,000 elements of 200 x 200, a 25.6 GB stack, named by a file of 30 factors.
+    doc["provenance"], doc["dim"] = "lift(q=200, d=1, n=1, base=x)", 200
+
+
 _BAD_FACTORED_FILES = {
     "both_keys": (_set("elements", [matrix_to_pairs(e) for e in _L2.elements]),
                   "a file holds 'elements' or 'right_factors', not both"),
@@ -1591,6 +1687,7 @@ _BAD_FACTORED_FILES = {
     "factor_not_a_list": (_factors(lambda f: f.__setitem__(3, "x")),
                           "right factor 3 must be a list of [re, im] pairs"),
     "dim_not_qd": (_set("dim", 7), "dim 7 is not the lift's q*d = 6"),
+    "huge_lift": (_huge_lift, "the lift's 40000 elements of dim 200 are too large to rebuild"),
     "nan": (_factors(_entry([float("nan"), 0.0])), "right factor 2: matrix entries must be finite"),
     "true": (_factors(_entry([True, 0.0])), _NOT_A_PAIR),
     "string": (_factors(_entry(["1.5", 0.0])), _NOT_A_PAIR),
@@ -1599,20 +1696,56 @@ _BAD_FACTORED_FILES = {
 }
 
 
-def _bad_factored_file(path, name):
+def _in_saved_layout(doc):
+    """A decoded document written in the layout save_umeb writes: one key
+    per line, and each matrix list one item per line."""
+    items = []
+    for key, value in doc.items():
+        if key in ("elements", "right_factors") and isinstance(value, list):
+            lines = ",\n".join("    " + json.dumps(item) for item in value)
+            items.append(f"  {json.dumps(key)}: [\n{lines}\n  ]")
+        else:
+            items.append(f"  {json.dumps(key)}: {json.dumps(value)}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
+def _bad_factored_file(path, name, saved_layout=False):
     save_umeb(_L2, path)
-    doc = json.loads(path.read_text())
-    assert "right_factors" in doc
+    text = path.read_text()
+    doc = json.loads(text)
+    assert "right_factors" in doc and _in_saved_layout(doc) == text
     _BAD_FACTORED_FILES[name][0](doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(_in_saved_layout(doc) if saved_layout else json.dumps(doc))
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_FACTORED_FILES))
-def test_bad_factored_files_raise_format_errors(tmp_path, name):
-    path = tmp_path / "bad.json"
-    _bad_factored_file(path, name)
-    with pytest.raises(UMEBFormatError, match="^" + re.escape(_BAD_FACTORED_FILES[name][1])):
-        load_umeb(path)
+def test_bad_factored_files_raise_format_errors(tmp_path, monkeypatch, name):
+    # One error text in the saved layout, which the line scan declines, and
+    # in json.dumps form, and no product formed for either.
+    def refuse(self, right):
+        raise AssertionError("a refused file formed its products")
+
+    monkeypatch.setattr(Lift, "products", refuse)
+    errors = []
+    for saved_layout in (True, False):
+        path = tmp_path / f"bad_{saved_layout}.json"
+        _bad_factored_file(path, name, saved_layout)
+        with pytest.raises(UMEBFormatError) as info:
+            load_umeb(path)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(_BAD_FACTORED_FILES[name][1])
+
+
+def test_a_lift_too_large_to_rebuild_is_saved_as_elements(tmp_path, monkeypatch):
+    c = lift(bravyi_smolin_3(), 2)
+    monkeypatch.setattr(constructions, "_MAX_REBUILT_BYTES", c.matrices.nbytes - 1)
+    big = lift(bravyi_smolin_3(), 2)
+    assert big._right_factors is None
+    back = _saved_and_loaded(big, tmp_path / "m.json")
+    assert _FACTORED_LINE not in (tmp_path / "m.json").read_text()
+    _assert_same_set(back, c)
+    _assert_split_is_lift_split(big)
 
 
 def test_a_factored_file_too_large_to_rebuild_allocates_nothing(tmp_path):

@@ -19,6 +19,7 @@ from umeb.constructions import (
     bravyi_smolin_3,
     bravyi_smolin_states,
     lift,
+    load_umeb,
     provenance_to_str,
     save_umeb,
     umeb_6,
@@ -1483,8 +1484,15 @@ def test_max_offdiag_product_equals_the_whole_array_maximum_property(
         assert verification._max_offdiag_product(left, index, right, kind) == whole.max()
 
 
-def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch):
-    c = lift(bravyi_smolin_3(), 8)
+def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch, tmp_path):
+    # A lift loaded from a file of its elements, which holds no factors: a
+    # copy of the stack was not built from them, so it is saved as elements.
+    built = lift(bravyi_smolin_3(), 8)
+    path = tmp_path / "l8.json"
+    copy = UMEBCandidate(built.dim, built.matrices, built.provenance, built.exact_cos_theta)
+    save_umeb(copy, path)
+    c = load_umeb(path)
+    assert c.provenance == built.provenance and c._right_factors is None
     splits, residuals = [], []
     real_split, real_residual = Lift.split, constructions.unitarity_residual
 
@@ -1520,6 +1528,14 @@ def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch):
     assert repr(again.to_dict()) == repr(sig.to_dict())
     assert again.canonical_key() == sig.canonical_key()
     assert rows == again.sectors
+
+    # A lift holds the factors it was built from, so it reads its split
+    # from its stack with no Lift.split call.
+    built = lift(bravyi_smolin_3(), 8)
+    assert verify_axioms(built).passed
+    assert repr(signature(built).to_dict()) == repr(sig.to_dict())
+    assert len(splits) == 2
+    assert c.matrices.shape not in residuals
 
 
 def test_right_factors_are_told_apart_once(monkeypatch):
