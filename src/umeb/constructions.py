@@ -882,7 +882,9 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     Y_k under ``"right_factors"``, one per line in element order;
     :func:`load_umeb` rebuilds the stack from them bit for bit.  Every other
     candidate, ``umeb_6()`` among them (it is assembled from its own 2 x 2
-    factors), is saved as its matrices under ``"elements"``.
+    factors), is saved as its matrices under ``"elements"``; so is a lift
+    loaded from a file of its elements or its stack copied into a new
+    candidate, which hold no factors.
     The file is a fixed header, one line per matrix, ``json.dumps`` of its
     :func:`matrix_to_pairs`, and a fixed footer; :func:`load_umeb` reads
     either layout without the general JSON decoder.  Every real

@@ -348,7 +348,11 @@ def test_lift_split_verdict_equals_the_whole_stack_compare_property(
 
 
 def test_lift_split_of_a_fresh_lift_stays_below_half_a_stack():
-    c = lift(bravyi_smolin_3(), 8)
+    # A copy of the stack holds no factors, so its split is Lift.split's
+    # tile-by-tile compare, the path of a lift loaded from its elements.
+    built = lift(bravyi_smolin_3(), 8)
+    c = UMEBCandidate(built.dim, built.matrices, built.provenance, built.exact_cos_theta)
+    assert c._right_factors is None
     tracemalloc.start()
     try:
         assert c.split is not None
@@ -358,6 +362,20 @@ def test_lift_split_of_a_fresh_lift_stays_below_half_a_stack():
     # Each element's q tiles, and their expected f Y, are 1/q of the stack
     # each; the products themselves are not formed.
     assert peak < 0.5 * c.matrices.nbytes
+
+
+def test_split_of_a_lift_that_holds_its_factors_stays_below_a_twentieth_of_a_stack():
+    c = lift(bravyi_smolin_3(), 8)
+    assert c._right_factors is not None
+    tracemalloc.start()
+    try:
+        assert c.split is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The split is read from block (0, c_k) of each element, 1/q^2 of the
+    # stack; no tile is compared.
+    assert peak < 0.05 * c.matrices.nbytes
 
 
 def test_lift_sizes_and_gram():

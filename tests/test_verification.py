@@ -1437,8 +1437,17 @@ def test_verify_then_certify_forms_each_report_once(monkeypatch):
     ]
 
 
+def _unfactored_lift(q):
+    """lift(bravyi_smolin_3(), q) as a copy that holds no right factors, as
+    a lift loaded from its elements: its split is Lift.split's compare."""
+    built = lift(bravyi_smolin_3(), q)
+    c = UMEBCandidate(built.dim, built.matrices, built.provenance, built.exact_cos_theta)
+    assert c._right_factors is None
+    return c
+
+
 def test_verify_of_a_fresh_lift_stays_below_one_and_a_half_stacks():
-    c = lift(bravyi_smolin_3(), 8)
+    c = _unfactored_lift(8)
     tracemalloc.start()
     try:
         assert verify_axioms(c).passed
@@ -1451,7 +1460,7 @@ def test_verify_of_a_fresh_lift_stays_below_one_and_a_half_stacks():
 
 
 def test_verify_of_a_fresh_lift_stays_below_half_a_stack():
-    c = lift(bravyi_smolin_3(), 8)
+    c = _unfactored_lift(8)
     tracemalloc.start()
     try:
         assert verify_axioms(c).passed
@@ -1461,6 +1470,20 @@ def test_verify_of_a_fresh_lift_stays_below_half_a_stack():
     # The split peaks at about a third of the stack; the Gram's off-diagonal
     # maximum, taken over blocks of rows, forms no 552 x 552 array.
     assert peak < 0.5 * c.matrices.nbytes
+
+
+def test_verify_of_a_lift_that_holds_its_factors_stays_below_a_quarter_of_a_stack():
+    c = lift(bravyi_smolin_3(), 8)
+    assert c._right_factors is not None
+    tracemalloc.start()
+    try:
+        assert verify_axioms(c).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Its split is read from the stack with no tile compare, so the peak is
+    # set by what follows the split, well below Lift.split's third.
+    assert peak < 0.25 * c.matrices.nbytes
 
 
 @settings(max_examples=100, deadline=None)
