@@ -187,30 +187,6 @@ class Lift:
         index = self.factor_index()[self.weyl_count:]
         return _kron_rows(self.left_factors()[index], np.tile(base, (self.q, 1, 1)))
 
-    def shift_blocks(self, matrices) -> Optional[np.ndarray]:
-        """The Weyl sector of a stack that :meth:`fits` as q - 1 square blocks, or None.
-
-        D_i S^j is nonzero exactly on the q tiles (a, a + j mod q), so element
-        D_i S^j (x) Y lives on those tiles, and distinct shifts j own disjoint
-        tiles.  Block j - 1 holds the q d^2 elements of shift j, one row each
-        in stack order, restricted to those q tiles: (q d^2) x (q d^2).  When
-        every Weyl-sector entry off its element's tiles is exactly zero, the
-        sector, flattened to rows, is these blocks on a diagonal up to a row
-        and column permutation, plus the all-zero columns of the diagonal
-        tiles, so its singular values are exactly the union of the blocks'.
-        None when any such entry is nonzero.
-        """
-        n, q, d = self.weyl_count, self.q, self.base_dim
-        sector = self.blocks(matrices)[:n]
-        order = np.argsort(self._lead_columns()[:n], kind="stable")
-        k, a, b = np.nonzero((self.left_factors() != 0)[self.factor_index()[order]])
-        blocks = sector[order[k], a, :, b, :]
-        # The gathered entries are distinct entries of the sector, so equal
-        # counts leave no nonzero entry off the tiles.
-        if np.count_nonzero(blocks) != np.count_nonzero(sector):
-            return None
-        return blocks.reshape(q - 1, q * d * d, q * d * d)
-
     def _lead_columns(self) -> np.ndarray:
         """Each element's column c_k of the exact 1 in row 0 of F_k: j for D_i S^j, 0 for D_i."""
         return np.argmax(self.left_factors()[:, 0, :] == 1, axis=1)[self.factor_index()]
@@ -1022,8 +998,9 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
     first pass the checks of :func:`_factored_layout`, so no product is
     formed for a file the general decoder refuses.  None on any mismatch or
     error, or a real that is not a finite double; the general decoder then
-    gives the value or the error.  Beyond the result, memory stays bounded
-    by the chunk size.
+    gives the value or the error.  Right factors whose products overflow
+    raise the decoder's UMEBFormatError at once.  Beyond the result, memory
+    stays bounded by the chunk size.
     """
     start = text.find(_HEADER_END) + len(_HEADER_END)
     end = len(text) - len(_FOOTER)
@@ -1065,7 +1042,7 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
         return None
     matrices = out.view(np.complex128).reshape(n, d, d)
     if key == _RIGHT_FACTORS:
-        return _lifted(prov, matrices, cos)
+        return _rebuild_lift(matrices, prov, cos)
     return UMEBCandidate(dim, matrices.view(_Fresh), prov, cos)
 
 
@@ -1088,11 +1065,15 @@ def _factored_layout(dim: int, prov: Provenance, count: Optional[int]) -> Lift:
     return layout
 
 
-def _rebuild_lift(right, dim: int, prov: Provenance, cos: Optional[Fraction]) -> UMEBCandidate:
-    """The candidate a decoded file's ``"right_factors"`` value holds: the
-    :meth:`Lift.products` of the layout its provenance names."""
-    layout = _factored_layout(dim, prov, len(right) if isinstance(right, list) else None)
-    return _lifted(prov, _pairs_to_stack(right, layout.base_dim, "right factor"), cos)
+def _rebuild_lift(right: np.ndarray, prov: Provenance, cos: Optional[Fraction]) -> UMEBCandidate:
+    """The lift a file's right factors hold: the :meth:`Lift.products` of the
+    layout its provenance names.  Finite factors can still overflow in a
+    product, and a set holds only finite entries: UMEBFormatError then."""
+    with np.errstate(over="ignore"):
+        try:
+            return _lifted(prov, right, cos)
+        except ValueError:  # a product beyond the double range
+            raise UMEBFormatError("right factor products must be finite") from None
 
 
 def load_umeb(path) -> UMEBCandidate:
@@ -1123,8 +1104,8 @@ def load_umeb(path) -> UMEBCandidate:
         deeply to parse, a provenance lift with q or d below 1; for
         ``"right_factors"``, both matrix keys present, a provenance that names
         no lift, a ``dim`` other than the lift's q d, a factor count other than
-        its element count, a factor other than d x d, or a lift too large to
-        rebuild.
+        its element count, a factor other than d x d, a lift too large to
+        rebuild, or factors whose products overflow the double range.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -1134,7 +1115,9 @@ def load_umeb(path) -> UMEBCandidate:
     doc = _decode_document(text)
     dim, prov, ect = _read_header(doc)
     if _RIGHT_FACTORS in doc:
-        return _rebuild_lift(doc[_RIGHT_FACTORS], dim, prov, ect)
+        right = doc[_RIGHT_FACTORS]
+        layout = _factored_layout(dim, prov, len(right) if isinstance(right, list) else None)
+        return _rebuild_lift(_pairs_to_stack(right, layout.base_dim, "right factor"), prov, ect)
     if not isinstance(doc[_ELEMENTS], list) or not doc[_ELEMENTS]:
         raise UMEBFormatError("elements must be a nonempty list")
     stack = _pairs_to_stack(doc[_ELEMENTS], dim, "element")

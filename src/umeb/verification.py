@@ -17,13 +17,10 @@ Three layers of scrutiny for a candidate set of d x d matrices:
 * :func:`structural_certify` replays the block-structure argument behind the
   tensor-product lift, giving a rigorous certificate conditional on the
   unextendibility of the base set.  A last check holds the whole set to
-  :func:`verify_axioms`, whose report the candidate holds.  When that report
-  passes and the Weyl sector is exactly zero on its diagonal tiles, the
-  span follows from the report's Gram residuals by a Gershgorin bound, with
-  no SVD; any other set reads the span from the singular values of the
-  Weyl sector, one SVD per shift block of the lift.  The block-diagonal
-  check is a bound derived from the span check, so no complement is
-  computed.
+  :func:`verify_axioms`, whose report the candidate holds.  That report
+  also gives the span of the Weyl sector, by a Gershgorin bound on its Gram
+  residuals, with no SVD.  The block-diagonal check is a bound derived from
+  the span check, so no complement is computed.
 """
 
 from __future__ import annotations
@@ -606,29 +603,28 @@ def _base_sector_deviation(m, layout: Lift, right: np.ndarray, base: UMEBCandida
     return float(np.max(np.abs(m[n:] - layout.base_products(matched))))
 
 
-def _report_spans_sector(report: VerificationReport, diag_blocks: np.ndarray, n: int) -> bool:
-    """Whether the set's axiom report proves the Weyl sector's check 1 figures.
+def _sector_floor(report: VerificationReport, n: int) -> Optional[float]:
+    """A floor L on the squared singular values of the set's Weyl sector of
+    n elements, read from its axiom report; None unless ``report`` passed
+    and L clears the rank rule.
 
-    ``diag_blocks`` are the sector's diagonal tiles and n its size.  True
-    only when ``report`` passed and every diagonal-tile entry is exactly
-    zero, so that check 1's ``detail`` and ``diag_norm`` are 0.0, and when
-    the report's Gram residuals bound the sector's rank to n.  The sector's
-    Gram is a principal n x n submatrix of the set's, whose diagonal lies
-    within ``max_gram_diag_error`` of D and whose off-diagonal entries are
-    at most ``max_gram_offdiag``.  By Gershgorin each squared singular value
-    of the sector lies in [L, U], L = D - diag_err - (n - 1) off_err and
-    U = D + diag_err + (n - 1) off_err; when L > 0 and sqrt(L) > RANK_RTOL
-    sqrt(U), the rank rule of check 1 counts all n, and check 2's bound
-    ||E||_F / sigma_min is 0.0.  The residuals are floats, formed from the
-    factors or the stack, so they differ from the stored stack's exact
-    Gram by rounding of order D * 1e-16, but a passed report puts L within
-    n * gram_tol of D: the margin is about D, far beyond any rounding.
+    The sector's Gram is a principal n x n submatrix of the set's, whose
+    diagonal lies within ``max_gram_diag_error`` of D and whose off-diagonal
+    entries are at most ``max_gram_offdiag``.  By Gershgorin each squared
+    singular value of the sector lies in [L, U], L = D - diag_err - (n - 1)
+    off_err and U = D + diag_err + (n - 1) off_err; when L > 0 and
+    sqrt(L) > RANK_RTOL sqrt(U), the sector has rank n.  The residuals are
+    floats, formed from the factors or the stack, so they differ from the
+    stored stack's exact Gram by rounding of order D * 1e-16, but a passed
+    report puts L within n * gram_tol of D: the margin is about D, far
+    beyond any rounding.  With n < D^2 that spread is below D whenever
+    D < 10^10, so a passed report always clears the rule.
     """
-    if not report.passed or np.any(diag_blocks):
-        return False
+    if not report.passed:
+        return None
     spread = report.max_gram_diag_error + (n - 1) * report.max_gram_offdiag
     low, high = report.dim - spread, report.dim + spread
-    return low > 0 and np.sqrt(low) > RANK_RTOL * np.sqrt(high)
+    return low if low > 0 and np.sqrt(low) > RANK_RTOL * np.sqrt(high) else None
 
 
 def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
@@ -641,28 +637,21 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
 
     1. weyl_sector_spans_offdiagonal_blocks: the first q(q-1)d^2 elements
        vanish on diagonal blocks and span that full off-diagonal-block space.
-       ``detail`` is the largest diagonal-block entry.  When the set's held
-       axiom report (check 6) passes and every diagonal-tile entry is
-       exactly zero, the rank comes from that report: the sector's Gram is a
+       ``detail`` is the largest diagonal-block entry.  The rank comes from
+       the set's held axiom report (check 6): the sector's Gram is a
        principal submatrix of the set's, so by Gershgorin every squared
-       singular value lies within diag_err + (n - 1) off_err of D, and when
-       that interval clears the rank rule (``_report_spans_sector``) the
-       sector has rank n and no SVD is made.  Otherwise the sector's
-       singular values come from the q - 1 square blocks of
-       :meth:`Lift.shift_blocks`, one batched SVD: when each element is
-       exactly zero off the tiles of its left factor, the sector is those
-       blocks on a diagonal up to row and column order, so their singular
-       values are exactly the sector's.  A sector with any mass off its
-       tiles takes one SVD of the whole sector.
+       singular value lies in [L, U], within diag_err + (n - 1) off_err of
+       D, and when L clears the rank rule (``_sector_floor``) the sector has
+       rank n.  No SVD is made.  A set that fails the axioms has no rank
+       established, so it fails this check whatever its detail.
     2. complement_is_block_diagonal: derived from check 1, not recomputed.
        Split the Weyl sector into off-diagonal-block and diagonal-block parts
        O + E.  A unit matrix trace-orthogonal to the sector has off-block mass
-       at most ||E||_F / sigma_min(O), and sigma_min(O) >= s_min - ||E||_F by
-       Weyl's inequality, with s_min the sector's smallest singular value.
-       ``detail`` is that bound (nan when s_min <= ||E||_F, exactly 0.0 for an
-       exact lift, and so 0.0 whenever check 1 reads the report, where
-       ||E||_F = 0 and s_min > 0); the check passes when check 1 does and the
-       bound is below its threshold.
+       at most ||E||_F / sigma_min(O), and sigma_min(O) >= sqrt(L) - ||E||_F
+       by Weyl's inequality, every singular value of the sector being at
+       least sqrt(L).  ``detail`` is that bound (nan when sqrt(L) <= ||E||_F
+       or no L is established, exactly 0.0 for an exact lift); the check
+       passes when check 1 does and the bound is below its threshold.
     3. vandermonde_det_nonzero: the q x q root-of-unity matrix W_q whose rows
        phase the blocks is invertible.  W_q W_q^dag = q I, so ``detail`` is
        the closed form |det W_q| = q^(q/2); threshold half that.
@@ -687,14 +676,13 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
        passes has Gram residual r with q r >= ``gram_tol``, a note says
        that the lift's residual reaches q r, where check 6 holds it.
     6. set_passes_axioms: the whole set passes :func:`verify_axioms`.  Checks
-       1-5 read the span of the Weyl sector and the base sector's match to
-       the base, and an edit that keeps both (an element rescaled, or
-       replaced by a combination of others) leaves them passing while the
-       set is no longer unitary and orthogonal.  ``detail`` is the largest of
-       the report's three residuals; the report is the one the candidate
-       holds, so a set verified first, or a tower's base already verified
-       by check 5 one level up, forms no Gram again; checks 1-2 read the
-       same report.
+       3-5 read only the base sector's match to the base, and an edit that
+       keeps it (an element rescaled, or replaced by a combination of
+       others) leaves them passing while the set is no longer unitary and
+       orthogonal.  ``detail`` is the largest of the report's three
+       residuals; the report is the one the candidate holds, so a set
+       verified first, or a tower's base already verified by check 5 one
+       level up, forms no Gram again; checks 1-2 read the same report.
 
     Each check is held only to the ``threshold`` it reports: CERT_ZERO_TOL
     for checks 1, 2 and 5 (detail below it), 0.5 q^(q/2) for check 3 (at or
@@ -733,41 +721,31 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
         )
         return StructuralCertificate(overall="Failed", checks=tuple(checks), notes=tuple(notes))
 
-    # The held report, which check 6 reads, vouches for checks 1-2 when it can.
+    # The held report, which check 6 reads, gives checks 1-2 their rank.
     report = verify_axioms(c)
 
     # Check 1: zero diagonal blocks and full rank n, the dimension of the
     # off-diagonal-block space.  Check 2 is derived from the same figures.
     if n:
         diag_blocks = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
-        if _report_spans_sector(report, diag_blocks, n):
-            # Exact zeros on the diagonal tiles, and a sector of rank n.
-            diag_mass = off_bound = 0.0
-            rank = n
+        if np.any(diag_blocks):
+            diag_mass = float(np.max(np.abs(diag_blocks)))
+            diag_norm = float(np.linalg.norm(diag_blocks))
         else:
-            blocks = layout.shift_blocks(c.matrices)
-            if blocks is None:
-                diag_mass = float(np.max(np.abs(diag_blocks)))
-                diag_norm = float(np.linalg.norm(diag_blocks))
-                svals = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False)
-            else:
-                # The diagonal tiles lie off every Weyl element's tiles, so
-                # shift_blocks has just found each of their entries zero.
-                diag_mass = diag_norm = 0.0
-                svals = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
-            rank = int(np.sum(svals > RANK_RTOL * svals[0]))
-            margin = svals[-1] - diag_norm
-            off_bound = diag_norm / margin if margin > 0 else float("nan")
+            diag_mass = diag_norm = 0.0
+        low = _sector_floor(report, n)
+        margin = np.sqrt(low) - diag_norm if low is not None else 0.0
+        off_bound = diag_norm / margin if margin > 0 else float("nan")
+        span_ok = low is not None and diag_mass < CERT_ZERO_TOL
+        if low is None:
+            notes.append("weyl sector rank not established: the set fails verify_axioms")
     else:
         # q = 1: no off-diagonal blocks exist and the complement is everything.
         diag_mass = off_bound = 0.0
-        rank = 0
-    span_ok = diag_mass < CERT_ZERO_TOL and rank == n
+        span_ok = True
     checks.append(CertificateCheck(
         "weyl_sector_spans_offdiagonal_blocks", span_ok, diag_mass, CERT_ZERO_TOL
     ))
-    if rank != n:
-        notes.append(f"weyl sector rank {rank}, expected {n}")
 
     # Check 2: the complement of the Weyl sector is block-diagonal.
     checks.append(CertificateCheck(
@@ -848,9 +826,8 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
         )
     checks.append(CertificateCheck("base_case_verdict", base_ok, base_detail, CERT_ZERO_TOL))
 
-    # Check 6: the whole set satisfies the axioms.  Checks 1-5 read only the
-    # span and the base sector, which edits such as rescaling an element
-    # leave intact.
+    # Check 6: the whole set satisfies the axioms.  Checks 3-5 read only the
+    # base sector, which edits such as rescaling an element leave intact.
     if not report.passed:
         notes.append(
             "the set fails verify_axioms: unitarity residual "

@@ -239,34 +239,6 @@ def test_lift_base_products_are_the_base_sector_bit_for_bit(q):
     assert p.base_products(base.matrices).tobytes() == c.matrices[p.weyl_count:].tobytes()
 
 
-@pytest.mark.parametrize("q", (1, 2, 3, 4))
-def test_lift_shift_blocks_hold_each_shift_on_its_tiles(q):
-    d = 3
-    c = lift(bravyi_smolin_3(), q)
-    p = c.provenance
-    blocks = p.shift_blocks(c.matrices)
-    assert blocks.shape == (q - 1, q * d * d, q * d * d)
-    phases = fourier_matrix(q)
-    for j in range(1, q):
-        rows = blocks[j - 1].reshape(q, d * d, q, d, d)  # [i, nm, a] is tile (a, a + j)
-        for i in range(q):
-            for k, w in enumerate(weyl_family(d).matrices):
-                for a in range(q):
-                    assert np.array_equal(rows[i, k, a], phases[i, a] * w)
-
-
-def test_lift_shift_blocks_are_none_with_mass_off_the_tiles():
-    c = lift(bravyi_smolin_3(), 3)
-    p = c.provenance
-    for element, row, col in ((0, 0, 0), (17, 8, 2), (p.weyl_count - 1, 4, 4)):
-        m = c.matrices.copy()
-        m[element, row, col] = 5e-324  # the least subnormal, in a tile the element avoids
-        assert p.shift_blocks(m) is None
-    m = c.matrices.copy()
-    m[p.weyl_count:] = 0.0  # the base sector is not read
-    assert np.array_equal(p.shift_blocks(m), p.shift_blocks(c.matrices))
-
-
 def test_lift_split_is_none_unless_the_stack_is_exactly_the_products():
     c = lift(bravyi_smolin_3(), 3)
     p = c.provenance
@@ -1753,6 +1725,26 @@ def test_bad_factored_files_raise_format_errors(tmp_path, monkeypatch, name):
         errors.append(str(info.value))
     assert errors[0] == errors[1]
     assert errors[0].startswith(_BAD_FACTORED_FILES[name][1])
+
+
+def test_factors_whose_products_overflow_raise_a_format_error(tmp_path, monkeypatch):
+    # Right factor 18 of lift(bs3, 3) sits under D_1 S, whose nonzero entries
+    # are complex: each is finite, but 1.7e308 - 1.7e308j times one is not.
+    decoded = []
+    decode = constructions._decode_document
+    monkeypatch.setattr(constructions, "_decode_document",
+                        lambda text: decoded.append(text) or decode(text))
+    c = lift(bravyi_smolin_3(), 3)
+    for saved_layout in (True, False):
+        path = tmp_path / f"overflow_{saved_layout}.json"
+        save_umeb(c, path)
+        doc = json.loads(path.read_text())
+        doc["right_factors"][18][0] = [1.7e308, -1.7e308]
+        path.write_text(_in_saved_layout(doc) if saved_layout else json.dumps(doc))
+        with pytest.raises(UMEBFormatError, match="^right factor products must be finite$"):
+            load_umeb(path)
+        # The line scan reads the saved layout; only the other goes through json.
+        assert len(decoded) == (0 if saved_layout else 1)
 
 
 def test_a_lift_too_large_to_rebuild_is_saved_as_elements(tmp_path, monkeypatch):

@@ -549,7 +549,7 @@ def test_certify_duplicated_weyl_element_fails_without_raising():
     assert cert.overall == "Failed"
     assert not cert.checks[0].passed
     assert not cert.checks[1].passed
-    assert any("rank 17" in n for n in cert.notes)
+    assert "weyl sector rank not established: the set fails verify_axioms" in cert.notes
 
 
 def test_certify_derived_check_bounds_true_off_block_mass():
@@ -749,12 +749,14 @@ def test_certify_moved_phase_base_passes_but_its_lift_fails_the_axioms():
     assert not report.passed
     assert not axioms.passed and axioms.detail == report.max_gram_offdiag
     assert axioms.detail == pytest.approx(1.012e-10, rel=1e-3)
-    # Check 5 passes the base, and its note names the scaling that fails the lift.
-    assert cert.notes[1] == (
+    # Checks 1-2 have no rank from the failed report.  Check 5 passes the
+    # base, and its note names the scaling that fails the lift.
+    assert cert.notes[0] == "weyl sector rank not established: the set fails verify_axioms"
+    assert cert.notes[2] == (
         "the lift scales the base's Gram residuals by Tr(D_i^dag D_i) = 2: "
         "base 5.060e-11 -> 1.012e-10, at or above gram_tol 1e-10"
     )
-    assert cert.notes[2].startswith("the set fails verify_axioms")
+    assert cert.notes[3].startswith("the set fails verify_axioms")
 
 
 def test_certify_names_the_scaling_only_when_the_lift_reaches_gram_tol():
@@ -795,14 +797,22 @@ def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
                 assert not ch.passed and not verify_axioms(c).condition_i_ok
                 reasons.append("the set fails condition (i)")
                 continue
+            if ch.name == "weyl_sector_spans_offdiagonal_blocks":
+                # A failed report establishes no rank for check 1.
+                assert not ch.passed and not verify_axioms(c).passed
+                reasons.append("check 1: the set fails verify_axioms")
+                continue
             assert ch.name == "base_case_verdict" and not ch.passed
             reasons += [
                 n for n in cert.notes
                 if n == "base certified recursively: Failed"
                 or n.endswith("base fails the axioms (condition (i) ok: False)")
             ]
-    assert reasons == [
+    # Four tampered base sectors and both moved-phase lifts fail the axioms.
+    no_rank = "check 1: the set fails verify_axioms"
+    assert reasons == [no_rank] * 6 + [
         "base certified recursively: Failed",
+        no_rank,
         "extracted base fails the axioms (condition (i) ok: False)",
         "the set fails condition (i)",
     ]
@@ -895,42 +905,8 @@ def test_base_sector_substitutions_fail_or_stay_unextendible(c):
 
 
 # ---------------------------------------------------------------------------
-# Check 1 from the shift blocks of the Weyl sector
+# Checks 1-2 from the held axiom report
 # ---------------------------------------------------------------------------
-
-def _sector_singular_values(c):
-    """The Weyl sector's singular values, descending: from its shift blocks, and
-    from one SVD of the whole sector flattened to rows."""
-    layout = as_lift(c.provenance)
-    n = layout.weyl_count
-    blocks = layout.shift_blocks(c.matrices)
-    assert blocks.shape == (layout.q - 1,) + 2 * (layout.q * layout.base_dim**2,)
-    got = np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
-    want = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False) if n else got
-    return got, want
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    d=st.integers(2, 4),
-    q=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 16),
-)
-def test_shift_blocks_carry_the_weyl_sector_singular_values_property(d, q, seed, count):
-    # A W_nm B over some Weyl labels, as in the spectral layer's lift property.
-    rng = np.random.default_rng(seed)
-    a, b = haar_unitary(d, rng), haar_unitary(d, rng)
-    labels = rng.permutation(d * d)[:min(count, d * d)]
-    base = UMEBCandidate(d, [a @ weyl(d, k // d, k % d) @ b for k in labels], External("drawn"))
-    got, want = _sector_singular_values(lift(base, q))
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_shift_blocks_of_umeb_6_carry_its_weyl_sector_singular_values():
-    got, want = _sector_singular_values(umeb_6())
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
 
 def _variant(q, change):
     good = lift(bravyi_smolin_3(), q)
@@ -968,54 +944,50 @@ def _intruder(m, n):
     m[0] = np.kron(np.eye(2), weyl(3, 0, 0))
 
 
-SHIFT_BLOCK_VARIANTS = {
-    # name: (q, change, whether the Weyl sector keeps its tiles)
-    "rephased": (3, _rephase, True),
-    "duplicated": (2, _duplicate, True),
-    "scaled": (3, _scale, True),
-    "one_shift_shrunk": (3, _shrink_one_shift, True),
-    "diagonal_entry": (3, _diagonal_entry, False),
-    "swapped_across_shifts": (3, _swap_shifts, False),
-    "block_diagonal_intruder": (2, _intruder, False),
+def _added(m, n):
+    m[0] += 0.5 * m[1]
+
+
+def _doubled(m, n):
+    m[0] *= 2
+
+
+TAMPERED = {
+    # name: (q, change)
+    "rephased": (3, _rephase),
+    "duplicated": (2, _duplicate),
+    "scaled": (3, _scale),
+    "one_shift_shrunk": (3, _shrink_one_shift),
+    "diagonal_entry": (3, _diagonal_entry),
+    "swapped_across_shifts": (3, _swap_shifts),
+    "block_diagonal_intruder": (2, _intruder),
+    "added": (2, _added),
+    "doubled": (2, _doubled),
 }
-
-
-@pytest.mark.parametrize("name", sorted(SHIFT_BLOCK_VARIANTS))
-def test_certificate_from_shift_blocks_equals_the_full_svd_one(name, monkeypatch):
-    q, change, keeps_tiles = SHIFT_BLOCK_VARIANTS[name]
-    c = _variant(q, change)
-    assert (c.provenance.shift_blocks(c.matrices) is not None) == keeps_tiles
-    if keeps_tiles:
-        got, want = _sector_singular_values(c)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    # Both certificates read the SVD branch, not the held report.
-    monkeypatch.setattr(verification, "_report_spans_sector", lambda *args: False)
-    cert = structural_certify(c)
-    monkeypatch.setattr(Lift, "shift_blocks", lambda self, matrices: None)
-    reference = structural_certify(c)
-    # repr tells every float bit apart and holds nan equal to nan.
-    assert repr(cert.to_dict()) == repr(reference.to_dict())
-    if name == "duplicated":
-        assert any("rank 17" in note for note in cert.notes)
-    if name == "one_shift_shrunk":
-        assert any("rank 27" in note for note in cert.notes)
 
 
 @pytest.mark.parametrize("name, mass", [
     ("diagonal_entry", 1e-13), ("block_diagonal_intruder", 1.0),
 ])
 def test_certificate_with_mass_off_the_tiles_reports_its_diagonal_mass(name, mass):
-    q, change, _ = SHIFT_BLOCK_VARIANTS[name]
+    q, change = TAMPERED[name]
     c = _variant(q, change)
     n, d = c.provenance.weyl_count, c.provenance.base_dim
     tiles = c.matrices[:n].reshape(n, q, d, q, d)
     diag = np.stack([tiles[:, a, :, a, :] for a in range(q)])
     span, off = structural_certify(c).checks[:2]
     assert span.detail == np.max(np.abs(diag)) == mass
-    # Check 2's bound is ||E||_F / (s_min - ||E||_F), nan past the margin.
-    s_min = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False)[-1]
+    # Check 2's bound is ||E||_F / (sqrt(L) - ||E||_F), with L the floor the
+    # passed report gives the sector's squared singular values; nan when the
+    # report fails, as the intruder's does.
+    report = verify_axioms(c)
     norm = np.linalg.norm(diag)
-    want = norm / (s_min - norm) if s_min > norm else float("nan")
+    if report.passed:
+        low = report.dim - (report.max_gram_diag_error + (n - 1) * report.max_gram_offdiag)
+        want = norm / (np.sqrt(low) - norm)
+    else:
+        want = float("nan")
+    assert (name == "diagonal_entry") == report.passed
     assert repr(off.detail) == repr(float(want))
 
 
@@ -1233,19 +1205,6 @@ def test_tiles_of_lift_bs3_8():
     assert all(sum(row) == 1 for row in matches)
 
 
-def _added(m, n):
-    m[0] += 0.5 * m[1]
-
-
-def _doubled(m, n):
-    m[0] *= 2
-
-
-TAMPERED = {
-    **{name: (q, change) for name, (q, change, _) in SHIFT_BLOCK_VARIANTS.items()},
-    "added": (2, _added),
-    "doubled": (2, _doubled),
-}
 # Whether verify_axioms passes each, judged on its stored stack, and whether
 # it is still an exact product F_k (x) Y_k, so that the factored Gram serves it.
 TAMPERED_VERDICTS = {
@@ -1290,9 +1249,11 @@ def test_certify_fails_a_set_that_fails_the_axioms(name, tmp_path, capsys):
     assert not verify_axioms(c).passed
     cert = structural_certify(c)
     assert cert.overall == "Failed"
-    # Checks 1-5 pass: the span and the base sector are intact.
-    assert [ch.passed for ch in cert.checks] == [True] * 5 + [False]
+    # Checks 1-2 read the sector's rank from the failed report, so they fail
+    # with it; checks 3-5 pass: the base sector is intact.
+    assert [ch.passed for ch in cert.checks] == [False, False, True, True, True, False]
     assert cert.checks[-1].name == "set_passes_axioms"
+    assert cert.notes[0] == "weyl sector rank not established: the set fails verify_axioms"
     assert any(n.startswith("the set fails verify_axioms") for n in cert.notes)
     path = tmp_path / f"{name}.json"
     save_umeb(c, path)
@@ -1300,77 +1261,54 @@ def test_certify_fails_a_set_that_fails_the_axioms(name, tmp_path, capsys):
     assert "FAIL  set_passes_axioms" in capsys.readouterr().out
 
 
-# The tampered sets whose certificate still reads the sector's singular
-# values: every one that fails the axioms or has mass on a diagonal tile.
-REACHES_THE_SVD = {
-    "duplicated", "scaled", "one_shift_shrunk", "diagonal_entry",
-    "block_diagonal_intruder", "added", "doubled",
-}
-
-
 @pytest.mark.parametrize("name", sorted(TAMPERED))
-def test_certify_of_a_tampered_set_reaches_the_svd_only_when_its_report_cannot_vouch(
-    name, monkeypatch
-):
+def test_certify_makes_no_svd_on_a_tampered_set(name, monkeypatch):
     c = _variant(*TAMPERED[name])
-    layout = c.provenance
-    diag = np.diagonal(layout.blocks(c.matrices)[:layout.weyl_count], axis1=1, axis2=3)
-    assert (name in REACHES_THE_SVD) == (not verify_axioms(c).passed or bool(np.any(diag)))
     shapes = _svd_calls(monkeypatch)
     structural_certify(c)
-    assert bool(shapes) == (name in REACHES_THE_SVD)
-
-
-def _certificates_with_and_without_the_report(c):
-    cert = structural_certify(c)
-    with mock.patch.object(verification, "_report_spans_sector", lambda *args: False):
-        reference = structural_certify(c)
-    return cert, reference
-
-
-@pytest.mark.parametrize("name", sorted(TAMPERED))
-def test_certificate_from_the_report_equals_the_svd_one(name):
-    cert, reference = _certificates_with_and_without_the_report(_variant(*TAMPERED[name]))
-    # repr tells every float bit apart and holds nan equal to nan.
-    assert repr(cert.to_dict()) == repr(reference.to_dict())
+    assert shapes == []
 
 
 @settings(max_examples=30, deadline=None)
 @given(**TOWERS)
-def test_certificate_from_the_report_equals_the_svd_one_property(d, q, outer, kind, count, seed):
+def test_certify_makes_no_svd_property(d, q, outer, kind, count, seed):
     c = _tower(d, q, outer, kind, count, seed)
-    cert, reference = _certificates_with_and_without_the_report(c)
-    assert repr(cert.to_dict()) == repr(reference.to_dict())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        shapes = _svd_calls(monkeypatch)
+        structural_certify(c)
+    assert shapes == []
 
 
 def test_report_vouches_only_within_the_gershgorin_rank_bound():
     c = umeb_6()
-    layout = as_lift(c.provenance)
-    n = layout.weyl_count
-    diag = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
+    n = as_lift(c.provenance).weyl_count
     report = verify_axioms(c)
     assert report.passed and report.dim == 6 and n == 18
-    vouches = verification._report_spans_sector
-    assert vouches(report, diag, n)
-    assert not vouches(replace(report, passed=False), diag, n)
-    # Exact zeros: -0.0 is one, the least subnormal is not.
-    for entry, vouched in ((-0.0, True), (5e-324, False)):
-        moved = diag.copy()
-        moved[0, 0, 0, 0] = entry
-        assert vouches(report, moved, n) == vouched
+    floor = verification._sector_floor
+    spread = report.max_gram_diag_error + (n - 1) * report.max_gram_offdiag
+    assert floor(report, n) == 6 - spread
+    assert floor(replace(report, passed=False), n) is None
 
     def residuals(diag_err, off_err):
         return replace(report, max_gram_diag_error=diag_err, max_gram_offdiag=off_err)
 
     # L = D - diag_err - (n - 1) off_err, U = D + the same spread.
     # L = 2^-50 > 0, but sqrt(L) = 3.0e-8 <= RANK_RTOL sqrt(U) = 3.5e-8.
-    assert not vouches(residuals(6 - 2.0**-50, 0.0), diag, n)
+    assert floor(residuals(6 - 2.0**-50, 0.0), n) is None
     # L = 2^-45: sqrt(L) = 1.7e-7 clears it.
-    assert vouches(residuals(6 - 2.0**-45, 0.0), diag, n)
-    assert not vouches(residuals(6.0, 0.0), diag, n)
+    assert floor(residuals(6 - 2.0**-45, 0.0), n) == 2.0**-45
+    assert floor(residuals(6.0, 0.0), n) is None
     # The off-diagonal residual counts n - 1 times: 17 * (6 / 16) > 6.
-    assert not vouches(residuals(0.0, 6 / 16), diag, n)
-    assert vouches(residuals(0.0, 6 / 18), diag, n)
+    assert floor(residuals(0.0, 6 / 16), n) is None
+    assert floor(residuals(0.0, 6 / 18), n) == 6 - 17 * (6 / 18)
+
+    # Exact zeros on a diagonal tile: -0.0 is one, the least subnormal is not.
+    for entry in (-0.0, 5e-324):
+        m = c.matrices.copy()
+        m[0, 0, 0] = entry  # tile (0, 0), where element 0 is zero
+        cert = structural_certify(UMEBCandidate(6, m, c.provenance, c.exact_cos_theta))
+        assert cert.overall == "CertifiedConditionalOnBase"
+        assert repr(cert.checks[0].detail) == repr(abs(entry))
 
 
 def _scale_one(m, k, t):
