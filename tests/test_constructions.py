@@ -239,6 +239,21 @@ def test_lift_base_products_are_the_base_sector_bit_for_bit(q):
     assert p.base_products(base.matrices).tobytes() == c.matrices[p.weyl_count:].tobytes()
 
 
+@pytest.mark.parametrize("q", (1, 2, 3, 4))
+def test_lift_weyl_sector_holds_each_shift_on_its_tiles(q):
+    # Element (i, j, nm) is D_i S^j (x) W_nm: phase F[i, a] times W_nm on
+    # each tile (a, a + j mod q), and zero on every other tile.
+    d = 3
+    c = lift(bravyi_smolin_3(), q)
+    p = c.provenance
+    tiles = p.blocks(c.matrices)[:p.weyl_count].reshape(q, q - 1, d * d, q, d, q, d)
+    phases = fourier_matrix(q)
+    for i, j, k in itertools.product(range(q), range(1, q), range(d * d)):
+        for a, b in itertools.product(range(q), repeat=2):
+            want = phases[i, a] * weyl_family(d).matrices[k] if b == (a + j) % q else 0
+            assert np.array_equal(tiles[i, j - 1, k, a, :, b, :], np.broadcast_to(want, (d, d)))
+
+
 def test_lift_split_is_none_unless_the_stack_is_exactly_the_products():
     c = lift(bravyi_smolin_3(), 3)
     p = c.provenance

@@ -28,6 +28,7 @@ from umeb.constructions import (
 )
 from umeb.linalg import (
     DEFAULT_TOLERANCES,
+    RANK_RTOL,
     DimensionMismatchError,
     distinct_rows,
     gram_matrix,
@@ -1309,6 +1310,61 @@ def test_report_vouches_only_within_the_gershgorin_rank_bound():
         cert = structural_certify(UMEBCandidate(6, m, c.provenance, c.exact_cos_theta))
         assert cert.overall == "CertifiedConditionalOnBase"
         assert repr(cert.checks[0].detail) == repr(abs(entry))
+
+
+def _assert_checks_one_two_hold_to_the_svd(c):
+    """Checks 1-2 of ``c``'s certificate against one SVD of its Weyl sector,
+    flattened to rows: the floor the report gives lies below every squared
+    singular value, check 1 passes a set the SVD's rank rule would pass, and
+    check 2's bound is at least the one the SVD's least singular value gives."""
+    layout = as_lift(c.provenance)
+    n = layout.weyl_count
+    report = verify_axioms(c)
+    span, off = structural_certify(c).checks[:2]
+    if not n:
+        assert span.passed and off.passed and off.detail == 0.0
+        return
+    s = np.linalg.svd(c.matrices[:n].reshape(n, -1), compute_uv=False)
+    full_rank = s[-1] > RANK_RTOL * s[0]
+    low = verification._sector_floor(report, n)
+    # A passed report always clears the rank rule (D < 10^10).
+    assert (low is None) == (not report.passed)
+    if low is not None:
+        # Gershgorin on the sector's Gram: every s^2 lies in [L, U], up to
+        # rounding of order D * 1e-16 in the residuals and in the SVD.
+        high = 2 * report.dim - low
+        assert low - s[-1] ** 2 <= 1e-12 * report.dim
+        assert s[0] ** 2 - high <= 1e-12 * report.dim
+        assert full_rank
+        assert span.passed == (span.detail < CERT_ZERO_TOL)
+    if span.passed:
+        assert full_rank and span.detail < CERT_ZERO_TOL
+    diag = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
+    norm = np.linalg.norm(diag)
+    svd_bound = norm / (s[-1] - norm) if s[-1] > norm else float("nan")
+    # sqrt(L) <= s_min up to rounding, so the report's bound is the larger.
+    if np.isnan(svd_bound):
+        assert np.isnan(off.detail)
+    if not np.isnan(off.detail):
+        assert off.detail >= svd_bound * (1 - 1e-12)
+    if off.passed:
+        assert svd_bound < CERT_ZERO_TOL
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_checks_one_two_of_a_tampered_set_hold_to_the_svd(name):
+    _assert_checks_one_two_hold_to_the_svd(_variant(*TAMPERED[name]))
+
+
+@pytest.mark.parametrize("name", sorted(VOUCHED))
+def test_checks_one_two_of_a_vouched_set_hold_to_the_svd(name):
+    _assert_checks_one_two_hold_to_the_svd(VOUCHED[name]())
+
+
+@settings(max_examples=30, deadline=None)
+@given(**TOWERS)
+def test_checks_one_two_hold_to_the_svd_property(d, q, outer, kind, count, seed):
+    _assert_checks_one_two_hold_to_the_svd(_tower(d, q, outer, kind, count, seed))
 
 
 def _scale_one(m, k, t):
