@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "cyclic_shift",
     "fourier_matrix",
     "row_diag",
+    "left_factors",
     "bravyi_smolin_states",
     "bravyi_smolin_3",
     "umeb_6",
@@ -113,46 +114,8 @@ class Lift:
         """Dimension qd of the lifted set's matrices."""
         return self.q * self.base_dim
 
-    def left_factors(self) -> np.ndarray:
-        """The q^2 distinct q x q left factors, D_i S^j (j >= 1) and then D_i.
-
-        Each run is lexicographic in (i, j), where D_i is the diagonal of row i
-        of the Fourier matrix and S the cyclic shift; :meth:`factor_index`
-        names each element's factor.  Row 0 of every factor holds one nonzero
-        entry, exactly 1: in column j of D_i S^j and column 0 of D_i.  Built on
-        the first call and shared by every later one, so the array is read-only.
-        """
-        return self._left_factors
-
-    @cached_property
-    def _left_factors(self) -> np.ndarray:
-        q = self.q
-        w = fourier_matrix(q)
-        fourier_rows = np.stack([row_diag(w, i) for i in range(q)])
-        powers = [np.linalg.matrix_power(cyclic_shift(q), j) for j in range(1, q)]
-        shifted = np.array(
-            [row @ power for row in fourier_rows for power in powers], dtype=np.complex128
-        ).reshape(-1, q, q)
-        left = np.concatenate([shifted, fourier_rows])
-        left.flags.writeable = False
-        return left
-
-    def left_phases(self) -> np.ndarray:
-        """Eigenphases of :meth:`left_factors`, one ascending row per factor,
-        from one ``spectral.eigenphases`` call.  Built on the first call and
-        shared by every later one, so the array is read-only."""
-        return self._left_phases
-
-    @cached_property
-    def _left_phases(self) -> np.ndarray:
-        from . import spectral  # the spectral layer imports this module
-
-        phases = spectral.eigenphases(self.left_factors())
-        phases.flags.writeable = False
-        return phases
-
     def factor_index(self) -> np.ndarray:
-        """Index into :meth:`left_factors` of each element's left factor.
+        """Index into :func:`left_factors` of each element's left factor.
 
         The Weyl sector holds d^2 elements per factor D_i S^j, the base sector
         N per factor D_i.
@@ -174,22 +137,19 @@ class Lift:
     def right_factors(self, matrices) -> np.ndarray:
         """The right factor Y_k of each element of a stack that :meth:`fits`, read from its
         block (0, c_k), where F_k[0, c_k] is exactly 1: exact for a product F_k (x) Y_k."""
-        cols = self._lead_columns()
-        return self.blocks(matrices)[np.arange(len(cols)), 0, :, cols, :]
+        _, cols, _, _ = _factor_table(self.q)
+        lead = cols[self.factor_index(), 0]
+        return self.blocks(matrices)[np.arange(len(lead)), 0, :, lead, :]
 
     def products(self, right: np.ndarray) -> np.ndarray:
         """The stack F_k (x) Y_k of this layout, from the (n, d, d) right factors Y_k."""
-        return _kron_rows(self.left_factors()[self.factor_index()], right)
+        return _kron_rows(left_factors(self.q)[self.factor_index()], right)
 
     def base_products(self, base: np.ndarray) -> np.ndarray:
         """The base sector D_i (x) U_n, lexicographic in (i, n), from the (N, d, d) base
         U_n: the last qN rows of :meth:`products`, bit for bit, without the Weyl sector."""
         index = self.factor_index()[self.weyl_count:]
-        return _kron_rows(self.left_factors()[index], np.tile(base, (self.q, 1, 1)))
-
-    def _lead_columns(self) -> np.ndarray:
-        """Each element's column c_k of the exact 1 in row 0 of F_k: j for D_i S^j, 0 for D_i."""
-        return np.argmax(self.left_factors()[:, 0, :] == 1, axis=1)[self.factor_index()]
+        return _kron_rows(left_factors(self.q)[index], np.tile(base, (self.q, 1, 1)))
 
     def split(self, matrices) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """A stack in this layout as F_k (x) Y_k: ``(factor_index(), Y)``, or None.
@@ -219,7 +179,7 @@ class Lift:
         m = np.ascontiguousarray(matrices, dtype=np.complex128)
         right = self.right_factors(m)
         index = self.factor_index()
-        cols, values = self._nonzeros()
+        _, cols, values, _ = _factor_table(self.q)
         rows = np.arange(self.q)
         tiles = self.blocks(m)[np.arange(len(m))[:, None], rows, :, cols[index], :]
         if not np.array_equal(tiles, values[index][:, :, None, None] * right[:, None]):
@@ -227,12 +187,6 @@ class Lift:
         if np.count_nonzero(m.view(np.float64)) != np.count_nonzero(tiles.view(np.float64)):
             return None
         return index, right
-
-    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column and value of the one nonzero entry in each row of each left factor, (q^2, q) each."""
-        left = self.left_factors()
-        cols = np.argmax(left != 0, axis=2)
-        return cols, np.take_along_axis(left, cols[:, :, None], axis=2)[:, :, 0]
 
     def tiles(self, matrices, kinds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """The distinct nonzero d x d tiles of a stack that :meth:`split` reads as
@@ -245,14 +199,12 @@ class Lift:
         read from the stack, per distinct pair (f, Y_k) that occurs, both
         told apart by exact bytes.
         """
-        q = self.q
-        cols, values = self._nonzeros()
-        _, value = distinct_rows(values.reshape(-1, 1))
+        _, cols, _, value = _factor_table(self.q)
         first, kind = kinds
         index = self.factor_index()
-        pairs = value.reshape(q * q, q)[index] * len(first) + kind[:, None]
+        pairs = value[index] * len(first) + kind[:, None]
         _, first = np.unique(pairs, return_index=True)
-        k, a = np.divmod(first, q)
+        k, a = np.divmod(first, self.q)
         return self.blocks(matrices)[k, a, :, cols[index[k], a], :]
 
 
@@ -265,22 +217,17 @@ class External:
 
 Provenance = Union[WeylFamily, BravyiSmolin3, Umeb6, Lift, External]
 
-# The layout of the explicit 30-member set, one for every caller, so its
-# left factors and their spectra are built once.
-_UMEB6_LAYOUT = Lift(BravyiSmolin3(), 3, 6, 2)
-
 
 def as_lift(p: Provenance) -> Optional[Lift]:
     """The lift a provenance describes, or None when it describes none.
 
     The explicit 30-member set counts: it is the q = 2 lift of the d = 3 base
-    in the same element order, so the sector split carries over; every such
-    set shares one layout.
+    in the same element order, so the sector split carries over.
     """
     if isinstance(p, Lift):
         return p
     if isinstance(p, Umeb6):
-        return _UMEB6_LAYOUT
+        return Lift(BravyiSmolin3(), 3, 6, 2)
     return None
 
 
@@ -529,6 +476,39 @@ def row_diag(m, i: int) -> np.ndarray:
     return np.diag(mm[i, :].copy())
 
 
+@cache
+def _factor_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The left factors of a lift by q, built on the first call and then shared, read-only.
+
+    Returns the (q^2, q, q) :func:`left_factors` and three (q^2, q) arrays:
+    the column and the value of each row's one nonzero entry (every left
+    factor is monomial), and the position of that value among the distinct
+    values, told apart by exact bytes.
+    """
+    w, shift = fourier_matrix(q), cyclic_shift(q)
+    rows = [row_diag(w, i) for i in range(q)]
+    shifted = [row @ np.linalg.matrix_power(shift, j) for row in rows for j in range(1, q)]
+    left = np.array(shifted + rows)
+    cols = np.argmax(left != 0, axis=2)
+    values = np.take_along_axis(left, cols[:, :, None], axis=2)[:, :, 0]
+    kinds = distinct_rows(values.reshape(-1, 1))[1].reshape(q * q, q)
+    for part in (left, cols, values, kinds):
+        part.flags.writeable = False
+    return left, cols, values, kinds
+
+
+def left_factors(q: int) -> np.ndarray:
+    """The q^2 distinct q x q left factors of a lift by q, D_i S^j (j >= 1) and then D_i.
+
+    Each run is lexicographic in (i, j), where D_i is the diagonal of row i
+    of the Fourier matrix and S the cyclic shift; :meth:`Lift.factor_index`
+    names each element's factor.  Row 0 of every factor holds one nonzero
+    entry, exactly 1: in column j of D_i S^j and column 0 of D_i.  Built once
+    per q and shared by every later call, so the array is read-only.
+    """
+    return _factor_table(q)[0]
+
+
 def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker products a_k (x) b_k of two stacks of one length, row by row.
 
@@ -746,6 +726,12 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
         raise UMEBFormatError(
             f"element has {len(pairs)} entries, expected {dim * dim} for dim {dim}"
         )
+    return _pair_values(pairs).reshape(dim, dim)
+
+
+def _pair_values(pairs) -> np.ndarray:
+    """The complex values of a list of [re, im] pairs, by the rules of
+    :func:`pairs_to_matrix`, whose errors it raises."""
     if (
         not set(map(type, pairs)) <= _PAIR_TYPES
         or set(map(len, pairs)) != {2}
@@ -759,7 +745,7 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
         raise UMEBFormatError(f"matrix entry out of the double range: {exc}") from exc
     if not np.all(np.isfinite(parts)):
         raise UMEBFormatError("matrix entries must be finite")
-    return parts.view(np.complex128).reshape(dim, dim)
+    return parts.view(np.complex128)
 
 
 def _pairs_to_stack(items: list, dim: int, what: str) -> np.ndarray:
@@ -770,20 +756,12 @@ def _pairs_to_stack(items: list, dim: int, what: str) -> np.ndarray:
     some item breaks a rule is each converted in turn, so that the error
     names the first such item, ``what`` and its index, as a loop would.
     """
-    d2 = dim * dim
-    if set(map(type, items)) == {list} and set(map(len, items)) == {d2}:
-        pairs = list(itertools.chain.from_iterable(items))
-        if (
-            set(map(type, pairs)) <= _PAIR_TYPES
-            and set(map(len, pairs)) == {2}
-            and set(map(type, itertools.chain.from_iterable(pairs))) <= _NUMBER_TYPES
-        ):
-            try:
-                parts = np.array(pairs, dtype=np.float64)
-            except OverflowError:
-                parts = None
-            if parts is not None and np.isfinite(parts).all():
-                return parts.view(np.complex128).reshape(len(items), dim, dim)
+    if set(map(type, items)) == {list} and set(map(len, items)) == {dim * dim}:
+        try:
+            values = _pair_values(list(itertools.chain.from_iterable(items)))
+            return values.reshape(len(items), dim, dim)
+        except UMEBFormatError:
+            pass  # the loop below finds the first item that breaks a rule
     matrices = []
     for i, item in enumerate(items):
         if not isinstance(item, list):
@@ -870,8 +848,11 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     blocks of about 2^15 reals, each zero straight from its sign bit and the
     nonzero reals by one C JSON-encoder call per block.  Every block is
     encoded before ``path`` is opened, so an encoding error leaves any file
-    there as it was.
+    there as it was.  So does a candidate with no elements, which no file
+    holds: UMEBFormatError.
     """
+    if not len(candidate):
+        raise UMEBFormatError("elements must be a nonempty list: no file holds an empty set")
     right = candidate._right_factors
     key, matrices = (_ELEMENTS, candidate.matrices) if right is None else (_RIGHT_FACTORS, right)
     d2 = matrices.shape[1] ** 2

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .constructions import UMEBCandidate, as_lift
+from .constructions import UMEBCandidate, as_lift, left_factors
 from .linalg import DEFAULT_TOLERANCES, TWO_PI, distinct_rows, unitarity_residual
 
 __all__ = [
@@ -133,6 +134,15 @@ def _phases(m: np.ndarray) -> np.ndarray:
     phases = np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI)
     phases[phases >= TWO_PI] -= TWO_PI
     phases.sort(axis=-1)
+    return phases
+
+
+@cache
+def _left_phases(q: int) -> np.ndarray:
+    """:func:`eigenphases` of ``left_factors(q)``, one ascending row per factor,
+    from one call per q; shared by every later one, so read-only."""
+    phases = eigenphases(left_factors(q))
+    phases.flags.writeable = False
     return phases
 
 
@@ -377,11 +387,11 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
     Unitarity is judged on the stored matrices, by the residual the
     candidate holds, so every path raises alike.  A set that
     :meth:`Lift.split` reads as F_k (x) Y_k takes its phases from the
-    factors: (phi_F + phi_Y) mod 2*pi, with the left factors' phases held by
-    the layout and one eigensolve of the distinct right factors, checked once
-    for unitarity.  Any other set, and one whose right factors miss the
-    threshold by a rounding of their own, is one eigensolve of the stored
-    stack.
+    factors: (phi_F + phi_Y) mod 2*pi, with the left factors' phases
+    eigensolved once per q and one eigensolve of the distinct right factors,
+    checked once for unitarity.  Any other set, and one whose right factors
+    miss the threshold by a rounding of their own, is one eigensolve of the
+    stored stack.
     """
     _require_unitary(c.unitarity_residual)
     split = c.split
@@ -390,7 +400,7 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
         first, kind = c.right_kinds
         distinct = right[first]
         if unitarity_residual(distinct) < DEFAULT_TOLERANCES.unitarity_tol:
-            left = as_lift(c.provenance).left_phases()[index]
+            left = _left_phases(as_lift(c.provenance).q)[index]
             # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
             phases = np.mod(left[:, :, None] + _phases(distinct)[kind][:, None, :], TWO_PI)
             phases = phases.reshape(len(index), -1)

@@ -36,6 +36,7 @@ from .constructions import (
     UMEBCandidate,
     as_lift,
     leaf_shape,
+    left_factors,
     provenance_to_str,
     rebuild_from_provenance,
 )
@@ -158,7 +159,7 @@ class VerificationReport:
         else:
             index, right = split
             first, kind = c.right_kinds
-            left = gram_matrix(as_lift(c.provenance).left_factors())
+            left = gram_matrix(left_factors(as_lift(c.provenance).q))
             distinct = gram_matrix(right[first])
             diag = np.diag(left)[index] * np.diag(distinct)[kind]
             max_off = _max_offdiag_product(np.abs(left), index, np.abs(distinct), kind)

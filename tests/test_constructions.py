@@ -25,6 +25,7 @@ from umeb.constructions import (
     cyclic_shift,
     fourier_matrix,
     leaf_shape,
+    left_factors,
     lift,
     lift_counts,
     load_umeb,
@@ -39,7 +40,6 @@ from umeb.constructions import (
     weyl_family,
 )
 from umeb.linalg import DimensionMismatchError, distinct_rows, gram_matrix, unitarity_residual
-from umeb.spectral import eigenphases
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_lift_provenance_owns_the_layout():
     assert (p.weyl_count, p.element_count, p.dim) == (108, 132, 12)
     assert as_lift(p) is p
     assert as_lift(Umeb6()) == Lift(BravyiSmolin3(), 3, 6, 2)
-    assert as_lift(Umeb6()) is as_lift(Umeb6())
+    assert as_lift(umeb_6().provenance) == Lift(BravyiSmolin3(), 3, 6, 2)
     assert as_lift(WeylFamily(3)) is None
     assert as_lift(External("x")) is None
     for q in (1, 2, 3):
@@ -189,7 +189,7 @@ def test_lift_provenance_owns_the_layout():
 @pytest.mark.parametrize("q", range(1, 9))
 def test_lift_states_its_left_factors_once(q):
     p = Lift(BravyiSmolin3(), 3, 6, q)
-    left, index = p.left_factors(), p.factor_index()
+    left, index = left_factors(q), p.factor_index()
     assert left.shape == (q * q, q, q) and index.shape == (p.element_count,)
     # The last q are the D_i, bit for bit: certificate check 5 reads them here.
     for i, d_i in enumerate(left[q * (q - 1):]):
@@ -210,25 +210,51 @@ def test_lift_states_its_left_factors_once(q):
 
 @pytest.mark.parametrize("q", range(1, 9))
 def test_lift_shares_one_read_only_build_of_its_left_factors(q):
-    p = Lift(BravyiSmolin3(), 3, 6, q)
-    left = p.left_factors()
-    assert p.left_factors() is left
+    left = left_factors(q)
+    assert left_factors(q) is left
     assert not left.flags.writeable
     with pytest.raises(ValueError):
         left[0, 0, 0] = 2.0
-    # The build is held outside the fields: equality and hashing are unchanged.
+    # Every lift by q reads that one build and holds nothing beyond its
+    # fields, so equality and hashing are unchanged.
+    p = Lift(BravyiSmolin3(), 3, 6, q)
+    c = lift(bravyi_smolin_3(), q)
+    assert p.split(c.matrices) is not None
+    assert p.products(c.split[1]).tobytes() == c.matrices.tobytes()
+    assert vars(p) == {"base": BravyiSmolin3(), "base_dim": 3, "base_count": 6, "q": q}
     assert p == Lift(BravyiSmolin3(), 3, 6, q)
     assert hash(p) == hash(Lift(BravyiSmolin3(), 3, 6, q))
 
 
+def _reference_factor_table(q):
+    """The factors, each row's nonzero column and value, and each value's
+    position among the distinct values by bytes, built entry by entry."""
+    w, shift = fourier_matrix(q), cyclic_shift(q)
+    d = [np.diag(w[i]) for i in range(q)]
+    left = np.array(
+        [d[i] @ np.linalg.matrix_power(shift, j) for i in range(q) for j in range(1, q)] + d
+    ).reshape(q * q, q, q)
+    cols = np.zeros((q * q, q), dtype=np.intp)
+    values = np.zeros((q * q, q), dtype=np.complex128)
+    for k, a in itertools.product(range(q * q), range(q)):
+        (cols[k, a],) = np.flatnonzero(left[k, a])  # monomial: one nonzero per row
+        values[k, a] = left[k, a, cols[k, a]]
+    spellings = sorted({v.tobytes() for v in values.ravel()})
+    kinds = np.array([spellings.index(v.tobytes()) for v in values.ravel()]).reshape(q * q, q)
+    return left, cols, values, kinds
+
+
 @pytest.mark.parametrize("q", range(1, 9))
-def test_lift_holds_the_eigenphases_of_its_left_factors(q):
-    p = Lift(BravyiSmolin3(), 3, 6, q)
-    phases = p.left_phases()
-    assert p.left_phases() is phases
-    assert not phases.flags.writeable
-    assert phases.tobytes() == eigenphases(p.left_factors()).tobytes()
-    assert p == Lift(BravyiSmolin3(), 3, 6, q)
+def test_factor_table_is_read_only_and_equals_a_reference_build(q):
+    table = constructions._factor_table(q)
+    assert constructions._factor_table(q) is table
+    for got, want in zip(table, _reference_factor_table(q), strict=True):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1
+    assert table[0] is left_factors(q)
 
 
 @pytest.mark.parametrize("q", (1, 2, 3, 8))
@@ -317,7 +343,7 @@ def test_lift_split_verdict_equals_the_whole_stack_compare_property(
 ):
     c = lift(bravyi_smolin_3(), q)
     layout, d = c.provenance, 3
-    left = layout.left_factors()[layout.factor_index()]
+    left = left_factors(layout.q)[layout.factor_index()]
     k, a = element % len(c.matrices), row % q
     nonzero = int(np.flatnonzero(left[k, a])[0])
     # Off the tiles: any other column of tiles in row-tile a (none when q = 1).
@@ -878,14 +904,26 @@ def _dense_unitaries(dim, count):
     lambda: _external(lift(bravyi_smolin_3(), 8)),
     lambda: _external(lift(umeb_6(), 4)), lambda: weyl_family(4),
     lambda: _dense_unitaries(6, 40), _signed_zero_candidate,
-    lambda: UMEBCandidate(2, (), External("empty")),
-], ids=["lift_bs3_2", "lift_bs3_4", "lift_bs3_8", "lift_umeb6_4", "weyl_4", "dense", "signed_zeros",
-        "empty"])
+], ids=["lift_bs3_2", "lift_bs3_4", "lift_bs3_8", "lift_umeb6_4", "weyl_4", "dense", "signed_zeros"])
 def test_save_writes_the_reference_bytes(tmp_path, make):
     c = make()
     path = tmp_path / "m.json"
     save_umeb(c, path)
     assert path.read_bytes() == _reference_save_text(c).encode("utf-8")
+
+
+def test_save_refuses_a_set_with_no_elements_before_it_opens_the_file(tmp_path):
+    # load_umeb refuses a file with no elements, so no such file is written.
+    path = tmp_path / "m.json"
+    save_umeb(bravyi_smolin_3(), path)
+    before = path.read_bytes()
+    for dim in (2, 3):
+        with pytest.raises(UMEBFormatError, match="elements must be a nonempty list"):
+            save_umeb(UMEBCandidate(dim, [], External("e")), path)
+        assert path.read_bytes() == before
+    with pytest.raises(UMEBFormatError):
+        save_umeb(UMEBCandidate(3, [], External("e")), tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
 
 
 # The factors read back from a lift of the d = 3 set are the ones it was

@@ -15,6 +15,7 @@ from umeb.constructions import (
     _kron_rows,
     as_lift,
     bravyi_smolin_3,
+    left_factors,
     lift,
     umeb_6,
     weyl,
@@ -453,17 +454,27 @@ def _eigensolve_shapes(monkeypatch):
     return shapes
 
 
+@pytest.mark.parametrize("q", range(1, 9))
+def test_left_phases_are_held_once_per_q(q):
+    phases = spectral._left_phases(q)
+    assert spectral._left_phases(q) is phases
+    assert not phases.flags.writeable
+    assert phases.tobytes() == eigenphases(left_factors(q)).tobytes()
+
+
 def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
-    # The left factors once per layout, then the distinct right factors: 552
+    # The left factors once per q, then the distinct right factors: 552
     # right factors of lift(bs3, 8) are 15 distinct matrices, the tower's 132
     # are 65.
+    spectral._left_phases.cache_clear()
     shapes = _eigensolve_shapes(monkeypatch)
     c = lift(bravyi_smolin_3(), 8)
     signature(c)
     assert shapes == [(64, 8, 8), (15, 3, 3)]
-    shapes.clear()
-    signature(c)
-    assert shapes == [(15, 3, 3)]
+    for again in (c, lift(bravyi_smolin_3(), 8)):
+        shapes.clear()
+        signature(again)
+        assert shapes == [(15, 3, 3)]
     shapes.clear()
     signature(_tower())
     assert shapes == [(4, 2, 2), (65, 6, 6)]
@@ -547,7 +558,7 @@ def test_non_unitary_lift_raises_the_full_stack_error():
     layout = Lift(External("scaled"), 3, 6, 2)
     right = 1.5 * np.concatenate([np.tile(weyl_family(3).matrices, (2, 1, 1)),
                                   np.tile(bravyi_smolin_3().matrices, (2, 1, 1))])
-    c = UMEBCandidate(6, _kron_rows(layout.left_factors()[layout.factor_index()], right), layout)
+    c = UMEBCandidate(6, _kron_rows(left_factors(layout.q)[layout.factor_index()], right), layout)
     assert layout.split(c.matrices) is not None
     with pytest.raises(ValueError) as want:
         eigenphases(c.matrices)
@@ -565,7 +576,7 @@ def _lift_at_the_threshold(stored_passes: bool):
     rng = np.random.default_rng(0)
     tol = DEFAULT_TOLERANCES.unitarity_tol
     layout = Lift(External("threshold"), 2, 1, 4)
-    left = layout.left_factors()[layout.factor_index()]
+    left = left_factors(layout.q)[layout.factor_index()]
     for _ in range(200):
         u, e = haar_unitary(2, rng), rng.standard_normal((2, 2)) + 0j
         lo, hi = 0.0, 1e-9  # bisect the perturbation onto the threshold
@@ -651,7 +662,7 @@ def _reference_element_phases(c):
     split = c.split
     if split is None or unitarity_residual(split[1]) >= DEFAULT_TOLERANCES.unitarity_tol:
         return [eigenphases(u) for u in c.elements]
-    left = as_lift(c.provenance).left_factors()
+    left = left_factors(as_lift(c.provenance).q)
     return [
         np.sort(np.mod(eigenphases(left[i])[:, None] + eigenphases(y)[None, :], 2 * np.pi).ravel())
         for i, y in zip(*split)
@@ -776,7 +787,7 @@ def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
     signature(stack)
     assert calls == []
     c = lift(bravyi_smolin_3(), 4)
-    c.provenance.left_phases()
+    spectral._left_phases(4)  # held once per q, as an earlier lift by 4 leaves it
     calls.clear()
     signature(c)
     assert calls == [(15, 3, 3)]  # the distinct right factors, checked once

@@ -18,6 +18,7 @@ from umeb.constructions import (
     as_lift,
     bravyi_smolin_3,
     bravyi_smolin_states,
+    left_factors,
     lift,
     load_umeb,
     provenance_to_str,
@@ -730,7 +731,7 @@ def _moved_phase_lift(shift):
     base = _moved_phase_base(shift)
     assert unitarity_residual(base.matrices) < 1e-15
     c = lift(base, 2)
-    left = c.provenance.left_factors()
+    left = left_factors(c.provenance.q)
     products = [np.kron(f, w) for f in left[:2] for w in weyl_family(3).elements]
     products += [np.kron(f, u) for f in left[2:] for u in base.elements]
     assert c.matrices.tobytes() == np.array(products).tobytes()
@@ -1020,38 +1021,53 @@ def test_certify_makes_no_svd_on_a_set_its_report_vouches_for(name, monkeypatch)
     assert shapes == []
 
 
-def test_certify_and_signature_build_the_left_factors_once_each(monkeypatch):
-    builds = []
-    fourier = constructions.fourier_matrix
+def _count_left_factor_builds(monkeypatch):
+    """Empty the q-keyed factor and phase tables, then record each q whose
+    Fourier matrix is built and the shape of every eigensolve."""
+    constructions._factor_table.cache_clear()
+    spectral._left_phases.cache_clear()
+    builds, shapes = [], []
+    fourier, phases = constructions.fourier_matrix, spectral._phases
+    monkeypatch.setattr(constructions, "fourier_matrix", lambda q: builds.append(q) or fourier(q))
+    monkeypatch.setattr(spectral, "_phases", lambda m: shapes.append(np.shape(m)) or phases(m))
+    return builds, shapes
 
-    def counting_fourier(q):
-        builds.append(q)
-        return fourier(q)
 
+def test_certify_and_signature_build_the_left_factors_once_per_q(monkeypatch):
     c = lift(bravyi_smolin_3(), 8)
-    monkeypatch.setattr(constructions, "fourier_matrix", counting_fourier)
+    builds, _ = _count_left_factor_builds(monkeypatch)
     for run in (structural_certify, signature):
-        # A fresh layout, so the factors lift built are not already held.
+        # A fresh layout of the same q reads the factors the first run built.
         fresh = UMEBCandidate(c.dim, c.matrices, Lift(BravyiSmolin3(), 3, 6, 8), c.exact_cos_theta)
-        builds.clear()
         run(fresh)
         assert builds == [8]
 
 
 def test_every_layer_reads_the_one_layout_of_umeb_6(monkeypatch):
     layout = as_lift(umeb_6().provenance)
-    # Drop what earlier callers built, so the count starts from an empty layout.
-    for held in ("_left_factors", "_left_phases"):
-        monkeypatch.delitem(layout.__dict__, held, raising=False)
-    builds = []
-    fourier = constructions.fourier_matrix
-    monkeypatch.setattr(constructions, "fourier_matrix", lambda q: builds.append(q) or fourier(q))
+    builds, _ = _count_left_factor_builds(monkeypatch)
     c = umeb_6()
     assert verify_axioms(c).passed
     assert signature(c).summary.provably_infinite_count == 24
     assert structural_certify(c).overall == "CertifiedConditionalOnBase"
     assert builds == [2]
-    assert as_lift(c.provenance) is layout
+    assert as_lift(c.provenance) == layout == Lift(BravyiSmolin3(), 3, 6, 2)
+
+
+def test_each_q_builds_and_eigensolves_its_left_factors_once(tmp_path, monkeypatch):
+    builds, shapes = _count_left_factor_builds(monkeypatch)
+    base = bravyi_smolin_3()
+    path = tmp_path / "m.json"
+    save_umeb(lift(base, 4), path)
+    made = [lift(base, 4), load_umeb(path), lift(base, 4)]
+    made.append(UMEBCandidate(12, made[0].matrices, Lift(BravyiSmolin3(), 3, 6, 4), made[0].exact_cos_theta))
+    for c in made:
+        assert verify_axioms(c).passed
+        assert structural_certify(c).overall == "CertifiedConditionalOnBase"
+        assert signature(c).summary.provably_infinite_count > 0
+    assert len({id(c.provenance) for c in made}) == len(made)  # four fresh layouts
+    assert builds == [4]
+    assert [shape for shape in shapes if shape[-1] == 4] == [(16, 4, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -1197,7 +1213,7 @@ def test_tiles_of_lift_bs3_8():
     assert tiles.shape == (15 * 8, 3, 3)
     # Each tile, read from the stack, is one of the products f Y, and no two
     # are equal.
-    left = c.provenance.left_factors()
+    left = left_factors(c.provenance.q)
     values = np.unique(left[left != 0])
     distinct = np.unique(right.reshape(len(right), -1), axis=0).reshape(-1, 3, 3)
     products = np.array([f * y for f in values for y in distinct])
