@@ -483,7 +483,8 @@ def _factor_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     Returns the (q^2, q, q) :func:`left_factors` and three (q^2, q) arrays:
     the column and the value of each row's one nonzero entry (every left
     factor is monomial), and the position of that value among the distinct
-    values, told apart by exact bytes.
+    values, told apart by exact bytes.  Held until the process exits, it has
+    no more entries than the lift by q that asked for it.
     """
     w, shift = fourier_matrix(q), cyclic_shift(q)
     rows = [row_diag(w, i) for i in range(q)]
@@ -504,7 +505,7 @@ def left_factors(q: int) -> np.ndarray:
     of the Fourier matrix and S the cyclic shift; :meth:`Lift.factor_index`
     names each element's factor.  Row 0 of every factor holds one nonzero
     entry, exactly 1: in column j of D_i S^j and column 0 of D_i.  Built once
-    per q and shared by every later call, so the array is read-only.
+    per q and held, read-only, until the process exits.
     """
     return _factor_table(q)[0]
 

@@ -18,14 +18,14 @@ its spectra from the factors; any other set is eigensolved whole.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .constructions import UMEBCandidate, as_lift, left_factors
+from .constructions import Provenance, UMEBCandidate, as_lift, left_factors
 from .linalg import DEFAULT_TOLERANCES, TWO_PI, distinct_rows, unitarity_residual
 
 __all__ = [
@@ -137,12 +137,17 @@ def _phases(m: np.ndarray) -> np.ndarray:
     return phases
 
 
-@cache
-def _left_phases(q: int) -> np.ndarray:
-    """:func:`eigenphases` of ``left_factors(q)``, one ascending row per factor,
-    from one call per q; shared by every later one, so read-only."""
-    phases = eigenphases(left_factors(q))
-    phases.flags.writeable = False
+# Left-factor phases by lift label, freed with the label they were made for.
+_LEFT_PHASES: weakref.WeakKeyDictionary[Provenance, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def _left_phases(provenance: Provenance) -> np.ndarray:
+    """Read-only :func:`eigenphases` of the left factors of the lift
+    ``provenance`` names, held for equal labels while the first lives."""
+    phases = _LEFT_PHASES.get(provenance)
+    if phases is None:
+        phases = _LEFT_PHASES[provenance] = eigenphases(left_factors(as_lift(provenance).q))
+        phases.flags.writeable = False
     return phases
 
 
@@ -388,10 +393,10 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
     candidate holds, so every path raises alike.  A set that
     :meth:`Lift.split` reads as F_k (x) Y_k takes its phases from the
     factors: (phi_F + phi_Y) mod 2*pi, with the left factors' phases
-    eigensolved once per q and one eigensolve of the distinct right factors,
-    checked once for unitarity.  Any other set, and one whose right factors
-    miss the threshold by a rounding of their own, is one eigensolve of the
-    stored stack.
+    eigensolved once while the set's label lives and one eigensolve of the
+    distinct right factors, checked once for unitarity.  Any other set, and
+    one whose right factors miss the threshold by a rounding of their own,
+    is one eigensolve of the stored stack.
     """
     _require_unitary(c.unitarity_residual)
     split = c.split
@@ -400,7 +405,7 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
         first, kind = c.right_kinds
         distinct = right[first]
         if unitarity_residual(distinct) < DEFAULT_TOLERANCES.unitarity_tol:
-            left = _left_phases(as_lift(c.provenance).q)[index]
+            left = _left_phases(c.provenance)[index]
             # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
             phases = np.mod(left[:, :, None] + _phases(distinct)[kind][:, None, :], TWO_PI)
             phases = phases.reshape(len(index), -1)

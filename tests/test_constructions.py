@@ -177,7 +177,6 @@ def test_lift_provenance_owns_the_layout():
     assert (p.weyl_count, p.element_count, p.dim) == (108, 132, 12)
     assert as_lift(p) is p
     assert as_lift(Umeb6()) == Lift(BravyiSmolin3(), 3, 6, 2)
-    assert as_lift(umeb_6().provenance) == Lift(BravyiSmolin3(), 3, 6, 2)
     assert as_lift(WeylFamily(3)) is None
     assert as_lift(External("x")) is None
     for q in (1, 2, 3):

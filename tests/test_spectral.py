@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -455,18 +456,23 @@ def _eigensolve_shapes(monkeypatch):
 
 
 @pytest.mark.parametrize("q", range(1, 9))
-def test_left_phases_are_held_once_per_q(q):
-    phases = spectral._left_phases(q)
-    assert spectral._left_phases(q) is phases
+def test_left_phases_are_held_while_their_label_lives(q):
+    spectral._LEFT_PHASES.clear()
+    p = Lift(BravyiSmolin3(), 3, 6, q)
+    phases = spectral._left_phases(p)
+    assert spectral._left_phases(Lift(BravyiSmolin3(), 3, 6, q)) is phases
     assert not phases.flags.writeable
     assert phases.tobytes() == eigenphases(left_factors(q)).tobytes()
+    del p
+    gc.collect()
+    assert len(spectral._LEFT_PHASES) == 0
 
 
 def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
-    # The left factors once per q, then the distinct right factors: 552
-    # right factors of lift(bs3, 8) are 15 distinct matrices, the tower's 132
-    # are 65.
-    spectral._left_phases.cache_clear()
+    # The left factors once while a set of the layout lives, then the
+    # distinct right factors: 552 right factors of lift(bs3, 8) are 15
+    # distinct matrices, the tower's 132 are 65.
+    spectral._LEFT_PHASES.clear()
     shapes = _eigensolve_shapes(monkeypatch)
     c = lift(bravyi_smolin_3(), 8)
     signature(c)
@@ -475,6 +481,11 @@ def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
         shapes.clear()
         signature(again)
         assert shapes == [(15, 3, 3)]
+    del c, again
+    gc.collect()
+    shapes.clear()
+    signature(lift(bravyi_smolin_3(), 8))
+    assert shapes == [(64, 8, 8), (15, 3, 3)]
     shapes.clear()
     signature(_tower())
     assert shapes == [(4, 2, 2), (65, 6, 6)]
@@ -787,7 +798,7 @@ def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
     signature(stack)
     assert calls == []
     c = lift(bravyi_smolin_3(), 4)
-    spectral._left_phases(4)  # held once per q, as an earlier lift by 4 leaves it
+    spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
     calls.clear()
     signature(c)
     assert calls == [(15, 3, 3)]  # the distinct right factors, checked once

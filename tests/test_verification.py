@@ -1022,10 +1022,10 @@ def test_certify_makes_no_svd_on_a_set_its_report_vouches_for(name, monkeypatch)
 
 
 def _count_left_factor_builds(monkeypatch):
-    """Empty the q-keyed factor and phase tables, then record each q whose
-    Fourier matrix is built and the shape of every eigensolve."""
+    """Empty the q-keyed factor table and the held left phases, then record
+    each q whose Fourier matrix is built and the shape of every eigensolve."""
     constructions._factor_table.cache_clear()
-    spectral._left_phases.cache_clear()
+    spectral._LEFT_PHASES.clear()
     builds, shapes = [], []
     fourier, phases = constructions.fourier_matrix, spectral._phases
     monkeypatch.setattr(constructions, "fourier_matrix", lambda q: builds.append(q) or fourier(q))
@@ -1066,6 +1066,7 @@ def test_each_q_builds_and_eigensolves_its_left_factors_once(tmp_path, monkeypat
         assert structural_certify(c).overall == "CertifiedConditionalOnBase"
         assert signature(c).summary.provably_infinite_count > 0
     assert len({id(c.provenance) for c in made}) == len(made)  # four fresh layouts
+    # The phases made for the first layout serve the others while it lives.
     assert builds == [4]
     assert [shape for shape in shapes if shape[-1] == 4] == [(16, 4, 4)]
 
