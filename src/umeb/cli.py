@@ -5,7 +5,7 @@ lift a set to a higher dimension, verify the defining axioms, search the
 trace-orthogonal complement for an extension, certify lifted sets
 structurally, and compute or compare spectral signatures.
 
-Exit codes: 0 ok/pass, 1 error (I/O, parse, usage), 2 verification or
+Exit codes: 0 ok/pass, 1 error (I/O, parse, usage, memory), 2 verification or
 certification failure, 3 certification not applicable, 4 signatures not
 distinguished.  Every command accepts ``--json`` to print a machine-readable
 report on stdout (the human-readable report then moves to stderr).  Warnings
@@ -377,8 +377,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    except (_UsageError, OSError, ValueError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, OSError, ValueError, MemoryError, np.linalg.LinAlgError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -723,6 +723,8 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     at once, and on failure converts each through here, so every matrix
     error comes from here.
     """
+    if dim < 1:
+        raise UMEBFormatError(f"dim must be a positive integer, got {dim}")
     if len(pairs) != dim * dim:
         raise UMEBFormatError(
             f"element has {len(pairs)} entries, expected {dim * dim} for dim {dim}"

@@ -229,11 +229,14 @@ def seeded_random_matrix(dim: int, seed: int) -> np.ndarray:
     Each entry is (x + i y) / sqrt(2) with x, y drawn from N(0, 1) using
     numpy's default generator seeded with ``seed``; the real parts of all
     entries are drawn first, then the imaginary parts.  The Frobenius norm
-    concentrates near ``dim``.
-    """
+    concentrates near ``dim``."""
+    return _seeded_random_stack(dim, 1, seed)[0]
+
+
+def _seeded_random_stack(dim: int, count: int, seed: int) -> np.ndarray:
+    """Matrices 0 .. count-1 of the stream :func:`seeded_random_matrix` begins,
+    from one generator in one call: a shorter stack is a prefix of a longer one."""
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dim, dim))
-    y = rng.standard_normal((dim, dim))
-    return (x + 1j * y) / np.sqrt(2.0)
+    z = np.random.default_rng(seed).standard_normal((count, 2, dim, dim))
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)

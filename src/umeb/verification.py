@@ -46,7 +46,7 @@ from .linalg import (
     as_square,
     gram_matrix,
     orthonormal_complement,
-    seeded_random_matrix,
+    _seeded_random_stack,
     singular_values,
     unitarity_residual,
 )
@@ -61,7 +61,6 @@ __all__ = [
     "verify_axioms",
     "search_extension",
     "structural_certify",
-    "SUB_SEED_STRIDE",
     "CERT_ZERO_TOL",
     "CERT_COND_MAX",
 ]
@@ -240,10 +239,6 @@ def verify_axioms(c: UMEBCandidate) -> VerificationReport:
 # Extension search (nuclear-norm ascent over the complement)
 # ---------------------------------------------------------------------------
 
-SUB_SEED_STRIDE = 1_000_003
-# Restart r of a search with seed s draws from seeded_random_matrix with
-# sub-seed s*SUB_SEED_STRIDE + r, so restarts are order-independent.
-
 PLATEAU_TOL = 1e-12
 # A restart has plateaued from the first iteration whose objective is within
 # this of its final value.
@@ -352,12 +347,14 @@ def search_extension(
     """Search the trace-orthogonal complement for a unitary matrix.
 
     Among complement matrices M with ||M||_F^2 = d, the nuclear norm
-    sum sigma_i(M) is at most d, with equality exactly on unitaries.  Each
-    restart seeds a random matrix, projects it into the complement, rescales,
-    and then alternates: replace M by the projection of its polar factor,
-    rescaled.  Every step maximizes the linear functional Re Tr(P^dag M) that
-    touches the current objective from above, so the recorded objective is
-    non-decreasing along each restart.
+    sum sigma_i(M) is at most d, with equality exactly on unitaries.  Restart
+    r starts from matrix r of the stream ``seeded_random_matrix(d, seed)``
+    begins, all drawn by one generator, so the first k restarts of a search
+    are those of any larger one with its seed.  Each restart projects its
+    start into the complement, rescales, and then alternates: replace M by
+    the projection of its polar factor, rescaled.  Every step maximizes the
+    linear functional Re Tr(P^dag M) that touches the current objective from
+    above, so the recorded objective is non-decreasing along each restart.
 
     ``iters`` is a cap.  A restart stops at a fixed point of the ascent
     map, once one step moves its matrix by at most ``STEP_TOL`` in every
@@ -430,30 +427,26 @@ def search_extension(
     flat = np.array(basis).reshape(len(basis), d * d)
     sqrt_d = np.sqrt(d)
 
-    # The live restarts advance together: one stacked SVD and one projection
-    # per iteration.  Row i of m is restart live[i]; a restart's row is
-    # removed once its last matrix has been evaluated, and that matrix is
-    # kept in row r of last.
-    m = _project(flat, np.stack([
-        seeded_random_matrix(d, seed * SUB_SEED_STRIDE + r) for r in range(restarts)
-    ]))
+    # One generator draws every start.  The live restarts advance together:
+    # one stacked SVD and one projection per iteration.  Row i of m is
+    # restart live[i]; a restart's row is removed once its last matrix has
+    # been evaluated, and that matrix is kept in row r of last.  Each
+    # iteration's objectives are held for its live rows only.
+    m = _project(flat, _seeded_random_stack(d, restarts, seed))
     m *= (sqrt_d / np.linalg.norm(m, axis=(1, 2)))[:, None, None]
     last = np.empty_like(m)
-    # Unevaluated iterations stay -inf, below any objective.
-    traces = np.full((restarts, iters), -np.inf)
-    lengths = np.empty(restarts, dtype=int)
+    objectives, rows = [], []
     live = np.arange(restarts)
     settled = np.zeros(restarts, dtype=bool)
     for t in range(iters):
         u, s, vh = np.linalg.svd(m)
-        traces[live, t] = s.sum(axis=1)
+        objectives.append(s.sum(axis=1))
+        rows.append(live)
         # A row ends once its objective is recorded: at the cap, or after the
         # step that reached a fixed point.
         settled |= t == iters - 1
         if settled.any():
-            done = live[settled]
-            lengths[done] = t + 1
-            last[done] = m[settled]
+            last[live[settled]] = m[settled]
             keep = ~settled
             live, m, u, vh = live[keep], m[keep], u[keep], vh[keep]
             if not live.size:
@@ -466,20 +459,26 @@ def search_extension(
         settled = np.abs(step - m).max(axis=(1, 2)) <= STEP_TOL
         m = step
 
-    finals = traces[np.arange(restarts), lengths - 1]
+    # Every restart's objectives in iteration order, one run per restart.
+    ids = np.concatenate(rows)
+    traces = np.concatenate(objectives)[np.argsort(ids, kind="stable")]
+    lengths = np.bincount(ids)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    finals = traces[ends - 1]
     best_restart = int(np.argmax(finals))
     best_norm = float(finals[best_restart])
     best_witness = last[best_restart]
-    # First iteration within PLATEAU_TOL of each restart's final objective.
-    plateau = np.argmax(traces >= (finals - PLATEAU_TOL)[:, None], axis=1)
+    # Each run's first iteration within PLATEAU_TOL of its final objective.
+    hits = np.flatnonzero(traces >= np.repeat(finals - PLATEAU_TOL, lengths))
+    plateau = hits[np.searchsorted(hits, starts)] - starts
+    values = traces.tolist()
+    runs = tuple(tuple(values[a:b]) for a, b in zip(starts.tolist(), ends.tolist()))
 
     gap = d - best_norm
     notes = []
     verdict = "NoExtensionFound"
-    extension = None
-    ext_unit = None
-    ext_overlap = None
-    refined = None
+    extension = ext_unit = ext_overlap = refined = None
     if gap < extension_tol:
         refined = _refine_in_complement(best_witness, flat, d)
         if refined is not None:
@@ -508,9 +507,7 @@ def search_extension(
                 f"factor fails re-verification: {figures}"
             )
     if verdict == "NoExtensionFound":
-        notes.append(
-            "no unitary found in the complement; this is evidence, not proof"
-        )
+        notes.append("no unitary found in the complement; this is evidence, not proof")
 
     return ExtendibilitySearchResult(
         verdict=verdict,
@@ -525,11 +522,9 @@ def search_extension(
         extension_unitarity_residual=ext_unit,
         extension_max_gram_overlap=ext_overlap,
         best_restart=best_restart,
-        objective_traces=tuple(
-            tuple(map(float, t[:n])) for t, n in zip(traces, lengths)
-        ),
-        restart_final_gaps=tuple(map(float, d - finals)),
-        restart_plateau_iters=tuple(map(int, plateau)),
+        objective_traces=runs,
+        restart_final_gaps=tuple((d - finals).tolist()),
+        restart_plateau_iters=tuple(plateau.tolist()),
         refined=refined is not None,
         notes=tuple(notes),
     )

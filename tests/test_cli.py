@@ -123,6 +123,28 @@ def test_lift_rejects_bad_q(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 74.5 GiB"), "Unable to allocate 74.5 GiB"),
+    (MemoryError(), "MemoryError"),
+])
+def test_lift_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, exc, message):
+    # A lift too large to allocate is a bad input, not a crash.
+    bs3_path = tmp_path / "bs3.json"
+    save_umeb(bravyi_smolin_3(), bs3_path)
+
+    def fail(base, q):
+        raise exc
+
+    monkeypatch.setattr(cli, "lift", fail)
+    code, stdout, stderr = run(
+        capsys, "lift", str(bs3_path), "-q", "100", "-o", str(tmp_path / "x.json")
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -317,6 +339,21 @@ def test_search_cannot_loosen_the_re_verification(tmp_path, capsys):
     assert stdout == ""
     assert stderr.startswith("error: unrecognized arguments: --gram-tol 1")
     assert not (tmp_path / "bs3.witness.json").exists()
+
+
+def test_search_iteration_cap_costs_only_the_iterations_run(tmp_path, capsys):
+    # Every bs3 restart stops after two SVDs, whatever the cap.
+    path = tmp_path / "bs3.json"
+    save_umeb(bravyi_smolin_3(), path)
+    args = ("search", str(path), "--restarts", "4", "--iters", str(2**62), "--json")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    payload = json.loads(out1)
+    assert payload["verdict"] == "NoExtensionFound"
+    assert payload["iters"] == 2**62
+    assert payload["gap"] == pytest.approx(3 - np.sqrt(6), abs=1e-12)
 
 
 def test_search_usage_errors(tmp_path, capsys):

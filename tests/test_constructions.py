@@ -30,6 +30,7 @@ from umeb.constructions import (
     lift_counts,
     load_umeb,
     matrix_to_pairs,
+    pairs_to_matrix,
     provenance_from_str,
     provenance_to_str,
     rebuild_from_provenance,
@@ -813,6 +814,16 @@ def test_load_maps_conversion_and_parser_crashes_to_format_errors(tmp_path):
                     f'"elements": {"[" * depth}{"]" * depth}}}')
     with pytest.raises(UMEBFormatError, match="nested too deeply"):
         load_umeb(path)
+
+
+@pytest.mark.parametrize("pairs, dim, message", [
+    ([], 0, "dim must be a positive integer, got 0"),
+    ([[1.0, 0.0]], -1, "dim must be a positive integer, got -1"),
+    ([], 2, "element has 0 entries, expected 4 for dim 2"),
+])
+def test_pairs_to_matrix_rejects_empty_and_nonpositive_shapes(pairs, dim, message):
+    with pytest.raises(UMEBFormatError, match=f"^{message}$"):
+        pairs_to_matrix(pairs, dim)
 
 
 def _with_provenance(path, provenance):

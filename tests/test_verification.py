@@ -43,7 +43,6 @@ from umeb.spectral import sector_summaries, signature
 from umeb.verification import (
     CERT_ZERO_TOL,
     STEP_TOL,
-    SUB_SEED_STRIDE,
     _project,
     _refine_in_complement,
     search_extension,
@@ -297,20 +296,25 @@ def _complement_rows(c):
 def _reference_ascent(c, restarts, iters, seed, stop=True):
     """One restart at a time: the loop search_extension batches.
 
-    With ``stop``, a restart ends as search_extension's do: after the
-    objective of the first matrix that a step moved by at most STEP_TOL.
-    Without it, every restart runs all iters.  Returns each restart's
-    objective trace and its last matrix.
+    Restart r starts from the r-th matrix drawn, as seeded_random_matrix
+    draws its one, from a generator seeded with ``seed``.  With ``stop``, a
+    restart ends as search_extension's do: after the objective of the first
+    matrix that a step moved by at most STEP_TOL.  Without it, every restart
+    runs all iters.  Returns each restart's objective trace and its last
+    matrix.
     """
     d = c.dim
     flat = _complement_rows(c)
+    rng = np.random.default_rng(seed)
 
     def project(m):
         return ((flat.conj() @ m.ravel()) @ flat).reshape(d, d)
 
     traces, finals = [], []
     for r in range(restarts):
-        m = project(seeded_random_matrix(d, seed * SUB_SEED_STRIDE + r))
+        x = rng.standard_normal((d, d))
+        y = rng.standard_normal((d, d))
+        m = project((x + 1j * y) / np.sqrt(2.0))
         m = np.sqrt(d) * m / np.linalg.norm(m)
         trace = []
         settled = False
@@ -432,6 +436,59 @@ def test_search_restarts_are_a_prefix_of_larger_searches():
         np.array(large.objective_traces[:5]), np.array(small.objective_traces),
         rtol=0, atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("make", [bravyi_smolin_3, umeb_6])
+def test_search_restart_zero_starts_from_seeded_random_matrix(make):
+    c = make()
+    real, drawn = verification._seeded_random_stack, []
+
+    def spy(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    with mock.patch.object(verification, "_seeded_random_stack", spy):
+        search_extension(c, restarts=7, iters=50, seed=11)
+    (starts,) = drawn
+    assert starts.shape == (7, c.dim, c.dim)
+    assert starts[0].tobytes() == seeded_random_matrix(c.dim, 11).tobytes()
+
+
+def test_search_builds_one_generator_per_call():
+    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+        search_extension(bravyi_smolin_3(), restarts=30, iters=50, seed=5)
+        assert rng.call_count == 1
+        search_extension(umeb_6(), restarts=1, iters=50, seed=0)
+        assert rng.call_count == 2
+
+
+def test_search_traces_hold_only_the_iterations_run():
+    # Every bs3 restart stops after two SVDs, so a cap of 2**62 costs nothing.
+    res = search_extension(bravyi_smolin_3(), restarts=2, iters=2**62)
+    assert res.verdict == "NoExtensionFound"
+    assert [len(t) for t in res.objective_traces] == [2, 2]
+    assert res.gap == pytest.approx(3 - np.sqrt(6), abs=1e-12)
+    tracemalloc.start()
+    try:
+        search_extension(bravyi_smolin_3(), restarts=100, iters=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A (restarts, iters) float array would take 16 MB.
+    assert peak < 2 * 2**20
+
+
+def test_search_telemetry_of_restarts_that_stop_apart():
+    # Restarts stop at different iterations, so their traces differ in length.
+    c = _lu_weyl_subset(3, 7, 1)
+    res = search_extension(c, restarts=8, iters=200, seed=3)
+    assert len({len(t) for t in res.objective_traces}) > 1
+    finals = np.array([t[-1] for t in res.objective_traces])
+    assert res.best_restart == int(np.argmax(finals))
+    assert res.restart_final_gaps == tuple((c.dim - finals).tolist())
+    for trace, plateau in zip(res.objective_traces, res.restart_plateau_iters):
+        near = np.flatnonzero(np.array(trace) >= trace[-1] - 1e-12)
+        assert plateau == near[0]
 
 
 def test_search_reports_per_restart_telemetry():
