@@ -38,6 +38,7 @@ __all__ = [
     "External",
     "Provenance",
     "as_lift",
+    "Factored",
     "UMEBCandidate",
     "UMEBFormatError",
     "weyl",
@@ -151,8 +152,8 @@ class Lift:
         index = self.factor_index()[self.weyl_count:]
         return _kron_rows(left_factors(self.q)[index], np.tile(base, (self.q, 1, 1)))
 
-    def split(self, matrices) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """A stack in this layout as F_k (x) Y_k: ``(factor_index(), Y)``, or None.
+    def split(self, matrices) -> Optional[np.ndarray]:
+        """The right factors Y_k of a stack in this layout, or None.
 
         None unless the stack :meth:`fits` and equals the :meth:`products` of
         its :meth:`right_factors` in value, as every :func:`lift` does; with
@@ -186,26 +187,7 @@ class Lift:
             return None
         if np.count_nonzero(m.view(np.float64)) != np.count_nonzero(tiles.view(np.float64)):
             return None
-        return index, right
-
-    def tiles(self, matrices, kinds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The distinct nonzero d x d tiles of a stack that :meth:`split` reads as
-        F_k (x) Y_k, with ``kinds`` the ``distinct_rows`` of its Y_k.
-
-        Every left factor is monomial, one nonzero entry f per row and per
-        column, so row-tile a of F_k (x) Y_k holds one nonzero tile f Y_k and
-        every other tile is exactly zero: (F (x) Y)^dag (F (x) Y) is block
-        diagonal with the blocks T^dag T of those tiles.  Returns one tile,
-        read from the stack, per distinct pair (f, Y_k) that occurs, both
-        told apart by exact bytes.
-        """
-        _, cols, _, value = _factor_table(self.q)
-        first, kind = kinds
-        index = self.factor_index()
-        pairs = value[index] * len(first) + kind[:, None]
-        _, first = np.unique(pairs, return_index=True)
-        k, a = np.divmod(first, self.q)
-        return self.blocks(matrices)[k, a, :, cols[index[k], a], :]
+        return right
 
 
 @dataclass(frozen=True)
@@ -280,6 +262,41 @@ class _Fresh(np.ndarray):
     """A stack this module built and holds nowhere else: a candidate keeps it uncopied."""
 
 
+@dataclass(frozen=True, eq=False)
+class Factored:
+    """A set's stored matrices read as products F_k (x) Y_k of one lift layout.
+
+    ``layout`` is the lift the provenance names when :meth:`Lift.split`
+    accepts the stack, else (``self_lift``) the set's own q = 1 lift
+    ``Lift(provenance, dim, n, 1)``: left factor [1] and right factors the
+    stored matrices, each its own kind, so ``distinct`` is the stack itself,
+    with no sort and no copy.  Y_k = distinct[kind[k]] and ``index`` is
+    ``layout.factor_index()``; every array is read-only.
+    """
+
+    layout: Lift
+    index: np.ndarray
+    distinct: np.ndarray
+    kind: np.ndarray
+    self_lift: bool
+
+    def tiles(self, matrices) -> np.ndarray:
+        """The distinct nonzero d x d tiles of ``matrices``, the stack this view
+        reads: one per distinct pair (f, Y_k), told apart by exact bytes.  Every
+        left factor is monomial, so row-tile a of F_k (x) Y_k is f Y_k and every
+        other tile is 0: (F (x) Y)^dag (F (x) Y) is block diagonal with blocks
+        T^dag T.  At q = 1 each element is its one tile, so the tiles are
+        ``distinct``, with no copy of the stack."""
+        q = self.layout.q
+        if q == 1:
+            return self.distinct
+        _, cols, _, value = _factor_table(q)
+        pairs = value[self.index] * len(self.distinct) + self.kind[:, None]
+        _, first = np.unique(pairs, return_index=True)
+        k, a = np.divmod(first, q)
+        return self.layout.blocks(matrices)[k, a, :, cols[self.index[k], a], :]
+
+
 # The tile and the stack unitarity residual of a split set sum T^dag T over d
 # terms against qd, so they differ by rounding only: at most 2.3e-16 over the
 # random towers of the tests, D <= 24.  A tile figure this close to the
@@ -300,18 +317,18 @@ class UMEBCandidate:
     spectral layer uses it to prove infinite eigenvalue orders.
 
     A set built from its right factors Y_k, by :func:`lift` or by
-    :func:`load_umeb` from a file of them, holds those factors: it is saved
-    as them, and its :attr:`split` is read from the stack without a compare.
+    :func:`load_umeb` from a file of them, holds those factors and is saved
+    as them.
 
-    Four whole-stack facts are computed on first use and then held:
-    :attr:`split`, the stack read as F_k (x) Y_k by its lift layout;
-    :attr:`right_kinds`, its distinct right factors; :attr:`unitarity`, the
-    largest residual of the stored matrices, read from the distinct tiles
-    of a split set, and where it was read; and :attr:`axiom_report`, the
-    report :func:`~umeb.verification.verify_axioms` returns.  The axiom
-    check, the certificate and the spectral layer all read them, so a
-    candidate verified, certified and then signed pays for each once.
-    Holding them is safe because ``matrices`` is read-only and ``dim`` and
+    Three whole-stack facts are computed on first use and then held:
+    :attr:`factored`, the stack read as F_k (x) Y_k, by its lift layout or
+    as the set's own q = 1 lift; :attr:`unitarity`, the largest residual of
+    the stored matrices, read from that view's distinct tiles, and where it
+    was read; and :attr:`axiom_report`, the report
+    :func:`~umeb.verification.verify_axioms` returns.  The axiom check, the
+    certificate and the spectral layer all read them, so a candidate
+    verified, certified and then signed pays for each once.  Holding them
+    is safe because ``matrices`` is read-only and ``dim`` and
     ``provenance`` are frozen: nothing these facts depend on can change.
     """
 
@@ -354,54 +371,44 @@ class UMEBCandidate:
         return len(self.elements)
 
     @cached_property
-    def split(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """``as_lift(provenance).split(matrices)``, or None when the provenance
-        names no lift; both arrays read-only.  A set built from its right
-        factors is their products, which split, so its split is read from the
-        stack as :meth:`Lift.split` reads it, with no compare."""
-        layout = as_lift(self.provenance)
-        if layout is None:
-            split = None
-        elif self._right_factors is not None:
-            split = layout.factor_index(), layout.right_factors(self.matrices)
+    def factored(self) -> Factored:
+        """The stack as :class:`Factored` reads it.  A set built from its right
+        factors is their products, which split, so those are read from the
+        stack as :meth:`Lift.split` reads them, with no compare.  Raises
+        ValueError for a set with no elements, which no lift holds."""
+        layout, right = as_lift(self.provenance), None
+        if layout is not None:
+            right = (layout.right_factors(self.matrices) if self._right_factors is not None
+                     else layout.split(self.matrices))
+        if right is None:
+            layout = Lift(self.provenance, self.dim, len(self), 1)
+            distinct, kind = self.matrices, np.arange(len(self))
         else:
-            split = layout.split(self.matrices)
-        if split is not None:
-            for part in split:
-                part.flags.writeable = False
-        return split
-
-    @cached_property
-    def right_kinds(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """``distinct_rows`` of the right factors :attr:`split` reads: the
-        index of one of each distinct kind, and each element's kind; None
-        when ``split`` is None.  Both arrays read-only."""
-        split = self.split
-        kinds = None if split is None else distinct_rows(split[1])
-        if kinds is not None:
-            for part in kinds:
-                part.flags.writeable = False
-        return kinds
+            first, kind = distinct_rows(right)
+            distinct = right[first]
+        index = layout.factor_index()
+        for part in (index, distinct, kind):
+            part.flags.writeable = False
+        return Factored(layout, index, distinct, kind, right is None)
 
     @cached_property
     def unitarity(self) -> tuple[float, str]:
         """The largest unitarity residual of the stored matrices, and where it
         was read: ``"tiles"`` or ``"stack"``.
 
-        When :attr:`split` holds, it is ``unitarity_residual`` of the distinct
-        nonzero tiles :meth:`Lift.tiles` reads (at most q per distinct right
-        factor), whose products T^dag T are the only nonzero blocks of each
-        element's U^dag U: the stack's figure, summed over d terms rather
-        than over qd, so equal to it up to rounding.  A tile figure within
-        that rounding of ``DEFAULT_TOLERANCES.unitarity_tol`` could fall on
-        the other side of it from the stack's, so there, as for any set
-        ``split`` rejects, it is ``unitarity_residual(matrices)``.
+        It is the residual of the distinct tiles :meth:`Factored.tiles` reads:
+        the stored matrices for the self-lift (``"stack"``), and for a split
+        the stack's figure summed over d terms, not qd, so equal to it up to
+        rounding (``"tiles"``).  A tile figure within that rounding of
+        ``unitarity_tol`` could fall on the other side of it from the stack's,
+        so there it is the stack's.  A set with no elements has residual 0.0.
         """
-        if self.split is not None:
-            tiles = as_lift(self.provenance).tiles(self.matrices, self.right_kinds)
-            residual = unitarity_residual(tiles)
-            if abs(residual - DEFAULT_TOLERANCES.unitarity_tol) > _TILE_ROUNDING:
-                return residual, "tiles"
+        if not len(self):
+            return 0.0, "stack"
+        view = self.factored
+        residual = unitarity_residual(view.tiles(self.matrices))
+        if abs(residual - DEFAULT_TOLERANCES.unitarity_tol) > _TILE_ROUNDING:
+            return residual, "stack" if view.self_lift else "tiles"
         return unitarity_residual(self.matrices), "stack"
 
     @property
@@ -634,7 +641,7 @@ def _lifted(prov: Provenance, right: np.ndarray, cos: Optional[Fraction]) -> UME
     (n, d, d) right factors Y_k, which the caller built and hands over.
 
     The candidate holds them read-only: :func:`save_umeb` writes them, and
-    its :attr:`~UMEBCandidate.split` is read from the stack.  Factors read
+    its :attr:`~UMEBCandidate.factored` view is read from the stack.  Factors read
     back from the stack need not be these bit for bit: (1 + 0j) Y_k turns
     -0.0 - 0.0j into 0.0 - 0.0j, so only these rebuild every zero's sign
     (:meth:`Lift.split`).  A stack beyond ``_MAX_REBUILT_BYTES`` holds none,

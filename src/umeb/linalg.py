@@ -31,6 +31,7 @@ __all__ = [
     "orthonormal_complement",
     "RANK_RTOL",
     "seeded_random_matrix",
+    "seeded_random_stack",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -141,12 +142,19 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the index of one row of each distinct kind and, for every row,
     the position of its kind among them.  Bytes, not float equality: rows
-    one ulp apart, or holding 0.0 against -0.0, stay apart.
+    one ulp apart, or holding 0.0 against -0.0, stay apart.  The result is
+    ``np.unique(rows, return_index=True, return_inverse=True)``'s, from one
+    sorted copy of the rows where ``np.unique`` makes two.
     """
     flat = np.ascontiguousarray(a).reshape(len(a), int(np.prod(a.shape[1:])))
     rows = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+    order = rows.argsort(kind="stable")
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def gram_matrix(mats) -> np.ndarray:
@@ -230,10 +238,10 @@ def seeded_random_matrix(dim: int, seed: int) -> np.ndarray:
     numpy's default generator seeded with ``seed``; the real parts of all
     entries are drawn first, then the imaginary parts.  The Frobenius norm
     concentrates near ``dim``."""
-    return _seeded_random_stack(dim, 1, seed)[0]
+    return seeded_random_stack(dim, 1, seed)[0]
 
 
-def _seeded_random_stack(dim: int, count: int, seed: int) -> np.ndarray:
+def seeded_random_stack(dim: int, count: int, seed: int) -> np.ndarray:
     """Matrices 0 .. count-1 of the stream :func:`seeded_random_matrix` begins,
     from one generator in one call: a shorter stack is a prefix of a longer one."""
     if dim < 1:

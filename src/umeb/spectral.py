@@ -11,9 +11,10 @@ metadata applies: a rational cosine whose square is outside
 and multiplying by any root of unity cannot repair that.
 
 Every element of a lift is a Kronecker product F (x) Y of a q x q and a
-d x d unitary, so its eigenphases are the sums of theirs mod 2*pi.  A set
-whose stored matrices are exactly such products (see ``Lift.split``) takes
-its spectra from the factors; any other set is eigensolved whole.
+d x d unitary, so its eigenphases are the sums of theirs mod 2*pi.  Every
+set is read as a lift: one its layout splits (``Lift.split``) takes its
+spectra from the factors, and any other set is its own q = 1 lift, whose
+stored matrices are eigensolved whole.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .constructions import Provenance, UMEBCandidate, as_lift, left_factors
+from .constructions import Lift, UMEBCandidate, as_lift, left_factors
 from .linalg import DEFAULT_TOLERANCES, TWO_PI, distinct_rows, unitarity_residual
 
 __all__ = [
@@ -137,16 +138,16 @@ def _phases(m: np.ndarray) -> np.ndarray:
     return phases
 
 
-# Left-factor phases by lift label, freed with the label they were made for.
-_LEFT_PHASES: weakref.WeakKeyDictionary[Provenance, np.ndarray] = weakref.WeakKeyDictionary()
+# Left-factor phases by lift layout, freed with the layout they were made for.
+_LEFT_PHASES: weakref.WeakKeyDictionary[Lift, np.ndarray] = weakref.WeakKeyDictionary()
 
 
-def _left_phases(provenance: Provenance) -> np.ndarray:
-    """Read-only :func:`eigenphases` of the left factors of the lift
-    ``provenance`` names, held for equal labels while the first lives."""
-    phases = _LEFT_PHASES.get(provenance)
+def _left_phases(layout: Lift) -> np.ndarray:
+    """Read-only :func:`eigenphases` of the left factors of ``layout``, held
+    for equal layouts while the first lives."""
+    phases = _LEFT_PHASES.get(layout)
     if phases is None:
-        phases = _LEFT_PHASES[provenance] = eigenphases(left_factors(as_lift(provenance).q))
+        phases = _LEFT_PHASES[layout] = eigenphases(left_factors(layout.q))
         phases.flags.writeable = False
     return phases
 
@@ -389,29 +390,26 @@ def _sector_rows(
 def _element_phases(c: UMEBCandidate) -> np.ndarray:
     """Eigenphases of each element, one ascending row each, as :func:`eigenphases`.
 
-    Unitarity is judged on the stored matrices, by the residual the
-    candidate holds, so every path raises alike.  A set that
-    :meth:`Lift.split` reads as F_k (x) Y_k takes its phases from the
-    factors: (phi_F + phi_Y) mod 2*pi, with the left factors' phases
-    eigensolved once while the set's label lives and one eigensolve of the
-    distinct right factors, checked once for unitarity.  Any other set, and
-    one whose right factors miss the threshold by a rounding of their own,
-    is one eigensolve of the stored stack.
+    Unitarity is judged by the residual the candidate holds, so every set
+    raises alike.  The :attr:`~UMEBCandidate.factored` view gives (phi_F +
+    phi_Y) mod 2*pi, from the left factors' phases, held per layout, and one
+    eigensolve of the distinct right factors: for the self-lift, whose left
+    factor [1] has phase 0, the stored matrices'.  At q > 1, right factors
+    that miss the threshold by a rounding of their own send the set to one
+    eigensolve of the stored stack; at q = 1 they are the held residual's.
     """
     _require_unitary(c.unitarity_residual)
-    split = c.split
-    if split is not None:
-        index, right = split
-        first, kind = c.right_kinds
-        distinct = right[first]
-        if unitarity_residual(distinct) < DEFAULT_TOLERANCES.unitarity_tol:
-            left = _left_phases(c.provenance)[index]
-            # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
-            phases = np.mod(left[:, :, None] + _phases(distinct)[kind][:, None, :], TWO_PI)
-            phases = phases.reshape(len(index), -1)
-            phases.sort(axis=-1)
-            return phases
-    return _phases(c.matrices)
+    if not len(c):
+        return np.empty((0, c.dim))
+    view = c.factored
+    if view.layout.q > 1 and unitarity_residual(view.distinct) >= DEFAULT_TOLERANCES.unitarity_tol:
+        return _phases(c.matrices)
+    left = _left_phases(view.layout)[view.index]
+    # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
+    phases = np.mod(left[:, :, None] + _phases(view.distinct)[view.kind][:, None, :], TWO_PI)
+    phases = phases.reshape(len(view.index), -1)
+    phases.sort(axis=-1)
+    return phases
 
 
 def _ranks(keys: list) -> np.ndarray:
@@ -430,7 +428,8 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
 
     A set laid out as a lift, whose stored matrices equal the Kronecker
     products of its factors entry for entry, takes its spectra from the
-    factors' spectra; any other set from one eigensolve of the stored array.
+    factors' spectra; any other set, its own q = 1 lift, from one eigensolve
+    of the stored array.
     Work is done once per distinct thing, which gives what a
     per-element pass gives, since equal inputs give equal outputs: a lift's
     right factors are eigensolved once per distinct matrix, each distinct
@@ -493,8 +492,12 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
 def compare_signatures(a: SpectralSignature, b: SpectralSignature) -> str:
     """Distinguished when the canonical signatures differ.
 
-    Sound but not complete: sets related by conjugation and relabeling are
-    never Distinguished, while NotDistinguished leaves equivalence undecided.
+    Sound but not complete for signatures taken with one ``bound`` from sets
+    that carry the same ``exact_cos_theta``: such sets related by
+    conjugation and relabeling are never Distinguished, while
+    NotDistinguished leaves equivalence undecided.  The cosine promotes
+    phases to ProvablyInfinite, so ``lift(bs3, 2)`` against a copy of its
+    stack without the cosine is Distinguished.
     """
     if a.canonical_key() == b.canonical_key():
         return "NotDistinguished"

@@ -4,12 +4,12 @@ Three layers of scrutiny for a candidate set of d x d matrices:
 
 * :func:`verify_axioms` checks the defining conditions exactly as stated:
   fewer than d^2 elements, all unitary, pairwise trace inner products d on
-  the diagonal and 0 off it.  A lift's Gram comes from its Kronecker
-  factors, Tr((F (x) Y)^dag (F' (x) Y')) = Tr(F^dag F') Tr(Y^dag Y'), when
-  its stored matrices are exactly those products (``Lift.split``), and its
-  unitarity residual from the distinct nonzero tiles of those products; both
-  then differ from the stored stack's figures by rounding only.  Any other
-  set takes both from its stored stack.
+  the diagonal and 0 off it.  Every set is read as a lift F (x) Y: the
+  Gram from its factors, Tr((F (x) Y)^dag (F' (x) Y')) = Tr(F^dag F')
+  Tr(Y^dag Y'), and the unitarity residual from the distinct nonzero tiles
+  of the products.  A set its lift layout splits (``Lift.split``) is read at
+  the factors' size, to a rounding of the stored stack's figures; any other
+  set is its own q = 1 lift, whose factors are [1] and its stored matrices.
 * :func:`search_extension` hunts for a unitary inside the trace-orthogonal
   complement by nuclear-norm ascent.  Finding one is rigorous (a constructive
   witness that passes re-verification within ``DEFAULT_TOLERANCES``); not finding one
@@ -46,7 +46,7 @@ from .linalg import (
     as_square,
     gram_matrix,
     orthonormal_complement,
-    _seeded_random_stack,
+    seeded_random_stack,
     singular_values,
     unitarity_residual,
 )
@@ -121,10 +121,10 @@ class VerificationReport:
     """Numeric residuals of the three defining conditions.
 
     ``gram_from`` says how the Gram residuals were formed: ``"factors"``
-    from a lift's Kronecker factors, ``"stack"`` from the stored matrices.
-    ``unitarity_from`` says the same of the unitarity residual: ``"tiles"``
-    from the distinct nonzero tiles of a lift's stored matrices, ``"stack"``
-    from every stored matrix.
+    from a split lift's Kronecker factors, ``"stack"`` from the stored
+    matrices.  ``unitarity_from`` says the same of the unitarity residual:
+    ``"tiles"`` from the distinct nonzero tiles of a split lift's stored
+    matrices, ``"stack"`` from every stored matrix.
     """
 
     dim: int
@@ -149,19 +149,11 @@ class VerificationReport:
             raise ValueError("candidate has no elements")
         d = c.dim
         max_unit, unitarity_from = c.unitarity
-        split = c.split
-        if split is None:
-            g = gram_matrix(c.matrices)
-            diag = np.diag(g).copy()
-            np.fill_diagonal(g, 0.0)
-            max_off = float(np.max(np.abs(g)))
-        else:
-            index, right = split
-            first, kind = c.right_kinds
-            left = gram_matrix(left_factors(as_lift(c.provenance).q))
-            distinct = gram_matrix(right[first])
-            diag = np.diag(left)[index] * np.diag(distinct)[kind]
-            max_off = _max_offdiag_product(np.abs(left), index, np.abs(distinct), kind)
+        view = c.factored
+        left = gram_matrix(left_factors(view.layout.q))
+        distinct = gram_matrix(view.distinct)
+        diag = np.diag(left)[view.index] * np.diag(distinct)[view.kind]
+        max_off = _max_offdiag_product(np.abs(left), view.index, np.abs(distinct), view.kind)
         max_diag = float(np.max(np.abs(diag - d)))
         condition_i = n < d * d
         return cls(
@@ -177,7 +169,7 @@ class VerificationReport:
                 and max_diag < tol.gram_tol
                 and condition_i
             ),
-            gram_from="stack" if split is None else "factors",
+            gram_from="stack" if view.self_lift else "factors",
             unitarity_from=unitarity_from,
         )
 
@@ -212,21 +204,17 @@ def verify_axioms(c: UMEBCandidate) -> VerificationReport:
     ``DEFAULT_TOLERANCES.gram_tol``, and fewer than d^2 elements.  A complete
     orthogonal basis of the matrix space fails only the count condition.
 
-    When the candidate's :attr:`~UMEBCandidate.split` holds, every stored
-    element equals F_k (x) Y_k entry for entry, and both residuals are taken
-    at the factors' size.  Unitarity is the candidate's held residual, read
-    from the distinct nonzero tiles f Y_k of the stored matrices
-    (``unitarity_from`` ``"tiles"``), or from the stored matrices when the
-    tiles' figure lies within a rounding of the threshold (``"stack"``).  Tr((F (x) Y)^dag (F' (x) Y')) =
-    Tr(F^dag F') Tr(Y^dag Y') gives each Gram entry as an entry of the
-    q^2 x q^2 Gram of the left factors times one of the Gram of the distinct
-    right factors (``gram_from`` ``"factors"``): the off-diagonal residual
-    is the largest product of their magnitudes, taken over blocks of rows
-    of the real n x n array, and the diagonal error comes from the n
-    diagonal products alone.
-    Both sides are equal in exact arithmetic, so every residual differs from
-    the stored (n, qd, qd) stack's by rounding only.  Every other set takes
-    the residual and the Gram of its stored stack (both ``"stack"``).
+    Both residuals come from the candidate's :attr:`~UMEBCandidate.factored`
+    view.  Unitarity is its held residual of the distinct nonzero tiles.
+    Tr((F (x) Y)^dag (F' (x) Y')) = Tr(F^dag F') Tr(Y^dag Y') gives each
+    Gram entry as an entry of the left factors' q^2 x q^2 Gram times one of
+    the distinct right factors' Gram; the off-diagonal residual is the
+    largest product of their magnitudes, over blocks of rows, and the
+    diagonal error comes from the n diagonal products.  A split lift is read
+    at the factors' size, to a rounding of the stored stack's figures
+    (``"factors"`` and ``"tiles"``, or ``"stack"`` for a tile figure within
+    a rounding of the threshold); any other set is its own q = 1 lift, so
+    both figures are its stack's (both ``"stack"``).
 
     The report is computed on first use and held by the candidate
     (:attr:`~UMEBCandidate.axiom_report`), so the certificate and a second
@@ -432,7 +420,7 @@ def search_extension(
     # restart live[i]; a restart's row is removed once its last matrix has
     # been evaluated, and that matrix is kept in row r of last.  Each
     # iteration's objectives are held for its live rows only.
-    m = _project(flat, _seeded_random_stack(d, restarts, seed))
+    m = _project(flat, seeded_random_stack(d, restarts, seed))
     m *= (sqrt_d / np.linalg.norm(m, axis=(1, 2)))[:, None, None]
     last = np.empty_like(m)
     objectives, rows = [], []
@@ -667,10 +655,10 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
        tower rebuilds only its leaf, once; a leaf's unextendibility is
        recorded as an assumption.  ``detail`` is the largest of the sector's
        entry-wise deviation (nan when no ordering matches or the leaf's
-       shape differs) and the base's axiom residuals.  The lift scales the
-       base's Gram residuals by Tr(D_i^dag D_i) = q, so when a base that
-       passes has Gram residual r with q r >= ``gram_tol``, a note says
-       that the lift's residual reaches q r, where check 6 holds it.
+       shape differs), the base's unitarity residual and q r for each of
+       its Gram residuals r: the residual the lift gives it, since
+       Tr(D_i^dag D_i) = q and the cross traces between the Weyl and base
+       sectors vanish.
     6. set_passes_axioms: the whole set passes :func:`verify_axioms`.  Checks
        3-5 read only the base sector's match to the base, and an edit that
        keeps it (an element rescaled, or replaced by a combination of
@@ -774,8 +762,8 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
     sector_dev = _base_sector_deviation(c.matrices, layout, right, base)
     base_report = verify_axioms(base)
     base_detail = float(np.max([
-        sector_dev, base_report.max_unitarity_residual, base_report.max_gram_offdiag,
-        base_report.max_gram_diag_error,
+        sector_dev, base_report.max_unitarity_residual, q * base_report.max_gram_offdiag,
+        q * base_report.max_gram_diag_error,
     ]))
     base_ok = base_detail < CERT_ZERO_TOL and base_report.condition_i_ok
     which = "extracted" if leaf is None else "reconstructed"
@@ -793,8 +781,8 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
         )
     elif not base_ok:
         notes.append(
-            f"{which} base fails the axioms "
-            f"(condition (i) ok: {base_report.condition_i_ok})"
+            f"{which} base fails the axioms, its Gram residuals scaled by q = {q} "
+            f"as in the lift (condition (i) ok: {base_report.condition_i_ok})"
         )
     elif base_layout is not None:
         inner = _certify(base, base_layout)
@@ -812,13 +800,6 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
             "base unextendibility assumed for external set "
             f"{provenance_to_str(base_prov)!r}, as extracted from the base sector; "
             "attach extension-search evidence"
-        )
-    base_gram = max(base_report.max_gram_offdiag, base_report.max_gram_diag_error)
-    if base_ok and q * base_gram >= DEFAULT_TOLERANCES.gram_tol:
-        notes.append(
-            f"the lift scales the base's Gram residuals by Tr(D_i^dag D_i) = {q}: "
-            f"base {base_gram:.3e} -> {q * base_gram:.3e}, at or above gram_tol "
-            f"{DEFAULT_TOLERANCES.gram_tol:g}"
         )
     checks.append(CertificateCheck("base_case_verdict", base_ok, base_detail, CERT_ZERO_TOL))
 

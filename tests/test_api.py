@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +52,48 @@ def test_the_guard_walks_every_module_name_and_the_lift_layout():
     names = {name for name, _ in _public_callables()}
     assert {"as_stack", "as_lift", "leaf_shape", "ElementSpectrum", "CertificateCheck"} <= names
     assert {f"Lift.{m}" for m in ("fits", "blocks", "right_factors", "products", "split")} <= names
+
+
+PACKAGE = Path(umeb.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_cross_module_uses(source, filename):
+    """Each ``from .<module> import _name`` and each ``<module>._name`` read
+    through a sibling module imported by ``from . import <module>``."""
+    tree = ast.parse(source, filename)
+    found, siblings = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in MODULES:
+                    siblings.add(alias.asname or alias.name)
+                elif node.module is not None and _private(alias.name):
+                    found.append(f"{filename}:{node.lineno} from .{node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            found.append(f"{filename}:{node.lineno} {node.value.id}.{node.attr}")
+    return found
+
+
+def test_the_private_use_guard_finds_both_forms():
+    source = (
+        "from .linalg import _hidden, shown\n"
+        "from . import spectral\n"
+        "def f():\n"
+        "    from . import verification as v\n"
+        "    return spectral._phases, v._project, spectral.signature, v.__name__\n"
+    )
+    assert _private_cross_module_uses(source, "m.py") == [
+        "m.py:1 from .linalg import _hidden", "m.py:5 spectral._phases", "m.py:5 v._project",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_reads_a_private_name_of_another(path):
+    assert _private_cross_module_uses(path.read_text(encoding="utf-8"), path.name) == []

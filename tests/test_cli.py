@@ -426,8 +426,9 @@ def test_certify_json_lists_checks(tmp_path, capsys):
 
 def test_certify_takes_no_tolerance_flag(tmp_path, capsys):
     # Element 0's non-unit eigenphase moved by 8e-11: its Gram residual,
-    # 5.06e-11, is below check 5's threshold.  The lift doubles it, to
-    # 1.01e-10, past check 6's, and no flag can move either.
+    # 5.06e-11, is below the threshold.  The lift doubles it, to 1.01e-10,
+    # past the threshold of check 5, which holds the base at the lift's
+    # scale, and of check 6, and no flag can move either.
     theta = float(np.arccos(-7.0 / 8.0)) + 8e-11
     psi = bravyi_smolin_states()[0]
     u0 = np.eye(3) - (1.0 - np.exp(1j * theta)) * np.outer(psi, psi.conj())
@@ -437,8 +438,8 @@ def test_certify_takes_no_tolerance_flag(tmp_path, capsys):
     code, stdout, _ = run(capsys, "certify", str(path), "--json")
     assert code == 2
     checks = {ch["name"]: ch for ch in json.loads(stdout)["checks"]}
-    assert checks["base_case_verdict"]["passed"]
-    assert checks["base_case_verdict"]["detail"] < 1e-10
+    assert not checks["base_case_verdict"]["passed"]
+    assert checks["base_case_verdict"]["detail"] == pytest.approx(1.012e-10, rel=1e-3)
     assert not checks["set_passes_axioms"]["passed"]
     assert checks["set_passes_axioms"]["detail"] == pytest.approx(1.012e-10, rel=1e-3)
     code, stdout, stderr = run(capsys, "certify", str(path), "--gram-tol", "1e-12")

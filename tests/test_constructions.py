@@ -203,9 +203,8 @@ def test_lift_states_its_left_factors_once(q):
     rights = np.concatenate([np.tile(weyl_family(3).matrices, (q * (q - 1), 1, 1)),
                              np.tile(base.matrices, (q, 1, 1))])
     c = lift(base, q)
-    got_index, got_rights = p.split(c.matrices)
-    assert np.array_equal(got_index, index)
-    assert np.array_equal(got_rights, rights)
+    assert np.array_equal(p.split(c.matrices), rights)
+    assert np.array_equal(c.factored.index, index)
 
 
 @pytest.mark.parametrize("q", range(1, 9))
@@ -219,8 +218,7 @@ def test_lift_shares_one_read_only_build_of_its_left_factors(q):
     # fields, so equality and hashing are unchanged.
     p = Lift(BravyiSmolin3(), 3, 6, q)
     c = lift(bravyi_smolin_3(), q)
-    assert p.split(c.matrices) is not None
-    assert p.products(c.split[1]).tobytes() == c.matrices.tobytes()
+    assert p.products(p.split(c.matrices)).tobytes() == c.matrices.tobytes()
     assert vars(p) == {"base": BravyiSmolin3(), "base_dim": 3, "base_count": 6, "q": q}
     assert p == Lift(BravyiSmolin3(), 3, 6, q)
     assert hash(p) == hash(Lift(BravyiSmolin3(), 3, 6, q))
@@ -356,19 +354,19 @@ def test_lift_split_verdict_equals_the_whole_stack_compare_property(
         want = _split_by_products(layout, m)
     assert (got is not None) == want
     if want:
-        assert np.array_equal(got[0], layout.factor_index())
-        assert got[1].tobytes() == layout.right_factors(m).tobytes()
+        assert got.tobytes() == layout.right_factors(m).tobytes()
 
 
 def test_lift_split_of_a_fresh_lift_stays_below_half_a_stack():
-    # A copy of the stack holds no factors, so its split is Lift.split's
-    # tile-by-tile compare, the path of a lift loaded from its elements.
+    # A copy of the stack holds no factors, so its factored view is
+    # Lift.split's tile-by-tile compare, the path of a lift loaded from its
+    # elements.
     built = lift(bravyi_smolin_3(), 8)
     c = UMEBCandidate(built.dim, built.matrices, built.provenance, built.exact_cos_theta)
     assert c._right_factors is None
     tracemalloc.start()
     try:
-        assert c.split is not None
+        assert not c.factored.self_lift
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -382,12 +380,12 @@ def test_split_of_a_lift_that_holds_its_factors_stays_below_a_twentieth_of_a_sta
     assert c._right_factors is not None
     tracemalloc.start()
     try:
-        assert c.split is not None
+        assert not c.factored.self_lift
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The split is read from block (0, c_k) of each element, 1/q^2 of the
-    # stack; no tile is compared.
+    # The right factors are read from block (0, c_k) of each element, 1/q^2
+    # of the stack, and told apart; no tile is compared.
     assert peak < 0.05 * c.matrices.nbytes
 
 
@@ -1610,14 +1608,19 @@ _TOWER_BASES = {
 }
 
 
-def _assert_split_is_lift_split(c):
-    """The split a candidate holds, and its distinct right factors, are byte
-    for byte those Lift.split and distinct_rows give for its stack."""
-    want = as_lift(c.provenance).split(c.matrices)
+def _assert_factored_is_lift_split(c):
+    """The factored view a candidate holds is its provenance's lift layout,
+    and its distinct right factors and kinds are byte for byte those that
+    Lift.split and distinct_rows give for its stack."""
+    layout = as_lift(c.provenance)
+    want = layout.split(c.matrices)
     assert want is not None
-    assert [part.tobytes() for part in c.split] == [part.tobytes() for part in want]
-    kinds = distinct_rows(want[1])
-    assert [part.tobytes() for part in c.right_kinds] == [part.tobytes() for part in kinds]
+    view = c.factored
+    assert view.layout == layout and not view.self_lift
+    assert view.index.tobytes() == layout.factor_index().tobytes()
+    first, kind = distinct_rows(want)
+    assert view.distinct.tobytes() == want[first].tobytes()
+    assert view.kind.tobytes() == kind.tobytes()
 
 
 def test_saved_towers_round_trip_bit_for_bit_property(tmp_path_factory):
@@ -1640,7 +1643,7 @@ def test_saved_towers_round_trip_bit_for_bit_property(tmp_path_factory):
                 c = lift(c, q)
         built = isinstance(c.provenance, Lift)
         if built:
-            _assert_split_is_lift_split(c)
+            _assert_factored_is_lift_split(c)
         if edit is not None:  # a tampered copy under the same provenance
             m = c.matrices.copy()
             flat = m.reshape(-1)
@@ -1653,7 +1656,7 @@ def test_saved_towers_round_trip_bit_for_bit_property(tmp_path_factory):
         assert layouts[-1] == (built and edit is None)
         _assert_same_set(back, c)
         if layouts[-1]:
-            _assert_split_is_lift_split(back)
+            _assert_factored_is_lift_split(back)
 
     check()
     # Both layouts must be seen, not only one.
@@ -1673,7 +1676,7 @@ def test_the_scan_reads_a_saved_factored_file(tmp_path, general_decoder_off, mak
     _assert_same_set(back, c)
     assert back._right_factors.tobytes() == c._right_factors.tobytes()
     assert not back._right_factors.flags.writeable
-    _assert_split_is_lift_split(back)
+    _assert_factored_is_lift_split(back)
 
 
 def test_d24_factored_file_is_small_and_loads_one_stack(tmp_path):
@@ -1818,7 +1821,7 @@ def test_a_lift_too_large_to_rebuild_is_saved_as_elements(tmp_path, monkeypatch)
     back = _saved_and_loaded(big, tmp_path / "m.json")
     assert _FACTORED_LINE not in (tmp_path / "m.json").read_text()
     _assert_same_set(back, c)
-    _assert_split_is_lift_split(big)
+    _assert_factored_is_lift_split(big)
 
 
 def test_a_factored_file_too_large_to_rebuild_allocates_nothing(tmp_path):

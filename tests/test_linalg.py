@@ -15,7 +15,7 @@ from umeb.linalg import (
     orthonormal_complement,
     root_of_unity,
     seeded_random_matrix,
-    _seeded_random_stack,
+    seeded_random_stack,
     unitarity_residual,
 )
 
@@ -196,11 +196,11 @@ def test_seeded_random_matrix_is_deterministic():
 @pytest.mark.parametrize("d", [1, 3, 6, 24])
 @pytest.mark.parametrize("seed", [0, 2, 10**20])
 def test_seeded_random_stack_extends_seeded_random_matrix(d, seed):
-    stack = _seeded_random_stack(d, 20, seed)
+    stack = seeded_random_stack(d, 20, seed)
     assert stack.shape == (20, d, d) and stack.dtype == np.complex128
     # Matrix 0 is seeded_random_matrix's, and a shorter draw is a prefix.
     assert stack[0].tobytes() == seeded_random_matrix(d, seed).tobytes()
-    assert stack[:5].tobytes() == _seeded_random_stack(d, 5, seed).tobytes()
+    assert stack[:5].tobytes() == seeded_random_stack(d, 5, seed).tobytes()
     # The one-matrix rule: real parts of all entries first, then imaginary.
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal((d, d)), rng.standard_normal((d, d))
@@ -209,4 +209,4 @@ def test_seeded_random_stack_extends_seeded_random_matrix(d, seed):
 
 def test_seeded_random_stack_rejects_a_dim_below_one():
     with pytest.raises(ValueError, match="dim"):
-        _seeded_random_stack(0, 3, 0)
+        seeded_random_stack(0, 3, 0)

@@ -434,7 +434,7 @@ def test_lift_signature_sectors_match_the_full_stack_path(name, monkeypatch):
     # A fresh candidate, since c holds the split it has already made.
     monkeypatch.setattr(Lift, "split", lambda self, matrices: None)
     unsplit = UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta)
-    assert unsplit.split is None
+    assert unsplit.factored.self_lift
     for bound, sig in factored.items():
         full = signature(unsplit, bound)
         _assert_same_up_to_raw_phases(sig, full)
@@ -491,7 +491,7 @@ def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
     assert shapes == [(4, 2, 2), (65, 6, 6)]
     shapes.clear()
     signature(_relabel(umeb_6()))
-    assert shapes == [(30, 6, 6)]
+    assert shapes == [(1, 1, 1), (30, 6, 6)]  # its own q = 1 lift
 
 
 def _circle_rows(phases):
@@ -560,7 +560,8 @@ def test_tampered_lifts_take_the_full_stack_path_bit_for_bit(name, monkeypatch):
     assert as_lift(c.provenance).split(c.matrices) is None
     shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
-    assert shapes == [c.matrices.shape]
+    # The one left factor [1] of its own q = 1 lift, and its stack.
+    assert shapes == [(1, 1, 1), c.matrices.shape]
     _assert_bit_identical(sig, signature(_relabel(c)))
     assert [r.name for r in sig.sectors] == ["weyl", "base"]
 
@@ -603,7 +604,7 @@ def _lift_at_the_threshold(stored_passes: bool):
 
 def test_right_factors_past_the_threshold_take_the_full_stack_path(monkeypatch):
     c = _lift_at_the_threshold(stored_passes=True)
-    index, right = c.provenance.split(c.matrices)
+    right = c.provenance.split(c.matrices)
     assert unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol
     shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
@@ -613,7 +614,7 @@ def test_right_factors_past_the_threshold_take_the_full_stack_path(monkeypatch):
 
 def test_stored_matrices_past_the_threshold_raise_the_full_stack_error():
     c = _lift_at_the_threshold(stored_passes=False)
-    index, right = c.provenance.split(c.matrices)
+    right = c.provenance.split(c.matrices)
     assert unitarity_residual(right) < DEFAULT_TOLERANCES.unitarity_tol
     with pytest.raises(ValueError) as want:
         eigenphases(c.matrices)
@@ -669,14 +670,16 @@ def test_compare_against_relabelled_and_other_lifts():
 
 def _reference_element_phases(c):
     """Each element's phases from eigensolves of its own: of its two factors,
-    one at a time, when the set takes the factor path, else of the element."""
-    split = c.split
-    if split is None or unitarity_residual(split[1]) >= DEFAULT_TOLERANCES.unitarity_tol:
+    one at a time, when its lift layout splits it into unitary factors, else
+    of the element."""
+    layout = as_lift(c.provenance)
+    right = None if layout is None else layout.split(c.matrices)
+    if right is None or unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol:
         return [eigenphases(u) for u in c.elements]
-    left = left_factors(as_lift(c.provenance).q)
+    left = left_factors(layout.q)
     return [
         np.sort(np.mod(eigenphases(left[i])[:, None] + eigenphases(y)[None, :], 2 * np.pi).ravel())
-        for i, y in zip(*split)
+        for i, y in zip(layout.factor_index(), right)
     ]
 
 
@@ -736,7 +739,7 @@ def _one_ulp_apart():
     right factors, two of them one ulp apart."""
     c = lift(bravyi_smolin_3(), 2)
     layout = c.provenance
-    right = c.split[1].copy()
+    right = layout.split(c.matrices).copy()
     y = right[layout.weyl_count]
     y[0, 0] = complex(np.nextafter(y[0, 0].real, np.inf), y[0, 0].imag)
     return UMEBCandidate(c.dim, layout.products(right), layout, c.exact_cos_theta)
@@ -796,7 +799,9 @@ def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
     stack = _relabel(lift(bravyi_smolin_3(), 4))
     stack.unitarity_residual  # held once, as verify_axioms leaves it
     signature(stack)
-    assert calls == []
+    # Only the one left factor [1] of its own q = 1 lift, which eigenphases
+    # checks as it checks any input.
+    assert calls == [(1, 1, 1)]
     c = lift(bravyi_smolin_3(), 4)
     spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
     calls.clear()

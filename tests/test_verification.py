@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from umeb import constructions, spectral, verification
@@ -441,13 +441,13 @@ def test_search_restarts_are_a_prefix_of_larger_searches():
 @pytest.mark.parametrize("make", [bravyi_smolin_3, umeb_6])
 def test_search_restart_zero_starts_from_seeded_random_matrix(make):
     c = make()
-    real, drawn = verification._seeded_random_stack, []
+    real, drawn = verification.seeded_random_stack, []
 
     def spy(*args):
         drawn.append(real(*args))
         return drawn[-1]
 
-    with mock.patch.object(verification, "_seeded_random_stack", spy):
+    with mock.patch.object(verification, "seeded_random_stack", spy):
         search_extension(c, restarts=7, iters=50, seed=11)
     (starts,) = drawn
     assert starts.shape == (7, c.dim, c.dim)
@@ -796,38 +796,54 @@ def _moved_phase_lift(shift):
 
 
 def test_certify_moved_phase_base_passes_but_its_lift_fails_the_axioms():
-    # Gram residual 5.06e-11: below check 5's threshold, so the base passes.
-    # Tr(F^dag F) = q = 2 doubles it in the lift, to 1.01e-10, so the lifted
-    # set fails verify_axioms, and with it check 6.
-    c = lift(_moved_phase_base(8e-11), 2)
+    # Gram residual 5.06e-11: the base alone passes the axioms.  Tr(F^dag F)
+    # = q = 2 doubles it in the lift, to 1.01e-10, so the lifted set fails
+    # verify_axioms, and with it check 6; check 5 holds the base at the
+    # lift's scale, so it fails on the same figure.
+    base = _moved_phase_base(8e-11)
+    assert verify_axioms(base).passed
+    assert verify_axioms(base).max_gram_offdiag == pytest.approx(5.06e-11, rel=1e-2)
+    c = lift(base, 2)
     cert = structural_certify(c)
     assert cert.overall == "Failed"
     base_case, axioms = cert.checks[-2:]
-    assert base_case.passed and base_case.detail == pytest.approx(5.06e-11, rel=1e-2)
     report = verify_axioms(c)
     assert not report.passed
     assert not axioms.passed and axioms.detail == report.max_gram_offdiag
     assert axioms.detail == pytest.approx(1.012e-10, rel=1e-3)
-    # Checks 1-2 have no rank from the failed report.  Check 5 passes the
-    # base, and its note names the scaling that fails the lift.
+    assert not base_case.passed
+    assert base_case.detail == 2 * verify_axioms(base).max_gram_offdiag
+    assert base_case.detail == pytest.approx(axioms.detail, rel=1e-12)
+    # Checks 1-2 have no rank from the failed report; check 5's note names
+    # the scale it held the base at.
     assert cert.notes[0] == "weyl sector rank not established: the set fails verify_axioms"
-    assert cert.notes[2] == (
-        "the lift scales the base's Gram residuals by Tr(D_i^dag D_i) = 2: "
-        "base 5.060e-11 -> 1.012e-10, at or above gram_tol 1e-10"
+    assert cert.notes[1] == (
+        "extracted base fails the axioms, its Gram residuals scaled by q = 2 "
+        "as in the lift (condition (i) ok: True)"
     )
-    assert cert.notes[3].startswith("the set fails verify_axioms")
+    assert cert.notes[2].startswith("the set fails verify_axioms")
 
 
 def test_certify_names_the_scaling_only_when_the_lift_reaches_gram_tol():
     # 3e-11 moves the base's Gram residual to about 1.9e-11: doubled, it stays
-    # below gram_tol, so the lift passes and no note names the scaling.
+    # below gram_tol, so the lift and check 5 pass, and check 5's detail is
+    # the doubled figure.  No note names the scaling.
     base = _moved_phase_base(3e-11)
     assert 1e-11 < 2 * verify_axioms(base).max_gram_offdiag < DEFAULT_TOLERANCES.gram_tol
     c = lift(base, 2)
     cert = structural_certify(c)
     assert verify_axioms(c).passed and cert.overall == "CertifiedConditionalOnBase"
-    for c in (c, umeb_6(), lift(umeb_6(), 2), lift(lift(bravyi_smolin_3(), 2), 3)):
-        assert not any("scales the base's Gram" in n for n in structural_certify(c).notes)
+    assert cert.checks[-2].detail == 2 * verify_axioms(base).max_gram_offdiag
+    assert not any("scale" in n for n in cert.notes)
+    # On every exact lift of bs3 the base's Gram residual enters at q times
+    # its size too.
+    bs3 = verify_axioms(bravyi_smolin_3())
+    gram = max(bs3.max_gram_offdiag, bs3.max_gram_diag_error)
+    for exact in (umeb_6(), *(lift(bravyi_smolin_3(), q) for q in (2, 4, 8))):
+        cert = structural_certify(exact)
+        q = as_lift(exact.provenance).q
+        assert cert.checks[-2].detail == max(q * gram, bs3.max_unitarity_residual)
+        assert not any("scale" in n for n in cert.notes)
 
 
 def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
@@ -865,14 +881,15 @@ def test_certify_holds_each_zero_threshold_check_only_to_its_threshold():
             reasons += [
                 n for n in cert.notes
                 if n == "base certified recursively: Failed"
-                or n.endswith("base fails the axioms (condition (i) ok: False)")
+                or "base fails the axioms" in n and n.endswith("(condition (i) ok: False)")
             ]
     # Four tampered base sectors and both moved-phase lifts fail the axioms.
     no_rank = "check 1: the set fails verify_axioms"
     assert reasons == [no_rank] * 6 + [
         "base certified recursively: Failed",
         no_rank,
-        "extracted base fails the axioms (condition (i) ok: False)",
+        "extracted base fails the axioms, its Gram residuals scaled by q = 2 as in the lift "
+        "(condition (i) ok: False)",
         "the set fails condition (i)",
     ]
 
@@ -1097,7 +1114,8 @@ def test_certify_and_signature_build_the_left_factors_once_per_q(monkeypatch):
         # A fresh layout of the same q reads the factors the first run built.
         fresh = UMEBCandidate(c.dim, c.matrices, Lift(BravyiSmolin3(), 3, 6, 8), c.exact_cos_theta)
         run(fresh)
-        assert builds == [8]
+        # The q = 1 table serves check 5's base, its own q = 1 lift.
+        assert builds == [8, 1]
 
 
 def test_every_layer_reads_the_one_layout_of_umeb_6(monkeypatch):
@@ -1107,7 +1125,7 @@ def test_every_layer_reads_the_one_layout_of_umeb_6(monkeypatch):
     assert verify_axioms(c).passed
     assert signature(c).summary.provably_infinite_count == 24
     assert structural_certify(c).overall == "CertifiedConditionalOnBase"
-    assert builds == [2]
+    assert builds == [2, 1]  # and check 5's base, its own q = 1 lift
     assert as_lift(c.provenance) == layout == Lift(BravyiSmolin3(), 3, 6, 2)
 
 
@@ -1124,7 +1142,8 @@ def test_each_q_builds_and_eigensolves_its_left_factors_once(tmp_path, monkeypat
         assert signature(c).summary.provably_infinite_count > 0
     assert len({id(c.provenance) for c in made}) == len(made)  # four fresh layouts
     # The phases made for the first layout serve the others while it lives.
-    assert builds == [4]
+    # Check 5's rebuilt base is its own q = 1 lift.
+    assert builds == [4, 1]
     assert [shape for shape in shapes if shape[-1] == 4] == [(16, 4, 4)]
 
 
@@ -1227,7 +1246,7 @@ def _tower(d, q, outer, kind, count, seed):
 @given(**TOWERS)
 def test_factored_gram_matches_the_stack_gram_property(d, q, outer, kind, count, seed):
     c = _tower(d, q, outer, kind, count, seed)
-    assert c.split is not None
+    assert not c.factored.self_lift
     got, shapes, _ = _report_and_shapes(c)
     want = _stack_report(c)
     assert (got.gram_from, want.gram_from) == ("factors", "stack")
@@ -1245,14 +1264,15 @@ def test_factored_gram_matches_the_stack_gram_property(d, q, outer, kind, count,
 @given(**TOWERS)
 def test_tile_residual_matches_the_stack_residual_property(d, q, outer, kind, count, seed):
     c = _tower(d, q, outer, kind, count, seed)
-    _, right = c.split
+    view = c.factored
     layout = c.provenance
+    assert view.layout == layout
     got, grams, residuals = _report_and_shapes(c)
     assert (got.unitarity_from, _stack_report(c).unitarity_from) == ("tiles", "stack")
     assert abs(c.unitarity_residual - unitarity_residual(c.matrices)) <= GRAM_ROUNDING
     assert got.passed == _stack_report(c).passed
     # One residual, of at most q tiles per distinct right factor, each d x d.
-    distinct = len(distinct_rows(right)[0])
+    distinct = len(view.distinct)
     assert len(residuals) == 1
     count, d = residuals[0][0], residuals[0][-1]
     assert d == layout.base_dim and count <= layout.q * distinct
@@ -1264,8 +1284,8 @@ def test_tile_residual_matches_the_stack_residual_property(d, q, outer, kind, co
 
 def test_tiles_of_lift_bs3_8():
     c = lift(bravyi_smolin_3(), 8)
-    _, right = c.split
-    tiles = c.provenance.tiles(c.matrices, c.right_kinds)
+    right = c.provenance.split(c.matrices)
+    tiles = c.factored.tiles(c.matrices)
     # 15 distinct right factors (9 Weyl operators, 6 bs3 elements), each met
     # by the 8 distinct nonzero entries f of the left factors it sits on.
     assert tiles.shape == (15 * 8, 3, 3)
@@ -1300,7 +1320,7 @@ TAMPERED_VERDICTS = {
 def test_tampered_lifts_keep_their_stack_verdict(name):
     c = _variant(*TAMPERED[name])
     passes, splits = TAMPERED_VERDICTS[name]
-    assert (c.split is not None) == splits
+    assert c.factored.self_lift != splits
     got, grams, residuals = _report_and_shapes(c)
     want = _stack_report(c)
     assert got.passed == want.passed == passes
@@ -1311,11 +1331,69 @@ def test_tampered_lifts_keep_their_stack_verdict(name):
         assert abs(got.max_gram_offdiag - want.max_gram_offdiag) <= GRAM_ROUNDING
         assert abs(got.max_gram_diag_error - want.max_gram_diag_error) <= GRAM_ROUNDING
     else:
-        # The dense path, exactly as the stack reference takes it, and bit
-        # for bit the report formed before the tile residual existed.
-        assert grams == residuals == [c.matrices.shape]
+        # The set's own q = 1 lift: a Gram of its one left factor [1] and
+        # of its stack, and the residual of its stack, so bit for bit the
+        # report formed before the tile residual existed.
+        assert grams == [(1, 1, 1), c.matrices.shape]
+        assert residuals == [c.matrices.shape]
         assert got.to_dict() == want.to_dict()
         assert repr(got.to_dict()) == repr(_parent_stack_report(c))
+
+
+def _unsplit_set(kind, q, where, seed):
+    """A set its provenance's lift layout does not split: a random unitary
+    stack labelled External, an exact bs3 lift with one entry one ulp off or
+    one element's phase moved, or B U A^T of each element of a bs3 lift."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        d = 1 + where % 8
+        mats = [haar_unitary(d, rng) for _ in range(1 + seed % 12)]
+        return UMEBCandidate(d, mats, External("random unitaries"))
+    good = lift(bravyi_smolin_3(), q)
+    m = good.matrices.copy()
+    k = where % len(m)
+    if kind == "ulp":
+        i, j = divmod(where // len(m) % good.dim**2, good.dim)
+        m[k, i, j] = complex(np.nextafter(m[k, i, j].real, np.inf), m[k, i, j].imag)
+    elif kind == "phase":
+        m[k] *= np.exp(1j * rng.uniform(0.1, 6.2))
+    else:
+        a, b = haar_unitary(good.dim, rng), haar_unitary(good.dim, rng)
+        m = b @ m @ a.T
+    return UMEBCandidate(good.dim, m, good.provenance, good.exact_cos_theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "ulp", "phase", "local_unitaries"]),
+    q=st.sampled_from([2, 4, 8]),
+    where=st.integers(0, 10**9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_an_unsplit_set_is_its_own_q1_lift_bit_for_bit_property(kind, q, where, seed):
+    c = _unsplit_set(kind, q, where, seed)
+    layout = as_lift(c.provenance)
+    assume(layout is None or layout.split(c.matrices) is None)
+    view = c.factored
+    assert view.self_lift and view.layout == Lift(c.provenance, c.dim, len(c), 1)
+    assert view.distinct is c.matrices
+    # The reference figures, from the stored stack alone.
+    g = gram_matrix(c.matrices)
+    diag = np.diag(g).copy()
+    np.fill_diagonal(g, 0.0)
+    residual = unitarity_residual(c.matrices)
+    report = verify_axioms(c)
+    assert (report.gram_from, report.unitarity_from) == ("stack", "stack")
+    assert c.unitarity == (residual, "stack")
+    assert report.max_unitarity_residual == residual
+    assert report.max_gram_offdiag == float(np.max(np.abs(g)))
+    assert report.max_gram_diag_error == float(np.max(np.abs(diag - c.dim)))
+    # One eigvals of the stack gives every element's phases.
+    phases = np.mod(np.angle(np.linalg.eigvals(c.matrices)), 2 * np.pi)
+    phases[phases >= 2 * np.pi] -= 2 * np.pi
+    phases.sort(axis=-1)
+    got = sorted(np.sort(r.phases).tobytes() for r in signature(c).records)
+    assert got == sorted(row.tobytes() for row in phases)
 
 
 @pytest.mark.parametrize("name", ["added", "doubled", "scaled"])
@@ -1507,7 +1585,7 @@ def test_verify_then_certify_forms_each_report_once(monkeypatch):
 
 def _unfactored_lift(q):
     """lift(bravyi_smolin_3(), q) as a copy that holds no right factors, as
-    a lift loaded from its elements: its split is Lift.split's compare."""
+    a lift loaded from its elements: its factored view is Lift.split's compare."""
     built = lift(bravyi_smolin_3(), q)
     c = UMEBCandidate(built.dim, built.matrices, built.provenance, built.exact_cos_theta)
     assert c._right_factors is None
@@ -1607,8 +1685,9 @@ def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch, tmp_path
     assert len(splits) == 1
     assert c.matrices.shape not in residuals
     assert residuals.count((120, 3, 3)) == 1
-    assert c.split is c.split
-    assert not any(part.flags.writeable for part in c.split)
+    view = c.factored
+    assert c.factored is view and not view.self_lift
+    assert not any(part.flags.writeable for part in (view.index, view.distinct, view.kind))
 
     # A fresh candidate over the same stack holds nothing yet.
     fresh = UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta)
@@ -1631,7 +1710,7 @@ def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch, tmp_path
 
 def test_right_factors_are_told_apart_once(monkeypatch):
     c = lift(bravyi_smolin_3(), 8)
-    _, right = c.split
+    right = c.provenance.split(c.matrices)
     shapes = []
     for module in (constructions, spectral):
         real = module.distinct_rows
@@ -1644,5 +1723,6 @@ def test_right_factors_are_told_apart_once(monkeypatch):
     # The tiles, the factored Gram and the factored spectra all read the
     # kinds the candidate holds.
     assert shapes.count(right.shape) == 1
-    assert fresh.right_kinds is fresh.right_kinds
-    assert not any(part.flags.writeable for part in fresh.right_kinds)
+    view = fresh.factored
+    assert fresh.factored is view
+    assert not any(part.flags.writeable for part in (view.index, view.distinct, view.kind))
