@@ -58,25 +58,61 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _dumps(value, level: int = 0) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, as it reads ``level`` deep.
+_NUMBER_TYPES = frozenset((int, float, bool))
 
-    Dicts with string keys are walked, and each list encodes each distinct
-    item, by identity, once: a signature's records share one dict per
-    distinct record.  Everything else goes through ``json.dumps`` and is
-    re-indented; its output holds no raw newline but those of its layout.
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, from calls of the C encoder.
+
+    Any ``indent`` sends ``json`` to its pure-Python encoder, so the layout
+    is built here instead.  String-keyed dicts and lists are walked at every
+    depth, and each object's text is made once per depth it is read at, by
+    identity: a signature's records, classification lists and
+    classification dicts are shared objects.  A list of only ``int``,
+    ``float`` and ``bool`` items is one ``json.dumps`` call, its ``", "``
+    separators re-lined; scalars and empty containers are one call each.
+    Only a dict with a non-string key is left to ``json.dumps(indent=2)``,
+    re-indented.  The texts are held for this call alone.  An object shared
+    in ``value`` prints alike at each of its places, so a caller that edits
+    one place copies the shared dict or list first.
     """
+    return _encode(value, 0, {})
+
+
+def _encode(value, level: int, texts: dict) -> str:
+    """The text of ``value`` read ``level`` deep; ``texts`` holds each
+    container's text by (identity, depth)."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    key = (id(value), level)
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = _layout(value, level, texts)
+    return text
+
+
+def _layout(value, level: int, texts: dict) -> str:
+    """The text of the nonempty container ``value`` read ``level`` deep."""
     pad = "\n" + "  " * (level + 1)
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        body = (f"{json.dumps(k)}: {_dumps(v, level + 1)}" for k, v in value.items())
-        return "{" + pad + ("," + pad).join(body) + pad[:-2] + "}"
-    if isinstance(value, (list, tuple)) and value:
-        texts = {}
+    sep = "," + pad
+    if isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            return json.dumps(value, indent=2).replace("\n", pad[:-2])
+        parts = []
+        for k, v in value.items():
+            parts += (sep, json.dumps(k), ": ", _encode(v, level + 1, texts))
+        parts[0], close = "{" + pad, "}"
+    elif {type(item) for item in value} <= _NUMBER_TYPES:
+        return f"[{pad}{json.dumps(value)[1:-1].replace(', ', sep)}{pad[:-2]}]"
+    else:
+        parts = []
         for item in value:
-            if id(item) not in texts:
-                texts[id(item)] = json.dumps(item, indent=2).replace("\n", pad)
-        return "[" + pad + ("," + pad).join(texts[id(item)] for item in value) + pad[:-2] + "]"
-    return json.dumps(value, indent=2).replace("\n", pad[:-2])
+            parts += (sep, _encode(item, level + 1, texts))
+        parts[0], close = "[" + pad, "]"
+    # One join of the pieces: a child's text, which may be most of the
+    # report, is not copied into an intermediate string.
+    parts += (pad[:-2], close)
+    return "".join(parts)
 
 
 def _emit(args, payload: dict, human: str) -> None:

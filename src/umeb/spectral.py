@@ -234,11 +234,23 @@ class ElementSpectrum:
     def canonical_key(self):
         return (self.phase_ticks, tuple(_cls_key(c) for c in self.classifications))
 
-    def to_dict(self) -> dict:
-        return {
-            "phases": list(self.phases),
-            "classifications": [_cls_dict(c) for c in self.classifications],
-        }
+    def to_dict(self, shared: Optional[dict] = None) -> dict:
+        """The record as JSON-ready data.
+
+        ``shared``, a memo passed from call to call while the records live,
+        makes classifications that are one object share one dict, and
+        records whose classifications are the same objects, in order, share
+        one list.  Copy a shared list or dict before mutating it.
+        """
+        shared = {} if shared is None else shared
+        key = tuple(map(id, self.classifications))
+        made = shared.get(key)
+        if made is None:
+            for c in self.classifications:
+                if id(c) not in shared:
+                    shared[id(c)] = _cls_dict(c)
+            made = shared[key] = [shared[id(c)] for c in self.classifications]
+        return {"phases": list(self.phases), "classifications": made}
 
 
 @dataclass(frozen=True)
@@ -292,9 +304,18 @@ class SpectralSignature:
         return self.key
 
     def to_dict(self) -> dict:
-        """The signature as JSON-ready data.  Records that are one object,
-        as :func:`signature` shares them, share one dict."""
-        made = {key: r.to_dict() for key, r in {id(r): r for r in self.records}.items()}
+        """The signature as JSON-ready data, its records from
+        :meth:`ElementSpectrum.to_dict`.
+
+        Records that are one object, as :func:`signature` shares them, share
+        one dict; records share one ``classifications`` list per distinct
+        tuple of classification objects, and those lists one dict per
+        classification object: the 552 records of ``lift(bs3, 8)`` are 89
+        record dicts, 12 lists and 11 classification dicts.  Copy a shared
+        dict or list before mutating it.
+        """
+        shared = {}
+        made = {key: r.to_dict(shared) for key, r in {id(r): r for r in self.records}.items()}
         return {
             "dim": self.dim,
             "element_count": self.element_count,

@@ -1,4 +1,6 @@
+import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -28,6 +30,7 @@ from umeb.constructions import (
 )
 from umeb.linalg import hs_inner, unitarity_residual
 from umeb.spectral import signature
+from umeb.verification import search_extension
 
 from test_constructions import _BAD_FACTORED_FILES, _bad_factored_file, _reference_save_text
 
@@ -614,7 +617,7 @@ def test_json_reports_are_the_bytes_of_json_dumps(name, tmp_path, capsys, monkey
 
     monkeypatch.setattr(cli, "_emit", spy)
     for argv in (["verify", path], ["certify", path], ["spectral", path],
-                 ["compare", path, path]):
+                 ["compare", path, path], ["search", path, "--restarts", "2", "--iters", "20"]):
         _, stdout, _ = run(capsys, *argv, "--json")
         assert stdout == json.dumps(emitted.pop(), indent=2) + "\n"
     # The spectral payload, rebuilt here from a signature of the loaded set.
@@ -655,10 +658,56 @@ def test_reports_on_a_factored_file_equal_those_on_its_dense_file(
     assert [code for code, _, _ in outputs[0]] == [0, 0, 0, 4 if other_q == 1 else 0]
 
 
-def test_signature_records_share_one_dict_per_distinct_record():
-    records = signature(lift(bravyi_smolin_3(), 8)).to_dict()["records"]
-    assert len(records) == 552
-    assert len({id(r) for r in records}) == 89
+@pytest.mark.parametrize("make, counts", [
+    (lambda: lift(bravyi_smolin_3(), 8), (552, 89, 12, 11)),
+    (lambda: lift(umeb_6(), 4), (552, 132, 11, 9)),
+], ids=["lift_bs3_8", "lift_umeb_6_4"])
+def test_signature_records_share_one_dict_per_distinct_record(make, counts):
+    sig = signature(make())
+    payload = sig.to_dict()
+    records = payload["records"]
+    lists = [r["classifications"] for r in records]
+    assert (
+        len(records),
+        len({id(r) for r in records}),
+        len({id(cls) for cls in lists}),
+        len({id(c) for cls in lists for c in cls}),
+    ) == counts
+    # The shared objects hold the data each record's own dict holds.
+    assert payload == {**payload, "records": [r.to_dict() for r in sig.records]}
+
+
+def test_dumps_frees_its_texts_on_return():
+    # A reference cycle would hold the 1.3 MB of texts until the next
+    # garbage collection, one report's worth on top of the next.
+    payload = {"records": signature(lift(bravyi_smolin_3(), 8)).to_dict()["records"]}
+    gc.collect()
+    gc.disable()
+    try:
+        cli._dumps(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_dumps_never_reaches_the_pure_python_encoder(tmp_path, monkeypatch):
+    # Any indent sends json to json.encoder._make_iterencode; _dumps must not.
+    sig = signature(lift(bravyi_smolin_3(), 8))
+    spectral = {"schema_version": SCHEMA_VERSION, "command": "spectral",
+                "path": str(tmp_path / "m.json"), **sig.to_dict(), "notes": []}
+    result = search_extension(umeb_6(), restarts=3, iters=20, seed=1)
+    search = {"schema_version": SCHEMA_VERSION, "command": "search",
+              "path": str(tmp_path / "u6.json"), **result.to_dict(), "witness_path": None}
+    assert {type(search[k]) for k in ("restart_final_gaps", "restart_plateau_iters")} == {tuple}
+    want = [json.dumps(p, indent=2) for p in (spectral, search)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder reached")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps([1], indent=2)
+    assert [cli._dumps(p) for p in (spectral, search)] == want
 
 
 _JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -669,13 +718,42 @@ def _with_repeats(items):
     return items + items[::2]
 
 
+def _at_two_depths(value):
+    # One object under two keys, read one, two and three levels deep.
+    return {"a": value, "b": [value, {"c": value}]}
+
+
+# Items of the lists _dumps encodes in one json.dumps call.
+_NUMBERS = (
+    st.booleans()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.integers()
+    | st.integers(min_value=2**63)
+    | st.integers(max_value=-2**63 - 1)
+)
+
+_EMPTY = st.recursive(
+    st.builds(list) | st.builds(dict) | st.builds(tuple),
+    lambda inner: (
+        st.lists(inner, min_size=1, max_size=3)
+        | st.lists(inner, min_size=1, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=3), inner, min_size=1, max_size=3)
+    ),
+    max_leaves=6,
+)
+
 _JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
+    _JSON_LEAVES
+    | _EMPTY
+    | st.lists(_NUMBERS, min_size=1, max_size=6)
+    | st.lists(_NUMBERS, min_size=1, max_size=6).map(tuple),
     lambda inner: (
         st.lists(inner, max_size=4).map(_with_repeats)
         | st.lists(inner, max_size=4).map(tuple)
         | st.dictionaries(st.text(), inner, max_size=4)
         | st.dictionaries(st.integers(), inner, max_size=3)
+        | inner.map(_at_two_depths)
     ),
     max_leaves=30,
 )
