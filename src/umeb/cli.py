@@ -17,6 +17,7 @@ fields.  No command takes a threshold: every verdict is held to
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -163,11 +164,11 @@ def cmd_construct(args) -> int:
         "kind": args.kind,
         "path": args.out,
         "dim": c.dim,
-        "element_count": len(c.elements),
+        "element_count": len(c),
         "provenance": provenance_to_str(c.provenance),
         "notes": [],
     }
-    human = f"wrote {args.out}: {len(c.elements)} elements, dim {c.dim}"
+    human = f"wrote {args.out}: {len(c)} elements, dim {c.dim}"
     _emit(args, payload, human)
     return EXIT_OK
 
@@ -176,14 +177,14 @@ def cmd_lift(args) -> int:
     _require_positive("q", args.q)
     base = _load(args.in_path)
     notes = []
-    if len(base.elements) >= base.dim ** 2:
+    if len(base) >= base.dim ** 2:
         notes.append(
-            f"base set has {len(base.elements)} = dim^2 elements; it is a "
+            f"base set has {len(base)} = dim^2 elements; it is a "
             "complete basis, so the count condition fails for it"
         )
 
     lifted = lift(base, args.q)
-    constructed, closed_form = lift_counts(base.dim, len(base.elements), args.q)
+    constructed, closed_form = lift_counts(base.dim, len(base), args.q)
     if constructed != closed_form:
         notes.append(
             f"count formulas disagree: constructed q(q-1)d^2 + qN = {constructed}, "
@@ -195,7 +196,7 @@ def cmd_lift(args) -> int:
         "path": args.out,
         "q": args.q,
         "dim": lifted.dim,
-        "element_count": len(lifted.elements),
+        "element_count": len(lifted),
         "count_constructed": constructed,
         "count_closed_form": closed_form,
         "provenance": provenance_to_str(lifted.provenance),
@@ -203,7 +204,7 @@ def cmd_lift(args) -> int:
     }
     human = "\n".join(
         [
-            f"wrote {args.out}: {len(lifted.elements)} elements, dim {lifted.dim}",
+            f"wrote {args.out}: {len(lifted)} elements, dim {lifted.dim}",
             f"count q(q-1)d^2 + qN      = {constructed}",
             f"count (qd)^2 - (d^2 - N)  = {closed_form}"
             + ("  (MISMATCH)" if constructed != closed_form else ""),
@@ -337,6 +338,7 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the ``umeb`` command line."""
     parser = _Parser(
         prog="umeb",
         description="Construct, verify, lift, and fingerprint unextendible "
@@ -398,10 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads every argv with, built on its first
+    call and then shared: a parse keeps no state in the parser, so each call
+    reads its argv as a fresh :func:`build_parser` would."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except RecursionError:
         # A provenance can parse and still be too deep for the recursion

@@ -287,14 +287,29 @@ class Factored:
         other tile is 0: (F (x) Y)^dag (F (x) Y) is block diagonal with blocks
         T^dag T.  At q = 1 each element is its one tile, so the tiles are
         ``distinct``, with no copy of the stack."""
-        q = self.layout.q
-        if q == 1:
+        if self.layout.q == 1:
             return self.distinct
-        _, cols, _, value = _factor_table(q)
+        k, a = self._tile_sources()
+        _, cols, _, _ = _factor_table(self.layout.q)
+        return self.layout.blocks(matrices)[k, a, :, cols[self.index[k], a], :]
+
+    def formed_tiles(self, right: np.ndarray) -> np.ndarray:
+        """The tiles :meth:`tiles` reads from the :meth:`Lift.products` of the
+        right factors ``right``, formed as f Y_k with no stack: the complex
+        multiply of those products, so the same bytes, signed zeros included."""
+        if self.layout.q == 1:
+            return self.distinct
+        k, a = self._tile_sources()
+        _, _, values, _ = _factor_table(self.layout.q)
+        return values[self.index[k], a][:, None, None] * right[k]
+
+    def _tile_sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """Element k and row-tile a of the first tile of each distinct pair (f, Y_k)."""
+        q = self.layout.q
+        value = _factor_table(q)[3]
         pairs = value[self.index] * len(self.distinct) + self.kind[:, None]
         _, first = np.unique(pairs, return_index=True)
-        k, a = np.divmod(first, q)
-        return self.layout.blocks(matrices)[k, a, :, cols[self.index[k], a], :]
+        return np.divmod(first, q)
 
 
 # The tile and the stack unitarity residual of a split set sum T^dag T over d
@@ -317,8 +332,11 @@ class UMEBCandidate:
     spectral layer uses it to prove infinite eigenvalue orders.
 
     A set built from its right factors Y_k, by :func:`lift` or by
-    :func:`load_umeb` from a file of them, holds those factors and is saved
-    as them.
+    :func:`load_umeb` from a file of them, holds those factors as its one
+    stored form and is saved as them.  Its ``matrices`` and ``elements``
+    are the :meth:`Lift.products` of the factors, formed on their first
+    read and then held; the axiom check, the spectral layer and a save read
+    only the factors, so they form no stack.
 
     Three whole-stack facts are computed on first use and then held:
     :attr:`factored`, the stack read as F_k (x) Y_k, by its lift layout or
@@ -328,8 +346,9 @@ class UMEBCandidate:
     :func:`~umeb.verification.verify_axioms` returns.  The axiom check, the
     certificate and the spectral layer all read them, so a candidate
     verified, certified and then signed pays for each once.  Holding them
-    is safe because ``matrices`` is read-only and ``dim`` and
-    ``provenance`` are frozen: nothing these facts depend on can change.
+    is safe because ``matrices`` and the right factors are read-only and
+    ``dim`` and ``provenance`` are frozen: nothing these facts depend on
+    can change.
     """
 
     dim: int
@@ -338,10 +357,34 @@ class UMEBCandidate:
     exact_cos_theta: Optional[Fraction] = None
     matrices: np.ndarray = field(init=False, repr=False, compare=False)
     # The right factors whose Lift.products the stack is, bit for bit, when
-    # _lifted built it from them; None for any other set.
+    # _lifted built the set from them; None for any other set.
     _right_factors: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @classmethod
+    def _of_right_factors(cls, prov: Provenance, right: np.ndarray,
+                          cos: Optional[Fraction]) -> "UMEBCandidate":
+        """The set of the lift layout ``prov`` names held as its read-only
+        right factors ``right``, with no stack: :meth:`__getattr__` forms it."""
+        c = object.__new__(cls)
+        for name, value in (("dim", as_lift(prov).dim), ("provenance", prov),
+                            ("exact_cos_theta", cos), ("_right_factors", right)):
+            object.__setattr__(c, name, value)
+        return c
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set: the stack of a set
+        # held as its right factors, which is formed here on its first read
+        # and then held, read-only, as a set built from a stack holds it.
+        right = vars(self).get("_right_factors")
+        if name not in ("matrices", "elements") or right is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        stack = as_lift(self.provenance).products(right)
+        stack.flags.writeable = False
+        object.__setattr__(self, "matrices", stack)
+        object.__setattr__(self, "elements", tuple(stack))
+        return vars(self)[name]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -368,18 +411,23 @@ class UMEBCandidate:
             object.__setattr__(self, "exact_cos_theta", Fraction(self.exact_cos_theta))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        right = self._right_factors
+        return len(self.matrices if right is None else right)
 
     @cached_property
     def factored(self) -> Factored:
         """The stack as :class:`Factored` reads it.  A set built from its right
-        factors is their products, which split, so those are read from the
-        stack as :meth:`Lift.split` reads them, with no compare.  Raises
-        ValueError for a set with no elements, which no lift holds."""
+        factors Y_k is their products, which split, with no compare: each
+        right factor is F_k[0, c_k] Y_k, F_k[0, c_k] exactly 1, the complex
+        multiply of the products, so it has the bytes :meth:`Lift.right_factors`
+        reads from the stack, whose zeros may differ in sign from Y_k's.
+        Raises ValueError for a set with no elements, which no lift holds."""
         layout, right = as_lift(self.provenance), None
-        if layout is not None:
-            right = (layout.right_factors(self.matrices) if self._right_factors is not None
-                     else layout.split(self.matrices))
+        if self._right_factors is not None:
+            values = _factor_table(layout.q)[2]
+            right = values[layout.factor_index(), 0][:, None, None] * self._right_factors
+        elif layout is not None:
+            right = layout.split(self.matrices)
         if right is None:
             layout = Lift(self.provenance, self.dim, len(self), 1)
             distinct, kind = self.matrices, np.arange(len(self))
@@ -405,11 +453,19 @@ class UMEBCandidate:
         """
         if not len(self):
             return 0.0, "stack"
-        view = self.factored
-        residual = unitarity_residual(view.tiles(self.matrices))
+        residual = unitarity_residual(self._tiles)
         if abs(residual - DEFAULT_TOLERANCES.unitarity_tol) > _TILE_ROUNDING:
-            return residual, "stack" if view.self_lift else "tiles"
+            return residual, "stack" if self.factored.self_lift else "tiles"
         return unitarity_residual(self.matrices), "stack"
+
+    @cached_property
+    def _tiles(self) -> np.ndarray:
+        """The distinct nonzero tiles of the stack (:meth:`Factored.tiles`),
+        formed from the right factors when the set holds them."""
+        right = self._right_factors
+        if right is None:
+            return self.factored.tiles(self.matrices)
+        return self.factored.formed_tiles(right)
 
     @property
     def unitarity_residual(self) -> float:
@@ -625,7 +681,7 @@ def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
     ``DEFAULT_TOLERANCES.unitarity_tol``.
     """
     d = base.dim
-    prov = Lift(base=base.provenance, base_dim=d, base_count=len(base.elements), q=q)
+    prov = Lift(base=base.provenance, base_dim=d, base_count=len(base), q=q)
     tol = DEFAULT_TOLERANCES.unitarity_tol
     if base.unitarity_residual >= tol:
         i = next(i for i, u in enumerate(base.matrices) if unitarity_residual(u) >= tol)
@@ -638,21 +694,33 @@ def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
 
 def _lifted(prov: Provenance, right: np.ndarray, cos: Optional[Fraction]) -> UMEBCandidate:
     """The set F_k (x) Y_k of the lift layout ``prov`` names, from its
-    (n, d, d) right factors Y_k, which the caller built and hands over.
+    (n, d, d) finite right factors Y_k, which the caller built and hands over.
 
-    The candidate holds them read-only: :func:`save_umeb` writes them, and
-    its :attr:`~UMEBCandidate.factored` view is read from the stack.  Factors read
-    back from the stack need not be these bit for bit: (1 + 0j) Y_k turns
-    -0.0 - 0.0j into 0.0 - 0.0j, so only these rebuild every zero's sign
-    (:meth:`Lift.split`).  A stack beyond ``_MAX_REBUILT_BYTES`` holds none,
-    so it is saved as elements, since a file of its factors would not load.
+    The candidate holds them read-only as its one stored form: :func:`save_umeb`
+    writes them, its :attr:`~UMEBCandidate.factored` view and its distinct
+    tiles f Y_k are formed from them, and its stack, their :meth:`Lift.products`,
+    only on a first read of ``matrices`` or ``elements``.  Only these factors
+    rebuild every zero's sign of that stack: (1 + 0j) Y_k, read back from it,
+    turns -0.0 - 0.0j into 0.0 - 0.0j (:meth:`Lift.split`).  Every nonzero
+    entry of the stack is a tile entry and every other entry is +-0, so the
+    stack is finite exactly when the distinct tiles are, which is checked
+    here: ValueError otherwise.  A stack beyond ``_MAX_REBUILT_BYTES`` is
+    formed at once and holds no factors, so it is saved as elements, since
+    a file of its factors would not load.
     """
     layout = as_lift(prov)
-    candidate = UMEBCandidate(layout.dim, layout.products(right).view(_Fresh), prov, cos)
-    if candidate.matrices.nbytes <= _MAX_REBUILT_BYTES:
-        right.flags.writeable = False
-        object.__setattr__(candidate, "_right_factors", right)
+    if _too_large(layout):
+        return UMEBCandidate(layout.dim, layout.products(right).view(_Fresh), prov, cos)
+    right.flags.writeable = False
+    candidate = UMEBCandidate._of_right_factors(prov, right, cos)
+    if not np.isfinite(candidate._tiles).all():
+        raise ValueError("right factor products must be finite")
     return candidate
+
+
+def _too_large(layout: Lift) -> bool:
+    """Whether the complex128 stack of ``layout`` is beyond ``_MAX_REBUILT_BYTES``."""
+    return layout.element_count * layout.dim**2 * 16 > _MAX_REBUILT_BYTES
 
 
 def leaf_shape(p: Provenance) -> Optional[tuple[int, int]]:
@@ -843,8 +911,9 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
 
     A candidate built from its right factors, by :func:`lift` or by
     :func:`load_umeb` from a file of them, is saved as those d x d factors
-    Y_k under ``"right_factors"``, one per line in element order;
-    :func:`load_umeb` rebuilds the stack from them bit for bit.  Every other
+    Y_k under ``"right_factors"``, one per line in element order, with no
+    stack formed; :func:`load_umeb` holds them again, and their products
+    are the stack bit for bit.  Every other
     candidate, ``umeb_6()`` among them (it is assembled from its own 2 x 2
     factors), is saved as its matrices under ``"elements"``; so is a lift
     loaded from a file of its elements or its stack copied into a new
@@ -1049,7 +1118,7 @@ def _factored_layout(dim: int, prov: Provenance, count: Optional[int]) -> Lift:
     if dim != layout.dim:
         raise UMEBFormatError(f"dim {dim} is not the lift's q*d = {layout.dim}")
     n = layout.element_count
-    if n * dim * dim * 16 > _MAX_REBUILT_BYTES:
+    if _too_large(layout):
         raise UMEBFormatError(f"the lift's {n} elements of dim {dim} are too large to rebuild")
     if count != n:
         raise UMEBFormatError(f"right_factors must be a list of the lift's {n} factors")
@@ -1057,9 +1126,11 @@ def _factored_layout(dim: int, prov: Provenance, count: Optional[int]) -> Lift:
 
 
 def _rebuild_lift(right: np.ndarray, prov: Provenance, cos: Optional[Fraction]) -> UMEBCandidate:
-    """The lift a file's right factors hold: the :meth:`Lift.products` of the
-    layout its provenance names.  Finite factors can still overflow in a
-    product, and a set holds only finite entries: UMEBFormatError then."""
+    """The lift a file's right factors hold, in the layout its provenance
+    names, as :func:`_lifted` holds it.  Finite factors can still overflow in
+    a product, and a set holds only finite entries: UMEBFormatError then,
+    from the distinct tiles :func:`_lifted` checks, so at load and not at a
+    later first read of the stack."""
     with np.errstate(over="ignore"):
         try:
             return _lifted(prov, right, cos)
@@ -1080,8 +1151,10 @@ def load_umeb(path) -> UMEBCandidate:
     Reals may be written in any JSON number form, so files with 17
     significant digits, as older versions wrote them, load bit-exactly too.
     A file of ``"right_factors"`` is read the same two ways: its provenance
-    must name a lift, whose stack is rebuilt from them, and the candidate
-    holds them, so a save writes the same file again.
+    must name a lift, and the candidate holds the factors as its one
+    stored form, so a save writes the same file again.  Its stack, their
+    :meth:`Lift.products`, is formed on the first read of ``matrices`` or
+    ``elements``, but factors whose products overflow are refused here.
     Canonical provenance strings are parsed back into structured provenance
     (so certification still applies to files this package wrote); any other
     string is kept as an External label.

@@ -388,13 +388,14 @@ def _sector_rows(
 ) -> tuple[SectorRow, ...]:
     """Per-sector statistics of the (element, phase) labels ``inverse``.
 
-    A candidate laid out as a lift, by provenance and by :meth:`Lift.fits`,
-    is split into its Weyl sector, the first q(q-1)d^2 elements, and the base
-    sector holding the rest; anything else is summarized as a single sector.
+    A candidate laid out as a lift, by provenance and by its element count
+    and dimension, is split into its Weyl sector, the first q(q-1)d^2
+    elements, and the base sector holding the rest; anything else is
+    summarized as a single sector.
     """
     layout = as_lift(c.provenance)
     sectors = [("all", inverse)]
-    if layout is not None and layout.fits(c.matrices):
+    if layout is not None and (len(c), c.dim) == (layout.element_count, layout.dim):
         cut = layout.weyl_count
         sectors = [("weyl", inverse[:cut]), ("base", inverse[cut:])]
     return tuple(
@@ -501,12 +502,12 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
     picks = kind[by_key].tolist()
     return SpectralSignature(
         dim=c.dim,
-        element_count=len(c.elements),
+        element_count=len(c),
         bound=bound,
         records=tuple(map(shared.__getitem__, picks)),
         summary=_summarize(kinds, orders, inverse),
         sectors=_sector_rows(c, kinds, orders, inverse),
-        key=(c.dim, len(c.elements), tuple(map(keys.__getitem__, picks))),
+        key=(c.dim, len(c), tuple(map(keys.__getitem__, picks))),
     )
 
 

@@ -144,7 +144,7 @@ class VerificationReport:
     def of(cls, c: UMEBCandidate) -> "VerificationReport":
         """The report of ``c``, computed afresh; :func:`verify_axioms` documents it."""
         tol = DEFAULT_TOLERANCES
-        n = len(c.elements)
+        n = len(c)
         if n == 0:
             raise ValueError("candidate has no elements")
         d = c.dim
@@ -700,7 +700,7 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
             "weyl_sector_spans_offdiagonal_blocks", False, float("nan"), CERT_ZERO_TOL
         ))
         notes.append(
-            f"candidate shape ({c.dim}, {len(c.elements)} elements) does not match "
+            f"candidate shape ({c.dim}, {len(c)} elements) does not match "
             f"the declared lift (dim {layout.dim}, {layout.element_count} elements)"
         )
         return StructuralCertificate(overall="Failed", checks=tuple(checks), notes=tuple(notes))

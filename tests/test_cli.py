@@ -832,3 +832,24 @@ def test_removed_tolerance_flags_are_usage_errors(tmp_path, capsys, command, fla
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, stderr = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_main_reads_each_argv_as_a_fresh_parser_would(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process, so no parse may leave state in it.
+    path = tmp_path / "bs3.json"
+    save_umeb(bravyi_smolin_3(), path)
+    search = ("search", str(path), "--restarts", "3", "--iters", "20")
+    argvs = [
+        (*search, "--seed", "5", "--json"),
+        (*search, "--json"),  # the default seed, not the 5 read just before
+        ("verify", str(path), "--json"),
+        ("spectral", str(path), "--bound", "12"),
+        ("spectral", str(path)),
+        ("frobnicate",),
+        search,
+    ]
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert shared == [run(capsys, *argv) for argv in argvs]
+    assert [json.loads(shared[i][1])["seed"] for i in (0, 1)] == [5, 0]

@@ -1,0 +1,145 @@
+"""A set held as its right factors against a dense copy of its stack.
+
+``lift`` and ``load_umeb`` of a ``"right_factors"`` file hold a set as its
+d x d right factors Y_k and form the stack F_k (x) Y_k only when
+``matrices`` or ``elements`` is first read.  A copy of that stack in a new
+candidate holds no factors and is read by ``Lift.split``.  The two must
+agree byte for byte in every view and report, and only the layers that read
+the stack may form it.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from umeb import cli
+from umeb.constructions import (
+    BravyiSmolin3,
+    Lift,
+    UMEBCandidate,
+    bravyi_smolin_3,
+    lift,
+    load_umeb,
+    save_umeb,
+    umeb_6,
+    weyl_family,
+)
+from umeb.spectral import signature
+from umeb.verification import structural_certify, verify_axioms
+
+from test_verification import TOWERS, _tower
+
+_STACK = {"matrices", "elements"}
+
+
+def _dense(c):
+    """The stack of ``c`` in a candidate that holds no factors."""
+    return UMEBCandidate(c.dim, c.matrices.copy(), c.provenance, c.exact_cos_theta)
+
+
+def _reports(c):
+    """The JSON texts of the axiom report, the signature and the certificate of ``c``."""
+    return [json.dumps(f(c).to_dict()) for f in (verify_axioms, signature, structural_certify)]
+
+
+def _assert_held_matches_dense(c):
+    assert c._right_factors is not None and not _STACK & set(vars(c))
+    reports = _reports(c)
+    dense = _dense(c)
+    assert dense._right_factors is None
+    held, split = c.factored, dense.factored
+    assert held.layout == split.layout and not held.self_lift and not split.self_lift
+    for name in ("distinct", "kind", "index"):
+        a, b = getattr(held, name), getattr(split, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert c.unitarity == dense.unitarity
+    tiles = split.tiles(dense.matrices)
+    assert held.formed_tiles(c._right_factors).tobytes() == tiles.tobytes()
+    assert c._tiles.shape == tiles.shape and c._tiles.tobytes() == tiles.tobytes()
+    assert reports == _reports(dense)
+    assert c.matrices.tobytes() == dense.matrices.tobytes()
+
+
+def _assert_saved_copy_matches_dense(c, path):
+    save_umeb(c, path)
+    back = load_umeb(path)
+    assert back._right_factors.tobytes() == c._right_factors.tobytes()
+    _assert_held_matches_dense(back)
+
+
+def _weyl_subset(q):
+    # Six Weyl operators labelled as the d = 3 base: extendible, yet lifted.
+    return lift(UMEBCandidate(3, weyl_family(3).matrices[:6], BravyiSmolin3()), q)
+
+
+_SETS = (
+    [(f"bs3_q{q}", lambda q=q: lift(bravyi_smolin_3(), q)) for q in range(1, 9)]
+    + [(f"umeb6_q{q}", lambda q=q: lift(umeb_6(), q)) for q in range(1, 5)]
+    + [(f"weyl_subset_q{q}", lambda q=q: _weyl_subset(q)) for q in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in _SETS], ids=[name for name, _ in _SETS])
+def test_held_factors_match_a_dense_copy(make, tmp_path):
+    _assert_held_matches_dense(make())
+    _assert_saved_copy_matches_dense(make(), tmp_path / "m.json")
+
+
+@settings(max_examples=25, deadline=None)
+@given(**TOWERS)
+def test_held_factors_of_towers_match_a_dense_copy(tmp_path_factory, d, q, outer, kind, count,
+                                                   seed):
+    _assert_held_matches_dense(_tower(d, q, outer, kind, count, seed))
+    path = tmp_path_factory.mktemp("tower") / "m.json"
+    _assert_saved_copy_matches_dense(_tower(d, q, outer, kind, count, seed), path)
+
+
+def test_verify_and_signature_form_no_stack(tmp_path):
+    c = lift(bravyi_smolin_3(), 8)
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    for held in (c, load_umeb(path)):
+        verify_axioms(held)
+        signature(held)
+        assert len(held) == 552 and not _STACK & set(vars(held))
+        # The first read forms the stack once and holds it, read-only.
+        assert held.matrices is held.matrices and not held.matrices.flags.writeable
+        assert len(held.elements) == 552 and np.shares_memory(held.elements[0], held.matrices)
+
+
+def test_only_certify_and_search_form_the_stack_of_a_factored_file(tmp_path, monkeypatch):
+    formed = []
+    products = Lift.products
+    monkeypatch.setattr(Lift, "products",
+                        lambda layout, right: formed.append(layout) or products(layout, right))
+    base, lifted, other = (tmp_path / name for name in ("bs3.json", "l.json", "u.json"))
+    save_umeb(bravyi_smolin_3(), base)
+    save_umeb(lift(umeb_6(), 2), other)
+    steps = (
+        (["lift", base, "-q", "4", "-o", lifted], 0),
+        (["verify", lifted], 0),
+        (["spectral", lifted], 0),
+        (["compare", lifted, other], 0),
+        (["certify", lifted], 1),
+        (["search", lifted, "--restarts", "2", "--iters", "5"], 1),
+    )
+    for argv, stacks in steps:
+        formed.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([str(a) for a in argv] + ["--json"]) == 0, argv
+        assert len(formed) == stacks, argv
+    assert all('"right_factors"' in path.read_text() for path in (lifted, other))
+
+
+def test_a_held_set_forms_its_stack_for_no_other_attribute():
+    c = lift(bravyi_smolin_3(), 2)
+    with pytest.raises(AttributeError, match="no attribute 'stack'"):
+        c.stack
+    twin = copy.copy(c)
+    assert not _STACK & (set(vars(c)) | set(vars(twin)))
+    assert twin.matrices.tobytes() == c.matrices.tobytes()
