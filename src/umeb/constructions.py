@@ -26,6 +26,7 @@ from .linalg import (
     as_square,
     as_stack,
     distinct_rows,
+    orthonormal_complement,
     root_of_unity,
     unitarity_residual,
 )
@@ -302,6 +303,61 @@ class Factored:
         k, a = self._tile_sources()
         _, _, values, _ = _factor_table(self.layout.q)
         return values[self.index[k], a][:, None, None] * right[k]
+
+    def right_factors(self) -> np.ndarray:
+        """Each element's right factor Y_k: for a split, the bytes
+        :meth:`Lift.right_factors` reads from the stack."""
+        return self.distinct[self.kind]
+
+    def weyl_diagonal_blocks(self) -> np.ndarray:
+        """The diagonal blocks (a, a) of the Weyl sector's products that can
+        be nonzero, F_k[a, a] Y_k where F_k[a, a] != 0, as an (m, d, d) array
+        formed from the factors alone.  Every other such block is 0 Y_k, all
+        +-0 for the finite Y_k of a split.  A lift's has none: its factors
+        D_i S^j, j >= 1, have zero diagonals."""
+        n = self.layout.weyl_count
+        diagonal = np.diagonal(left_factors(self.layout.q), axis1=1, axis2=2)[self.index[:n]]
+        k, a = np.nonzero(diagonal)
+        return diagonal[k, a][:, None, None] * self.distinct[self.kind[k]]
+
+    def base_sector(self) -> np.ndarray:
+        """The base sector's products F_k (x) Y_k, the last qN elements, formed
+        from the factors alone: for a split, the stack's rows in value (the
+        zeros' signs may differ, as in :meth:`Lift.split`)."""
+        n = self.layout.weyl_count
+        return _kron_rows(left_factors(self.layout.q)[self.index[n:]],
+                          self.distinct[self.kind[n:]])
+
+    def complement(self) -> np.ndarray:
+        """An orthonormal basis of the trace-orthogonal complement of the
+        products' span, as a (D^2 - n, D, D) stack.
+
+        The q^2 left factors are pairwise trace-orthogonal, Tr(F_f^dag F_g) =
+        q delta_fg, so the span is the orthogonal sum over f of F_f (x)
+        span{Y_k : F_k = F_f}, and so is its complement: F_f (x) C / sqrt(q)
+        over an orthonormal basis C of each group's complement among the
+        d x d matrices.  Elements are grouped by left factor, and the null
+        space is taken by :func:`~umeb.linalg.orthonormal_complement` once per
+        distinct group of right-factor kinds: two for a lift by q > 1, its
+        Weyl and its base groups.  At q = 1 the one group is the set's right
+        factors, for the self-lift its stored matrices, and the basis is
+        their null space as it stands.  Raises RankDeficiencyError when a
+        group is dependent, which the set then is.
+        """
+        q, d = self.layout.q, self.layout.base_dim
+        sizes = np.bincount(self.index, minlength=q * q)
+        groups = np.split(self.kind[np.argsort(self.index, kind="stable")], np.cumsum(sizes)[:-1])
+        nulls = {}
+        for kinds in groups:
+            if kinds.tobytes() not in nulls:
+                # A self-lift's one group is its stored matrices in order: no copy.
+                group = self.distinct if self.self_lift else self.distinct[kinds]
+                nulls[kinds.tobytes()] = np.array(orthonormal_complement(group)).reshape(-1, d, d)
+        parts = [nulls[kinds.tobytes()] for kinds in groups]
+        if q == 1:
+            return parts[0]
+        factor = np.repeat(np.arange(q * q), [len(part) for part in parts])
+        return _kron_rows(left_factors(q)[factor] / np.sqrt(q), np.concatenate(parts))
 
     def _tile_sources(self) -> tuple[np.ndarray, np.ndarray]:
         """Element k and row-tile a of the first tile of each distinct pair (f, Y_k)."""

@@ -334,37 +334,35 @@ def _bucket(phase: float) -> int:
 def _classify(
     values: np.ndarray, bound: int, exact_cos: Optional[Fraction]
 ) -> tuple[OrderClassification, ...]:
-    """Order classification of each phase in ``values``, from one
-    :func:`order_up_to` scan.
+    """Order classification of each phase in ``values``, from an
+    :func:`order_up_to` scan of the phases themselves.
 
-    A phase that resists the finite scan is ProvablyInfinite when it equals
+    A phase that resists that scan is ProvablyInfinite when it equals
     +/-theta shifted by a root of unity, with cos(theta) = ``exact_cos``
     rational of irrational angle: a rational multiple of pi plus an
-    irrational one stays irrational.  The shifted phases join the same scan.
+    irrational one stays irrational.  Only those phases, and only when the
+    cosine can promote them, have their +/-theta shifts scanned, in one more
+    scan; the labels are those one scan of every phase and both its shifts
+    gives.  A cosine outside [-1, 1] raises ValueError exactly when some
+    phase resists the first scan.
     """
-    k = len(values)
-    scan = [values]
-    # Outside [-1, 1] there is no angle; niven_classify below raises for it
-    # once a phase resists the scan.
-    if exact_cos is not None and -1 <= exact_cos <= 1:
-        theta = float(np.arccos(float(exact_cos)))
-        scan += [np.mod(values - theta, TWO_PI), np.mod(values + theta, TWO_PI)]
-    labels = order_up_to(np.concatenate(scan), bound)
-    own = labels[:k]
-    if (
-        exact_cos is None
-        or all(isinstance(cls, Finite) for cls in own)
-        or not isinstance(niven_classify(exact_cos), ProvablyInfinite)
-    ):
+    own = order_up_to(values, bound)
+    if exact_cos is None:
         return own
-    infinite = ProvablyInfinite(Fraction(exact_cos))
-    return tuple(
-        infinite
-        if not isinstance(cls, Finite)
-        and (isinstance(minus, Finite) or isinstance(plus, Finite))
-        else cls
-        for cls, minus, plus in zip(own, labels[k:2 * k], labels[2 * k:])
+    unresolved = [i for i, cls in enumerate(own) if not isinstance(cls, Finite)]
+    if not unresolved or not isinstance(niven_classify(exact_cos), ProvablyInfinite):
+        return own
+    theta = float(np.arccos(float(exact_cos)))
+    phases = values[unresolved]
+    shifted = order_up_to(
+        np.concatenate([np.mod(phases - theta, TWO_PI), np.mod(phases + theta, TWO_PI)]), bound
     )
+    infinite = ProvablyInfinite(Fraction(exact_cos))
+    labels = list(own)
+    for j, i in enumerate(unresolved):
+        if isinstance(shifted[j], Finite) or isinstance(shifted[len(unresolved) + j], Finite):
+            labels[i] = infinite
+    return tuple(labels)
 
 
 def _summarize(kinds: np.ndarray, orders: np.ndarray, inverse: np.ndarray) -> SignatureSummary:
@@ -456,7 +454,8 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
     per-element pass gives, since equal inputs give equal outputs: a lift's
     right factors are eigensolved once per distinct matrix, each distinct
     phase value is bucketed and all are classified in one
-    :func:`order_up_to` scan, and each distinct phase row, told apart by its
+    :func:`order_up_to` scan (a second scans the cosine shifts of the
+    phases it leaves unresolved), and each distinct phase row, told apart by its
     exact bytes, makes one frozen record, which every element with that row
     shares.  Lifts repeat most of their factors, phases and rows.  Each
     element's entries are sorted by (bucket, classification), ties in

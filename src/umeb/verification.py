@@ -11,7 +11,10 @@ Three layers of scrutiny for a candidate set of d x d matrices:
   the factors' size, to a rounding of the stored stack's figures; any other
   set is its own q = 1 lift, whose factors are [1] and its stored matrices.
 * :func:`search_extension` hunts for a unitary inside the trace-orthogonal
-  complement by nuclear-norm ascent.  Finding one is rigorous (a constructive
+  complement by nuclear-norm ascent.  The complement splits over the lift's
+  left factors and is taken from them (``Factored.complement``): a split
+  set's costs null spaces among d x d matrices, not one among D x D.
+  Finding one is rigorous (a constructive
   witness that passes re-verification within ``DEFAULT_TOLERANCES``); not finding one
   is evidence, not proof.
 * :func:`structural_certify` replays the block-structure argument behind the
@@ -45,7 +48,6 @@ from .linalg import (
     RANK_RTOL,
     as_square,
     gram_matrix,
-    orthonormal_complement,
     seeded_random_stack,
     singular_values,
     unitarity_residual,
@@ -250,7 +252,10 @@ class ExtendibilitySearchResult:
     factor: an exactly unitary matrix re-verified to be trace-orthogonal to
     the whole candidate.  The verdicts are asymmetric: ExtensionFound is
     constructive, NoExtensionFound only reports that the ascent found no
-    unitary that passes re-verification.
+    unitary that passes re-verification.  ``complement_from`` says where
+    the complement basis came from: ``"factors"`` for a split lift, whose
+    complement splits over its left factors, ``"stack"`` for a set read as
+    its own q = 1 lift, whose basis is its stored matrices' null space.
     """
 
     verdict: str
@@ -261,6 +266,7 @@ class ExtendibilitySearchResult:
     iters: int
     seed: int
     complement_dim: int
+    complement_from: str
     best_restart: int = 0
     extension: Optional[np.ndarray] = None
     extension_unitarity_residual: Optional[float] = None
@@ -334,6 +340,15 @@ def search_extension(
 ) -> ExtendibilitySearchResult:
     """Search the trace-orthogonal complement for a unitary matrix.
 
+    The complement basis is :meth:`~umeb.constructions.Factored.complement`
+    of the candidate's factored view: for a split lift, F_f (x) C / sqrt(q)
+    over each left factor f and an orthonormal basis C of the complement of
+    that factor's right factors, one null space per distinct group of them
+    (``complement_from`` ``"factors"``); for any other set, its own q = 1
+    lift, the null space of its stored matrices (``"stack"``).  A split
+    lift's stored matrices equal its products in value, so the two bases
+    span one complement, to rounding.
+
     Among complement matrices M with ||M||_F^2 = d, the nuclear norm
     sum sigma_i(M) is at most d, with equality exactly on unitaries.  Restart
     r starts from matrix r of the stream ``seeded_random_matrix(d, seed)``
@@ -366,7 +381,8 @@ def search_extension(
     A best gap d - sum sigma_i below ``extension_tol`` nominates the winning
     witness.  It is refined inside the complement by Gauss-Newton on the
     unitarity residual (the ascent alone closes the last stretch only
-    quadratically slowly), and its polar factor is re-verified.  The verdict
+    quadratically slowly), and its polar factor is re-verified against the
+    stored elements, the one step that forms a held set's stack.  The verdict
     is ExtensionFound, with that polar factor as ``extension``, only when its
     unitarity residual is below ``DEFAULT_TOLERANCES.unitarity_tol`` and every
     trace overlap below ``DEFAULT_TOLERANCES.gram_tol``, whatever
@@ -398,8 +414,10 @@ def search_extension(
         )
 
     d = c.dim
-    basis = orthonormal_complement(c.matrices)
-    if not basis:
+    view = c.factored
+    basis = view.complement()
+    complement_from = "stack" if view.self_lift else "factors"
+    if not len(basis):
         return ExtendibilitySearchResult(
             verdict="NoExtensionFound",
             best_nuclear_norm=0.0,
@@ -409,10 +427,11 @@ def search_extension(
             iters=iters,
             seed=seed,
             complement_dim=0,
+            complement_from=complement_from,
             notes=("candidate spans the full matrix space; the complement is trivial",),
         )
 
-    flat = np.array(basis).reshape(len(basis), d * d)
+    flat = basis.reshape(len(basis), d * d)
     sqrt_d = np.sqrt(d)
 
     # One generator draws every start.  The live restarts advance together:
@@ -506,6 +525,7 @@ def search_extension(
         iters=iters,
         seed=seed,
         complement_dim=len(basis),
+        complement_from=complement_from,
         extension=extension,
         extension_unitarity_residual=ext_unit,
         extension_max_gram_overlap=ext_overlap,
@@ -568,13 +588,15 @@ class StructuralCertificate:
         return asdict(self)
 
 
-def _base_sector_deviation(m, layout: Lift, right: np.ndarray, base: UMEBCandidate) -> float:
-    """Largest entry of the base sector of ``m`` minus D_i (x) e^(i phi_n) V_pi(n).
+def _base_sector_deviation(sector: np.ndarray, layout: Lift, right: np.ndarray,
+                           base: UMEBCandidate) -> float:
+    """Largest entry of the base ``sector`` minus D_i (x) e^(i phi_n) V_pi(n).
 
-    ``m`` fits ``layout`` and ``right`` is ``layout.right_factors(m)``.  V
-    is the base, and pi and phi are the ordering and per-element phases that
-    best match the right factors U_n of the elements D_0 (x) U_n to it.  nan
-    when no bijective ordering exists.
+    ``sector`` holds the set's last qN elements and ``right`` every
+    element's right factor, both read by ``layout``.  V is the base, and pi
+    and phi are the ordering and per-element phases that best match the
+    right factors U_n of the elements D_0 (x) U_n to it.  nan when no
+    bijective ordering exists.
     """
     n, count = layout.weyl_count, layout.base_count
     ref = base.matrices
@@ -584,7 +606,17 @@ def _base_sector_deviation(m, layout: Lift, right: np.ndarray, base: UMEBCandida
         return float("nan")
     best = overlaps[np.arange(count), order]
     matched = np.exp(1j * np.angle(best))[:, None, None] * ref[order]
-    return float(np.max(np.abs(m[n:] - layout.base_products(matched))))
+    deviation = layout.base_products(matched)
+    np.subtract(sector, deviation, out=deviation)
+    return float(np.max(np.abs(deviation)))
+
+
+def _mass(blocks: np.ndarray) -> tuple[float, float]:
+    """The largest entry magnitude and the Frobenius norm of ``blocks``,
+    both exactly 0.0 when every entry is zero."""
+    if not np.any(blocks):
+        return 0.0, 0.0
+    return float(np.max(np.abs(blocks))), float(np.linalg.norm(blocks))
 
 
 def _sector_floor(report: VerificationReport, n: int) -> Optional[float]:
@@ -616,6 +648,13 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
 
     Applicable only when provenance identifies the candidate as a lift (the
     explicit 30-member set counts, being the q = 2 lift in the same order).
+    The candidate's shape is read from ``(len(c), c.dim)``.  A set its lift
+    layout splits is read from its factors (``Factored``): check 1's
+    diagonal blocks F_k[a, a] Y_k, each element's right factor and check
+    5's base sector, all equal in value to the stored stack's, so a set
+    held as its right factors forms no stack.  Any other set is read from
+    its stored stack by the layout (``Lift.blocks``, ``Lift.right_factors``).
+
     The checks mirror the proof that any matrix trace-orthogonal to the whole
     set must be zero unless a base extension exists:
 
@@ -647,8 +686,8 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
        forms, with the U_n the base up to ordering and per-element phase.
        Only a leaf, a base that is not itself a lift, is rebuilt from its
        provenance, once its declared shape matches the lift's; any other
-       base is read from the sector by :meth:`Lift.right_factors`, as the
-       U_n of the elements D_0 (x) U_n, and the certificate is conditional
+       base is read from the sector as the right factors U_n of the
+       elements D_0 (x) U_n, and the certificate is conditional
        on that extracted base.  The base is re-verified against the axioms;
        a lifted base is then certified recursively by these five checks on
        the data it holds, its notes carried over prefixed ``base: ``, so a
@@ -695,7 +734,7 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
     checks: list[CertificateCheck] = []
     notes: list[str] = []
 
-    if not layout.fits(c.matrices):
+    if (len(c), c.dim) != (layout.element_count, layout.dim):
         checks.append(CertificateCheck(
             "weyl_sector_spans_offdiagonal_blocks", False, float("nan"), CERT_ZERO_TOL
         ))
@@ -707,16 +746,21 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
 
     # The held report, which check 6 reads, gives checks 1-2 their rank.
     report = verify_axioms(c)
+    # A set this layout splits is read from its factors, any other from its
+    # stored stack: the Weyl sector's diagonal blocks, every element's right
+    # factor and the base sector's rows.
+    view = c.factored
+    if view.self_lift:
+        m = c.matrices
+        diag_mass, diag_norm = _mass(np.diagonal(layout.blocks(m)[:n], axis1=1, axis2=3))
+        right, sector = layout.right_factors(m), m[n:]
+    else:
+        diag_mass, diag_norm = _mass(view.weyl_diagonal_blocks())
+        right, sector = view.right_factors(), view.base_sector()
 
     # Check 1: zero diagonal blocks and full rank n, the dimension of the
     # off-diagonal-block space.  Check 2 is derived from the same figures.
     if n:
-        diag_blocks = np.diagonal(layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
-        if np.any(diag_blocks):
-            diag_mass = float(np.max(np.abs(diag_blocks)))
-            diag_norm = float(np.linalg.norm(diag_blocks))
-        else:
-            diag_mass = diag_norm = 0.0
         low = _sector_floor(report, n)
         margin = np.sqrt(low) - diag_norm if low is not None else 0.0
         off_bound = diag_norm / margin if margin > 0 else float("nan")
@@ -725,7 +769,7 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
             notes.append("weyl sector rank not established: the set fails verify_axioms")
     else:
         # q = 1: no off-diagonal blocks exist and the complement is everything.
-        diag_mass = off_bound = 0.0
+        off_bound = 0.0
         span_ok = True
     checks.append(CertificateCheck(
         "weyl_sector_spans_offdiagonal_blocks", span_ok, diag_mass, CERT_ZERO_TOL
@@ -756,10 +800,9 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
         )
         checks.append(CertificateCheck("base_case_verdict", False, float("nan"), CERT_ZERO_TOL))
         return StructuralCertificate(overall="Failed", checks=tuple(checks), notes=tuple(notes))
-    right = layout.right_factors(c.matrices)
     base = (rebuild_from_provenance(base_prov) if leaf is not None
             else UMEBCandidate(d, right[n:n + layout.base_count], base_prov))
-    sector_dev = _base_sector_deviation(c.matrices, layout, right, base)
+    sector_dev = _base_sector_deviation(sector, layout, right, base)
     base_report = verify_axioms(base)
     base_detail = float(np.max([
         sector_dev, base_report.max_unitarity_residual, q * base_report.max_gram_offdiag,

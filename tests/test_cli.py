@@ -580,7 +580,7 @@ def test_verify_search_certify_json_key_order(tmp_path, capsys):
     assert code == 0
     assert list(json.loads(stdout)) == [
         "schema_version", "command", "path", "verdict", "best_nuclear_norm", "gap",
-        "restarts", "iters", "seed", "complement_dim", "best_restart",
+        "restarts", "iters", "seed", "complement_dim", "complement_from", "best_restart",
         "extension_unitarity_residual", "extension_max_gram_overlap",
         "restart_final_gaps", "restart_plateau_iters", "refined", "notes", "witness_path",
     ]

@@ -12,6 +12,7 @@ import contextlib
 import copy
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from umeb.constructions import (
 from umeb.spectral import signature
 from umeb.verification import structural_certify, verify_axioms
 
-from test_verification import TOWERS, _tower
+from test_verification import TAMPERED, TAMPERED_VERDICTS, TOWERS, _tower, _variant
 
 _STACK = {"matrices", "elements"}
 
@@ -99,6 +100,40 @@ def test_held_factors_of_towers_match_a_dense_copy(tmp_path_factory, d, q, outer
     _assert_saved_copy_matches_dense(_tower(d, q, outer, kind, count, seed), path)
 
 
+def _certificate_read_from_the_stack(c):
+    """The certificate of ``c`` with its slices read from its stored stack, as
+    a set its layout does not split is read."""
+    stacked = _dense(c)
+    verify_axioms(stacked)  # the held report, whose source stays "factors"
+    vars(stacked)["factored"] = replace(stacked.factored, self_lift=True)
+    return json.dumps(structural_certify(stacked).to_dict())
+
+
+def _assert_certificate_from_factors_matches_the_stack(c):
+    assert not c.factored.self_lift
+    assert json.dumps(structural_certify(c).to_dict()) == _certificate_read_from_the_stack(c)
+
+
+_SPLIT_TAMPERED = [name for name, (_, splits) in TAMPERED_VERDICTS.items() if splits]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [make for _, make in _SETS] + [lambda name=name: _variant(*TAMPERED[name])
+                                   for name in _SPLIT_TAMPERED],
+    ids=[name for name, _ in _SETS] + [f"tampered_{name}" for name in _SPLIT_TAMPERED],
+)
+def test_certificate_from_the_factors_matches_the_stack_reading(make):
+    _assert_certificate_from_factors_matches_the_stack(make())
+
+
+@settings(max_examples=25, deadline=None)
+@given(**TOWERS)
+def test_certificate_of_towers_from_the_factors_matches_the_stack_reading(d, q, outer, kind,
+                                                                          count, seed):
+    _assert_certificate_from_factors_matches_the_stack(_tower(d, q, outer, kind, count, seed))
+
+
 def test_verify_and_signature_form_no_stack(tmp_path):
     c = lift(bravyi_smolin_3(), 8)
     path = tmp_path / "m.json"
@@ -112,27 +147,37 @@ def test_verify_and_signature_form_no_stack(tmp_path):
         assert len(held.elements) == 552 and np.shares_memory(held.elements[0], held.matrices)
 
 
-def test_only_certify_and_search_form_the_stack_of_a_factored_file(tmp_path, monkeypatch):
+def test_no_command_forms_the_stack_of_a_factored_file(tmp_path, monkeypatch):
+    # Whole stacks only: a first read of matrices or elements, or a call of
+    # Lift.products.  A complement basis or a base sector formed from some
+    # rows' factors is not a stack.
     formed = []
-    products = Lift.products
+    products, read = Lift.products, UMEBCandidate.__getattr__
+
+    def counted_read(c, name):
+        if name in _STACK:
+            formed.append(name)
+        return read(c, name)
+
     monkeypatch.setattr(Lift, "products",
                         lambda layout, right: formed.append(layout) or products(layout, right))
+    monkeypatch.setattr(UMEBCandidate, "__getattr__", counted_read)
     base, lifted, other = (tmp_path / name for name in ("bs3.json", "l.json", "u.json"))
     save_umeb(bravyi_smolin_3(), base)
     save_umeb(lift(umeb_6(), 2), other)
     steps = (
-        (["lift", base, "-q", "4", "-o", lifted], 0),
-        (["verify", lifted], 0),
-        (["spectral", lifted], 0),
-        (["compare", lifted, other], 0),
-        (["certify", lifted], 1),
-        (["search", lifted, "--restarts", "2", "--iters", "5"], 1),
+        ["lift", base, "-q", "4", "-o", lifted],
+        ["verify", lifted],
+        ["spectral", lifted],
+        ["compare", lifted, other],
+        ["certify", lifted],
+        ["search", lifted, "--restarts", "2", "--iters", "5"],
     )
-    for argv, stacks in steps:
+    for argv in steps:
         formed.clear()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main([str(a) for a in argv] + ["--json"]) == 0, argv
-        assert len(formed) == stacks, argv
+        assert formed == [], argv
     assert all('"right_factors"' in path.read_text() for path in (lifted, other))
 
 

@@ -929,3 +929,85 @@ def test_lift_reads_back_the_factors_it_builds_from_property(d, q, seed, count):
     moved[e, i, j] = complex(np.nextafter(m[e, i, j].real, np.inf), m[e, i, j].imag)
     assert layout.split(moved) is None
     assert layout.right_factors(moved).tobytes() == right.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# _classify against one scan of every phase and both its shifts
+# ---------------------------------------------------------------------------
+
+def _one_scan_classify(values, bound, exact_cos):
+    """Frozen classification that scans every phase and its +/-theta shifts together."""
+    k = len(values)
+    scan = [values]
+    if exact_cos is not None and -1 <= exact_cos <= 1:
+        theta = float(np.arccos(float(exact_cos)))
+        scan += [np.mod(values - theta, 2 * np.pi), np.mod(values + theta, 2 * np.pi)]
+    labels = order_up_to(np.concatenate(scan), bound)
+    own = labels[:k]
+    if (
+        exact_cos is None
+        or all(isinstance(cls, Finite) for cls in own)
+        or not isinstance(niven_classify(exact_cos), ProvablyInfinite)
+    ):
+        return own
+    infinite = ProvablyInfinite(Fraction(exact_cos))
+    return tuple(
+        infinite
+        if not isinstance(cls, Finite) and (isinstance(minus, Finite) or isinstance(plus, Finite))
+        else cls
+        for cls, minus, plus in zip(own, labels[k:2 * k], labels[2 * k:])
+    )
+
+
+_COSINES = (None, Fraction(-7, 8), Fraction(1, 3), Fraction(1, 2), Fraction(0), Fraction(2))
+
+
+@st.composite
+def _mixed_phases(draw):
+    """Distinct ascending phases: roots of unity, roots shifted by +/-theta
+    for an irrational-angle cosine, and arbitrary phases."""
+    phases = []
+    for kind in draw(st.lists(st.sampled_from(["root", "shifted", "other"]), max_size=12)):
+        n = draw(st.integers(1, 40))
+        root = 2 * np.pi * draw(st.integers(0, n - 1)) / n
+        if kind == "root":
+            phases.append(root)
+        elif kind == "shifted":
+            theta = float(np.arccos(draw(st.sampled_from([-7 / 8, 1 / 3]))))
+            phases.append(np.mod(root + draw(st.sampled_from([-1, 1])) * theta, 2 * np.pi))
+        else:
+            phases.append(draw(st.floats(0, 2 * np.pi, exclude_max=True)))
+    return np.unique(np.array(phases, dtype=np.float64))
+
+
+def _labels_or_error(classify, values, bound, exact_cos):
+    try:
+        return classify(values, bound, exact_cos)
+    except ValueError:
+        return "ValueError"
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_mixed_phases(), exact_cos=st.sampled_from(_COSINES),
+       bound=st.sampled_from([1, 12, 144]))
+def test_classify_matches_one_scan_of_every_shift_property(values, exact_cos, bound):
+    got = _labels_or_error(spectral._classify, values, bound, exact_cos)
+    assert got == _labels_or_error(_one_scan_classify, values, bound, exact_cos)
+    if exact_cos == 2:
+        unresolved = not all(isinstance(cls, Finite) for cls in order_up_to(values, bound))
+        assert (got == "ValueError") == unresolved
+
+
+def test_classify_scans_the_shifts_of_unresolved_phases_only(monkeypatch):
+    sizes = []
+    real = spectral.order_up_to
+    monkeypatch.setattr(spectral, "order_up_to",
+                        lambda phase, bound: sizes.append(np.size(phase)) or real(phase, bound))
+    sig = signature(lift(bravyi_smolin_3(), 8))
+    # 132 distinct phases, of which 8 resist the finite scan: 2 x 8 shifts.
+    assert sizes == [132, 16]
+    assert sig.summary.provably_infinite_count == 6 * 8 * 8
+    # Every phase of a Weyl family is a root of unity: no shift is scanned.
+    sizes.clear()
+    signature(UMEBCandidate(3, weyl_family(3).matrices, External("x"), Fraction(-7, 8)))
+    assert len(sizes) == 1

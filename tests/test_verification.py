@@ -31,6 +31,7 @@ from umeb.linalg import (
     DEFAULT_TOLERANCES,
     RANK_RTOL,
     DimensionMismatchError,
+    RankDeficiencyError,
     distinct_rows,
     gram_matrix,
     hs_inner,
@@ -1726,3 +1727,100 @@ def test_right_factors_are_told_apart_once(monkeypatch):
     view = fresh.factored
     assert fresh.factored is view
     assert not any(part.flags.writeable for part in (view.index, view.distinct, view.kind))
+
+
+# ---------------------------------------------------------------------------
+# The complement, grouped by left factor
+# ---------------------------------------------------------------------------
+
+COMPLEMENT_TOL = 1e-12
+
+
+def _assert_grouped_complement_matches_the_stack(c):
+    """The grouped complement of ``c`` against the null space of its whole stack."""
+    try:
+        want = np.array(orthonormal_complement(c.matrices)).reshape(-1, c.dim, c.dim)
+    except RankDeficiencyError:
+        with pytest.raises(RankDeficiencyError):
+            c.factored.complement()
+        return
+    got = c.factored.complement()
+    assert got.shape == want.shape
+    if c.factored.self_lift:
+        assert got.tobytes() == want.tobytes()
+    rows, ref = got.reshape(len(got), c.dim**2), want.reshape(len(want), c.dim**2)
+    assert np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max(initial=0.0) <= COMPLEMENT_TOL
+    assert np.abs(c.matrices.reshape(len(c), -1).conj() @ rows.T).max(initial=0.0) \
+        <= COMPLEMENT_TOL
+    assert np.abs(rows.T @ rows.conj() - ref.T @ ref.conj()).max(initial=0.0) <= COMPLEMENT_TOL
+
+
+_GROUPED = (
+    [(f"bs3_q{q}", lambda q=q: lift(bravyi_smolin_3(), q)) for q in range(1, 9)]
+    + [(f"umeb6_q{q}", lambda q=q: lift(umeb_6(), q)) for q in range(1, 5)]
+    + [("tower", lambda: lift(lift(bravyi_smolin_3(), 2), 2))]
+    + [(f"tampered_{name}", lambda name=name: _variant(*TAMPERED[name])) for name in TAMPERED]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in _GROUPED], ids=[n for n, _ in _GROUPED])
+def test_grouped_complement_matches_the_stack_complement(make):
+    _assert_grouped_complement_matches_the_stack(make())
+
+
+_SELF_LIFTS = {
+    "bs3": bravyi_smolin_3,
+    "weyl_subset": lambda: UMEBCandidate(3, weyl_family(3).matrices[:6], WeylFamily(3)),
+    "external_umeb6": lambda: UMEBCandidate(6, umeb_6().matrices, External("copy")),
+    "external_lift_bs3_8": lambda: UMEBCandidate(
+        24, lift(bravyi_smolin_3(), 8).matrices, External("copy")),
+    "unsplit_tampered": lambda: _variant(*TAMPERED["diagonal_entry"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SELF_LIFTS))
+def test_a_self_lift_complement_is_the_stack_null_space_bit_for_bit(name):
+    c = _SELF_LIFTS[name]()
+    assert c.factored.self_lift
+    _assert_grouped_complement_matches_the_stack(c)
+    result = search_extension(c, restarts=2, iters=20, seed=3)
+    assert result.complement_from == "stack"
+
+
+@settings(max_examples=40, deadline=None)
+@given(**TOWERS)
+def test_grouped_complement_of_towers_matches_the_stack_property(d, q, outer, kind, count, seed):
+    _assert_grouped_complement_matches_the_stack(_tower(d, q, outer, kind, count, seed))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lift(UMEBCandidate(3, bravyi_smolin_3().matrices[[0, 0, 1, 2, 3, 4]],
+                               BravyiSmolin3()), 2),
+    lambda: _variant(*TAMPERED["duplicated"]),
+], ids=["repeated_base_element", "duplicated_weyl_element"])
+def test_grouped_complement_of_a_dependent_group_raises(make):
+    c = make()
+    assert not c.factored.self_lift
+    with pytest.raises(RankDeficiencyError):
+        c.factored.complement()
+    with pytest.raises(RankDeficiencyError):
+        orthonormal_complement(c.matrices)
+
+
+def test_grouped_complement_takes_one_null_space_per_distinct_group(monkeypatch):
+    calls = []
+    real = constructions.orthonormal_complement
+    monkeypatch.setattr(constructions, "orthonormal_complement",
+                        lambda mats: calls.append(np.shape(mats)) or real(mats))
+    lift(bravyi_smolin_3(), 8).factored.complement()
+    # The 56 Weyl-sector groups share the 9 Weyl operators, the 8 base groups bs3.
+    assert sorted(calls) == [(6, 3, 3), (9, 3, 3)]
+
+
+@pytest.mark.parametrize("make", [lambda: lift(bravyi_smolin_3(), 8), lambda: lift(umeb_6(), 4)],
+                         ids=["lift_bs3_8", "lift_umeb6_4"])
+def test_search_at_dimension_24_reads_its_complement_from_the_factors(make):
+    result = search_extension(make(), restarts=3, iters=50, seed=1)
+    assert result.verdict == "NoExtensionFound"
+    assert abs(result.gap - 8 * (3 - np.sqrt(6))) <= 1e-9
+    assert (result.complement_dim, result.complement_from) == (24, "factors")
