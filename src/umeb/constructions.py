@@ -147,11 +147,11 @@ class Lift:
         """The stack F_k (x) Y_k of this layout, from the (n, d, d) right factors Y_k."""
         return _kron_rows(left_factors(self.q)[self.factor_index()], right)
 
-    def base_products(self, base: np.ndarray) -> np.ndarray:
-        """The base sector D_i (x) U_n, lexicographic in (i, n), from the (N, d, d) base
-        U_n: the last qN rows of :meth:`products`, bit for bit, without the Weyl sector."""
+    def base_products(self, right: np.ndarray) -> np.ndarray:
+        """The base sector F_k (x) Y_k, from its (qN, d, d) right factors Y_k:
+        the last qN rows of :meth:`products`, bit for bit, without the Weyl sector."""
         index = self.factor_index()[self.weyl_count:]
-        return _kron_rows(left_factors(self.q)[index], np.tile(base, (self.q, 1, 1)))
+        return _kron_rows(left_factors(self.q)[index], right)
 
     def split(self, matrices) -> Optional[np.ndarray]:
         """The right factors Y_k of a stack in this layout, or None.
@@ -272,7 +272,9 @@ class Factored:
     ``Lift(provenance, dim, n, 1)``: left factor [1] and right factors the
     stored matrices, each its own kind, so ``distinct`` is the stack itself,
     with no sort and no copy.  Y_k = distinct[kind[k]] and ``index`` is
-    ``layout.factor_index()``; every array is read-only.
+    ``layout.factor_index()``; every array is read-only.  The split is the
+    last read of a split set's stack: every fact this view gives is formed
+    from the factors, which the split found equal to the stack in value.
     """
 
     layout: Lift
@@ -281,52 +283,26 @@ class Factored:
     kind: np.ndarray
     self_lift: bool
 
-    def tiles(self, matrices) -> np.ndarray:
-        """The distinct nonzero d x d tiles of ``matrices``, the stack this view
-        reads: one per distinct pair (f, Y_k), told apart by exact bytes.  Every
-        left factor is monomial, so row-tile a of F_k (x) Y_k is f Y_k and every
-        other tile is 0: (F (x) Y)^dag (F (x) Y) is block diagonal with blocks
-        T^dag T.  At q = 1 each element is its one tile, so the tiles are
-        ``distinct``, with no copy of the stack."""
-        if self.layout.q == 1:
-            return self.distinct
-        k, a = self._tile_sources()
-        _, cols, _, _ = _factor_table(self.layout.q)
-        return self.layout.blocks(matrices)[k, a, :, cols[self.index[k], a], :]
-
-    def formed_tiles(self, right: np.ndarray) -> np.ndarray:
-        """The tiles :meth:`tiles` reads from the :meth:`Lift.products` of the
-        right factors ``right``, formed as f Y_k with no stack: the complex
-        multiply of those products, so the same bytes, signed zeros included."""
+    @cached_property
+    def tiles(self) -> np.ndarray:
+        """The distinct nonzero d x d tiles of the products, formed on first use
+        and then held: one per distinct pair (f, Y_k), told apart by exact
+        bytes.  Every left factor is monomial, so row-tile a of F_k (x) Y_k is
+        f Y_k and every other tile is 0: (F (x) Y)^dag (F (x) Y) is block
+        diagonal with blocks T^dag T.  Each tile is formed as f Y_k, the
+        complex multiply :meth:`Lift.split` compared the stack's tile with, so
+        it equals that tile in value.  At q = 1 each element is its one tile,
+        so the tiles are ``distinct``, with no copy."""
         if self.layout.q == 1:
             return self.distinct
         k, a = self._tile_sources()
         _, _, values, _ = _factor_table(self.layout.q)
-        return values[self.index[k], a][:, None, None] * right[k]
+        return values[self.index[k], a][:, None, None] * self.distinct[self.kind[k]]
 
     def right_factors(self) -> np.ndarray:
         """Each element's right factor Y_k: for a split, the bytes
         :meth:`Lift.right_factors` reads from the stack."""
         return self.distinct[self.kind]
-
-    def weyl_diagonal_blocks(self) -> np.ndarray:
-        """The diagonal blocks (a, a) of the Weyl sector's products that can
-        be nonzero, F_k[a, a] Y_k where F_k[a, a] != 0, as an (m, d, d) array
-        formed from the factors alone.  Every other such block is 0 Y_k, all
-        +-0 for the finite Y_k of a split.  A lift's has none: its factors
-        D_i S^j, j >= 1, have zero diagonals."""
-        n = self.layout.weyl_count
-        diagonal = np.diagonal(left_factors(self.layout.q), axis1=1, axis2=2)[self.index[:n]]
-        k, a = np.nonzero(diagonal)
-        return diagonal[k, a][:, None, None] * self.distinct[self.kind[k]]
-
-    def base_sector(self) -> np.ndarray:
-        """The base sector's products F_k (x) Y_k, the last qN elements, formed
-        from the factors alone: for a split, the stack's rows in value (the
-        zeros' signs may differ, as in :meth:`Lift.split`)."""
-        n = self.layout.weyl_count
-        return _kron_rows(left_factors(self.layout.q)[self.index[n:]],
-                          self.distinct[self.kind[n:]])
 
     def complement(self) -> np.ndarray:
         """An orthonormal basis of the trace-orthogonal complement of the
@@ -394,11 +370,14 @@ class UMEBCandidate:
     read and then held; the axiom check, the spectral layer and a save read
     only the factors, so they form no stack.
 
+    A set holds at least one element: ValueError otherwise.
+
     Three whole-stack facts are computed on first use and then held:
     :attr:`factored`, the stack read as F_k (x) Y_k, by its lift layout or
     as the set's own q = 1 lift; :attr:`unitarity`, the largest residual of
-    the stored matrices, read from that view's distinct tiles, and where it
-    was read; and :attr:`axiom_report`, the report
+    the stored matrices, read from that view's distinct tiles
+    (:attr:`Factored.tiles`), and where it was read; and
+    :attr:`axiom_report`, the report
     :func:`~umeb.verification.verify_axioms` returns.  The axiom check, the
     certificate and the spectral layer all read them, so a candidate
     verified, certified and then signed pays for each once.  Holding them
@@ -446,16 +425,15 @@ class UMEBCandidate:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if not len(self.elements):
-            stack = np.empty((0, self.dim, self.dim), dtype=np.complex128)
-        else:
-            stack = as_stack(self.elements)
-            # Copy what a caller may still write: its array, or a view of
-            # memory it holds.  A converted sequence or dtype is already a
-            # copy, and the builders here hand over fresh arrays as _Fresh.
-            if not isinstance(self.elements, _Fresh) and (
-                stack is self.elements or not stack.flags.owndata
-            ):
-                stack = stack.copy()
+            raise ValueError("a set holds at least one element")
+        stack = as_stack(self.elements)
+        # Copy what a caller may still write: its array, or a view of memory
+        # it holds.  A converted sequence or dtype is already a copy, and the
+        # builders here hand over fresh arrays as _Fresh.
+        if not isinstance(self.elements, _Fresh) and (
+            stack is self.elements or not stack.flags.owndata
+        ):
+            stack = stack.copy()
         if stack.shape[1:] != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"elements have shape {stack.shape[1:]}, expected ({self.dim}, {self.dim})"
@@ -476,8 +454,7 @@ class UMEBCandidate:
         factors Y_k is their products, which split, with no compare: each
         right factor is F_k[0, c_k] Y_k, F_k[0, c_k] exactly 1, the complex
         multiply of the products, so it has the bytes :meth:`Lift.right_factors`
-        reads from the stack, whose zeros may differ in sign from Y_k's.
-        Raises ValueError for a set with no elements, which no lift holds."""
+        reads from the stack, whose zeros may differ in sign from Y_k's."""
         layout, right = as_lift(self.provenance), None
         if self._right_factors is not None:
             values = _factor_table(layout.q)[2]
@@ -500,28 +477,17 @@ class UMEBCandidate:
         """The largest unitarity residual of the stored matrices, and where it
         was read: ``"tiles"`` or ``"stack"``.
 
-        It is the residual of the distinct tiles :meth:`Factored.tiles` reads:
-        the stored matrices for the self-lift (``"stack"``), and for a split
-        the stack's figure summed over d terms, not qd, so equal to it up to
+        It is the residual of the distinct tiles :attr:`Factored.tiles`: the
+        stored matrices for the self-lift (``"stack"``), and for a split the
+        stack's figure summed over d terms, not qd, so equal to it up to
         rounding (``"tiles"``).  A tile figure within that rounding of
         ``unitarity_tol`` could fall on the other side of it from the stack's,
-        so there it is the stack's.  A set with no elements has residual 0.0.
+        so there, and only there, the stack is read (``"stack"``).
         """
-        if not len(self):
-            return 0.0, "stack"
-        residual = unitarity_residual(self._tiles)
+        residual = unitarity_residual(self.factored.tiles)
         if abs(residual - DEFAULT_TOLERANCES.unitarity_tol) > _TILE_ROUNDING:
             return residual, "stack" if self.factored.self_lift else "tiles"
         return unitarity_residual(self.matrices), "stack"
-
-    @cached_property
-    def _tiles(self) -> np.ndarray:
-        """The distinct nonzero tiles of the stack (:meth:`Factored.tiles`),
-        formed from the right factors when the set holds them."""
-        right = self._right_factors
-        if right is None:
-            return self.factored.tiles(self.matrices)
-        return self.factored.formed_tiles(right)
 
     @property
     def unitarity_residual(self) -> float:
@@ -769,7 +735,7 @@ def _lifted(prov: Provenance, right: np.ndarray, cos: Optional[Fraction]) -> UME
         return UMEBCandidate(layout.dim, layout.products(right).view(_Fresh), prov, cos)
     right.flags.writeable = False
     candidate = UMEBCandidate._of_right_factors(prov, right, cos)
-    if not np.isfinite(candidate._tiles).all():
+    if not np.isfinite(candidate.factored.tiles).all():
         raise ValueError("right factor products must be finite")
     return candidate
 
@@ -983,19 +949,15 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     blocks of about 2^15 reals, each zero straight from its sign bit and the
     nonzero reals by one C JSON-encoder call per block.  Every block is
     encoded before ``path`` is opened, so an encoding error leaves any file
-    there as it was.  So does a candidate with no elements, which no file
-    holds: UMEBFormatError.
+    there as it was.
     """
-    if not len(candidate):
-        raise UMEBFormatError("elements must be a nonempty list: no file holds an empty set")
     right = candidate._right_factors
     key, matrices = (_ELEMENTS, candidate.matrices) if right is None else (_RIGHT_FACTORS, right)
     d2 = matrices.shape[1] ** 2
     reals = np.ascontiguousarray(matrices).view(np.float64).reshape(-1)
     step = 2 * d2 * max(1, _SAVE_BLOCK // (2 * d2))
     blocks = [_element_block(reals[i:i + step], d2) for i in range(0, reals.size, step)]
-    if blocks:
-        blocks[-1] = blocks[-1][:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE
+    blocks[-1] = blocks[-1][:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE
     header = _header(candidate.dim, candidate.provenance, candidate.exact_cos_theta, key)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)

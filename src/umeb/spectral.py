@@ -414,16 +414,12 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
     raises alike.  The :attr:`~UMEBCandidate.factored` view gives (phi_F +
     phi_Y) mod 2*pi, from the left factors' phases, held per layout, and one
     eigensolve of the distinct right factors: for the self-lift, whose left
-    factor [1] has phase 0, the stored matrices'.  At q > 1, right factors
-    that miss the threshold by a rounding of their own send the set to one
-    eigensolve of the stored stack; at q = 1 they are the held residual's.
+    factor [1] has phase 0, the stored matrices'.  The eigenvalues of F (x) Y
+    are the products of F's and Y's whether or not Y on its own passes the
+    unitarity threshold, so a split set's stack is never eigensolved.
     """
     _require_unitary(c.unitarity_residual)
-    if not len(c):
-        return np.empty((0, c.dim))
     view = c.factored
-    if view.layout.q > 1 and unitarity_residual(view.distinct) >= DEFAULT_TOLERANCES.unitarity_tol:
-        return _phases(c.matrices)
     left = _left_phases(view.layout)[view.index]
     # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
     phases = np.mod(left[:, :, None] + _phases(view.distinct)[view.kind][:, None, :], TWO_PI)
@@ -448,8 +444,9 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
 
     A set laid out as a lift, whose stored matrices equal the Kronecker
     products of its factors entry for entry, takes its spectra from the
-    factors' spectra; any other set, its own q = 1 lift, from one eigensolve
-    of the stored array.
+    factors' spectra, and reads no stored matrix; any other set, its own
+    q = 1 lift, from one eigensolve of the stored array.  Unitarity is the
+    candidate's held residual (:attr:`~UMEBCandidate.unitarity`).
     Work is done once per distinct thing, which gives what a
     per-element pass gives, since equal inputs give equal outputs: a lift's
     right factors are eigensolved once per distinct matrix, each distinct

@@ -7,9 +7,11 @@ Three layers of scrutiny for a candidate set of d x d matrices:
   the diagonal and 0 off it.  Every set is read as a lift F (x) Y: the
   Gram from its factors, Tr((F (x) Y)^dag (F' (x) Y')) = Tr(F^dag F')
   Tr(Y^dag Y'), and the unitarity residual from the distinct nonzero tiles
-  of the products.  A set its lift layout splits (``Lift.split``) is read at
-  the factors' size, to a rounding of the stored stack's figures; any other
-  set is its own q = 1 lift, whose factors are [1] and its stored matrices.
+  of the products, formed from the factors.  A set its lift layout splits
+  (``Lift.split``) is read at the factors' size, to a rounding of the
+  stored stack's figures, and the split is the last read of its stack; any
+  other set is its own q = 1 lift, whose factors are [1] and its stored
+  matrices.
 * :func:`search_extension` hunts for a unitary inside the trace-orthogonal
   complement by nuclear-norm ascent.  The complement splits over the lift's
   left factors and is taken from them (``Factored.complement``): a split
@@ -125,8 +127,8 @@ class VerificationReport:
     ``gram_from`` says how the Gram residuals were formed: ``"factors"``
     from a split lift's Kronecker factors, ``"stack"`` from the stored
     matrices.  ``unitarity_from`` says the same of the unitarity residual:
-    ``"tiles"`` from the distinct nonzero tiles of a split lift's stored
-    matrices, ``"stack"`` from every stored matrix.
+    ``"tiles"`` from the distinct nonzero tiles f Y_k of a split lift's
+    products, formed from its factors, ``"stack"`` from every stored matrix.
     """
 
     dim: int
@@ -146,10 +148,7 @@ class VerificationReport:
     def of(cls, c: UMEBCandidate) -> "VerificationReport":
         """The report of ``c``, computed afresh; :func:`verify_axioms` documents it."""
         tol = DEFAULT_TOLERANCES
-        n = len(c)
-        if n == 0:
-            raise ValueError("candidate has no elements")
-        d = c.dim
+        n, d = len(c), c.dim
         max_unit, unitarity_from = c.unitarity
         view = c.factored
         left = gram_matrix(left_factors(view.layout.q))
@@ -606,7 +605,7 @@ def _base_sector_deviation(sector: np.ndarray, layout: Lift, right: np.ndarray,
         return float("nan")
     best = overlaps[np.arange(count), order]
     matched = np.exp(1j * np.angle(best))[:, None, None] * ref[order]
-    deviation = layout.base_products(matched)
+    deviation = layout.base_products(np.tile(matched, (layout.q, 1, 1)))
     np.subtract(sector, deviation, out=deviation)
     return float(np.max(np.abs(deviation)))
 
@@ -649,11 +648,13 @@ def structural_certify(c: UMEBCandidate) -> StructuralCertificate:
     Applicable only when provenance identifies the candidate as a lift (the
     explicit 30-member set counts, being the q = 2 lift in the same order).
     The candidate's shape is read from ``(len(c), c.dim)``.  A set its lift
-    layout splits is read from its factors (``Factored``): check 1's
-    diagonal blocks F_k[a, a] Y_k, each element's right factor and check
-    5's base sector, all equal in value to the stored stack's, so a set
-    held as its right factors forms no stack.  Any other set is read from
-    its stored stack by the layout (``Lift.blocks``, ``Lift.right_factors``).
+    layout splits is read from its factors (``Factored``), with no read of
+    its stored stack: each element's right factor and check 5's base
+    sector, their :meth:`Lift.base_products`, equal in value to the stack's
+    rows, and check 1's diagonal blocks, which are 0 Y_k, as the Weyl
+    sector's left factors D_i S^j (j >= 1) have zero diagonals.  Any other
+    set is read from its stored stack by the layout (``Lift.blocks``,
+    ``Lift.right_factors``).
 
     The checks mirror the proof that any matrix trace-orthogonal to the whole
     set must be zero unless a base extension exists:
@@ -755,8 +756,11 @@ def _certify(c: UMEBCandidate, layout: Lift) -> StructuralCertificate:
         diag_mass, diag_norm = _mass(np.diagonal(layout.blocks(m)[:n], axis1=1, axis2=3))
         right, sector = layout.right_factors(m), m[n:]
     else:
-        diag_mass, diag_norm = _mass(view.weyl_diagonal_blocks())
-        right, sector = view.right_factors(), view.base_sector()
+        # The Weyl sector's left factors D_i S^j, j >= 1, have zero diagonals,
+        # so its diagonal blocks are 0 Y_k: +-0 for a split's finite Y_k.
+        diag_mass = diag_norm = 0.0
+        right = view.right_factors()
+        sector = layout.base_products(right[n:])
 
     # Check 1: zero diagonal blocks and full rank n, the dimension of the
     # off-diagonal-block space.  Check 2 is derived from the same figures.

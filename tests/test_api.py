@@ -97,3 +97,14 @@ def test_the_private_use_guard_finds_both_forms():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_reads_a_private_name_of_another(path):
     assert _private_cross_module_uses(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_factored_view_reads_nothing_but_itself():
+    # A method of the view that took an argument could take a stack back in:
+    # every public method and property of Factored takes only self.
+    members = {name: member for name, member in vars(constructions.Factored).items()
+               if not name.startswith("_")}
+    assert {"tiles", "right_factors", "complement"} <= set(members)
+    for name, member in members.items():
+        fn = getattr(member, "func", getattr(member, "fget", member))
+        assert list(inspect.signature(fn).parameters) == ["self"], name

@@ -5,12 +5,15 @@ d x d right factors Y_k and form the stack F_k (x) Y_k only when
 ``matrices`` or ``elements`` is first read.  A copy of that stack in a new
 candidate holds no factors and is read by ``Lift.split``.  The two must
 agree byte for byte in every view and report, and only the layers that read
-the stack may form it.
+the stack may form it.  Once the split has read a copy's stack, no layer
+reads it again: the reports of a copy whose stack is then poisoned with nan
+are those of an untouched copy.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 from dataclasses import replace
 
@@ -24,15 +27,18 @@ from umeb.constructions import (
     Lift,
     UMEBCandidate,
     bravyi_smolin_3,
+    left_factors,
     lift,
     load_umeb,
     save_umeb,
     umeb_6,
     weyl_family,
 )
+from umeb.linalg import unitarity_residual
 from umeb.spectral import signature
-from umeb.verification import structural_certify, verify_axioms
+from umeb.verification import search_extension, structural_certify, verify_axioms
 
+from test_spectral import _lift_at_the_threshold
 from test_verification import TAMPERED, TAMPERED_VERDICTS, TOWERS, _tower, _variant
 
 _STACK = {"matrices", "elements"}
@@ -59,9 +65,8 @@ def _assert_held_matches_dense(c):
         a, b = getattr(held, name), getattr(split, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert c.unitarity == dense.unitarity
-    tiles = split.tiles(dense.matrices)
-    assert held.formed_tiles(c._right_factors).tobytes() == tiles.tobytes()
-    assert c._tiles.shape == tiles.shape and c._tiles.tobytes() == tiles.tobytes()
+    assert held.tiles.tobytes() == split.tiles.tobytes()
+    _assert_tiles_match_the_stack(dense)
     assert reports == _reports(dense)
     assert c.matrices.tobytes() == dense.matrices.tobytes()
 
@@ -71,6 +76,53 @@ def _assert_saved_copy_matches_dense(c, path):
     back = load_umeb(path)
     assert back._right_factors.tobytes() == c._right_factors.tobytes()
     _assert_held_matches_dense(back)
+
+
+def _stack_tiles(c):
+    """Reference reader: the distinct nonzero d x d tiles of the stored stack
+    of ``c``, read from the stack, one per distinct pair (f, Y_k) in element
+    order.  Row-tile a of F_k (x) Y_k sits in the column of row a's one
+    nonzero entry f of F_k."""
+    view = c.factored
+    q, d = view.layout.q, view.layout.base_dim
+    left = left_factors(q)[view.index]
+    cols = np.argmax(left != 0, axis=2)
+    blocks = c.matrices.reshape(len(c), q, d, q, d)
+    tiles = {}
+    for k, a in itertools.product(range(len(c)), range(q)):
+        key = (left[k, a, cols[k, a]].tobytes(), int(view.kind[k]))
+        tiles.setdefault(key, blocks[k, a, :, cols[k, a], :])
+    return np.array(list(tiles.values()))
+
+
+def _by_value(tiles):
+    """The tiles sorted by value, each zero read as +0.0."""
+    reals = (tiles + 0.0).reshape(len(tiles), -1).view(np.float64)
+    return tiles[np.lexsort(reals.T[::-1])]
+
+
+def _assert_tiles_match_the_stack(c):
+    """The view's formed tiles are the stack's in value, with the stack's
+    unitarity residual bit for bit; for a split set, the Weyl sector's
+    diagonal blocks, which its certificate takes as 0, are +-0."""
+    view = c.factored
+    formed, read = view.tiles, _stack_tiles(c)
+    assert formed.shape == read.shape and np.array_equal(_by_value(formed), _by_value(read))
+    assert repr(unitarity_residual(formed)) == repr(unitarity_residual(read))
+    if not view.self_lift:
+        n = view.layout.weyl_count
+        diagonal = np.diagonal(view.layout.blocks(c.matrices)[:n], axis1=1, axis2=3)
+        assert not np.any(diagonal)
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_the_weyl_sector_left_factors_have_zero_diagonals(q):
+    assert not np.any(np.diagonal(left_factors(q)[:q * (q - 1)], axis1=1, axis2=2))
+
+
+@pytest.mark.parametrize("stored_passes", [True, False])
+def test_tiles_at_the_threshold_match_the_stack(stored_passes):
+    _assert_tiles_match_the_stack(_lift_at_the_threshold(stored_passes))
 
 
 def _weyl_subset(q):
@@ -132,6 +184,58 @@ def test_certificate_from_the_factors_matches_the_stack_reading(make):
 def test_certificate_of_towers_from_the_factors_matches_the_stack_reading(d, q, outer, kind,
                                                                           count, seed):
     _assert_certificate_from_factors_matches_the_stack(_tower(d, q, outer, kind, count, seed))
+
+
+def _search(c):
+    return search_extension(c, 3, 30, seed=0)
+
+
+def _outcomes(c, reports):
+    """The JSON of each report of ``c``, or the error it raises."""
+    found = []
+    for report in reports:
+        try:
+            found.append(json.dumps(report(c).to_dict()))
+        except ValueError as exc:
+            found.append(f"ValueError: {exc}")
+    return found
+
+
+def _assert_the_split_is_the_last_read_of_the_stack(make):
+    c = make()
+    assert c._right_factors is None and not c.factored.self_lift
+    _assert_tiles_match_the_stack(c)
+    poisoned = make()
+    poisoned.factored  # the split reads the stack
+    for name in ("matrices", "elements"):
+        object.__setattr__(poisoned, name, np.broadcast_to(np.complex128(np.nan), c.matrices.shape))
+    reports = [verify_axioms, structural_certify, signature, _search]
+    want = _outcomes(c, reports)
+    if '"verdict": "ExtensionFound"' in want[-1]:
+        # An extension is re-verified against the stored stack, on purpose.
+        reports, want = reports[:-1], want[:-1]
+    assert _outcomes(poisoned, reports) == want
+
+
+_STACK_SETS = (
+    [("umeb_6", umeb_6)]
+    + [(f"dense_{name}", lambda make=make: _dense(make())) for name, make in _SETS]
+    + [(f"tampered_{name}", lambda name=name: _variant(*TAMPERED[name]))
+       for name in _SPLIT_TAMPERED]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in _STACK_SETS],
+                         ids=[name for name, _ in _STACK_SETS])
+def test_the_split_is_the_last_read_of_the_stack(make):
+    _assert_the_split_is_the_last_read_of_the_stack(make)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**TOWERS)
+def test_the_split_is_the_last_read_of_the_stack_of_towers(d, q, outer, kind, count, seed):
+    _assert_the_split_is_the_last_read_of_the_stack(
+        lambda: _dense(_tower(d, q, outer, kind, count, seed)))
 
 
 def test_verify_and_signature_form_no_stack(tmp_path):

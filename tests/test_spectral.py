@@ -349,7 +349,6 @@ REFERENCE_SETS = {
     "haar_rational_cosine": lambda: _haar_set(Fraction(1, 2)),
     "root_of_unity_diagonals": _root_of_unity_diagonals,
     "wraparound_pair": _wraparound_pair,
-    "empty": lambda: UMEBCandidate(3, (), External("empty")),
 }
 
 
@@ -602,14 +601,17 @@ def _lift_at_the_threshold(stored_passes: bool):
     raise AssertionError("no threshold case found")
 
 
-def test_right_factors_past_the_threshold_take_the_full_stack_path(monkeypatch):
+def test_right_factors_past_the_threshold_take_their_phases_from_the_factors(monkeypatch):
+    # The eigenvalues of F (x) Y are products of F's and Y's whether or not Y
+    # passes the threshold on its own: the stack is never eigensolved.
     c = _lift_at_the_threshold(stored_passes=True)
     right = c.provenance.split(c.matrices)
     assert unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol
+    spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
     shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
-    assert shapes == [c.matrices.shape]
-    _assert_bit_identical(sig, signature(_relabel(c)))
+    assert shapes == [(len(c.factored.distinct), 2, 2)]
+    _assert_same_up_to_raw_phases(sig, signature(_relabel(c)))
 
 
 def test_stored_matrices_past_the_threshold_raise_the_full_stack_error():
@@ -806,7 +808,7 @@ def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
     spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
     calls.clear()
     signature(c)
-    assert calls == [(15, 3, 3)]  # the distinct right factors, checked once
+    assert calls == []  # no right factor is checked apart from the held residual
 
 
 # ---------------------------------------------------------------------------

@@ -1286,12 +1286,11 @@ def test_tile_residual_matches_the_stack_residual_property(d, q, outer, kind, co
 def test_tiles_of_lift_bs3_8():
     c = lift(bravyi_smolin_3(), 8)
     right = c.provenance.split(c.matrices)
-    tiles = c.factored.tiles(c.matrices)
+    tiles = c.factored.tiles
     # 15 distinct right factors (9 Weyl operators, 6 bs3 elements), each met
     # by the 8 distinct nonzero entries f of the left factors it sits on.
     assert tiles.shape == (15 * 8, 3, 3)
-    # Each tile, read from the stack, is one of the products f Y, and no two
-    # are equal.
+    # Each tile is one of the products f Y, and no two are equal.
     left = left_factors(c.provenance.q)
     values = np.unique(left[left != 0])
     distinct = np.unique(right.reshape(len(right), -1), axis=0).reshape(-1, 3, 3)
