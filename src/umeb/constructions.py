@@ -351,24 +351,28 @@ class Factored:
 _TILE_ROUNDING = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UMEBCandidate:
     """An ordered set of d x d matrices with provenance and exact metadata.
 
     ``elements`` may be given as any sequence of matrices, an (n, d, d)
     array included.  The set is stored once, as the read-only (n, d, d)
     complex128 array ``matrices``; ``elements`` becomes the tuple of its
-    rows, read-only views.
+    rows, read-only views.  Two candidates are equal only when they are the
+    same object, and hash by identity, as :class:`Factored` does; the repr
+    names ``dim``, ``provenance`` and ``exact_cos_theta``, not the matrices.
     ``exact_cos_theta``, when present, is the exact rational cosine of the
     one non-unit eigenphase shared by every Bravyi-Smolin-derived element; the
     spectral layer uses it to prove infinite eigenvalue orders.
 
-    A set built from its right factors Y_k, by :func:`lift` or by
-    :func:`load_umeb` from a file of them, holds those factors as its one
-    stored form and is saved as them.  Its ``matrices`` and ``elements``
-    are the :meth:`Lift.products` of the factors, formed on their first
-    read and then held; the axiom check, the spectral layer and a save read
-    only the factors, so they form no stack.
+    A set built from its right factors Y_k, every :func:`lift` and a
+    :func:`load_umeb` of a file of them, holds those factors as its one
+    stored form.  Its ``matrices`` and ``elements`` are the
+    :meth:`Lift.products` of the factors, formed on their first read and
+    then held; the axiom check, the certificate and the spectral layer read
+    only the factors, so they form no stack.  A save writes the factors,
+    unless the stack is beyond the largest a file of them is rebuilt to;
+    it then writes the stack (:func:`save_umeb`).
 
     A set holds at least one element: ValueError otherwise.
 
@@ -387,21 +391,25 @@ class UMEBCandidate:
     """
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    elements: tuple[np.ndarray, ...] = field(repr=False)
     provenance: Provenance
     exact_cos_theta: Optional[Fraction] = None
-    matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    matrices: np.ndarray = field(init=False, repr=False)
     # The right factors whose Lift.products the stack is, bit for bit, when
-    # _lifted built the set from them; None for any other set.
-    _right_factors: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # _of_right_factors built the set from them; None for any other set.
+    _right_factors: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @classmethod
     def _of_right_factors(cls, prov: Provenance, right: np.ndarray,
                           cos: Optional[Fraction]) -> "UMEBCandidate":
-        """The set of the lift layout ``prov`` names held as its read-only
-        right factors ``right``, with no stack: :meth:`__getattr__` forms it."""
+        """The set F_k (x) Y_k of the lift layout ``prov`` names, held as its
+        (n, d, d) right factors Y_k, which the caller built and hands over:
+        they are made read-only here, and no stack is formed until
+        :meth:`__getattr__` forms it.  Only these factors rebuild every zero's
+        sign of that stack: (1 + 0j) Y_k, read back from it, turns -0.0 - 0.0j
+        into 0.0 - 0.0j (:meth:`Lift.split`).  The caller sees to it that
+        their products are finite."""
+        right.flags.writeable = False
         c = object.__new__(cls)
         for name, value in (("dim", as_lift(prov).dim), ("provenance", prov),
                             ("exact_cos_theta", cos), ("_right_factors", right)):
@@ -691,6 +699,12 @@ def lift_counts(base_dim: int, base_count: int, q: int) -> tuple[int, int]:
 def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
     """Lift an N-member set in dimension d to q(q-1)d^2 + qN members in qd.
 
+    The set holds its right factors and forms its stack on the first read
+    of ``matrices`` or ``elements`` (:class:`UMEBCandidate`).  Its products
+    are finite: a base within ``unitarity_tol`` has entries of modulus at
+    most sqrt(1 + unitarity_tol), and every Weyl and left-factor entry has
+    modulus 1 or 0.
+
     The ordering is canonical: first the Weyl sector (D_i S^j) (x) W_nm,
     lexicographic in (i, j, n, m) with j >= 1, where D_i is the diagonal of
     row i of the q x q Fourier matrix and S the cyclic shift; then the base
@@ -711,33 +725,7 @@ def lift(base: UMEBCandidate, q: int) -> UMEBCandidate:
 
     right = np.concatenate([np.tile(weyl_family(d).matrices, (q * (q - 1), 1, 1)),
                             np.tile(base.matrices, (q, 1, 1))])
-    return _lifted(prov, right, base.exact_cos_theta)
-
-
-def _lifted(prov: Provenance, right: np.ndarray, cos: Optional[Fraction]) -> UMEBCandidate:
-    """The set F_k (x) Y_k of the lift layout ``prov`` names, from its
-    (n, d, d) finite right factors Y_k, which the caller built and hands over.
-
-    The candidate holds them read-only as its one stored form: :func:`save_umeb`
-    writes them, its :attr:`~UMEBCandidate.factored` view and its distinct
-    tiles f Y_k are formed from them, and its stack, their :meth:`Lift.products`,
-    only on a first read of ``matrices`` or ``elements``.  Only these factors
-    rebuild every zero's sign of that stack: (1 + 0j) Y_k, read back from it,
-    turns -0.0 - 0.0j into 0.0 - 0.0j (:meth:`Lift.split`).  Every nonzero
-    entry of the stack is a tile entry and every other entry is +-0, so the
-    stack is finite exactly when the distinct tiles are, which is checked
-    here: ValueError otherwise.  A stack beyond ``_MAX_REBUILT_BYTES`` is
-    formed at once and holds no factors, so it is saved as elements, since
-    a file of its factors would not load.
-    """
-    layout = as_lift(prov)
-    if _too_large(layout):
-        return UMEBCandidate(layout.dim, layout.products(right).view(_Fresh), prov, cos)
-    right.flags.writeable = False
-    candidate = UMEBCandidate._of_right_factors(prov, right, cos)
-    if not np.isfinite(candidate.factored.tiles).all():
-        raise ValueError("right factor products must be finite")
-    return candidate
+    return UMEBCandidate._of_right_factors(prov, right, base.exact_cos_theta)
 
 
 def _too_large(layout: Lift) -> bool:
@@ -816,9 +804,8 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     C-level iteration before any conversion, then all pairs are converted by
     one ``np.array`` call, which keeps every bit, signed zeros included.
     The entry that breaks the rules is looked for only on failure.
-    :func:`load_umeb` checks every matrix of a file it decodes by these rules
-    at once, and on failure converts each through here, so every matrix
-    error comes from here.
+    :func:`load_umeb` converts every matrix of a file it decodes through
+    here, so every matrix error comes from here.
     """
     if dim < 1:
         raise UMEBFormatError(f"dim must be a positive integer, got {dim}")
@@ -826,12 +813,6 @@ def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
         raise UMEBFormatError(
             f"element has {len(pairs)} entries, expected {dim * dim} for dim {dim}"
         )
-    return _pair_values(pairs).reshape(dim, dim)
-
-
-def _pair_values(pairs) -> np.ndarray:
-    """The complex values of a list of [re, im] pairs, by the rules of
-    :func:`pairs_to_matrix`, whose errors it raises."""
     if (
         not set(map(type, pairs)) <= _PAIR_TYPES
         or set(map(len, pairs)) != {2}
@@ -845,23 +826,13 @@ def _pair_values(pairs) -> np.ndarray:
         raise UMEBFormatError(f"matrix entry out of the double range: {exc}") from exc
     if not np.all(np.isfinite(parts)):
         raise UMEBFormatError("matrix entries must be finite")
-    return parts.view(np.complex128)
+    return parts.view(np.complex128).reshape(dim, dim)
 
 
 def _pairs_to_stack(items: list, dim: int, what: str) -> np.ndarray:
     """The (n, dim, dim) stack of a nonempty list of :func:`matrix_to_pairs`
-    lists, by the rules of :func:`pairs_to_matrix`.
-
-    All items are checked and converted in one vectorised pass.  Only when
-    some item breaks a rule is each converted in turn, so that the error
-    names the first such item, ``what`` and its index, as a loop would.
-    """
-    if set(map(type, items)) == {list} and set(map(len, items)) == {dim * dim}:
-        try:
-            values = _pair_values(list(itertools.chain.from_iterable(items)))
-            return values.reshape(len(items), dim, dim)
-        except UMEBFormatError:
-            pass  # the loop below finds the first item that breaks a rule
+    lists, each converted by :func:`pairs_to_matrix`, whose error it raises
+    for the first item that breaks a rule, with ``what`` and its index."""
     matrices = []
     for i, item in enumerate(items):
         if not isinstance(item, list):
@@ -888,7 +859,8 @@ _ELEMENTS, _RIGHT_FACTORS = "elements", "right_factors"
 # header line ends so, and JSON strings hold no raw newline.
 _HEADER_END = '": [\n'
 # The largest stack a file of right factors is rebuilt to: the stack is q^2
-# times the factors, so a small file could otherwise ask for any size.
+# times the factors, so a small file could otherwise ask for any size.  A
+# set whose stack is larger is saved as its elements, so its file loads.
 _MAX_REBUILT_BYTES = 1 << 31
 
 
@@ -931,13 +903,15 @@ def _element_block(reals: np.ndarray, d2: int) -> str:
 def save_umeb(candidate: UMEBCandidate, path) -> None:
     """Write a candidate to the matrix-set JSON format.
 
-    A candidate built from its right factors, by :func:`lift` or by
-    :func:`load_umeb` from a file of them, is saved as those d x d factors
+    A candidate that holds its right factors, every :func:`lift` and a
+    :func:`load_umeb` of a file of them, is saved as those d x d factors
     Y_k under ``"right_factors"``, one per line in element order, with no
     stack formed; :func:`load_umeb` holds them again, and their products
-    are the stack bit for bit.  Every other
-    candidate, ``umeb_6()`` among them (it is assembled from its own 2 x 2
-    factors), is saved as its matrices under ``"elements"``; so is a lift
+    are the stack bit for bit.  It is saved as its matrices under
+    ``"elements"`` instead when its stack is beyond ``_MAX_REBUILT_BYTES``,
+    the largest a file of factors is rebuilt to, so that the file loads.
+    Every other candidate, ``umeb_6()`` among them (it is assembled from
+    its own 2 x 2 factors), is saved as its matrices too; so is a lift
     loaded from a file of its elements or its stack copied into a new
     candidate, which hold no factors.
     The file is a fixed header, one line per matrix, ``json.dumps`` of its
@@ -952,7 +926,10 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     there as it was.
     """
     right = candidate._right_factors
-    key, matrices = (_ELEMENTS, candidate.matrices) if right is None else (_RIGHT_FACTORS, right)
+    if right is None or _too_large(as_lift(candidate.provenance)):
+        key, matrices = _ELEMENTS, candidate.matrices
+    else:
+        key, matrices = _RIGHT_FACTORS, right
     d2 = matrices.shape[1] ** 2
     reals = np.ascontiguousarray(matrices).view(np.float64).reshape(-1)
     step = 2 * d2 * max(1, _SAVE_BLOCK // (2 * d2))
@@ -1145,15 +1122,16 @@ def _factored_layout(dim: int, prov: Provenance, count: Optional[int]) -> Lift:
 
 def _rebuild_lift(right: np.ndarray, prov: Provenance, cos: Optional[Fraction]) -> UMEBCandidate:
     """The lift a file's right factors hold, in the layout its provenance
-    names, as :func:`_lifted` holds it.  Finite factors can still overflow in
-    a product, and a set holds only finite entries: UMEBFormatError then,
-    from the distinct tiles :func:`_lifted` checks, so at load and not at a
-    later first read of the stack."""
+    names, held as :func:`lift` holds it.  Finite factors can still overflow
+    in a product, and a set holds only finite entries.  Every nonzero entry
+    of the stack is a tile entry and every other entry is +-0, so the stack
+    is finite exactly when the distinct tiles are, which are checked here, at
+    load and not at a later first read of the stack: UMEBFormatError otherwise."""
+    candidate = UMEBCandidate._of_right_factors(prov, right, cos)
     with np.errstate(over="ignore"):
-        try:
-            return _lifted(prov, right, cos)
-        except ValueError:  # a product beyond the double range
-            raise UMEBFormatError("right factor products must be finite") from None
+        if not np.isfinite(candidate.factored.tiles).all():
+            raise UMEBFormatError("right factor products must be finite")
+    return candidate
 
 
 def load_umeb(path) -> UMEBCandidate:
@@ -1170,7 +1148,9 @@ def load_umeb(path) -> UMEBCandidate:
     significant digits, as older versions wrote them, load bit-exactly too.
     A file of ``"right_factors"`` is read the same two ways: its provenance
     must name a lift, and the candidate holds the factors as its one
-    stored form, so a save writes the same file again.  Its stack, their
+    stored form, so a save writes the same file again: such a file loads
+    only when its stack is within ``_MAX_REBUILT_BYTES``, the bound within
+    which a save writes factors.  Its stack, their
     :meth:`Lift.products`, is formed on the first read of ``matrices`` or
     ``elements``, but factors whose products overflow are refused here.
     Canonical provenance strings are parsed back into structured provenance

@@ -492,6 +492,23 @@ def test_candidate_validation():
     assert c2.exact_cos_theta == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("make", [bravyi_smolin_3, lambda: lift(bravyi_smolin_3(), 2)],
+                         ids=["stack", "held"])
+def test_candidates_are_equal_and_hash_by_identity(make):
+    c, twin = make(), make()
+    assert c == c and c != twin and c in [twin, c] and c not in [twin]
+    assert len({c, twin, c}) == 2
+
+
+def test_repr_names_the_header_and_forms_no_stack():
+    c = lift(bravyi_smolin_3(), 8)
+    assert repr(c) == (
+        "UMEBCandidate(dim=24, provenance=Lift(base=BravyiSmolin3(), base_dim=3, base_count=6, "
+        "q=8), exact_cos_theta=Fraction(-7, 8))"
+    )
+    assert "matrices" not in vars(c)
+
+
 @pytest.mark.parametrize("as_array", [True, False], ids=["array", "list"])
 def test_candidate_owns_a_read_only_bit_exact_copy(as_array):
     signed = np.array([[-0.0, complex(1.0, -0.0)], [1.0, complex(-0.0, -0.0)]])
@@ -1337,7 +1354,7 @@ def _byte_edits(draw, text):
 def test_load_matches_the_general_decoder_on_saved_layouts_property(tmp_path_factory, chunk):
     fast = []
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=_saved_documents())
     def check(text):
         path = tmp_path_factory.mktemp("saved") / "m.json"
@@ -1384,7 +1401,7 @@ def _general_load(path):
 def test_factored_files_load_as_the_general_decoder_reads_them_property(tmp_path_factory, chunk):
     fast = []
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(text=_saved_factored_documents())
     def check(text):
         path = tmp_path_factory.mktemp("factored") / "m.json"
@@ -1814,7 +1831,7 @@ def test_a_lift_too_large_to_rebuild_is_saved_as_elements(tmp_path, monkeypatch)
     c = lift(bravyi_smolin_3(), 2)
     monkeypatch.setattr(constructions, "_MAX_REBUILT_BYTES", c.matrices.nbytes - 1)
     big = lift(bravyi_smolin_3(), 2)
-    assert big._right_factors is None
+    assert big._right_factors is not None
     back = _saved_and_loaded(big, tmp_path / "m.json")
     assert _FACTORED_LINE not in (tmp_path / "m.json").read_text()
     _assert_same_set(back, c)

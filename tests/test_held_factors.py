@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from umeb import cli
+from umeb import cli, constructions
 from umeb.constructions import (
     BravyiSmolin3,
     Lift,
@@ -240,6 +240,7 @@ def test_the_split_is_the_last_read_of_the_stack_of_towers(d, q, outer, kind, co
 
 def test_verify_and_signature_form_no_stack(tmp_path):
     c = lift(bravyi_smolin_3(), 8)
+    assert not {"factored", *_STACK} & set(vars(c))
     path = tmp_path / "m.json"
     save_umeb(c, path)
     for held in (c, load_umeb(path)):
@@ -249,6 +250,26 @@ def test_verify_and_signature_form_no_stack(tmp_path):
         # The first read forms the stack once and holds it, read-only.
         assert held.matrices is held.matrices and not held.matrices.flags.writeable
         assert len(held.elements) == 552 and np.shares_memory(held.elements[0], held.matrices)
+
+
+def test_a_lift_beyond_the_file_cap_is_held_and_saved_as_its_stack(tmp_path, monkeypatch):
+    # A file of factors beyond _MAX_REBUILT_BYTES would not load, so the save
+    # writes the stack; the set still holds its factors, and no report forms
+    # the stack.
+    dense = _dense(lift(bravyi_smolin_3(), 2))
+    want, ref, path = _reports(dense), tmp_path / "dense.json", tmp_path / "m.json"
+    save_umeb(dense, ref)
+    monkeypatch.setattr(constructions, "_MAX_REBUILT_BYTES", dense.matrices.nbytes - 1)
+    formed, products = [], Lift.products
+    monkeypatch.setattr(Lift, "products",
+                        lambda layout, right: formed.append(layout) or products(layout, right))
+    c = lift(bravyi_smolin_3(), 2)
+    assert _reports(c) == want
+    assert formed == [] and c._right_factors is not None and not _STACK & set(vars(c))
+    save_umeb(c, path)
+    assert path.read_bytes() == ref.read_bytes()
+    back = load_umeb(path)
+    assert back._right_factors is None and back.matrices.tobytes() == dense.matrices.tobytes()
 
 
 def test_no_command_forms_the_stack_of_a_factored_file(tmp_path, monkeypatch):
