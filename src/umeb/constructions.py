@@ -876,8 +876,9 @@ def _header(dim: int, provenance: Provenance, cos: Optional[Fraction], key: str)
     )
 
 
-def _element_block(reals: np.ndarray, d2: int) -> str:
-    """The file lines of whole elements whose reals, in order, ``reals`` holds.
+def _element_block(reals: np.ndarray, d2: int) -> list[str]:
+    """The file lines, one per element, of whole elements whose reals, in
+    order, ``reals`` holds.
 
     Each line is four spaces, ``json.dumps(matrix_to_pairs(e),
     allow_nan=False)``, a ',' and a newline.  A zero is spelled ``0.0`` or
@@ -897,7 +898,19 @@ def _element_block(reals: np.ndarray, d2: int) -> str:
     grid[:, 3::4] = pairs[:, :, 1]
     grid[:, 4::4] = _PAIR_SEP
     grid[:, -1] = _LINE_CLOSE
-    return "".join(grid.ravel().tolist())
+    return list(map("".join, grid.tolist()))
+
+
+def _save_block(rows: np.ndarray, d2: int) -> str:
+    """The file lines of the elements whose reals are the rows of ``rows``.
+
+    A line is a function of its row's bytes, so each distinct row
+    (:func:`distinct_rows`) is encoded once, by one :func:`_element_block`
+    call, and its line is laid out wherever the row stands.
+    """
+    kinds, kind = distinct_rows(rows)
+    lines = _element_block(rows[kinds].reshape(-1), d2)
+    return "".join([lines[k] for k in kind.tolist()])
 
 
 def save_umeb(candidate: UMEBCandidate, path) -> None:
@@ -921,9 +934,12 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     bit-exactly on load (``-0.0`` included) and always carries a ``.`` or an
     exponent; output bytes are deterministic.  The matrices are encoded in
     blocks of about 2^15 reals, each zero straight from its sign bit and the
-    nonzero reals by one C JSON-encoder call per block.  Every block is
-    encoded before ``path`` is opened, so an encoding error leaves any file
-    there as it was.
+    nonzero reals by one C JSON-encoder call per block.  A line depends only
+    on its matrix's bytes, so each block encodes each of its distinct
+    matrices once (15 lines, not 552, for ``lift(bravyi_smolin_3(), 8)``)
+    and lays their lines out in element order.  Every block is encoded
+    before ``path`` is opened, so an encoding error leaves any file there
+    as it was.
     """
     right = candidate._right_factors
     if right is None or _too_large(as_lift(candidate.provenance)):
@@ -931,9 +947,9 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     else:
         key, matrices = _RIGHT_FACTORS, right
     d2 = matrices.shape[1] ** 2
-    reals = np.ascontiguousarray(matrices).view(np.float64).reshape(-1)
-    step = 2 * d2 * max(1, _SAVE_BLOCK // (2 * d2))
-    blocks = [_element_block(reals[i:i + step], d2) for i in range(0, reals.size, step)]
+    rows = np.ascontiguousarray(matrices).view(np.float64).reshape(len(matrices), 2 * d2)
+    step = max(1, _SAVE_BLOCK // (2 * d2))
+    blocks = [_save_block(rows[i:i + step], d2) for i in range(0, len(rows), step)]
     blocks[-1] = blocks[-1][:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE
     header = _header(candidate.dim, candidate.provenance, candidate.exact_cos_theta, key)
     with open(path, "w", encoding="utf-8") as fh:
@@ -1013,7 +1029,8 @@ def _read_lines(piece: bytes, pattern: bytes) -> Optional[np.ndarray]:
 
     A token that is exactly ``0.0`` or ``-0.0`` and ends at a ',' or ']' is
     read from its first bytes as the double json gives it, +0.0 or -0.0;
-    every other token goes through one ``json.loads``.
+    every other token goes through one ``json.loads``.  :func:`_load_saved`
+    passes only the lines whose text no earlier line of the file spells.
     """
     number = np.frombuffer(piece.translate(_IS_NUMBER), dtype=np.bool_)
     first = number.copy()
@@ -1043,19 +1060,64 @@ def _read_lines(piece: bytes, pattern: bytes) -> Optional[np.ndarray]:
     return reals
 
 
+def _line_kinds(text: str, pos: int, stop: int, last: int, row: int,
+                first_rows: dict[int, int], line_at: np.ndarray):
+    """The matrix lines of ``text[pos:stop]``, rows ``row`` on, told apart
+    from every line before them by their text, the line that ends at
+    ``last`` read as if it ended in ','.
+
+    Returns the rows of the lines that spell no earlier line, the spans of
+    ``text`` those lines cover, touching spans merged, and the rows of the
+    other lines with the earlier row each spells.  Within the piece, lines
+    are told apart by a dict of their texts.  Across pieces, ``first_rows``
+    maps the hash of each distinct line to its first row, and ``line_at``
+    holds each row's start and length in ``text``, so a hit is confirmed
+    against the text and a hash collision only costs a scan.  Both gain
+    this piece's lines.
+    """
+    keys = text[pos:stop].split("\n")
+    keys.pop()  # the empty text after the last newline
+    count = len(keys)
+    lengths = np.fromiter(map(len, keys), np.intp, count)
+    ends = pos + np.cumsum(lengths + 1)
+    starts = ends - lengths - 1
+    if stop == last:
+        keys[-1] += ","
+        lengths[-1] += 1
+    line_at[row:row + count] = np.column_stack((starts, lengths))
+    local: dict[str, int] = {}
+    firsts = np.fromiter(map(local.setdefault, keys, range(count)), np.intp, count)
+    rows = np.arange(row, row + count)
+    sources = rows.copy()  # by each distinct text's first index in the piece
+    for key, first in local.items():
+        seen = first_rows.setdefault(hash(key), row + first)
+        if seen != row + first and line_at[seen, 1] == len(key) and text.startswith(key, line_at[seen, 0]):
+            sources[first] = seen
+    sources = sources[firsts]
+    new = sources == rows
+    # Each run of new lines is one span: its edges are where ``new`` flips.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], new, [False])).view(np.int8)))
+    spans = list(zip(starts[edges[::2]].tolist(), ends[edges[1::2] - 1].tolist()))
+    return rows[new], spans, rows[~new], sources[~new]
+
+
 def _load_saved(text: str) -> Optional[UMEBCandidate]:
     """The candidate ``text`` holds when it is laid out as :func:`save_umeb` writes.
 
     The header must be what :func:`_header` writes for the values json reads
     from it, and the matrix lines, read in chunks of whole lines, must each
     be the saved line with any JSON number token for each real
-    (:func:`_read_lines`), then the footer.  Lines of right factors must
-    first pass the checks of :func:`_factored_layout`, so no product is
-    formed for a file the general decoder refuses.  None on any mismatch or
-    error, or a real that is not a finite double; the general decoder then
-    gives the value or the error.  Right factors whose products overflow
-    raise the decoder's UMEBFormatError at once.  Beyond the result, memory
-    stays bounded by the chunk size.
+    (:func:`_read_lines`), then the footer.  A line whose text equals an
+    earlier line's, the last line read as if it ended in ',' like the
+    others, is not scanned again: it takes that line's reals
+    (:func:`_line_kinds`), and that line passed the same check.  Lines of
+    right factors must first pass the checks of :func:`_factored_layout`,
+    so no product is formed for a file the general decoder refuses.  None
+    on any mismatch or error, or a real that is not a finite double; the
+    general decoder then gives the value or the error.  Right factors whose
+    products overflow raise the decoder's UMEBFormatError at once.  Beyond
+    the result, memory stays bounded by the chunk size plus one small
+    entry per distinct line.
     """
     start = text.find(_HEADER_END) + len(_HEADER_END)
     end = len(text) - len(_FOOTER)
@@ -1079,20 +1141,26 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
     line = (_LINE_OPEN + pair + (_PAIR_SEP + pair) * (d2 - 1) + _LINE_CLOSE).encode()
     last_line = line[:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE.encode()
     out = np.empty((n, 2 * d2), dtype=np.float64)
+    first_rows: dict[int, int] = {}
+    line_at = np.empty((n, 2), dtype=np.intp)  # each row's start and length in text
     row, pos = 0, start
     while pos < end:
         stop = text.find("\n", min(pos + _SCAN_CHUNK, end) - 1, end) + 1
         if stop <= pos:
             return None
-        lines = text.count("\n", pos, stop)
-        pattern = line * lines
-        if stop == end:
-            pattern = pattern[:-len(line)] + last_line
-        reals = _read_lines(text[pos:stop].encode(), pattern)
-        if reals is None:
-            return None
-        out[row:row + lines] = reals.reshape(lines, 2 * d2)
-        row, pos = row + lines, stop
+        new, spans, repeats, sources = _line_kinds(text, pos, stop, end, row, first_rows, line_at)
+        if new.size:
+            pattern = line * new.size
+            if new[-1] == n - 1:
+                pattern = pattern[:-len(line)] + last_line
+            # The text is joined and encoded in the call, so only the bytes
+            # live during the scan.
+            reals = _read_lines("".join([text[a:b] for a, b in spans]).encode(), pattern)
+            if reals is None:
+                return None
+            out[new] = reals.reshape(new.size, 2 * d2)
+        out[repeats] = out[sources]
+        row, pos = row + new.size + repeats.size, stop
     if not np.isfinite(out).all():
         return None
     matrices = out.view(np.complex128).reshape(n, d, d)
@@ -1139,8 +1207,8 @@ def load_umeb(path) -> UMEBCandidate:
 
     A file in exactly the layout :func:`save_umeb` writes, with any JSON
     number spelling for each real, is read straight from the text in chunks
-    of whole matrix lines, with no Python object per zero
-    (:func:`_load_saved`).  Every other file, in any other layout (another
+    of whole matrix lines, with no Python object per zero, and each
+    distinct line text is parsed once (:func:`_load_saved`).  Every other file, in any other layout (another
     key order or indentation, duplicate keys, integer ``-0``, values that
     are not finite, malformed text), loads through ``json`` and
     :func:`pairs_to_matrix`, which give the same values and every error.

@@ -1854,3 +1854,176 @@ def test_a_factored_file_too_large_to_rebuild_allocates_nothing(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 20 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# File format: each distinct matrix line encoded and parsed once
+# ---------------------------------------------------------------------------
+
+# The saved-layout line encoder as it was when it encoded every matrix, kept
+# as the reference for the bytes a save writes.
+def _per_row_element_block(reals, d2):
+    tokens = np.array(["0.0", "-0.0"], dtype=object)[np.signbit(reals).view(np.uint8)]
+    nonzero = reals != 0
+    if nonzero.any():
+        tokens[nonzero] = json.dumps(reals[nonzero].tolist(), allow_nan=False)[1:-1].split(", ")
+    pairs = tokens.reshape(-1, d2, 2)
+    grid = np.empty((len(pairs), 4 * d2 + 1), dtype=object)
+    grid[:, 0] = "    [["
+    grid[:, 1::4] = pairs[:, :, 0]
+    grid[:, 2::4] = ", "
+    grid[:, 3::4] = pairs[:, :, 1]
+    grid[:, 4::4] = "], ["
+    grid[:, -1] = "]],\n"
+    return "".join(grid.ravel().tolist())
+
+
+def _per_row_saved_text(c):
+    """The text of ``c`` saved as its elements by the per-row encoder."""
+    reals = np.ascontiguousarray(c.matrices).view(np.float64).reshape(-1)
+    lines = _per_row_element_block(reals, c.dim ** 2)
+    cos = "null" if c.exact_cos_theta is None else (
+        f"[{c.exact_cos_theta.numerator}, {c.exact_cos_theta.denominator}]")
+    return (
+        "{\n"
+        f'  "dim": {c.dim},\n'
+        f'  "provenance": {json.dumps(provenance_to_str(c.provenance))},\n'
+        f'  "exact_cos_theta": {cos},\n'
+        '  "elements": [\n' + lines[:-len(",\n")] + "\n  ]\n}\n"
+    )
+
+
+def _scanned_load(monkeypatch, path):
+    """load_umeb of ``path`` with the general decoder refused, and the
+    number of matrix lines the scan parsed."""
+    lines = []
+    read = constructions._read_lines
+
+    def counting(piece, pattern):
+        lines.append(piece.count(b"\n"))
+        return read(piece, pattern)
+
+    with monkeypatch.context() as m:
+        m.setattr(constructions, "_read_lines", counting)
+        m.setattr(constructions, "_decode_document", _refuse_general_decoder)
+        back = load_umeb(path)
+    return back, sum(lines)
+
+
+@pytest.mark.parametrize("make, distinct", [
+    pytest.param(lambda: lift(bravyi_smolin_3(), 8), 15, id="lift_bs3_8"),
+    pytest.param(lambda: lift(umeb_6(), 4), 65, id="lift_umeb6_4"),
+    pytest.param(lambda: lift(bravyi_smolin_3(), 4), 15, id="lift_bs3_4"),
+    pytest.param(lambda: _external(lift(bravyi_smolin_3(), 8)), 552, id="elements_bs3_8"),
+])
+def test_each_distinct_line_of_a_saved_file_is_parsed_once(tmp_path, monkeypatch, make, distinct):
+    c = make()
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    back, parsed = _scanned_load(monkeypatch, path)
+    assert parsed == distinct
+    assert back.matrices.tobytes() == c.matrices.tobytes()
+
+
+def test_colliding_line_hashes_only_cost_a_scan(tmp_path, monkeypatch):
+    c = lift(bravyi_smolin_3(), 2)
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    # One line per chunk, so every line is looked up in the table of earlier
+    # lines, and every line's hash the same: only the text tells them apart.
+    monkeypatch.setattr(constructions, "_SCAN_CHUNK", 1)
+    monkeypatch.setattr(constructions, "hash", lambda text: 0, raising=False)
+    back, parsed = _scanned_load(monkeypatch, path)
+    assert back.matrices.tobytes() == c.matrices.tobytes()
+    assert len(distinct_rows(c._right_factors)[0]) < parsed < len(c)
+
+
+@st.composite
+def _repeating_sets(draw):
+    """Stacks of a few distinct matrices in any order, with twins that hold
+    one zero of the other sign or one real one ulp away, and at times a last
+    matrix that repeats an earlier one."""
+    dim = draw(st.integers(1, 3))
+    size = 2 * dim * dim
+    reals = st.one_of(st.sampled_from([0.0, -0.0]), _REALS)
+    kinds = [np.array(draw(st.lists(reals, min_size=size, max_size=size)), dtype=np.float64)
+             for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        twin = kinds[draw(st.integers(0, len(kinds) - 1))].copy()
+        at = draw(st.integers(0, size - 1))
+        if twin[at] == 0:
+            twin[at] = -twin[at]
+        else:
+            moved = np.nextafter(twin[at], draw(st.sampled_from([np.inf, -np.inf])))
+            twin[at] = moved if np.isfinite(moved) else np.nextafter(twin[at], 0.0)
+        kinds.append(twin)
+    order = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=16))
+    if draw(st.booleans()):
+        order.append(draw(st.sampled_from(order)))
+    return np.array([kinds[k] for k in order]).view(np.complex128).reshape(len(order), dim, dim)
+
+
+def test_repeated_matrices_save_per_row_bytes_and_load_bit_exact_property(tmp_path_factory,
+                                                                          monkeypatch):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mats=_repeating_sets(), block_rows=st.integers(1, 4),
+           chunk=st.sampled_from([1, 40, 150, constructions._SCAN_CHUNK]))
+    def check(mats, block_rows, chunk):
+        c = UMEBCandidate(mats.shape[1], mats, External("repeats"))
+        path = tmp_path_factory.mktemp("repeats") / "m.json"
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "_SAVE_BLOCK", 2 * mats.shape[1] ** 2 * block_rows)
+            m.setattr(constructions, "_SCAN_CHUNK", chunk)
+            save_umeb(c, path)
+            assert path.read_text() == _per_row_saved_text(c)
+            back, parsed = _scanned_load(monkeypatch, path)
+        assert back.matrices.view(np.int64).tobytes() == mats.view(np.int64).tobytes()
+        # A saved line is a function of its matrix's bytes, so the scan
+        # parses one line per distinct matrix, a repeated last one included.
+        assert parsed == len(distinct_rows(mats)[0])
+
+    check()
+
+
+@pytest.mark.parametrize("chunk", [constructions._SCAN_CHUNK, 1])
+def test_one_value_spelled_three_ways_loads_as_the_general_decoder_reads_it(
+        tmp_path, monkeypatch, chunk):
+    text = _saved_layout(
+        1, "1.0 0.0 1.00 0.0 1e0 0.0 1.0 0.0 1e0 0.0 1.00 -0.0 1.00 0.0".split())
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    monkeypatch.setattr(constructions, "_SCAN_CHUNK", chunk)
+    back, parsed = _scanned_load(monkeypatch, path)
+    # Four distinct line texts; the last line spells the second.
+    assert parsed == 4
+    assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
+    assert back.matrices.view(np.int64).tobytes() == _reference_load(path).matrices.view(
+        np.int64).tobytes()
+
+
+_REPEATED_LINE = "    [[1.5, -0.0]]"
+
+
+@pytest.mark.parametrize("at, line", [
+    (2, "    [[1.5, true]],\n"),
+    (2, '    [[1.5, "-0.0"]],\n'),
+    (3, "    [[1.5, 1e400]],\n"),
+    (1, "    [[1.5, -0.0]],,\n"),
+    (2, "    [[1.5, -0.0, 0.0]],\n"),
+    (3, "    [[1.5, -0.0],\n"),
+    (4, "    [[1.5, 0.0]\n"),
+    (4, "    [[1.5, -0.0]],\n"),  # the last line with the comma of the others
+    (2, "    [[1.5, -0.0]]\n"),  # a middle line without its comma, as the last one
+])
+@pytest.mark.parametrize("chunk", [constructions._SCAN_CHUNK, 1])
+def test_one_corrupt_copy_of_a_repeated_line_raises_the_general_error(
+        tmp_path, monkeypatch, chunk, at, line):
+    lines = [_REPEATED_LINE + ",\n"] * 4 + [_REPEATED_LINE + "\n"]
+    lines[at] = line
+    path = tmp_path / "m.json"
+    path.write_text('{\n  "dim": 1,\n  "provenance": "x",\n  "exact_cos_theta": null,\n'
+                    '  "elements": [\n' + "".join(lines) + "  ]\n}\n")
+    monkeypatch.setattr(constructions, "_SCAN_CHUNK", chunk)
+    outcome = _outcome(load_umeb, path)
+    assert outcome[:2] == ("error", UMEBFormatError)
+    assert outcome == _outcome(_reference_load, path)
