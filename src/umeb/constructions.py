@@ -1091,7 +1091,8 @@ def _line_kinds(text: str, pos: int, stop: int, last: int, row: int,
     sources = rows.copy()  # by each distinct text's first index in the piece
     for key, first in local.items():
         seen = first_rows.setdefault(hash(key), row + first)
-        if seen != row + first and line_at[seen, 1] == len(key) and text.startswith(key, line_at[seen, 0]):
+        if (seen != row + first and line_at[seen, 1] == len(key)
+                and text.startswith(key, line_at[seen, 0])):
             sources[first] = seen
     sources = sources[firsts]
     new = sources == rows
@@ -1117,7 +1118,7 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
     general decoder then gives the value or the error.  Right factors whose
     products overflow raise the decoder's UMEBFormatError at once.  Beyond
     the result, memory stays bounded by the chunk size plus one small
-    entry per distinct line.
+    entry per distinct line and two integers per line.
     """
     start = text.find(_HEADER_END) + len(_HEADER_END)
     end = len(text) - len(_FOOTER)
@@ -1208,10 +1209,11 @@ def load_umeb(path) -> UMEBCandidate:
     A file in exactly the layout :func:`save_umeb` writes, with any JSON
     number spelling for each real, is read straight from the text in chunks
     of whole matrix lines, with no Python object per zero, and each
-    distinct line text is parsed once (:func:`_load_saved`).  Every other file, in any other layout (another
-    key order or indentation, duplicate keys, integer ``-0``, values that
-    are not finite, malformed text), loads through ``json`` and
-    :func:`pairs_to_matrix`, which give the same values and every error.
+    distinct line text is parsed once (:func:`_load_saved`).  Every other
+    file, in any other layout (another key order or indentation, duplicate
+    keys, integer ``-0``, values that are not finite, malformed text),
+    loads through ``json`` and :func:`pairs_to_matrix`, which give the same
+    values and every error.
     Reals may be written in any JSON number form, so files with 17
     significant digits, as older versions wrote them, load bit-exactly too.
     A file of ``"right_factors"`` is read the same two ways: its provenance
