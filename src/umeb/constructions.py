@@ -1061,7 +1061,7 @@ def _read_lines(piece: bytes, pattern: bytes) -> Optional[np.ndarray]:
 
 
 def _line_kinds(text: str, pos: int, stop: int, last: int, row: int,
-                first_rows: dict[int, int], line_at: np.ndarray):
+                first_rows: dict[int, int], line_starts: np.ndarray):
     """The matrix lines of ``text[pos:stop]``, rows ``row`` on, told apart
     from every line before them by their text, the line that ends at
     ``last`` read as if it ended in ','.
@@ -1070,10 +1070,10 @@ def _line_kinds(text: str, pos: int, stop: int, last: int, row: int,
     ``text`` those lines cover, touching spans merged, and the rows of the
     other lines with the earlier row each spells.  Within the piece, lines
     are told apart by a dict of their texts.  Across pieces, ``first_rows``
-    maps the hash of each distinct line to its first row, and ``line_at``
-    holds each row's start and length in ``text``, so a hit is confirmed
-    against the text and a hash collision only costs a scan.  Both gain
-    this piece's lines.
+    maps the hash of each distinct line to its first row, and
+    ``line_starts`` holds where each row starts in ``text``, so a hit is
+    confirmed against the text and a hash collision only costs a scan.
+    Both gain this piece's lines.
     """
     keys = text[pos:stop].split("\n")
     keys.pop()  # the empty text after the last newline
@@ -1083,16 +1083,14 @@ def _line_kinds(text: str, pos: int, stop: int, last: int, row: int,
     starts = ends - lengths - 1
     if stop == last:
         keys[-1] += ","
-        lengths[-1] += 1
-    line_at[row:row + count] = np.column_stack((starts, lengths))
+    line_starts[row:row + count] = starts
     local: dict[str, int] = {}
     firsts = np.fromiter(map(local.setdefault, keys, range(count)), np.intp, count)
     rows = np.arange(row, row + count)
     sources = rows.copy()  # by each distinct text's first index in the piece
     for key, first in local.items():
         seen = first_rows.setdefault(hash(key), row + first)
-        if (seen != row + first and line_at[seen, 1] == len(key)
-                and text.startswith(key, line_at[seen, 0])):
+        if seen != row + first and text.startswith(key + "\n", line_starts[seen]):
             sources[first] = seen
     sources = sources[firsts]
     new = sources == rows
@@ -1118,7 +1116,7 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
     general decoder then gives the value or the error.  Right factors whose
     products overflow raise the decoder's UMEBFormatError at once.  Beyond
     the result, memory stays bounded by the chunk size plus one small
-    entry per distinct line and two integers per line.
+    entry per distinct line and one integer per line.
     """
     start = text.find(_HEADER_END) + len(_HEADER_END)
     end = len(text) - len(_FOOTER)
@@ -1143,13 +1141,13 @@ def _load_saved(text: str) -> Optional[UMEBCandidate]:
     last_line = line[:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE.encode()
     out = np.empty((n, 2 * d2), dtype=np.float64)
     first_rows: dict[int, int] = {}
-    line_at = np.empty((n, 2), dtype=np.intp)  # each row's start and length in text
+    line_starts = np.empty(n, dtype=np.intp)
     row, pos = 0, start
     while pos < end:
         stop = text.find("\n", min(pos + _SCAN_CHUNK, end) - 1, end) + 1
         if stop <= pos:
             return None
-        new, spans, repeats, sources = _line_kinds(text, pos, stop, end, row, first_rows, line_at)
+        new, spans, repeats, sources = _line_kinds(text, pos, stop, end, row, first_rows, line_starts)
         if new.size:
             pattern = line * new.size
             if new[-1] == n - 1:
