@@ -10,6 +10,7 @@ they round-trip through a JSON file format for external sets.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import re
@@ -855,9 +856,6 @@ _FOOTER = "  ]\n}\n"
 # The two layouts: a set built from its right factors is saved as those
 # d x d factors, any other set as its matrices.
 _ELEMENTS, _RIGHT_FACTORS = "elements", "right_factors"
-# The end of a saved header, the line that opens either list: no earlier
-# header line ends so, and JSON strings hold no raw newline.
-_HEADER_END = '": [\n'
 # The largest stack a file of right factors is rebuilt to: the stack is q^2
 # times the factors, so a small file could otherwise ask for any size.  A
 # set whose stack is larger is saved as its elements, so its file loads.
@@ -1015,7 +1013,7 @@ def _read_header(doc) -> tuple[int, Provenance, Optional[Fraction]]:
 # is one token, which json reads.
 _IS_NUMBER = bytes(ch in b"0123456789-+.eE" for ch in range(256))
 _TO_SPACES = bytes.maketrans(b"[],\n", b"    ")
-_SCAN_CHUNK = 1 << 16  # bytes of matrix lines read at a time, rounded up to a line
+_SCAN_CHUNK = 1 << 16  # about the bytes of distinct matrix lines scanned at a time
 # The first bytes of the two zero tokens a saved file holds: '0.0' or
 # '-0.0' and the ',' or ']' that ends it.
 _POSITIVE_ZEROS = [int.from_bytes(b"0.0" + end, "little") for end in (b",", b"]")]
@@ -1030,7 +1028,7 @@ def _read_lines(piece: bytes, pattern: bytes) -> Optional[np.ndarray]:
     A token that is exactly ``0.0`` or ``-0.0`` and ends at a ',' or ']' is
     read from its first bytes as the double json gives it, +0.0 or -0.0;
     every other token goes through one ``json.loads``.  :func:`_load_saved`
-    passes only the lines whose text no earlier line of the file spells.
+    passes each distinct line of a file once.
     """
     number = np.frombuffer(piece.translate(_IS_NUMBER), dtype=np.bool_)
     first = number.copy()
@@ -1060,106 +1058,77 @@ def _read_lines(piece: bytes, pattern: bytes) -> Optional[np.ndarray]:
     return reals
 
 
-def _line_kinds(text: str, pos: int, stop: int, last: int, row: int,
-                first_rows: dict[int, int], line_starts: np.ndarray):
-    """The matrix lines of ``text[pos:stop]``, rows ``row`` on, told apart
-    from every line before them by their text, the line that ends at
-    ``last`` read as if it ended in ','.
+def _load_saved(stream) -> Optional[UMEBCandidate]:
+    """The candidate the binary ``stream`` holds when it is laid out as
+    :func:`save_umeb` writes.
 
-    Returns the rows of the lines that spell no earlier line, the spans of
-    ``text`` those lines cover, touching spans merged, and the rows of the
-    other lines with the earlier row each spells.  Within the piece, lines
-    are told apart by a dict of their texts.  Across pieces, ``first_rows``
-    maps the hash of each distinct line to its first row, and
-    ``line_starts`` holds where each row starts in ``text``, so a hit is
-    confirmed against the text and a hash collision only costs a scan.
-    Both gain this piece's lines.
+    The five header lines must be what :func:`_header` writes for the values
+    json reads from them.  The matrix lines run up to the first line shorter
+    than the saved line less its ',', which must start the footer.  One dict
+    maps each line's bytes, the last line's as if it ended in ',' like the
+    others, to its first row.  The distinct lines, in batches of about ``_SCAN_CHUNK``
+    bytes, must each be the saved line with any JSON number token for each
+    real (:func:`_read_lines`), and a repeated line copies its first row.
+    Lines of right factors must first pass the checks of
+    :func:`_factored_layout`, so no product is formed for a file the general
+    decoder refuses.  None on any mismatch or error, or a real that is not a
+    finite double; the general decoder then gives the value or the error.
+    Right factors whose products overflow raise the decoder's
+    UMEBFormatError at once.  A line read is at least as long as the saved
+    line, four bytes a real, so the stack is at most twice the bytes of its
+    lines; beyond it, memory holds the distinct lines and one batch's scan.
     """
-    keys = text[pos:stop].split("\n")
-    keys.pop()  # the empty text after the last newline
-    count = len(keys)
-    lengths = np.fromiter(map(len, keys), np.intp, count)
-    ends = pos + np.cumsum(lengths + 1)
-    starts = ends - lengths - 1
-    if stop == last:
-        keys[-1] += ","
-    line_starts[row:row + count] = starts
-    local: dict[str, int] = {}
-    firsts = np.fromiter(map(local.setdefault, keys, range(count)), np.intp, count)
-    rows = np.arange(row, row + count)
-    sources = rows.copy()  # by each distinct text's first index in the piece
-    for key, first in local.items():
-        seen = first_rows.setdefault(hash(key), row + first)
-        if seen != row + first and text.startswith(key + "\n", line_starts[seen]):
-            sources[first] = seen
-    sources = sources[firsts]
-    new = sources == rows
-    # Each run of new lines is one span: its edges are where ``new`` flips.
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], new, [False])).view(np.int8)))
-    spans = list(zip(starts[edges[::2]].tolist(), ends[edges[1::2] - 1].tolist()))
-    return rows[new], spans, rows[~new], sources[~new]
-
-
-def _load_saved(text: str) -> Optional[UMEBCandidate]:
-    """The candidate ``text`` holds when it is laid out as :func:`save_umeb` writes.
-
-    The header must be what :func:`_header` writes for the values json reads
-    from it, and the matrix lines, read in chunks of whole lines, must each
-    be the saved line with any JSON number token for each real
-    (:func:`_read_lines`), then the footer.  A line whose text equals an
-    earlier line's, the last line read as if it ended in ',' like the
-    others, is not scanned again: it takes that line's reals
-    (:func:`_line_kinds`), and that line passed the same check.  Lines of
-    right factors must first pass the checks of :func:`_factored_layout`,
-    so no product is formed for a file the general decoder refuses.  None
-    on any mismatch or error, or a real that is not a finite double; the
-    general decoder then gives the value or the error.  Right factors whose
-    products overflow raise the decoder's UMEBFormatError at once.  Beyond
-    the result, memory stays bounded by the chunk size plus one small
-    entry per distinct line and one integer per line.
-    """
-    start = text.find(_HEADER_END) + len(_HEADER_END)
-    end = len(text) - len(_FOOTER)
-    if start < len(_HEADER_END) or start >= end or not text.endswith(_FOOTER):
-        return None
-    n = text.count("\n", start, end)
     try:
-        doc = json.loads(text[:start] + "]}")
+        head = b"".join([stream.readline() for _ in range(5)])
+        # A saved header opens the matrix list; without this, json would
+        # decode all of a one-line file before it failed.
+        if not head.endswith(b"[\n"):
+            return None
+        doc = json.loads(head + b"]}")
         dim, prov, cos = _read_header(doc)
         key = _RIGHT_FACTORS if _RIGHT_FACTORS in doc else _ELEMENTS
-        if text[:start] != _header(dim, prov, cos, key):
+        if head != _header(dim, prov, cos, key).encode():
             return None
-        d = dim if key == _ELEMENTS else _factored_layout(dim, prov, n).base_dim
     except (ValueError, RecursionError):
         return None
+    layout = as_lift(prov)  # when it is None, right factors fail _factored_layout below
+    d = layout.base_dim if key == _RIGHT_FACTORS and layout is not None else dim
     d2 = d * d
     pair = "#" + _REAL_SEP + "#"
-    # No stack larger than the text can hold, with one byte per real, is allocated.
-    if n * d2 * len(pair) > end - start:
+    text = stream.readline()
+    # No line pattern longer than twice the first line is built.
+    if len(text) < d2 * len(pair):
         return None
     line = (_LINE_OPEN + pair + (_PAIR_SEP + pair) * (d2 - 1) + _LINE_CLOSE).encode()
-    last_line = line[:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE.encode()
-    out = np.empty((n, 2 * d2), dtype=np.float64)
-    first_rows: dict[int, int] = {}
-    line_starts = np.empty(n, dtype=np.intp)
-    row, pos = 0, start
-    while pos < end:
-        stop = text.find("\n", min(pos + _SCAN_CHUNK, end) - 1, end) + 1
-        if stop <= pos:
+    first_rows: dict[bytes, int] = {}
+    sources = []
+    while len(text) >= len(line) - 1:  # the last line has no ','
+        after = stream.readline()
+        if len(after) < len(line) - 1:  # the last line: keyed as if it ended in ','
+            text = text[:-1] + b",\n"
+        sources.append(first_rows.setdefault(text, len(sources)))
+        text = after
+    n = len(sources)
+    if n == 0 or text + stream.read(len(_FOOTER)) != _FOOTER.encode():
+        return None
+    if key == _RIGHT_FACTORS:
+        try:
+            _factored_layout(dim, prov, n)
+        except UMEBFormatError:
             return None
-        new, spans, repeats, sources = _line_kinds(text, pos, stop, end, row, first_rows, line_starts)
-        if new.size:
-            pattern = line * new.size
-            if new[-1] == n - 1:
-                pattern = pattern[:-len(line)] + last_line
-            # The text is joined and encoded in the call, so only the bytes
-            # live during the scan.
-            reals = _read_lines("".join([text[a:b] for a, b in spans]).encode(), pattern)
-            if reals is None:
-                return None
-            out[new] = reals.reshape(new.size, 2 * d2)
-        out[repeats] = out[sources]
-        row, pos = row + new.size + repeats.size, stop
+    sources = np.array(sources)
+    new = sources == np.arange(n)
+    rows = np.flatnonzero(new)
+    lines = list(first_rows)  # in the order of ``rows``
+    step = max(1, _SCAN_CHUNK // len(lines[0]))
+    out = np.empty((n, 2 * d2), dtype=np.float64)
+    for i in range(0, len(lines), step):
+        batch = lines[i:i + step]
+        reals = _read_lines(b"".join(batch), line * len(batch))
+        if reals is None:
+            return None
+        out[rows[i:i + step]] = reals.reshape(len(batch), 2 * d2)
+    out[~new] = out[sources[~new]]
     if not np.isfinite(out).all():
         return None
     matrices = out.view(np.complex128).reshape(n, d, d)
@@ -1205,13 +1174,14 @@ def load_umeb(path) -> UMEBCandidate:
     """Read a matrix-set JSON file written by :func:`save_umeb` or by hand.
 
     A file in exactly the layout :func:`save_umeb` writes, with any JSON
-    number spelling for each real, is read straight from the text in chunks
-    of whole matrix lines, with no Python object per zero, and each
-    distinct line text is parsed once (:func:`_load_saved`).  Every other
-    file, in any other layout (another key order or indentation, duplicate
-    keys, integer ``-0``, values that are not finite, malformed text),
-    loads through ``json`` and :func:`pairs_to_matrix`, which give the same
-    values and every error.
+    number spelling for each real, is read line by line in binary mode, with
+    no Python object per zero, and each distinct line is parsed once
+    (:func:`_load_saved`).  Every other file, in any other layout (another
+    key order or indentation, ``\\r\\n`` line ends, duplicate keys, integer
+    ``-0``, values that are not finite, malformed text), is read again from
+    its start in text mode, as ``open(path, encoding="utf-8")`` reads it,
+    and loads through ``json`` and :func:`pairs_to_matrix`, which give the
+    same values and every error; a pipe is read into memory first.
     Reals may be written in any JSON number form, so files with 17
     significant digits, as older versions wrote them, load bit-exactly too.
     A file of ``"right_factors"`` is read the same two ways: its provenance
@@ -1237,12 +1207,14 @@ def load_umeb(path) -> UMEBCandidate:
         its element count, a factor other than d x d, a lift too large to
         rebuild, or factors whose products overflow the double range.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    saved = _load_saved(text)
-    if saved is not None:
-        return saved
-    doc = _decode_document(text)
+    with open(path, "rb") as fh:
+        stream = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read once
+        saved = _load_saved(stream)
+        if saved is not None:
+            return saved
+        stream.seek(0)
+        with io.TextIOWrapper(stream, encoding="utf-8") as text:
+            doc = _decode_document(text.read())
     dim, prov, ect = _read_header(doc)
     if _RIGHT_FACTORS in doc:
         right = doc[_RIGHT_FACTORS]

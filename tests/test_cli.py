@@ -32,7 +32,12 @@ from umeb.linalg import hs_inner, unitarity_residual
 from umeb.spectral import signature
 from umeb.verification import search_extension
 
-from test_constructions import _BAD_FACTORED_FILES, _bad_factored_file, _reference_save_text
+from test_constructions import (
+    _BAD_FACTORED_FILES,
+    _bad_factored_file,
+    _not_utf8_past_8kb,
+    _reference_save_text,
+)
 
 
 def run(capsys, *argv):
@@ -213,6 +218,15 @@ def test_verify_names_a_file_that_is_not_utf8(tmp_path, capsys):
     assert stdout == ""
     assert stderr.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in stderr
+
+
+def test_verify_names_a_matrix_line_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    expected = _not_utf8_past_8kb(path)
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {path}: {expected}\n"
 
 
 @pytest.mark.parametrize("provenance", [

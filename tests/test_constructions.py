@@ -1,9 +1,14 @@
+import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1359,7 +1364,7 @@ def test_load_matches_the_general_decoder_on_saved_layouts_property(tmp_path_fac
     def check(text):
         path = tmp_path_factory.mktemp("saved") / "m.json"
         path.write_bytes(text.encode("utf-8"))
-        fast.append(constructions._load_saved(text) is not None)
+        fast.append(constructions._load_saved(io.BytesIO(text.encode("utf-8"))) is not None)
         assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
 
     default, constructions._SCAN_CHUNK = constructions._SCAN_CHUNK, chunk
@@ -1406,7 +1411,7 @@ def test_factored_files_load_as_the_general_decoder_reads_them_property(tmp_path
     def check(text):
         path = tmp_path_factory.mktemp("factored") / "m.json"
         path.write_bytes(text.encode("utf-8"))
-        scanned = constructions._load_saved(text)
+        scanned = constructions._load_saved(io.BytesIO(text.encode("utf-8")))
         fast.append(scanned is not None)
         assert _outcome(load_umeb, path) == _outcome(_general_load, path)
         if scanned is not None:
@@ -1471,6 +1476,30 @@ def test_saved_layout_declaring_more_reals_than_it_holds_allocates_nothing(tmp_p
     assert peak < 20 * path.stat().st_size
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_saved_layout_with_no_matrix_lines_raises_the_general_error(tmp_path, dim):
+    path = tmp_path / "m.json"
+    path.write_text(_saved_layout(dim, []).replace("[\n\n  ]", "[\n  ]"))
+    assert path.read_text().endswith('"elements": [\n  ]\n}\n')
+    outcome = _outcome(load_umeb, path)
+    assert outcome == ("error", UMEBFormatError, "elements must be a nonempty list")
+    assert outcome == _outcome(_reference_load, path)
+
+
+def test_a_saved_header_declaring_a_huge_dim_builds_no_line_pattern(tmp_path):
+    # Read as dim 3000, the one short line would need a 72 MB line pattern.
+    path = tmp_path / "huge.json"
+    path.write_text(_saved_layout(1, ["1.0", "0.0"]).replace('"dim": 1', '"dim": 3000'))
+    tracemalloc.start()
+    try:
+        outcome = _outcome(load_umeb, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == _outcome(_reference_load, path)
+    assert peak < 100 * path.stat().st_size
+
+
 @pytest.mark.parametrize("make", [
     bravyi_smolin_3, umeb_6, _signed_zero_candidate, lambda: weyl_family(1),
     lambda: lift(umeb_6(), 2),
@@ -1500,12 +1529,41 @@ def test_only_the_saved_header_takes_the_fast_path(tmp_path, old, new):
     path = tmp_path / "m.json"
     save_umeb(bravyi_smolin_3(), path)
     text = path.read_text()
-    assert constructions._load_saved(text) is not None
+    assert constructions._load_saved(io.BytesIO(text.encode())) is not None
     text = text.replace(old, new, 1)
     path.write_text(text)
-    assert constructions._load_saved(text) is None
+    assert constructions._load_saved(io.BytesIO(text.encode())) is None
     assert _outcome(load_umeb, path) == _outcome(_reference_load, path)
     assert load_umeb(path).matrices.tobytes() == bravyi_smolin_3().matrices.tobytes()
+
+
+def test_a_one_line_file_is_declined_before_json_reads_it(monkeypatch):
+    c = lift(bravyi_smolin_3(), 2)
+    text = json.dumps({"dim": c.dim, "provenance": provenance_to_str(c.provenance),
+                       "exact_cos_theta": [-7, 8],
+                       "elements": [matrix_to_pairs(e) for e in c.elements]})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json decoded a file the line scan declines")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert constructions._load_saved(io.BytesIO(text.encode())) is None
+
+
+@pytest.mark.parametrize("layout", ["saved", "one_line"])
+def test_a_file_read_from_a_pipe_loads_as_from_disk(tmp_path, layout):
+    c = lift(bravyi_smolin_3(), 2)
+    path = tmp_path / "m.json"
+    save_umeb(c, path)
+    if layout == "one_line":
+        path.write_text(json.dumps(json.loads(path.read_text())))
+    code = ("import sys; from umeb.constructions import load_umeb; "
+            "sys.stdout.write(load_umeb('/dev/stdin').matrices.tobytes().hex())")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], input=path.read_bytes(), env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert bytes.fromhex(done.stdout.decode()) == load_umeb(path).matrices.tobytes()
 
 
 def test_reordered_and_reindented_files_load_the_same_values(tmp_path):
@@ -1520,6 +1578,32 @@ def test_reordered_and_reindented_files_load_the_same_values(tmp_path):
     for indent in (None, 4):
         path.write_text(json.dumps(doc, indent=indent))
         assert load_umeb(path).matrices.tobytes() == c.matrices.tobytes()
+    # Saved files with CRLF line ends, which the binary line scan declines.
+    for c in (umeb_6(), lift(bravyi_smolin_3(), 2)):
+        save_umeb(c, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_umeb(path).matrices.tobytes() == c.matrices.tobytes()
+
+
+def _not_utf8_past_8kb(path):
+    """A saved umeb_6() file with one 0xff byte in a matrix line past its first 8 KB."""
+    save_umeb(umeb_6(), path)
+    data = path.read_bytes()
+    at = data.index(b"0.0", 9000)
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(UnicodeDecodeError) as info:
+        with open(path, encoding="utf-8") as fh:
+            fh.read()
+    return str(info.value)
+
+
+def test_a_byte_that_is_not_utf8_in_the_matrix_lines_raises_the_text_read_error(tmp_path):
+    path = tmp_path / "m.json"
+    expected = _not_utf8_past_8kb(path)
+    assert "position 9" in expected
+    with pytest.raises(UnicodeDecodeError) as info:
+        load_umeb(path)
+    assert str(info.value) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -1923,19 +2007,6 @@ def test_each_distinct_line_of_a_saved_file_is_parsed_once(tmp_path, monkeypatch
     back, parsed = _scanned_load(monkeypatch, path)
     assert parsed == distinct
     assert back.matrices.tobytes() == c.matrices.tobytes()
-
-
-def test_colliding_line_hashes_only_cost_a_scan(tmp_path, monkeypatch):
-    c = lift(bravyi_smolin_3(), 2)
-    path = tmp_path / "m.json"
-    save_umeb(c, path)
-    # One line per chunk, so every line is looked up in the table of earlier
-    # lines, and every line's hash the same: only the text tells them apart.
-    monkeypatch.setattr(constructions, "_SCAN_CHUNK", 1)
-    monkeypatch.setattr(constructions, "hash", lambda text: 0, raising=False)
-    back, parsed = _scanned_load(monkeypatch, path)
-    assert back.matrices.tobytes() == c.matrices.tobytes()
-    assert len(distinct_rows(c._right_factors)[0]) < parsed < len(c)
 
 
 @st.composite
