@@ -845,13 +845,8 @@ def _pairs_to_stack(items: list, dim: int, what: str) -> np.ndarray:
     return np.stack(matrices)
 
 
-_SAVE_BLOCK = 1 << 15  # reals encoded per json.dumps call on save
-_ZERO_TOKENS = np.array(["0.0", "-0.0"], dtype=object)  # by sign bit
-# The saved layout: a header, one line per element, the footer.  Each line
-# is '    [[' re ', ' im '], [' re ', ' im ... ']],' and a newline, the last
-# one without its ','.
-_LINE_OPEN, _REAL_SEP, _PAIR_SEP = "    [[", ", ", "], ["
-_LINE_CLOSE, _LAST_LINE_CLOSE = "]],\n", "]]\n"
+# The saved layout: a header, one line per element (:func:`_line`), the last
+# one without its ',', and the footer.
 _FOOTER = "  ]\n}\n"
 # The two layouts: a set built from its right factors is saved as those
 # d x d factors, any other set as its matrices.
@@ -874,41 +869,9 @@ def _header(dim: int, provenance: Provenance, cos: Optional[Fraction], key: str)
     )
 
 
-def _element_block(reals: np.ndarray, d2: int) -> list[str]:
-    """The file lines, one per element, of whole elements whose reals, in
-    order, ``reals`` holds.
-
-    Each line is four spaces, ``json.dumps(matrix_to_pairs(e),
-    allow_nan=False)``, a ',' and a newline.  A zero is spelled ``0.0`` or
-    ``-0.0`` by its sign bit, as ``repr`` spells it; the other reals go
-    through one ``json.dumps`` call, which writes each as its ``repr`` and
-    refuses non-finite ones.
-    """
-    tokens = _ZERO_TOKENS[np.signbit(reals).view(np.uint8)]
-    nonzero = reals != 0
-    if nonzero.any():
-        tokens[nonzero] = json.dumps(reals[nonzero].tolist(), allow_nan=False)[1:-1].split(", ")
-    pairs = tokens.reshape(-1, d2, 2)
-    grid = np.empty((len(pairs), 4 * d2 + 1), dtype=object)
-    grid[:, 0] = _LINE_OPEN
-    grid[:, 1::4] = pairs[:, :, 0]
-    grid[:, 2::4] = _REAL_SEP
-    grid[:, 3::4] = pairs[:, :, 1]
-    grid[:, 4::4] = _PAIR_SEP
-    grid[:, -1] = _LINE_CLOSE
-    return list(map("".join, grid.tolist()))
-
-
-def _save_block(rows: np.ndarray, d2: int) -> str:
-    """The file lines of the elements whose reals are the rows of ``rows``.
-
-    A line is a function of its row's bytes, so each distinct row
-    (:func:`distinct_rows`) is encoded once, by one :func:`_element_block`
-    call, and its line is laid out wherever the row stands.
-    """
-    kinds, kind = distinct_rows(rows)
-    lines = _element_block(rows[kinds].reshape(-1), d2)
-    return "".join([lines[k] for k in kind.tolist()])
+def _line(pairs: list) -> str:
+    """The file line of one element's :func:`matrix_to_pairs` list."""
+    return "    " + json.dumps(pairs, allow_nan=False) + ",\n"
 
 
 def save_umeb(candidate: UMEBCandidate, path) -> None:
@@ -926,33 +889,30 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     loaded from a file of its elements or its stack copied into a new
     candidate, which hold no factors.
     The file is a fixed header, one line per matrix, ``json.dumps`` of its
-    :func:`matrix_to_pairs`, and a fixed footer; :func:`load_umeb` reads
-    either layout without the general JSON decoder.  Every real
-    is its shortest round-trip ``repr``, which reproduces every double
-    bit-exactly on load (``-0.0`` included) and always carries a ``.`` or an
-    exponent; output bytes are deterministic.  The matrices are encoded in
-    blocks of about 2^15 reals, each zero straight from its sign bit and the
-    nonzero reals by one C JSON-encoder call per block.  A line depends only
-    on its matrix's bytes, so each block encodes each of its distinct
-    matrices once (15 lines, not 552, for ``lift(bravyi_smolin_3(), 8)``)
-    and lays their lines out in element order.  Every block is encoded
-    before ``path`` is opened, so an encoding error leaves any file there
-    as it was.
+    :func:`matrix_to_pairs` (:func:`_line`), and a fixed footer;
+    :func:`load_umeb` reads either layout without the general JSON decoder.
+    Every real is its shortest round-trip ``repr``, which reproduces every
+    double bit-exactly on load (``-0.0`` included) and always carries a
+    ``.`` or an exponent; output bytes are deterministic.  A line depends
+    only on its matrix's bytes, so each distinct matrix
+    (:func:`distinct_rows`) is encoded once (15 lines, not 552, for
+    ``lift(bravyi_smolin_3(), 8)``) and its line laid out wherever the
+    matrix stands.  Every line is encoded before ``path`` is opened, so an
+    encoding error leaves any file there as it was.
     """
     right = candidate._right_factors
     if right is None or _too_large(as_lift(candidate.provenance)):
         key, matrices = _ELEMENTS, candidate.matrices
     else:
         key, matrices = _RIGHT_FACTORS, right
-    d2 = matrices.shape[1] ** 2
-    rows = np.ascontiguousarray(matrices).view(np.float64).reshape(len(matrices), 2 * d2)
-    step = max(1, _SAVE_BLOCK // (2 * d2))
-    blocks = [_save_block(rows[i:i + step], d2) for i in range(0, len(rows), step)]
-    blocks[-1] = blocks[-1][:-len(_LINE_CLOSE)] + _LAST_LINE_CLOSE
+    kinds, kind = distinct_rows(matrices)
+    lines = [_line(matrix_to_pairs(matrices[k])) for k in kinds.tolist()]
+    body = [lines[k] for k in kind.tolist()]
+    body[-1] = body[-1][:-2] + "\n"
     header = _header(candidate.dim, candidate.provenance, candidate.exact_cos_theta, key)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        fh.writelines(blocks)
+        fh.writelines(body)
         fh.write(_FOOTER)
 
 
@@ -1039,9 +999,10 @@ def _read_lines(piece: bytes, pattern: bytes) -> Optional[np.ndarray]:
     if skeleton[first | ~number].tobytes() != pattern:
         return None
     heads = np.ndarray(len(piece), dtype="<u8", buffer=piece + b" " * 7, strides=(1,))[starts]
-    low4, low5 = heads & 0xFFFFFFFF, heads & 0xFFFFFFFFFF
-    positive = (low4 == _POSITIVE_ZEROS[0]) | (low4 == _POSITIVE_ZEROS[1])
-    negative = (low5 == _NEGATIVE_ZEROS[0]) | (low5 == _NEGATIVE_ZEROS[1])
+    heads &= 0xFFFFFFFFFF
+    negative = (heads == _NEGATIVE_ZEROS[0]) | (heads == _NEGATIVE_ZEROS[1])
+    heads &= 0xFFFFFFFF
+    positive = (heads == _POSITIVE_ZEROS[0]) | (heads == _POSITIVE_ZEROS[1])
     rest = ~(positive | negative)
     reals = np.where(negative, -0.0, 0.0)
     text = bytearray(piece.translate(_TO_SPACES))
@@ -1094,12 +1055,13 @@ def _load_saved(stream) -> Optional[UMEBCandidate]:
     layout = as_lift(prov)  # when it is None, right factors fail _factored_layout below
     d = layout.base_dim if key == _RIGHT_FACTORS and layout is not None else dim
     d2 = d * d
-    pair = "#" + _REAL_SEP + "#"
     text = stream.readline()
-    # No line pattern longer than twice the first line is built.
-    if len(text) < d2 * len(pair):
+    # This runs before the line pattern, 8 bytes a pair, is built, so a
+    # header that declares a huge dim builds none much longer than twice
+    # the first line.
+    if len(text) < 4 * d2:
         return None
-    line = (_LINE_OPEN + pair + (_PAIR_SEP + pair) * (d2 - 1) + _LINE_CLOSE).encode()
+    line = _line([[0, 0]] * d2).replace("0", "#").encode()
     first_rows: dict[bytes, int] = {}
     sources = []
     while len(text) >= len(line) - 1:  # the last line has no ','

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -892,11 +893,11 @@ def test_d24_lift_round_trip_is_bit_exact_and_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# File format: the block writer against one json.dumps per element
+# File format: the writer against one json.dumps per element
 # ---------------------------------------------------------------------------
 
-# The writer as it was before block encoding, kept as the reference: each
-# element one line, one json.dumps of its pair list.  Given ``right``, the
+# The writer spelled out line by line, kept as the reference: each element
+# one line, one json.dumps of its pair list.  Given ``right``, the
 # lines are those matrices, under "right_factors".
 def _reference_save_text(c, right=None):
     ect = c.exact_cos_theta
@@ -944,6 +945,27 @@ def test_save_writes_the_reference_bytes(tmp_path, make):
     assert path.read_bytes() == _reference_save_text(c).encode("utf-8")
 
 
+# Sizes and sha256 digests recorded from an earlier, vectorised writer, so
+# the writer and _reference_save_text cannot drift together unnoticed.
+@pytest.mark.parametrize("make, size, digest", [
+    pytest.param(bravyi_smolin_3, 1534,
+                 "dad99aa13ef9405ad614eee5be9e0d9d59e57e211852fdc7fce9ee3ca4953409", id="bs3"),
+    pytest.param(umeb_6, 17938,
+                 "d5d29a9f5d03e5e76a52c9ddba3caea3b718e36667d3a2dbf813d97e1311108c", id="umeb6"),
+    pytest.param(lambda: lift(bravyi_smolin_3(), 8), 90228,
+                 "4b3b7194e190c9846809542868d1f5a979eac3e0539d89f1e2fad451cf24f9f9",
+                 id="lift_bs3_8"),
+    pytest.param(lambda: lift(umeb_6(), 4), 297088,
+                 "fd83ce739d52392eb67421c997525ac5cec6cdde8141e994860aeac56988d308",
+                 id="lift_umeb6_4"),
+])
+def test_saved_files_keep_their_recorded_bytes(tmp_path, make, size, digest):
+    path = tmp_path / "m.json"
+    save_umeb(make(), path)
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_a_set_with_no_elements_is_refused_at_construction():
     # load_umeb refuses a file with no elements, so no set, and no file of
     # save_umeb's, holds none.
@@ -988,21 +1010,15 @@ _SAVED_REALS = st.sampled_from([0.0, -0.0] * 6 + [5e-324, -5e-324, 1e-05, 1e308,
 @given(
     dim=st.integers(1, 3),
     count=st.integers(1, 6),
-    block=st.integers(1, 40),
     data=st.data(),
 )
-def test_save_writes_the_reference_bytes_property(tmp_path_factory, dim, count, block, data):
+def test_save_writes_the_reference_bytes_property(tmp_path_factory, dim, count, data):
     n = 2 * dim * dim * count
     parts = data.draw(st.lists(_SAVED_REALS, min_size=n, max_size=n))
     mats = np.array(parts, dtype=np.float64).view(np.complex128).reshape(count, dim, dim)
     c = UMEBCandidate(dim, mats, External("drawn"))
     path = tmp_path_factory.mktemp("save") / "m.json"
-    # A block of 1 to 40 reals: one element per block, or several, or all.
-    default, constructions._SAVE_BLOCK = constructions._SAVE_BLOCK, block
-    try:
-        save_umeb(c, path)
-    finally:
-        constructions._SAVE_BLOCK = default
+    save_umeb(c, path)
     assert path.read_bytes() == _reference_save_text(c).encode("utf-8")
 
 
@@ -1010,16 +1026,15 @@ def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "m.json"
     save_umeb(bravyi_smolin_3(), path)
     old = path.read_bytes()
-    encode, calls = constructions._element_block, []
+    encode, calls = constructions._line, []
 
-    def failing_block(reals, d2):
-        calls.append(d2)
+    def failing_line(pairs):
+        calls.append(len(pairs))
         if len(calls) == 2:
             raise RuntimeError("encoding failed")
-        return encode(reals, d2)
+        return encode(pairs)
 
-    monkeypatch.setattr(constructions, "_element_block", failing_block)
-    monkeypatch.setattr(constructions, "_SAVE_BLOCK", 72)  # one element of dim 6 per block
+    monkeypatch.setattr(constructions, "_line", failing_line)
     with pytest.raises(RuntimeError, match="encoding failed"):
         save_umeb(umeb_6(), path)
     assert len(calls) == 2
@@ -1035,7 +1050,7 @@ def test_d24_save_stays_within_a_memory_bound(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The encoded blocks are about the file; one string joining them, or
+    # The encoded lines are about the file; one string joining them, or
     # the whole file's pair lists, is one more file size or several.
     assert peak < 1.5 * path.stat().st_size
 
@@ -2025,7 +2040,8 @@ def _repeating_sets(draw):
         if twin[at] == 0:
             twin[at] = -twin[at]
         else:
-            moved = np.nextafter(twin[at], draw(st.sampled_from([np.inf, -np.inf])))
+            with np.errstate(over="ignore"):  # the largest double steps to inf
+                moved = np.nextafter(twin[at], draw(st.sampled_from([np.inf, -np.inf])))
             twin[at] = moved if np.isfinite(moved) else np.nextafter(twin[at], 0.0)
         kinds.append(twin)
     order = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=16))
@@ -2037,13 +2053,12 @@ def _repeating_sets(draw):
 def test_repeated_matrices_save_per_row_bytes_and_load_bit_exact_property(tmp_path_factory,
                                                                           monkeypatch):
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(mats=_repeating_sets(), block_rows=st.integers(1, 4),
+    @given(mats=_repeating_sets(),
            chunk=st.sampled_from([1, 40, 150, constructions._SCAN_CHUNK]))
-    def check(mats, block_rows, chunk):
+    def check(mats, chunk):
         c = UMEBCandidate(mats.shape[1], mats, External("repeats"))
         path = tmp_path_factory.mktemp("repeats") / "m.json"
         with monkeypatch.context() as m:
-            m.setattr(constructions, "_SAVE_BLOCK", 2 * mats.shape[1] ** 2 * block_rows)
             m.setattr(constructions, "_SCAN_CHUNK", chunk)
             save_umeb(c, path)
             assert path.read_text() == _per_row_saved_text(c)
