@@ -236,16 +236,16 @@ _LIFT_RE = re.compile(r"^lift\(q=(\d+), d=(\d+), n=(\d+), base=(.*)\)$")
 
 
 def provenance_from_str(s: str) -> Provenance:
-    """Parse a canonical provenance string; anything unrecognized is External."""
-    s = s.strip()
-    if s == "bravyi_smolin_3":
+    """Parse a canonical provenance string, padded or not; any other is External, verbatim."""
+    text = s.strip()
+    if text == "bravyi_smolin_3":
         return BravyiSmolin3()
-    if s == "umeb_6":
+    if text == "umeb_6":
         return Umeb6()
-    m = _WEYL_RE.match(s)
+    m = _WEYL_RE.match(text)
     if m:
         return WeylFamily(int(m.group(1)))
-    m = _LIFT_RE.match(s)
+    m = _LIFT_RE.match(text)
     if m:
         return Lift(
             base=provenance_from_str(m.group(4)),
@@ -322,8 +322,7 @@ class Factored:
         group is dependent, which the set then is.
         """
         q, d = self.layout.q, self.layout.base_dim
-        sizes = np.bincount(self.index, minlength=q * q)
-        groups = np.split(self.kind[np.argsort(self.index, kind="stable")], np.cumsum(sizes)[:-1])
+        groups = [self.kind[self.index == f] for f in range(q * q)]
         nulls = {}
         for kinds in groups:
             if kinds.tobytes() not in nulls:
@@ -897,8 +896,11 @@ def save_umeb(candidate: UMEBCandidate, path) -> None:
     only on its matrix's bytes, so each distinct matrix
     (:func:`distinct_rows`) is encoded once (15 lines, not 552, for
     ``lift(bravyi_smolin_3(), 8)``) and its line laid out wherever the
-    matrix stands.  Every line is encoded before ``path`` is opened, so an
-    encoding error leaves any file there as it was.
+    matrix stands.  Zeros are encoded too: a dense 552-element D = 24 file,
+    no line repeated, saves in 169-254 ms against 46-71 ms when each zero
+    was written from its sign bit; no workload saves such a file.  Every
+    line is encoded before ``path`` is opened, so an encoding error leaves
+    any file there as it was.
     """
     right = candidate._right_factors
     if right is None or _too_large(as_lift(candidate.provenance)):

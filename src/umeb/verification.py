@@ -435,19 +435,18 @@ def search_extension(
 
     # One generator draws every start.  The live restarts advance together:
     # one stacked SVD and one projection per iteration.  Row i of m is
-    # restart live[i]; a restart's row is removed once its last matrix has
-    # been evaluated, and that matrix is kept in row r of last.  Each
-    # iteration's objectives are held for its live rows only.
+    # restart r = live[i]: its objective goes on runs[r], and once its last
+    # matrix is evaluated that matrix goes to last[r] and the row is removed.
     m = _project(flat, seeded_random_stack(d, restarts, seed))
     m *= (sqrt_d / np.linalg.norm(m, axis=(1, 2)))[:, None, None]
     last = np.empty_like(m)
-    objectives, rows = [], []
+    runs = [[] for _ in range(restarts)]
     live = np.arange(restarts)
     settled = np.zeros(restarts, dtype=bool)
     for t in range(iters):
         u, s, vh = np.linalg.svd(m)
-        objectives.append(s.sum(axis=1))
-        rows.append(live)
+        for r, objective in zip(live.tolist(), s.sum(axis=1).tolist()):
+            runs[r].append(objective)
         # A row ends once its objective is recorded: at the cap, or after the
         # step that reached a fixed point.
         settled |= t == iters - 1
@@ -465,21 +464,11 @@ def search_extension(
         settled = np.abs(step - m).max(axis=(1, 2)) <= STEP_TOL
         m = step
 
-    # Every restart's objectives in iteration order, one run per restart.
-    ids = np.concatenate(rows)
-    traces = np.concatenate(objectives)[np.argsort(ids, kind="stable")]
-    lengths = np.bincount(ids)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    finals = traces[ends - 1]
-    best_restart = int(np.argmax(finals))
-    best_norm = float(finals[best_restart])
+    finals = [run[-1] for run in runs]
+    plateaus = [next(i for i, v in enumerate(run) if v >= run[-1] - PLATEAU_TOL) for run in runs]
+    best_restart = finals.index(max(finals))
+    best_norm = finals[best_restart]
     best_witness = last[best_restart]
-    # Each run's first iteration within PLATEAU_TOL of its final objective.
-    hits = np.flatnonzero(traces >= np.repeat(finals - PLATEAU_TOL, lengths))
-    plateau = hits[np.searchsorted(hits, starts)] - starts
-    values = traces.tolist()
-    runs = tuple(tuple(values[a:b]) for a, b in zip(starts.tolist(), ends.tolist()))
 
     gap = d - best_norm
     notes = []
@@ -518,7 +507,7 @@ def search_extension(
     return ExtendibilitySearchResult(
         verdict=verdict,
         best_nuclear_norm=best_norm,
-        gap=float(gap),
+        gap=gap,
         witness=best_witness,
         restarts=restarts,
         iters=iters,
@@ -529,9 +518,9 @@ def search_extension(
         extension_unitarity_residual=ext_unit,
         extension_max_gram_overlap=ext_overlap,
         best_restart=best_restart,
-        objective_traces=runs,
-        restart_final_gaps=tuple((d - finals).tolist()),
-        restart_plateau_iters=tuple(plateau.tolist()),
+        objective_traces=tuple(map(tuple, runs)),
+        restart_final_gaps=tuple(d - final for final in finals),
+        restart_plateau_iters=tuple(plateaus),
         refined=refined is not None,
         notes=tuple(notes),
     )

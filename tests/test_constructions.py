@@ -605,6 +605,23 @@ def test_unknown_provenance_becomes_external():
     assert p == External("mystery source v2")
 
 
+@pytest.mark.parametrize(
+    "label",
+    [" x ", "\tweyl subset\t", "\nfrom a notebook\n", "  ", "lead \t\n", " \n\ttrail"],
+    ids=["spaces", "tabs", "newlines", "blank", "trailing", "leading"],
+)
+def test_a_padded_external_label_round_trips_through_the_saved_layout(
+    tmp_path, general_decoder_off, label
+):
+    c = UMEBCandidate(3, weyl_family(3).elements[:6], External(label))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_umeb(c, first)
+    back = load_umeb(first)  # the general decoder is off: the saved layout's fast path
+    assert back.provenance == External(label)
+    save_umeb(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_rebuild_from_provenance():
     assert rebuild_from_provenance(External("x")) is None
     fam = rebuild_from_provenance(WeylFamily(3))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umeb.linalg import (
     DEFAULT_TOLERANCES,
@@ -8,6 +10,7 @@ from umeb.linalg import (
     Tolerances,
     as_matrix,
     as_stack,
+    distinct_rows,
     gram_matrix,
     hs_inner,
     hs_norm,
@@ -210,3 +213,40 @@ def test_seeded_random_stack_extends_seeded_random_matrix(d, seed):
 def test_seeded_random_stack_rejects_a_dim_below_one():
     with pytest.raises(ValueError, match="dim"):
         seeded_random_stack(0, 3, 0)
+
+
+# Signed zeros, one-ulp twins, two NaN payloads and any other double.
+_ODD_NAN = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+_REALS = st.sampled_from(
+    [0.0, -0.0, 1.0, float(np.nextafter(1.0, 2.0)), np.nan, _ODD_NAN, -2.5]
+) | st.floats(width=64)
+
+
+@st.composite
+def _stacks_with_repeats(draw):
+    """A real or complex (n, ...) stack whose rows repeat a few drawn rows."""
+    is_complex = draw(st.booleans())
+    shape = draw(st.sampled_from([(1,), (3,), (2, 2)]))
+    size = int(np.prod(shape)) * (2 if is_complex else 1)
+    row = st.lists(_REALS, min_size=size, max_size=size)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    a = np.array([pool[k] for k in picks], dtype=np.float64)
+    if is_complex:
+        a = a.view(np.complex128)
+    return a.reshape((len(picks),) + shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks_with_repeats())
+def test_distinct_rows_matches_a_dict_of_row_bytes(a):
+    first_of = {}
+    for k, row in enumerate(a):
+        first_of.setdefault(row.tobytes(), k)
+    kinds = sorted(first_of)
+    first, inverse = distinct_rows(a)
+    # Each kind's first occurrence, the kinds in byte order.
+    assert first.tolist() == [first_of[key] for key in kinds]
+    # Every row maps to its kind, and the kinds rebuild the stack bit for bit.
+    assert inverse.tolist() == [kinds.index(row.tobytes()) for row in a]
+    assert a[first][inverse].tobytes() == a.tobytes()
