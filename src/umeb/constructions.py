@@ -215,8 +215,18 @@ def as_lift(p: Provenance) -> Optional[Lift]:
     return None
 
 
+# Leads the string of an External label that would otherwise read back as
+# another provenance, or as none; provenance_from_str strips it.
+_EXTERNAL_MARK = "external:"
+
+
 def provenance_to_str(p: Provenance) -> str:
-    """Canonical string form used in the JSON file format."""
+    """Canonical string form used in the JSON file format.
+
+    :func:`provenance_from_str` reads it back as ``p``: an External label
+    spelled like another provenance, or already led by ``_EXTERNAL_MARK``,
+    is written after that mark, at any depth of a lift.
+    """
     if isinstance(p, WeylFamily):
         return f"weyl_family(d={p.dim})"
     if isinstance(p, BravyiSmolin3):
@@ -227,16 +237,24 @@ def provenance_to_str(p: Provenance) -> str:
         base = provenance_to_str(p.base)
         return f"lift(q={p.q}, d={p.base_dim}, n={p.base_count}, base={base})"
     if isinstance(p, External):
-        return p.source
+        try:
+            plain = not p.source.startswith(_EXTERNAL_MARK) and provenance_from_str(p.source) == p
+        except (ValueError, RecursionError):
+            plain = False
+        return p.source if plain else _EXTERNAL_MARK + p.source
     raise TypeError(f"unknown provenance {p!r}")
 
 
 _WEYL_RE = re.compile(r"^weyl_family\(d=(\d+)\)$")
-_LIFT_RE = re.compile(r"^lift\(q=(\d+), d=(\d+), n=(\d+), base=(.*)\)$")
+# DOTALL: a base label may hold line breaks.
+_LIFT_RE = re.compile(r"^lift\(q=(\d+), d=(\d+), n=(\d+), base=(.*)\)$", re.DOTALL)
 
 
 def provenance_from_str(s: str) -> Provenance:
-    """Parse a canonical provenance string, padded or not; any other is External, verbatim."""
+    """Parse a canonical provenance string, padded or not; any other is External,
+    verbatim, and one led by ``_EXTERNAL_MARK`` the External label after it."""
+    if s.startswith(_EXTERNAL_MARK):
+        return External(s[len(_EXTERNAL_MARK):])
     text = s.strip()
     if text == "bravyi_smolin_3":
         return BravyiSmolin3()

@@ -47,6 +47,8 @@ from umeb.constructions import (
     weyl_family,
 )
 from umeb.linalg import DimensionMismatchError, distinct_rows, gram_matrix, unitarity_residual
+from umeb.spectral import signature
+from umeb.verification import structural_certify, verify_axioms
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +622,59 @@ def test_a_padded_external_label_round_trips_through_the_saved_layout(
     assert back.provenance == External(label)
     save_umeb(back, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# External labels that read back as another provenance, or as none, unless
+# the file marks them: each canonical spelling, padded, a lift string, an
+# invalid lift, and the mark itself.
+_COLLIDING_LABELS = [
+    "bravyi_smolin_3", "umeb_6", "weyl_family(d=3)", " bravyi_smolin_3", "umeb_6\n",
+    "\tweyl_family(d=3) ", "lift(q=2, d=3, n=6, base=bravyi_smolin_3)",
+    " lift(q=1, d=3, n=6, base=x)\n", "lift(q=0, d=3, n=6, base=x)",
+    "external:", "external:x", "external:bravyi_smolin_3", "external:external:x",
+]
+
+
+@pytest.mark.parametrize("label", _COLLIDING_LABELS)
+def test_an_external_label_spelled_like_a_provenance_round_trips(
+    tmp_path, general_decoder_off, label
+):
+    base = UMEBCandidate(3, weyl_family(3).elements[:6], External(label))
+    for c in (base, lift(base, 2)):
+        path = tmp_path / "m.json"
+        save_umeb(c, path)
+        back = load_umeb(path)  # the general decoder is off: the saved layout's fast path
+        assert back.provenance == c.provenance
+        for report in (verify_axioms, structural_certify, signature):
+            assert repr(report(back).to_dict()) == repr(report(c).to_dict()), report.__name__
+        assert signature(back).key == signature(c).key
+
+
+_LABEL_PARTS = st.sampled_from(
+    ["", " ", "\n", "bravyi_smolin_3", "umeb_6", "weyl_family(d=3)", "lift(q=2, d=3, n=6, base=",
+     ")", "external:", "x"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.one_of(st.text(max_size=12), st.lists(_LABEL_PARTS, max_size=5).map("".join)))
+def test_every_provenance_string_reads_back_as_its_provenance(label):
+    for p in (External(label), Lift(External(label), 3, 6, 2),
+              Lift(Lift(External(label), 3, 6, 2), 6, 30, 3)):
+        assert provenance_from_str(provenance_to_str(p)) == p
+
+
+def test_an_unmarked_label_keeps_its_string():
+    assert provenance_to_str(External("weyl subset")) == "weyl subset"
+    assert provenance_to_str(External(" x ")) == " x "
+    assert provenance_to_str(External("umeb_6")) == "external:umeb_6"
+    assert provenance_to_str(Lift(External("umeb_6"), 6, 30, 2)) == (
+        "lift(q=2, d=6, n=30, base=external:umeb_6)"
+    )
+    # Too deep to parse: it would not read back, so it is marked.
+    deep = "lift(q=1, d=3, n=6, base=" * 1200 + "x" + ")" * 1200
+    assert provenance_to_str(External(deep)) == "external:" + deep
+    assert provenance_from_str("external:" + deep) == External(deep)
 
 
 def test_rebuild_from_provenance():

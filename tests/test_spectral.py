@@ -1,5 +1,6 @@
 import gc
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -455,42 +456,104 @@ def _eigensolve_shapes(monkeypatch):
 
 
 @pytest.mark.parametrize("q", range(1, 9))
-def test_left_phases_are_held_while_their_label_lives(q):
-    spectral._LEFT_PHASES.clear()
-    p = Lift(BravyiSmolin3(), 3, 6, q)
-    phases = spectral._left_phases(p)
-    assert spectral._left_phases(Lift(BravyiSmolin3(), 3, 6, q)) is phases
+def test_left_phases_are_held_per_q(q, monkeypatch):
+    # One eigensolve of the q^2 left factors serves every later lift by q,
+    # of any base, whether or not the set it was made for still lives:
+    # lift(bs3, 4) and lift(umeb_6(), 4) together make one (16, 4, 4).
+    spectral._left_phases.cache_clear()
+    shapes = _eigensolve_shapes(monkeypatch)
+    a = lift(bravyi_smolin_3(), q)
+    signature(a)
+    right_a = len(a.factored.distinct)
+    del a
+    gc.collect()
+    b = lift(umeb_6(), q)
+    signature(b)
+    assert shapes == [(q * q, q, q), (right_a, 3, 3), (len(b.factored.distinct), 6, 6)]
+    phases = spectral._left_phases(q)
+    assert spectral._left_phases(q) is phases
     assert not phases.flags.writeable
     assert phases.tobytes() == eigenphases(left_factors(q)).tobytes()
-    del p
-    gc.collect()
-    assert len(spectral._LEFT_PHASES) == 0
 
 
 def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
-    # The left factors once while a set of the layout lives, then the
-    # distinct right factors: 552 right factors of lift(bs3, 8) are 15
-    # distinct matrices, the tower's 132 are 65.
-    spectral._LEFT_PHASES.clear()
+    # The left factors once per q, then the distinct right factors once per
+    # set: 552 right factors of lift(bs3, 8) are 15 distinct matrices, the
+    # tower's 132 are 65.
+    spectral._left_phases.cache_clear()
     shapes = _eigensolve_shapes(monkeypatch)
     c = lift(bravyi_smolin_3(), 8)
     signature(c)
     assert shapes == [(64, 8, 8), (15, 3, 3)]
-    for again in (c, lift(bravyi_smolin_3(), 8)):
-        shapes.clear()
-        signature(again)
-        assert shapes == [(15, 3, 3)]
-    del c, again
+    shapes.clear()
+    signature(c)
+    assert shapes == []  # its signature is held
+    signature(lift(bravyi_smolin_3(), 8))
+    assert shapes == [(15, 3, 3)]
+    del c
     gc.collect()
     shapes.clear()
     signature(lift(bravyi_smolin_3(), 8))
-    assert shapes == [(64, 8, 8), (15, 3, 3)]
+    assert shapes == [(15, 3, 3)]
     shapes.clear()
     signature(_tower())
     assert shapes == [(4, 2, 2), (65, 6, 6)]
     shapes.clear()
     signature(_relabel(umeb_6()))
     assert shapes == [(1, 1, 1), (30, 6, 6)]  # its own q = 1 lift
+
+
+def test_a_second_signature_is_the_held_one(monkeypatch):
+    c = lift(bravyi_smolin_3(), 4)
+    sig = signature(c, 144)
+    shapes = _eigensolve_shapes(monkeypatch)
+    assert signature(c, 144) is sig
+    assert signature(c) is sig
+    assert shapes == []
+    assert sector_summaries(c, 144) is sig.sectors
+    assert signature(c, 12) is not sig and signature(c, 12).bound == 12
+
+
+def test_each_bound_type_is_held_as_a_fresh_call_gives_it():
+    c = lift(bravyi_smolin_3(), 2)
+    signature(c, 144)
+    by_float = signature(c, 144.0)
+    assert signature(c, 144.0) is by_float
+    assert repr(by_float) == repr(signature(lift(bravyi_smolin_3(), 2), 144.0))
+    assert repr(signature(c, 144)) != repr(by_float)  # bound=144 against bound=144.0
+
+
+def test_a_signature_that_raises_is_not_held():
+    c = _scaled_lift()
+    for bound in (144, 144, 12):
+        with pytest.raises(ValueError, match="not unitary"):
+            signature(c, bound)
+        with pytest.raises(ValueError, match="not unitary"):
+            sector_summaries(c, bound)
+    assert c not in spectral._SIGNATURES
+
+
+def test_a_held_signature_is_freed_with_its_set():
+    c = lift(bravyi_smolin_3(), 4)
+    signature(c)
+    signature(c, 12)
+    gc.collect()  # so that the collection below frees only c
+    held = len(spectral._SIGNATURES)
+    assert c in spectral._SIGNATURES
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None  # no held signature refers to its set
+    assert len(spectral._SIGNATURES) == held - 1
+
+
+def test_a_fresh_copy_of_a_set_is_signed_alike():
+    c = lift(bravyi_smolin_3(), 8)
+    copy = UMEBCandidate(c.dim, c.matrices, c.provenance, c.exact_cos_theta)
+    a, b = signature(c), signature(copy)
+    assert a is not b and signature(copy) is b
+    assert repr(a.to_dict()) == repr(b.to_dict())
+    assert a.key == b.key
 
 
 def _circle_rows(phases):
@@ -557,6 +620,7 @@ TAMPERED = {
 def test_tampered_lifts_take_the_full_stack_path_bit_for_bit(name, monkeypatch):
     c = TAMPERED[name]()
     assert as_lift(c.provenance).split(c.matrices) is None
+    spectral._left_phases.cache_clear()
     shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
     # The one left factor [1] of its own q = 1 lift, and its stack.
@@ -565,12 +629,17 @@ def test_tampered_lifts_take_the_full_stack_path_bit_for_bit(name, monkeypatch):
     assert [r.name for r in sig.sectors] == ["weyl", "base"]
 
 
-def test_non_unitary_lift_raises_the_full_stack_error():
+def _scaled_lift():
+    """A q = 2 lift whose right factors, all scaled by 1.5, split its stack."""
     layout = Lift(External("scaled"), 3, 6, 2)
     right = 1.5 * np.concatenate([np.tile(weyl_family(3).matrices, (2, 1, 1)),
                                   np.tile(bravyi_smolin_3().matrices, (2, 1, 1))])
-    c = UMEBCandidate(6, _kron_rows(left_factors(layout.q)[layout.factor_index()], right), layout)
-    assert layout.split(c.matrices) is not None
+    return UMEBCandidate(6, _kron_rows(left_factors(layout.q)[layout.factor_index()], right), layout)
+
+
+def test_non_unitary_lift_raises_the_full_stack_error():
+    c = _scaled_lift()
+    assert c.provenance.split(c.matrices) is not None
     with pytest.raises(ValueError) as want:
         eigenphases(c.matrices)
     for cand in (c, _relabel(c)):
@@ -607,7 +676,7 @@ def test_right_factors_past_the_threshold_take_their_phases_from_the_factors(mon
     c = _lift_at_the_threshold(stored_passes=True)
     right = c.provenance.split(c.matrices)
     assert unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol
-    spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
+    spectral._left_phases(c.provenance.q)  # held per q, as an earlier signature leaves it
     shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
     assert shapes == [(len(c.factored.distinct), 2, 2)]
@@ -795,6 +864,7 @@ def test_elements_with_one_phase_row_share_one_record():
 
 
 def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
+    spectral._left_phases.cache_clear()
     calls = []
     real = spectral.unitarity_residual
     monkeypatch.setattr(spectral, "unitarity_residual", lambda m: calls.append(np.shape(m)) or real(m))
@@ -805,7 +875,7 @@ def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
     # checks as it checks any input.
     assert calls == [(1, 1, 1)]
     c = lift(bravyi_smolin_3(), 4)
-    spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
+    spectral._left_phases(c.provenance.q)  # held per q, as an earlier signature leaves it
     calls.clear()
     signature(c)
     assert calls == []  # no right factor is checked apart from the held residual
