@@ -22,12 +22,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .constructions import UMEBCandidate, as_lift, left_factors
+from .constructions import Lift, UMEBCandidate, as_lift, left_factors
 from .linalg import DEFAULT_TOLERANCES, TWO_PI, distinct_rows, unitarity_residual
 
 __all__ = [
@@ -139,12 +138,17 @@ def _phases(m: np.ndarray) -> np.ndarray:
     return phases
 
 
-@cache
-def _left_phases(q: int) -> np.ndarray:
-    """Read-only :func:`eigenphases` of ``left_factors(q)``, held per q until
-    the process exits, as the factors themselves are."""
-    phases = eigenphases(left_factors(q))
-    phases.flags.writeable = False
+# Left-factor phases by lift layout, freed with the layout they were made for.
+_LEFT_PHASES: weakref.WeakKeyDictionary[Lift, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def _left_phases(layout: Lift) -> np.ndarray:
+    """Read-only :func:`eigenphases` of the left factors of ``layout``, held
+    for equal layouts while the first lives."""
+    phases = _LEFT_PHASES.get(layout)
+    if phases is None:
+        phases = _LEFT_PHASES[layout] = eigenphases(left_factors(layout.q))
+        phases.flags.writeable = False
     return phases
 
 
@@ -408,16 +412,16 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
 
     Unitarity is judged by the residual the candidate holds, so every set
     raises alike.  The :attr:`~UMEBCandidate.factored` view gives (phi_F +
-    phi_Y) mod 2*pi, from the left factors' phases, held per q until the
-    process exits, and one eigensolve of the distinct right factors, which
-    :func:`signature` runs once per set and bound: for the self-lift, whose
-    left factor [1] has phase 0, the stored matrices'.  The eigenvalues of F (x) Y
+    phi_Y) mod 2*pi, from the left factors' phases, held per layout, and one
+    eigensolve of the distinct right factors, which :func:`signature` runs
+    once per set and bound: for the self-lift, whose left factor [1] has
+    phase 0, the stored matrices'.  The eigenvalues of F (x) Y
     are the products of F's and Y's whether or not Y on its own passes the
     unitarity threshold, so a split set's stack is never eigensolved.
     """
     _require_unitary(c.unitarity_residual)
     view = c.factored
-    left = _left_phases(view.layout.q)[view.index]
+    left = _left_phases(view.layout)[view.index]
     # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
     phases = np.mod(left[:, :, None] + _phases(view.distinct)[view.kind][:, None, :], TWO_PI)
     phases = phases.reshape(len(view.index), -1)
@@ -551,12 +555,26 @@ def sector_summaries(c: UMEBCandidate, bound: int = 144) -> tuple[SectorRow, ...
 def sector_table(rows: tuple[SectorRow, ...]) -> str:
     """Aligned text table of sector order statistics."""
     header = ("sector", "elements", "O_min", "O_max", "infinite phases", "unresolved")
-    body = [
-        (r.name, str(r.element_count),
-         *("-" if o is None else str(o) for o in (r.min_finite_order, r.max_finite_order)),
-         str(r.provably_infinite_count), str(r.no_order_count))
-        for r in rows
+    body = []
+    for r in rows:
+        body.append(
+            (
+                r.name,
+                str(r.element_count),
+                "-" if r.min_finite_order is None else str(r.min_finite_order),
+                "-" if r.max_finite_order is None else str(r.max_finite_order),
+                str(r.provably_infinite_count),
+                str(r.no_order_count),
+            )
+        )
+    widths = [
+        max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i])
+        for i in range(len(header))
     ]
-    widths = [max(map(len, column)) for column in zip(header, *body)]
-    lines = [header, tuple("-" * w for w in widths), *body]
-    return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in lines)
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in body:
+        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)

@@ -456,31 +456,23 @@ def _eigensolve_shapes(monkeypatch):
 
 
 @pytest.mark.parametrize("q", range(1, 9))
-def test_left_phases_are_held_per_q(q, monkeypatch):
-    # One eigensolve of the q^2 left factors serves every later lift by q,
-    # of any base, whether or not the set it was made for still lives:
-    # lift(bs3, 4) and lift(umeb_6(), 4) together make one (16, 4, 4).
-    spectral._left_phases.cache_clear()
-    shapes = _eigensolve_shapes(monkeypatch)
-    a = lift(bravyi_smolin_3(), q)
-    signature(a)
-    right_a = len(a.factored.distinct)
-    del a
-    gc.collect()
-    b = lift(umeb_6(), q)
-    signature(b)
-    assert shapes == [(q * q, q, q), (right_a, 3, 3), (len(b.factored.distinct), 6, 6)]
-    phases = spectral._left_phases(q)
-    assert spectral._left_phases(q) is phases
+def test_left_phases_are_held_while_their_label_lives(q):
+    spectral._LEFT_PHASES.clear()
+    p = Lift(BravyiSmolin3(), 3, 6, q)
+    phases = spectral._left_phases(p)
+    assert spectral._left_phases(Lift(BravyiSmolin3(), 3, 6, q)) is phases
     assert not phases.flags.writeable
     assert phases.tobytes() == eigenphases(left_factors(q)).tobytes()
+    del p
+    gc.collect()
+    assert len(spectral._LEFT_PHASES) == 0
 
 
 def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
-    # The left factors once per q, then the distinct right factors once per
-    # set: 552 right factors of lift(bs3, 8) are 15 distinct matrices, the
-    # tower's 132 are 65.
-    spectral._left_phases.cache_clear()
+    # The left factors once while a set of the layout lives, then the
+    # distinct right factors once per set: 552 right factors of
+    # lift(bs3, 8) are 15 distinct matrices, the tower's 132 are 65.
+    spectral._LEFT_PHASES.clear()
     shapes = _eigensolve_shapes(monkeypatch)
     c = lift(bravyi_smolin_3(), 8)
     signature(c)
@@ -488,13 +480,14 @@ def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
     shapes.clear()
     signature(c)
     assert shapes == []  # its signature is held
-    signature(lift(bravyi_smolin_3(), 8))
+    again = lift(bravyi_smolin_3(), 8)
+    signature(again)
     assert shapes == [(15, 3, 3)]
-    del c
+    del c, again
     gc.collect()
     shapes.clear()
     signature(lift(bravyi_smolin_3(), 8))
-    assert shapes == [(15, 3, 3)]
+    assert shapes == [(64, 8, 8), (15, 3, 3)]
     shapes.clear()
     signature(_tower())
     assert shapes == [(4, 2, 2), (65, 6, 6)]
@@ -620,7 +613,6 @@ TAMPERED = {
 def test_tampered_lifts_take_the_full_stack_path_bit_for_bit(name, monkeypatch):
     c = TAMPERED[name]()
     assert as_lift(c.provenance).split(c.matrices) is None
-    spectral._left_phases.cache_clear()
     shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
     # The one left factor [1] of its own q = 1 lift, and its stack.
@@ -676,7 +668,7 @@ def test_right_factors_past_the_threshold_take_their_phases_from_the_factors(mon
     c = _lift_at_the_threshold(stored_passes=True)
     right = c.provenance.split(c.matrices)
     assert unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol
-    spectral._left_phases(c.provenance.q)  # held per q, as an earlier signature leaves it
+    spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
     shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
     assert shapes == [(len(c.factored.distinct), 2, 2)]
@@ -864,7 +856,6 @@ def test_elements_with_one_phase_row_share_one_record():
 
 
 def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
-    spectral._left_phases.cache_clear()
     calls = []
     real = spectral.unitarity_residual
     monkeypatch.setattr(spectral, "unitarity_residual", lambda m: calls.append(np.shape(m)) or real(m))
@@ -875,7 +866,7 @@ def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
     # checks as it checks any input.
     assert calls == [(1, 1, 1)]
     c = lift(bravyi_smolin_3(), 4)
-    spectral._left_phases(c.provenance.q)  # held per q, as an earlier signature leaves it
+    spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
     calls.clear()
     signature(c)
     assert calls == []  # no right factor is checked apart from the held residual

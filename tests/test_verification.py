@@ -1100,7 +1100,7 @@ def _count_left_factor_builds(monkeypatch):
     """Empty the q-keyed factor table and the held left phases, then record
     each q whose Fourier matrix is built and the shape of every eigensolve."""
     constructions._factor_table.cache_clear()
-    spectral._left_phases.cache_clear()
+    spectral._LEFT_PHASES.clear()
     builds, shapes = [], []
     fourier, phases = constructions.fourier_matrix, spectral._phases
     monkeypatch.setattr(constructions, "fourier_matrix", lambda q: builds.append(q) or fourier(q))
@@ -1142,7 +1142,7 @@ def test_each_q_builds_and_eigensolves_its_left_factors_once(tmp_path, monkeypat
         assert structural_certify(c).overall == "CertifiedConditionalOnBase"
         assert signature(c).summary.provably_infinite_count > 0
     assert len({id(c.provenance) for c in made}) == len(made)  # four fresh layouts
-    # The phases made for the first layout serve the others: they are held per q.
+    # The phases made for the first layout serve the others while it lives.
     # Check 5's rebuilt base is its own q = 1 lift.
     assert builds == [4, 1]
     assert [shape for shape in shapes if shape[-1] == 4] == [(16, 4, 4)]
