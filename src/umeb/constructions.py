@@ -318,6 +318,19 @@ class Factored:
         _, _, values, _ = _factor_table(self.layout.q)
         return values[self.index[k], a][:, None, None] * self.distinct[self.kind[k]]
 
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """The right-factor kinds of the elements of each left factor, in
+        element order: entry f is ``kind[index == f]``, one read-only array
+        per left factor, formed on first use and then held.  A lift by q > 1
+        has two distinct groups, its Weyl and its base groups."""
+        order = np.argsort(self.index, kind="stable")
+        cuts = np.cumsum(np.bincount(self.index, minlength=self.layout.q**2))[:-1]
+        groups = tuple(np.split(self.kind[order], cuts))
+        for group in groups:
+            group.flags.writeable = False
+        return groups
+
     def right_factors(self) -> np.ndarray:
         """Each element's right factor Y_k: for a split, the bytes
         :meth:`Lift.right_factors` reads from the stack."""
@@ -331,8 +344,9 @@ class Factored:
         q delta_fg, so the span is the orthogonal sum over f of F_f (x)
         span{Y_k : F_k = F_f}, and so is its complement: F_f (x) C / sqrt(q)
         over an orthonormal basis C of each group's complement among the
-        d x d matrices.  Elements are grouped by left factor, and the null
-        space is taken by :func:`~umeb.linalg.orthonormal_complement` once per
+        d x d matrices.  Elements are grouped by left factor (:attr:`groups`),
+        and the null space is taken by
+        :func:`~umeb.linalg.orthonormal_complement` once per
         distinct group of right-factor kinds: two for a lift by q > 1, its
         Weyl and its base groups.  At q = 1 the one group is the set's right
         factors, for the self-lift its stored matrices, and the basis is
@@ -340,14 +354,13 @@ class Factored:
         group is dependent, which the set then is.
         """
         q, d = self.layout.q, self.layout.base_dim
-        groups = [self.kind[self.index == f] for f in range(q * q)]
         nulls = {}
-        for kinds in groups:
+        for kinds in self.groups:
             if kinds.tobytes() not in nulls:
                 # A self-lift's one group is its stored matrices in order: no copy.
                 group = self.distinct if self.self_lift else self.distinct[kinds]
                 nulls[kinds.tobytes()] = np.array(orthonormal_complement(group)).reshape(-1, d, d)
-        parts = [nulls[kinds.tobytes()] for kinds in groups]
+        parts = [nulls[kinds.tobytes()] for kinds in self.groups]
         if q == 1:
             return parts[0]
         factor = np.repeat(np.arange(q * q), [len(part) for part in parts])

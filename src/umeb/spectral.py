@@ -14,7 +14,10 @@ Every element of a lift is a Kronecker product F (x) Y of a q x q and a
 d x d unitary, so its eigenphases are the sums of theirs mod 2*pi.  Every
 set is read as a lift: one its layout splits (``Lift.split``) takes its
 spectra from the factors, and any other set is its own q = 1 lift, whose
-stored matrices are eigensolved whole.
+stored matrices are its factors.  A monomial factor, one nonzero entry in
+each row and column (every left factor D_i S^j and every Weyl operator),
+has its eigenphases in closed form from the cycles of its permutation;
+the others are eigensolved, in one batched ``eigvals``.
 """
 
 from __future__ import annotations
@@ -118,8 +121,11 @@ def _require_unitary(res: float) -> None:
 def eigenphases(u) -> np.ndarray:
     """Eigenvalue phases of a unitary matrix, ascending in [0, 2*pi).
 
-    An (n, d, d) stack gives one row of d phases per matrix, from one
-    ``eigvals`` call whose rows equal the single-matrix results bit for bit.
+    An (n, d, d) stack gives one row of d phases per matrix, each equal to
+    that matrix's single result bit for bit.  A monomial matrix, one nonzero
+    entry in each row and column (Weyl operators and the lift's left factors
+    D_i S^j among them), takes its phases in closed form from its cycles
+    (:func:`_phases`); the others come from one batched ``eigvals`` call.
     Raises ValueError when the input is not unitary within
     ``DEFAULT_TOLERANCES.unitarity_tol`` (for a stack, its largest residual);
     eigenphases of non-unitary matrices would not lie on the circle and have
@@ -131,8 +137,75 @@ def eigenphases(u) -> np.ndarray:
 
 
 def _phases(m: np.ndarray) -> np.ndarray:
-    """:func:`eigenphases` of a complex128 matrix or stack already judged unitary."""
+    """:func:`eigenphases` of a complex128 matrix or stack already judged unitary.
+
+    A matrix is monomial when, by exact compare with 0, each row and each
+    column holds one nonzero entry.  Such a matrix permutes the basis up to
+    phases, and on each cycle of its permutation, of length L, its
+    eigenvalues are the L-th roots of the product of the cycle's entries:
+    row r, t steps along its cycle from the cycle's least row, has the phase
+    (S + 2*pi*t) / L mod 2*pi, where S is the sum of the entries' ``angle``
+    taken in cycle order from the least row (:func:`_cycle_phases`).  Every
+    other matrix goes through one batched ``eigvals``, and so does any stack
+    that holds a non-finite entry, which ``eigvals`` refuses.
+    """
+    k = m.shape[-1]
+    stack = m.reshape(-1, k, k)
+    if not stack.size or not np.isfinite(stack).all():
+        return _eig_phases(m)
+    nonzero = stack != 0
+    monomial = (nonzero.sum(axis=1) == 1).all(axis=1) & (nonzero.sum(axis=2) == 1).all(axis=1)
+    if monomial.all():
+        phases = _cycle_phases(stack, nonzero)
+    elif not monomial.any():
+        return _eig_phases(m)
+    else:
+        phases = np.empty(stack.shape[:2])
+        phases[monomial] = _cycle_phases(stack[monomial], nonzero[monomial])
+        phases[~monomial] = _eig_phases(stack[~monomial])
+    return phases.reshape(m.shape[:-1])
+
+
+def _eig_phases(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenphases of a matrix or stack from one ``eigvals`` call."""
     phases = np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI)
+    phases[phases >= TWO_PI] -= TWO_PI
+    phases.sort(axis=-1)
+    return phases
+
+
+def _cycle_phases(stack: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
+    """Ascending eigenphases of an (n, k, k) stack of monomial matrices, whose
+    nonzero pattern is ``nonzero``, from the cycles of their permutations.
+
+    Row r's entry sits in column p(r), and the walk r, p(r), p(p(r)), ...
+    runs along r's cycle.  One walk of at most k steps from every row at
+    once gives each row's cycle length, its least row and the steps to it,
+    and the sum of the angles met, added one at a time in walk order; the
+    least row's sum is the cycle's, so every row of a cycle reads one sum.
+    """
+    n, k = nonzero.shape[:2]
+    rows = np.arange(k)
+    step = nonzero.argmax(axis=2)
+    angle = np.angle(np.take_along_axis(stack, step[:, :, None], axis=2)[:, :, 0])
+    at = np.broadcast_to(rows, (n, k)).copy()
+    total = angle.copy()
+    least, to_least = at.copy(), np.zeros((n, k), dtype=np.intp)
+    length = np.full((n, k), k, dtype=np.intp)
+    walking = np.ones((n, k), dtype=bool)
+    for s in range(1, k):
+        at = np.take_along_axis(step, at, axis=1)
+        home = walking & (at == rows)
+        length[home] = s
+        walking &= ~home
+        if not walking.any():
+            break
+        total[walking] += np.take_along_axis(angle, at, axis=1)[walking]
+        lower = walking & (at < least)
+        least[lower] = at[lower]
+        to_least[lower] = s
+    cycle = np.take_along_axis(total, least, axis=1)
+    phases = np.mod((cycle + TWO_PI * ((length - to_least) % length)) / length, TWO_PI)
     phases[phases >= TWO_PI] -= TWO_PI
     phases.sort(axis=-1)
     return phases
@@ -310,7 +383,7 @@ class SpectralSignature:
         Records that are one object, as :func:`signature` shares them, share
         one dict; records share one ``classifications`` list per distinct
         tuple of classification objects, and those lists one dict per
-        classification object: the 552 records of ``lift(bs3, 8)`` are 89
+        classification object: the 552 records of ``lift(bs3, 8)`` are 18
         record dicts, 12 lists and 11 classification dicts.  Copy a shared
         dict or list before mutating it.
         """
@@ -413,9 +486,12 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
     Unitarity is judged by the residual the candidate holds, so every set
     raises alike.  The :attr:`~UMEBCandidate.factored` view gives (phi_F +
     phi_Y) mod 2*pi, from the left factors' phases, held per layout, and one
-    eigensolve of the distinct right factors, which :func:`signature` runs
-    once per set and bound: for the self-lift, whose left factor [1] has
-    phase 0, the stored matrices'.  The eigenvalues of F (x) Y
+    :func:`_phases` call on the distinct right factors, which
+    :func:`signature` makes once per set and bound: for the self-lift,
+    whose left factor [1] has phase 0, the stored matrices'.  The left
+    factors and the monomial right factors take their phases in closed
+    form, so of a lift of bs3 only the six base factors are eigensolved.
+    The eigenvalues of F (x) Y
     are the products of F's and Y's whether or not Y on its own passes the
     unitarity threshold, so a split set's stack is never eigensolved.
     """
@@ -450,11 +526,12 @@ def signature(c: UMEBCandidate, bound: int = 144) -> SpectralSignature:
     A set laid out as a lift, whose stored matrices equal the Kronecker
     products of its factors entry for entry, takes its spectra from the
     factors' spectra, and reads no stored matrix; any other set, its own
-    q = 1 lift, from one eigensolve of the stored array.  Unitarity is the
+    q = 1 lift, from its stored matrices' (:func:`_phases`: closed form for
+    the monomial ones, one ``eigvals`` of the others).  Unitarity is the
     candidate's held residual (:attr:`~UMEBCandidate.unitarity`).
     Work is done once per distinct thing, which gives what a
     per-element pass gives, since equal inputs give equal outputs: a lift's
-    right factors are eigensolved once per distinct matrix, each distinct
+    right factors are solved once per distinct matrix, each distinct
     phase value is bucketed and all are classified in one
     :func:`order_up_to` scan (a second scans the cosine shifts of the
     phases it leaves unresolved), and each distinct phase row, told apart by its

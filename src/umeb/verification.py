@@ -152,9 +152,10 @@ class VerificationReport:
         max_unit, unitarity_from = c.unitarity
         view = c.factored
         left = gram_matrix(left_factors(view.layout.q))
-        distinct = gram_matrix(view.distinct)
-        diag = np.diag(left)[view.index] * np.diag(distinct)[view.kind]
-        max_off = _max_offdiag_product(np.abs(left), view.index, np.abs(distinct), view.kind)
+        right = gram_matrix(view.distinct)
+        diag = np.diag(left)[view.index] * np.diag(right)[view.kind]
+        right = np.abs(right)  # the complex Gram is freed before the maximum copies from it
+        max_off = _max_offdiag_product(np.abs(left), right, view.groups)
         max_diag = float(np.max(np.abs(diag - d)))
         condition_i = n < d * d
         return cls(
@@ -175,25 +176,38 @@ class VerificationReport:
         )
 
 
-# Entries of one block of rows of the factored Gram's magnitudes.
-_GRAM_BLOCK = 1 << 15
+def _max_offdiag_product(left: np.ndarray, right: np.ndarray,
+                         groups: tuple[np.ndarray, ...]) -> float:
+    """The largest off-diagonal entry of the n x n array |L_ab| |R_ab| =
+    left[f_a, f_b] * right[k_a, k_b], where element a has left factor f_a
+    and right-factor kind k_a, and ``groups[f]`` lists the kinds of the
+    elements of factor f (:attr:`~umeb.constructions.Factored.groups`).
 
-
-def _max_offdiag_product(left: np.ndarray, index: np.ndarray,
-                         right: np.ndarray, kind: np.ndarray) -> float:
-    """The largest off-diagonal entry of the n x n array left[index_a, index_b]
-    * right[kind_a, kind_b], |L_ab R_ab| = |L_ab| |R_ab| for magnitudes,
-    taken over blocks of about ``_GRAM_BLOCK`` entries, never the whole array."""
-    n = len(index)
-    rows = max(1, _GRAM_BLOCK // n)
-    largest = 0.0
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = left[index[start:stop]].take(index, 1)
-        block *= right[kind[start:stop]].take(kind, 1)
-        block[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        largest = max(largest, float(block.max()))
-    return largest
+    Entries are magnitudes, and fl(x * y) is monotone in y >= 0 for x >= 0,
+    so the largest product over a pair of factors (f, g) is left[f, g] times
+    the largest right entry between their two groups, bit for bit: for f = g
+    all but each element's own entry.  The right entries are read once, as
+    one square over the kinds of the distinct groups (15 x 15 for a lift of
+    bs3, the n x n Gram for a set read as its own q = 1 lift), and reduced
+    per pair of distinct groups, not per pair of factors.
+    """
+    factors = [f for f, group in enumerate(groups) if len(group)]
+    parts = {}
+    for f in factors:
+        parts.setdefault(groups[f].tobytes(), groups[f])
+    number = {key: u for u, key in enumerate(parts)}
+    of = np.array([number[groups[f].tobytes()] for f in factors])
+    parts = list(parts.values())
+    starts = np.cumsum([0] + [len(part) for part in parts[:-1]])
+    kinds = np.concatenate(parts)
+    block = right[np.ix_(kinds, kinds)]
+    between = np.maximum.reduceat(np.maximum.reduceat(block, starts, axis=0), starts, axis=1)
+    np.fill_diagonal(block, 0.0)  # each element's own entry
+    within = [block[s:s + len(part), s:s + len(part)].max() for s, part in zip(starts, parts)]
+    table = between[np.ix_(of, of)]
+    np.fill_diagonal(table, np.array(within)[of])
+    table *= left[np.ix_(factors, factors)]
+    return float(table.max())
 
 
 def verify_axioms(c: UMEBCandidate) -> VerificationReport:
@@ -210,7 +224,8 @@ def verify_axioms(c: UMEBCandidate) -> VerificationReport:
     Tr((F (x) Y)^dag (F' (x) Y')) = Tr(F^dag F') Tr(Y^dag Y') gives each
     Gram entry as an entry of the left factors' q^2 x q^2 Gram times one of
     the distinct right factors' Gram; the off-diagonal residual is the
-    largest product of their magnitudes, over blocks of rows, and the
+    largest product of their magnitudes, per pair of left factors from the
+    largest right entry between their groups of kinds, and the
     diagonal error comes from the n diagonal products.  A split lift is read
     at the factors' size, to a rounding of the stored stack's figures
     (``"factors"`` and ``"tiles"``, or ``"stack"`` for a tile figure within

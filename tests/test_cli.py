@@ -673,8 +673,8 @@ def test_reports_on_a_factored_file_equal_those_on_its_dense_file(
 
 
 @pytest.mark.parametrize("make, counts", [
-    (lambda: lift(bravyi_smolin_3(), 8), (552, 89, 12, 11)),
-    (lambda: lift(umeb_6(), 4), (552, 132, 11, 9)),
+    (lambda: lift(bravyi_smolin_3(), 8), (552, 18, 12, 11)),
+    (lambda: lift(umeb_6(), 4), (552, 49, 11, 9)),
 ], ids=["lift_bs3_8", "lift_umeb_6_4"])
 def test_signature_records_share_one_dict_per_distinct_record(make, counts):
     sig = signature(make())

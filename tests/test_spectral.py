@@ -105,6 +105,99 @@ def test_eigenphases_sorted_in_range():
         assert np.all(np.diff(phases) >= 0.0)
 
 
+def _monomial_unitary(k, rng):
+    """A random permutation of the basis with random phases: one nonzero
+    entry, of modulus 1, in each row and each column."""
+    m = np.zeros((k, k), dtype=np.complex128)
+    m[np.arange(k), rng.permutation(k)] = np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    return m
+
+
+def _circle_matching(a, b) -> float:
+    """Largest circle distance between the pairs of a greedy matching of
+    two phase multisets of one size."""
+    left = list(b)
+    worst = 0.0
+    for x in a:
+        d = [min(abs(x - y), 2 * np.pi - abs(x - y)) for y in left]
+        j = int(np.argmin(d))
+        worst = max(worst, d[j])
+        left.pop(j)
+    return worst
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    kinds=st.lists(st.sampled_from(["monomial", "haar", "diagonal"]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monomial_phases_are_the_eigenvalues_in_closed_form_property(k, kinds, seed):
+    rng = np.random.default_rng(seed)
+    make = {
+        "monomial": lambda: _monomial_unitary(k, rng),
+        "haar": lambda: haar_unitary(k, rng),
+        "diagonal": lambda: np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, k))),
+    }
+    stack = np.stack([make[kind]() for kind in kinds])
+    phases = eigenphases(stack)
+    lapack = np.mod(np.angle(np.linalg.eigvals(stack)), 2 * np.pi)
+    for row, u, want in zip(phases, stack, lapack):
+        assert row.tobytes() == eigenphases(u).tobytes()
+        assert np.all(row >= 0.0) and np.all(row < 2 * np.pi) and np.all(np.diff(row) >= 0.0)
+        assert _circle_matching(row, want) < 1e-12
+
+
+def _cycle_lengths(m):
+    column = np.argmax(m != 0, axis=1)
+    lengths, seen = [], set()
+    for start in range(len(m)):
+        r, length = start, 0
+        while r not in seen:
+            seen.add(r)
+            r, length = column[r], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_left_factor_phases_are_roots_of_unity_to_four_ulps(q):
+    # A cycle of length L of D_i S^j multiplies to a q-th root of unity, so
+    # its phases are 2 pi p / (q L); the closed form gives each to within
+    # 4 ulps of 2 pi on the circle.
+    four_ulps = 4 * np.spacing(2 * np.pi)
+    for f, row in zip(left_factors(q), eigenphases(left_factors(q))):
+        grid = q * np.lcm.reduce(_cycle_lengths(f))
+        p = np.round(row / (2 * np.pi) * grid)
+        d = np.abs(row - 2 * np.pi * p / grid)
+        assert np.all(np.minimum(d, 2 * np.pi - d) <= four_ulps)
+
+
+def test_a_near_monomial_matrix_takes_the_lapack_path(monkeypatch):
+    # One 1e-300 entry off the permutation makes the matrix not monomial by
+    # exact compare, so it is eigensolved; the monomial rows of its stack
+    # are not.
+    rng = np.random.default_rng(4)
+    near = _monomial_unitary(5, rng)
+    near[tuple(np.argwhere(near == 0)[0])] = 1e-300
+    assert np.count_nonzero(near) == 6
+    stack = np.stack([_monomial_unitary(5, rng), near, weyl(5, 1, 2)])
+    solved = []
+    real = spectral._eig_phases
+    monkeypatch.setattr(spectral, "_eig_phases", lambda m: solved.append(m.copy()) or real(m))
+    phases = eigenphases(stack)
+    assert len(solved) == 1 and solved[0].tobytes() == near[None].tobytes()
+    lapack = np.mod(np.angle(np.linalg.eigvals(near)), 2 * np.pi)
+    lapack[lapack >= 2 * np.pi] -= 2 * np.pi
+    assert phases[1].tobytes() == np.sort(lapack).tobytes()
+    # A non-finite entry sends the whole stack to eigvals, which refuses it.
+    solved.clear()
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral._phases(np.stack([weyl(3, 1, 1), np.full((3, 3), np.nan)]))
+    assert [m.shape for m in solved] == [(2, 3, 3)]
+
+
 # ---------------------------------------------------------------------------
 # order_up_to and niven_classify
 # ---------------------------------------------------------------------------
@@ -675,6 +768,21 @@ def test_right_factors_past_the_threshold_take_their_phases_from_the_factors(mon
     _assert_same_up_to_raw_phases(sig, signature(_relabel(c)))
 
 
+def test_a_right_factor_past_the_threshold_is_eigensolved_beside_closed_form_weyl_phases(
+    monkeypatch,
+):
+    c = _lift_at_the_threshold(stored_passes=True)
+    distinct = c.factored.distinct
+    dense = np.count_nonzero(distinct, axis=(1, 2)) > 2  # the 2 x 2 Weyl operators hold 2
+    assert dense.sum() == 1
+    assert unitarity_residual(distinct[dense]) >= DEFAULT_TOLERANCES.unitarity_tol
+    solved = []
+    real = spectral._eig_phases
+    monkeypatch.setattr(spectral, "_eig_phases", lambda m: solved.append(m.copy()) or real(m))
+    signature(c)
+    assert [m.tobytes() for m in solved] == [distinct[dense].tobytes()]
+
+
 def test_stored_matrices_past_the_threshold_raise_the_full_stack_error():
     c = _lift_at_the_threshold(stored_passes=False)
     right = c.provenance.split(c.matrices)
@@ -1067,8 +1175,8 @@ def test_classify_scans_the_shifts_of_unresolved_phases_only(monkeypatch):
     monkeypatch.setattr(spectral, "order_up_to",
                         lambda phase, bound: sizes.append(np.size(phase)) or real(phase, bound))
     sig = signature(lift(bravyi_smolin_3(), 8))
-    # 132 distinct phases, of which 8 resist the finite scan: 2 x 8 shifts.
-    assert sizes == [132, 16]
+    # 58 distinct phases, of which 8 resist the finite scan: 2 x 8 shifts.
+    assert sizes == [58, 16]
     assert sig.summary.provably_infinite_count == 6 * 8 * 8
     # Every phase of a Weyl family is a root of unity: no shift is scanned.
     sizes.clear()

@@ -1388,12 +1388,44 @@ def test_an_unsplit_set_is_its_own_q1_lift_bit_for_bit_property(kind, q, where, 
     assert report.max_unitarity_residual == residual
     assert report.max_gram_offdiag == float(np.max(np.abs(g)))
     assert report.max_gram_diag_error == float(np.max(np.abs(diag - c.dim)))
-    # One eigvals of the stack gives every element's phases.
+    # One eigvals of the stack gives every other element's phases, and a
+    # monomial element's come from its cycles.
     phases = np.mod(np.angle(np.linalg.eigvals(c.matrices)), 2 * np.pi)
     phases[phases >= 2 * np.pi] -= 2 * np.pi
     phases.sort(axis=-1)
+    rows = [_cycle_walk_phases(m) if _is_monomial(m) else row for m, row in zip(c.matrices, phases)]
     got = sorted(np.sort(r.phases).tobytes() for r in signature(c).records)
-    assert got == sorted(row.tobytes() for row in phases)
+    assert got == sorted(row.tobytes() for row in rows)
+
+
+def _is_monomial(m):
+    nonzero = m != 0
+    return bool((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all())
+
+
+def _cycle_walk_phases(m):
+    """Ascending eigenphases of a monomial matrix, one cycle at a time: from
+    its least unvisited row r, the walk r -> the column of r's entry -> ...
+    sums the entries' angles in walk order, and t steps along it from r
+    sits the phase (sum + 2 pi t) / L mod 2 pi."""
+    column = [int(np.flatnonzero(row)[0]) for row in m]
+    seen, phases = set(), []
+    for start in range(len(m)):
+        if start in seen:
+            continue
+        cycle = [start]
+        while column[cycle[-1]] != start:
+            cycle.append(column[cycle[-1]])
+        seen.update(cycle)
+        angles = [float(np.angle(m[r, column[r]])) for r in cycle]
+        total = angles[0]
+        for a in angles[1:]:
+            total += a
+        length = len(cycle)
+        phases += [np.mod((total + 2 * np.pi * t) / length, 2 * np.pi) for t in range(length)]
+    phases = np.array(phases)
+    phases[phases >= 2 * np.pi] -= 2 * np.pi
+    return np.sort(phases)
 
 
 @pytest.mark.parametrize("name", ["added", "doubled", "scaled"])
@@ -1637,20 +1669,90 @@ def test_verify_of_a_lift_that_holds_its_factors_stays_below_a_quarter_of_a_stac
     n=st.integers(1, 40),
     left_kinds=st.integers(1, 5),
     right_kinds=st.integers(1, 5),
-    block=st.integers(1, 200),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_max_offdiag_product_equals_the_whole_array_maximum_property(
-    n, left_kinds, right_kinds, block, seed
+    n, left_kinds, right_kinds, seed
 ):
     rng = np.random.default_rng(seed)
     left, right = rng.random((left_kinds, left_kinds)), rng.random((right_kinds, right_kinds))
     index, kind = rng.integers(0, left_kinds, n), rng.integers(0, right_kinds, n)
+    groups = tuple(kind[index == f] for f in range(left_kinds))  # some may be empty
+    assert verification._max_offdiag_product(left, right, groups) == _dense_max(
+        left, index, right, kind
+    )
+
+
+def _dense_max(left, index, right, kind):
+    """The largest off-diagonal entry of the whole n x n product array."""
     whole = left[index][:, index] * right[kind][:, kind]
     np.fill_diagonal(whole, 0.0)
-    # A block of 1 to 200 entries: one row per block, a few, or all.
-    with mock.patch.object(verification, "_GRAM_BLOCK", block):
-        assert verification._max_offdiag_product(left, index, right, kind) == whole.max()
+    return whole.max()
+
+
+def _gram_magnitudes(c):
+    view = c.factored
+    return (np.abs(gram_matrix(left_factors(view.layout.q))), view.index,
+            np.abs(gram_matrix(view.distinct)), view.kind)
+
+
+_GROUPED_CASES = {
+    "lift": lambda: lift(bravyi_smolin_3(), 4),
+    "tower": lambda: lift(lift(bravyi_smolin_3(), 2), 3),
+    "self_lift": lambda: UMEBCandidate(6, _unfactored_lift(2).matrices[::-1], External("reversed")),
+    "repeated": lambda: UMEBCandidate(3, [bravyi_smolin_3().matrices[2]] * 4, External("repeated")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUPED_CASES))
+def test_grouped_maximum_equals_the_dense_maximum_bit_for_bit(name):
+    c = _GROUPED_CASES[name]()
+    left, index, right, kind = _gram_magnitudes(c)
+    got = verification._max_offdiag_product(left, right, c.factored.groups)
+    assert np.float64(got).tobytes() == np.float64(_dense_max(left, index, right, kind)).tobytes()
+    assert got == verify_axioms(c).max_gram_offdiag
+    with_own = (left[index][:, index] * right[kind][:, kind]).max()
+    if name == "repeated":
+        # Four copies of one element: every pair gives its diagonal value.
+        assert got == with_own == left[0, 0] * right[0, 0]
+    else:
+        # Each element's own entry, about D, would hide the residual.
+        assert got < 1e-12 < c.dim - 1e-9 < with_own
+
+
+@settings(max_examples=40, deadline=None)
+@given(**TOWERS)
+def test_the_grouped_maximum_of_towers_is_the_dense_one_property(d, q, outer, kind, count, seed):
+    c = _tower(d, q, outer, kind, count, seed)
+    left, index, right, kinds = _gram_magnitudes(c)
+    assert verification._max_offdiag_product(left, right, c.factored.groups) == _dense_max(
+        left, index, right, kinds
+    )
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_of_a_dense_self_lift_peaks_at_its_gram():
+    # 552 dense 24 x 24 unitaries, read as their own q = 1 lift: the grouped
+    # maximum copies the n x n magnitudes once, after the complex Gram is
+    # freed, so verify peaks where forming the Gram does.
+    rng = np.random.default_rng(3)
+    c = UMEBCandidate(24, np.array([haar_unitary(24, rng) for _ in range(552)]), External("dense"))
+    c.unitarity  # the residual's stack-sized product comes before the Gram
+    gram = _traced_peak(gram_matrix, c.matrices)
+    assert _traced_peak(verify_axioms, c) < gram + 2**14
+    magnitudes = np.abs(gram_matrix(c.matrices))
+    groups = c.factored.groups
+    assert _traced_peak(verification._max_offdiag_product, np.ones((1, 1)), magnitudes, groups) < (
+        magnitudes.nbytes + 2**18
+    )
 
 
 def test_verify_and_spectra_split_and_check_unitarity_once(monkeypatch, tmp_path):
