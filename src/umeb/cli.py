@@ -60,22 +60,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 _NUMBER_TYPES = frozenset((int, float, bool))
+# json.dumps with the C encoder, raising ValueError on a non-finite float.
+_strict_dumps = json.JSONEncoder(allow_nan=False).encode
 
 
 def _dumps(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, from calls of the C encoder.
+    """``json.dumps(value, indent=2)``, byte for byte, from calls of the C
+    encoder, but that a non-finite float prints as ``null``, not as the
+    ``NaN`` or ``Infinity`` that strict JSON parsers refuse.
 
     Any ``indent`` sends ``json`` to its pure-Python encoder, so the layout
-    is built here instead.  String-keyed dicts and lists are walked at every
-    depth, and each object's text is made once per depth it is read at, by
-    identity: a signature's records, classification lists and
-    classification dicts are shared objects.  A list of only ``int``,
-    ``float`` and ``bool`` items is one ``json.dumps`` call, its ``", "``
-    separators re-lined; scalars and empty containers are one call each.
-    Only a dict with a non-string key is left to ``json.dumps(indent=2)``,
-    re-indented.  The texts are held for this call alone.  An object shared
-    in ``value`` prints alike at each of its places, so a caller that edits
-    one place copies the shared dict or list first.
+    is built here instead.  Dicts and lists are walked at every depth, and
+    each object's text is made once per depth it is read at, by identity: a
+    signature's records, classification lists and classification dicts are
+    shared objects.  A list of only ``int``, ``float`` and ``bool`` items is
+    one ``json.dumps`` call, its ``", "`` separators re-lined; scalars and
+    empty containers are one call each.  A dict key that is no string prints
+    as ``json`` prints it.  The texts are held for this call alone.  An
+    object shared in ``value`` prints alike at each of its places, so a
+    caller that edits one place copies the shared dict or list first.
     """
     return _encode(value, 0, {})
 
@@ -84,7 +87,10 @@ def _encode(value, level: int, texts: dict) -> str:
     """The text of ``value`` read ``level`` deep; ``texts`` holds each
     container's text by (identity, depth)."""
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return json.dumps(value)
+        try:
+            return _strict_dumps(value)
+        except ValueError:  # only a non-finite float
+            return "null"
     key = (id(value), level)
     text = texts.get(key)
     if text is None:
@@ -97,15 +103,18 @@ def _layout(value, level: int, texts: dict) -> str:
     pad = "\n" + "  " * (level + 1)
     sep = "," + pad
     if isinstance(value, dict):
-        if not all(isinstance(k, str) for k in value):
-            return json.dumps(value, indent=2).replace("\n", pad[:-2])
         parts = []
         for k, v in value.items():
-            parts += (sep, json.dumps(k), ": ", _encode(v, level + 1, texts))
+            # json's text of a key that is no string: '"1"' of '{"1": 0}'.
+            name = json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+            parts += (sep, name, ": ", _encode(v, level + 1, texts))
         parts[0], close = "{" + pad, "}"
-    elif {type(item) for item in value} <= _NUMBER_TYPES:
-        return f"[{pad}{json.dumps(value)[1:-1].replace(', ', sep)}{pad[:-2]}]"
     else:
+        if {type(item) for item in value} <= _NUMBER_TYPES:
+            try:
+                return f"[{pad}{_strict_dumps(value)[1:-1].replace(', ', sep)}{pad[:-2]}]"
+            except ValueError:  # a non-finite float: the items print one by one
+                pass
         parts = []
         for item in value:
             parts += (sep, _encode(item, level + 1, texts))
@@ -243,13 +252,7 @@ def cmd_search(args) -> int:
     if args.seed < 0:
         raise _UsageError(f"seed must be non-negative, got {args.seed}")
     c = _load(args.in_path)
-    result = search_extension(
-        c,
-        restarts=args.restarts,
-        iters=args.iters,
-        seed=args.seed,
-        extension_tol=args.tol,
-    )
+    result = search_extension(c, restarts=args.restarts, iters=args.iters, seed=args.seed)
     witness_path = None
     if result.verdict == "ExtensionFound":
         witness_path = args.witness
@@ -370,11 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--tol", type=float, default=1e-6,
-        help="gap below which a witness is nominated; its verdict is re-verified "
-        "at the package's fixed thresholds",
-    )
     p.add_argument("-w", "--witness", default=None, help="witness output path")
     _add_json(p)
     p.set_defaults(func=cmd_search)

@@ -17,11 +17,14 @@ spectra from the factors, and any other set is its own q = 1 lift, whose
 stored matrices are its factors.  A monomial factor, one nonzero entry in
 each row and column (every left factor D_i S^j and every Weyl operator),
 has its eigenphases in closed form from the cycles of its permutation;
-the others are eigensolved, in one batched ``eigvals``.
+the others are eigensolved, in one batched ``eigvals``.  The only thing
+held is each set's signature per bound; the left factors' phases are
+taken afresh for each, at a cost far below the signature's.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -29,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .constructions import Lift, UMEBCandidate, as_lift, left_factors
+from .constructions import UMEBCandidate, as_lift, left_factors
 from .linalg import DEFAULT_TOLERANCES, TWO_PI, distinct_rows, unitarity_residual
 
 __all__ = [
@@ -145,9 +148,9 @@ def _phases(m: np.ndarray) -> np.ndarray:
     eigenvalues are the L-th roots of the product of the cycle's entries:
     row r, t steps along its cycle from the cycle's least row, has the phase
     (S + 2*pi*t) / L mod 2*pi, where S is the sum of the entries' ``angle``
-    taken in cycle order from the least row (:func:`_cycle_phases`).  Every
-    other matrix goes through one batched ``eigvals``, and so does any stack
-    that holds a non-finite entry, which ``eigvals`` refuses.
+    taken in cycle order from the least row (:func:`_cycle_phases`).  The
+    other matrices of the stack go through one batched ``eigvals``.  A stack
+    that holds a non-finite entry goes to ``eigvals`` whole, which refuses it.
     """
     k = m.shape[-1]
     stack = m.reshape(-1, k, k)
@@ -155,13 +158,9 @@ def _phases(m: np.ndarray) -> np.ndarray:
         return _eig_phases(m)
     nonzero = stack != 0
     monomial = (nonzero.sum(axis=1) == 1).all(axis=1) & (nonzero.sum(axis=2) == 1).all(axis=1)
-    if monomial.all():
-        phases = _cycle_phases(stack, nonzero)
-    elif not monomial.any():
-        return _eig_phases(m)
-    else:
-        phases = np.empty(stack.shape[:2])
-        phases[monomial] = _cycle_phases(stack[monomial], nonzero[monomial])
+    phases = np.empty(stack.shape[:2])
+    phases[monomial] = _cycle_phases(stack[monomial], nonzero[monomial])
+    if not monomial.all():
         phases[~monomial] = _eig_phases(stack[~monomial])
     return phases.reshape(m.shape[:-1])
 
@@ -211,22 +210,9 @@ def _cycle_phases(stack: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
     return phases
 
 
-# Left-factor phases by lift layout, freed with the layout they were made for.
-_LEFT_PHASES: weakref.WeakKeyDictionary[Lift, np.ndarray] = weakref.WeakKeyDictionary()
-
-
-def _left_phases(layout: Lift) -> np.ndarray:
-    """Read-only :func:`eigenphases` of the left factors of ``layout``, held
-    for equal layouts while the first lives."""
-    phases = _LEFT_PHASES.get(layout)
-    if phases is None:
-        phases = _LEFT_PHASES[layout] = eigenphases(left_factors(layout.q))
-        phases.flags.writeable = False
-    return phases
-
-
-# Entries of one block of an order scan's phases x powers table: a long scan
-# of many phases runs in blocks of rows, so its memory stays bounded.
+# Entries of one block of an order scan's phases x powers table: a scan runs
+# in blocks of rows, and a long one also in blocks of powers, so its memory
+# stays bounded whatever the bound.
 _SCAN_ENTRIES = 1 << 18
 
 
@@ -238,22 +224,32 @@ def order_up_to(
 
     Returns Finite(n) on success and NoOrderUpTo(bound) otherwise; an
     irrational-multiple-of-pi phase can never be confirmed infinite this way.
-    A 1-D array of phases gives a tuple of one classification per phase, from
-    one broadcast scan; a single phase is its one-element case.
+    A 1-D array of phases gives a tuple of one classification per phase; a
+    single phase is its one-element case.  The scan broadcasts over blocks
+    of at most ``_SCAN_ENTRIES`` (phase, power) entries, so its memory does
+    not grow with ``bound``; the powers run in ascending blocks, each over
+    the phases that no earlier block resolved.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     p = np.asarray(phase, dtype=np.float64)
     flat = p.ravel()
-    n = np.arange(1, bound + 1)
+    powers = math.ceil(bound)  # the length of np.arange(1, bound + 1)
+    rows = max(1, _SCAN_ENTRIES // powers)
+    cols = min(powers, _SCAN_ENTRIES)
     orders = np.zeros(flat.size, dtype=np.int64)
-    step = max(1, _SCAN_ENTRIES // len(n))
-    for lo in range(0, flat.size, step):
-        r = flat[lo:lo + step, None] * n
-        np.mod(r, TWO_PI, out=r)
-        np.minimum(r, TWO_PI - r, out=r)  # the distance to a multiple of 2*pi
-        hits = r < DEFAULT_TOLERANCES.phase_tol
-        orders[lo:lo + step] = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, 0)
+    for lo in range(0, flat.size, rows):
+        block = orders[lo:lo + rows]  # a view: its labels land in orders
+        for first in range(1, powers + 1, cols):
+            todo = np.flatnonzero(block == 0)
+            if not todo.size:
+                break
+            r = flat[lo + todo][:, None] * np.arange(first, min(first + cols, powers + 1))
+            np.mod(r, TWO_PI, out=r)
+            np.minimum(r, TWO_PI - r, out=r)  # the distance to a multiple of 2*pi
+            hits = r < DEFAULT_TOLERANCES.phase_tol
+            hit = hits.any(axis=1)
+            block[todo[hit]] = hits[hit].argmax(axis=1) + first
     orders = orders.tolist()
     label = {k: Finite(k) if k else NoOrderUpTo(bound) for k in set(orders)}
     labels = tuple(map(label.__getitem__, orders))
@@ -485,11 +481,11 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
 
     Unitarity is judged by the residual the candidate holds, so every set
     raises alike.  The :attr:`~UMEBCandidate.factored` view gives (phi_F +
-    phi_Y) mod 2*pi, from the left factors' phases, held per layout, and one
-    :func:`_phases` call on the distinct right factors, which
-    :func:`signature` makes once per set and bound: for the self-lift,
-    whose left factor [1] has phase 0, the stored matrices'.  The left
-    factors and the monomial right factors take their phases in closed
+    phi_Y) mod 2*pi, from one :func:`eigenphases` call on the q^2 left factors
+    and one :func:`_phases` call on the distinct right factors, both made
+    once per set and bound, as :func:`signature` holds its result: for the
+    self-lift, whose left factor [1] has phase 0, the stored matrices'.  The
+    left factors and the monomial right factors take their phases in closed
     form, so of a lift of bs3 only the six base factors are eigensolved.
     The eigenvalues of F (x) Y
     are the products of F's and Y's whether or not Y on its own passes the
@@ -497,7 +493,7 @@ def _element_phases(c: UMEBCandidate) -> np.ndarray:
     """
     _require_unitary(c.unitarity_residual)
     view = c.factored
-    left = _left_phases(view.layout)[view.index]
+    left = eigenphases(left_factors(view.layout.q))[view.index]
     # Both terms lie in [0, 2*pi), so the remainder is exact and below 2*pi.
     phases = np.mod(left[:, :, None] + _phases(view.distinct)[view.kind][:, None, :], TWO_PI)
     phases = phases.reshape(len(view.index), -1)

@@ -252,6 +252,11 @@ STEP_TOL = 1e-13
 # matrix by at most this in every entry.  The map is deterministic, so such an
 # iterate has no further rise to give.
 
+NOMINATION_GAP = 1e-6
+# A best gap below this nominates the winning witness for refinement and
+# re-verification.  It picks which witness is checked, never whether it passes
+# (that is the re-verification's, at DEFAULT_TOLERANCES), so no caller sets it.
+
 
 @dataclass(frozen=True)
 class ExtendibilitySearchResult:
@@ -259,7 +264,7 @@ class ExtendibilitySearchResult:
 
     ``witness`` is the best matrix found inside the complement, scaled to
     squared Frobenius norm d; its nuclear norm is ``best_nuclear_norm`` and
-    ``gap = d - best_nuclear_norm``.  When the gap is below ``extension_tol``
+    ``gap = d - best_nuclear_norm``.  When the gap is below ``NOMINATION_GAP``
     the witness is refined to a unitary fixed point when one is nearby, and
     its polar factor is re-verified; the ``extension_*`` figures are that
     re-verification's.  On ExtensionFound, ``extension`` holds the polar
@@ -346,11 +351,7 @@ def _refine_in_complement(
 
 
 def search_extension(
-    c: UMEBCandidate,
-    restarts: int = 100,
-    iters: int = 500,
-    seed: int = 0,
-    extension_tol: float = 1e-6,
+    c: UMEBCandidate, restarts: int = 100, iters: int = 500, seed: int = 0
 ) -> ExtendibilitySearchResult:
     """Search the trace-orthogonal complement for a unitary matrix.
 
@@ -392,16 +393,15 @@ def search_extension(
     ``PLATEAU_TOL`` of that final value; ``refined`` says whether the
     winning witness was refined to a unitary fixed point.
 
-    A best gap d - sum sigma_i below ``extension_tol`` nominates the winning
+    A best gap d - sum sigma_i below ``NOMINATION_GAP`` nominates the winning
     witness.  It is refined inside the complement by Gauss-Newton on the
     unitarity residual (the ascent alone closes the last stretch only
     quadratically slowly), and its polar factor is re-verified against the
     stored elements, the one step that forms a held set's stack.  The verdict
     is ExtensionFound, with that polar factor as ``extension``, only when its
     unitarity residual is below ``DEFAULT_TOLERANCES.unitarity_tol`` and every
-    trace overlap below ``DEFAULT_TOLERANCES.gram_tol``, whatever
-    ``extension_tol`` is; otherwise it is NoExtensionFound and a note gives
-    both figures.
+    trace overlap below ``DEFAULT_TOLERANCES.gram_tol``; otherwise it is
+    NoExtensionFound and a note gives both figures.
 
     A candidate whose span is the whole matrix space has nothing to search:
     the result is NoExtensionFound with gap d and an explanatory note.
@@ -412,8 +412,6 @@ def search_extension(
         raise ValueError("iters must be a positive integer")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if extension_tol <= 0:
-        raise ValueError("extension_tol must be positive")
 
     tol = DEFAULT_TOLERANCES
     report = verify_axioms(c)
@@ -489,7 +487,7 @@ def search_extension(
     notes = []
     verdict = "NoExtensionFound"
     extension = ext_unit = ext_overlap = refined = None
-    if gap < extension_tol:
+    if gap < NOMINATION_GAP:
         refined = _refine_in_complement(best_witness, flat, d)
         if refined is not None:
             # Rescale back to the witness normalization; the refined matrix
@@ -513,7 +511,7 @@ def search_extension(
             notes.append(f"extension re-verified: {figures}")
         else:
             notes.append(
-                f"gap {gap:.3e} is below extension_tol, but the witness's polar "
+                f"gap {gap:.3e} is below NOMINATION_GAP, but the witness's polar "
                 f"factor fails re-verification: {figures}"
             )
     if verdict == "NoExtensionFound":

@@ -34,11 +34,9 @@ def _tolerance_parameters(fn):
     return [p for p in params if p == "tol" or p.endswith("_tol")]
 
 
-def test_no_public_callable_takes_a_tolerance_but_the_search_nomination():
+def test_no_public_callable_takes_a_tolerance():
     found = {name: ps for name, fn in _public_callables() if (ps := _tolerance_parameters(fn))}
-    # extension_tol only nominates a witness; its verdict is re-verified at
-    # DEFAULT_TOLERANCES.
-    assert found == {"search_extension": ["extension_tol"]}
+    assert found == {}
 
 
 def test_tolerances_hold_only_the_package_thresholds():

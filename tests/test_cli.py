@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umeb import cli, constructions
+from umeb import cli, constructions, verification
 from umeb.cli import SCHEMA_VERSION, build_parser, main
 from umeb.constructions import (
     External,
@@ -329,16 +329,19 @@ def test_search_default_witness_path(tmp_path, capsys):
     assert (tmp_path / "short.witness.json").exists()
 
 
-def test_search_loose_tolerance_writes_no_witness(tmp_path, capsys):
+def test_search_loose_tolerance_writes_no_witness(tmp_path, capsys, monkeypatch):
+    # The gap 3 - sqrt(6) nominates the best witness, whose polar factor then
+    # fails re-verification.
+    monkeypatch.setattr(verification, "NOMINATION_GAP", 0.6)
     path = tmp_path / "bs3.json"
     save_umeb(bravyi_smolin_3(), path)
     code, stdout, _ = run(
-        capsys, "search", str(path), "--restarts", "5", "--iters", "50",
-        "--tol", "0.6", "--json",
+        capsys, "search", str(path), "--restarts", "5", "--iters", "50", "--json",
     )
     assert code == 0
     payload = json.loads(stdout)
     assert payload["verdict"] == "NoExtensionFound"
+    assert any("fails re-verification" in note for note in payload["notes"])
     assert payload["witness_path"] is None
     assert not (tmp_path / "bs3.witness.json").exists()
 
@@ -349,12 +352,16 @@ def test_search_cannot_loosen_the_re_verification(tmp_path, capsys):
     path = tmp_path / "bs3.json"
     save_umeb(bravyi_smolin_3(), path)
     code, stdout, stderr = run(
-        capsys, "search", str(path), "--restarts", "5", "--iters", "50",
-        "--tol", "0.6", "--gram-tol", "1",
+        capsys, "search", str(path), "--restarts", "5", "--iters", "50", "--gram-tol", "1",
     )
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("error: unrecognized arguments: --gram-tol 1")
+    # Nor does any flag set the gap that nominates a witness.
+    code, stdout, stderr = run(capsys, "search", str(path), "--tol", "0.6")
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: unrecognized arguments: --tol 0.6")
     assert not (tmp_path / "bs3.witness.json").exists()
 
 
@@ -776,7 +783,53 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(value=_JSON_VALUES)
 def test_dumps_is_json_dumps_with_indent_2_property(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2)
+    assert cli._dumps(value) == json.dumps(_nulled(value), indent=2)
+
+
+def _nulled(value):
+    """``value`` with every non-finite float turned to None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _nulled(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(v) for v in value]
+    return value
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_certify_json_of_a_repeated_element_is_strict_json(tmp_path, capsys):
+    # Its last base element replaced by the one before: the check that finds
+    # the repeat reports a NaN detail, which prints as null.
+    c = lift(bravyi_smolin_3(), 2)
+    m = c.matrices.copy()
+    m[-1] = m[-2]
+    path = tmp_path / "dup.json"
+    save_umeb(UMEBCandidate(c.dim, m, c.provenance, c.exact_cos_theta), path)
+    code, stdout, stderr = run(capsys, "certify", str(path), "--json")
+    assert code == 2
+    details = [ch["detail"] for ch in _strict_json(stdout)["checks"]]
+    assert None in details
+    assert "detail nan" in stderr  # the human report is unchanged
+
+
+def test_verify_json_of_an_overflowing_element_is_strict_json(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    save_umeb(UMEBCandidate(2, (1e200 * np.eye(2),), External("big")), path)
+    with np.errstate(over="ignore", invalid="ignore"):  # the residual overflows to inf
+        code, stdout, stderr = run(capsys, "verify", str(path), "--json")
+    assert code == 2
+    payload = _strict_json(stdout)
+    assert payload["max_unitarity_residual"] is None
+    assert payload["max_gram_diag_error"] is None
+    assert "max unitarity residual   inf" in stderr
 
 
 def test_spectral_rejects_non_unitary(tmp_path, capsys):

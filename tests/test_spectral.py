@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -549,23 +550,30 @@ def _eigensolve_shapes(monkeypatch):
 
 
 @pytest.mark.parametrize("q", range(1, 9))
-def test_left_phases_are_held_while_their_label_lives(q):
-    spectral._LEFT_PHASES.clear()
-    p = Lift(BravyiSmolin3(), 3, 6, q)
-    phases = spectral._left_phases(p)
-    assert spectral._left_phases(Lift(BravyiSmolin3(), 3, 6, q)) is phases
-    assert not phases.flags.writeable
-    assert phases.tobytes() == eigenphases(left_factors(q)).tobytes()
-    del p
+def test_each_signature_solves_its_left_factors_and_holds_no_phases(q, monkeypatch):
+    solved = []
+    real = spectral.eigenphases
+
+    def recorded(u):
+        phases = real(u)
+        solved.append((np.shape(u), weakref.ref(phases)))
+        return phases
+
+    monkeypatch.setattr(spectral, "eigenphases", recorded)
+    c, again = lift(bravyi_smolin_3(), q), lift(bravyi_smolin_3(), q)
+    signature(c)
+    signature(again)  # the same layout: its own solve
+    signature(c)  # held with the set, so no solve
+    assert [shape for shape, _ in solved] == [(q * q, q, q)] * 2
+    # Nothing holds the left phases past the signature that took them.
     gc.collect()
-    assert len(spectral._LEFT_PHASES) == 0
+    assert all(ref() is None for _, ref in solved)
 
 
 def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
-    # The left factors once while a set of the layout lives, then the
-    # distinct right factors once per set: 552 right factors of
-    # lift(bs3, 8) are 15 distinct matrices, the tower's 132 are 65.
-    spectral._LEFT_PHASES.clear()
+    # The left factors, then the distinct right factors, once per set: 552
+    # right factors of lift(bs3, 8) are 15 distinct matrices, the tower's
+    # 132 are 65.
     shapes = _eigensolve_shapes(monkeypatch)
     c = lift(bravyi_smolin_3(), 8)
     signature(c)
@@ -575,7 +583,7 @@ def test_lift_spectra_come_from_the_factor_stacks(monkeypatch):
     assert shapes == []  # its signature is held
     again = lift(bravyi_smolin_3(), 8)
     signature(again)
-    assert shapes == [(15, 3, 3)]
+    assert shapes == [(64, 8, 8), (15, 3, 3)]
     del c, again
     gc.collect()
     shapes.clear()
@@ -761,10 +769,10 @@ def test_right_factors_past_the_threshold_take_their_phases_from_the_factors(mon
     c = _lift_at_the_threshold(stored_passes=True)
     right = c.provenance.split(c.matrices)
     assert unitarity_residual(right) >= DEFAULT_TOLERANCES.unitarity_tol
-    spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
     shapes = _eigensolve_shapes(monkeypatch)
     sig = signature(c)
-    assert shapes == [(len(c.factored.distinct), 2, 2)]
+    # The left factors of q = 4, then the distinct right factors.
+    assert shapes == [(16, 4, 4), (len(c.factored.distinct), 2, 2)]
     _assert_same_up_to_raw_phases(sig, signature(_relabel(c)))
 
 
@@ -974,10 +982,11 @@ def test_signature_checks_unitarity_on_the_held_residual(monkeypatch):
     # checks as it checks any input.
     assert calls == [(1, 1, 1)]
     c = lift(bravyi_smolin_3(), 4)
-    spectral._left_phases(c.provenance)  # held for its label, as an earlier signature leaves it
     calls.clear()
     signature(c)
-    assert calls == []  # no right factor is checked apart from the held residual
+    # Only its left factors: no right factor is checked apart from the held
+    # residual.
+    assert calls == [(16, 4, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -1012,6 +1021,26 @@ def test_order_up_to_scans_long_arrays_in_blocks(monkeypatch):
     assert whole == tuple(_reference_order(p, 50) for p in phases)
     assert order_up_to(np.empty(0), 5) == ()
     assert order_up_to(np.float64(np.pi), 4) == Finite(2)
+
+
+def test_order_up_to_scans_a_long_bound_in_blocks_of_powers(monkeypatch):
+    phases = np.concatenate([2 * np.pi * np.arange(40) / 40, [THETA, -THETA, np.pi]])
+    whole = order_up_to(phases, 50)
+    monkeypatch.setattr(spectral, "_SCAN_ENTRIES", 7)  # powers 1-7, 8-14, ... per block
+    assert order_up_to(phases, 50) == whole
+    assert order_up_to(phases, 50.5) == tuple(_reference_order(p, 50.5) for p in phases)
+
+
+def test_order_up_to_memory_does_not_grow_with_the_bound():
+    # Two phases no power up to 10**7 returns to 1, so every power is scanned.
+    tracemalloc.start()
+    try:
+        labels = order_up_to(np.array([THETA, np.sqrt(2)]), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels == (NoOrderUpTo(10**7),) * 2
+    assert peak < 16 * 10**6
 
 
 # ---------------------------------------------------------------------------

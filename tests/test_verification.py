@@ -175,8 +175,6 @@ def test_search_validates_arguments():
         search_extension(c, iters=0)
     with pytest.raises(ValueError):
         search_extension(c, seed=-1)
-    with pytest.raises(ValueError):
-        search_extension(c, extension_tol=0.0)
 
 
 def test_search_rejects_non_orthogonal_candidates():
@@ -199,14 +197,15 @@ def test_search_finds_dropped_weyl_element():
     assert res.extension_max_gram_overlap < 1e-6
 
 
-def test_search_loose_tolerance_does_not_fake_an_extension():
+def test_search_loose_tolerance_does_not_fake_an_extension(monkeypatch):
     # The gap 3 - sqrt(6) is below 0.6, but no unitary lies in the complement,
     # so the nominated witness must fail re-verification.
-    res = search_extension(bravyi_smolin_3(), 5, 50, extension_tol=0.6)
+    monkeypatch.setattr(verification, "NOMINATION_GAP", 0.6)
+    res = search_extension(bravyi_smolin_3(), 5, 50)
     assert res.verdict == "NoExtensionFound"
     assert res.gap < 0.6
     assert res.extension is None
-    assert any("fails re-verification" in n for n in res.notes)
+    assert any("below NOMINATION_GAP" in n and "fails re-verification" in n for n in res.notes)
 
 
 def test_search_on_complete_basis_reports_trivial_complement():
@@ -1097,10 +1096,9 @@ def test_certify_makes_no_svd_on_a_set_its_report_vouches_for(name, monkeypatch)
 
 
 def _count_left_factor_builds(monkeypatch):
-    """Empty the q-keyed factor table and the held left phases, then record
-    each q whose Fourier matrix is built and the shape of every eigensolve."""
+    """Empty the q-keyed factor table, then record each q whose Fourier
+    matrix is built and the shape of every eigensolve."""
     constructions._factor_table.cache_clear()
-    spectral._LEFT_PHASES.clear()
     builds, shapes = [], []
     fourier, phases = constructions.fourier_matrix, spectral._phases
     monkeypatch.setattr(constructions, "fourier_matrix", lambda q: builds.append(q) or fourier(q))
@@ -1130,7 +1128,9 @@ def test_every_layer_reads_the_one_layout_of_umeb_6(monkeypatch):
     assert as_lift(c.provenance) == layout == Lift(BravyiSmolin3(), 3, 6, 2)
 
 
-def test_each_q_builds_and_eigensolves_its_left_factors_once(tmp_path, monkeypatch):
+def test_each_q_builds_its_left_factors_once_and_each_signature_eigensolves_them(
+    tmp_path, monkeypatch
+):
     builds, shapes = _count_left_factor_builds(monkeypatch)
     base = bravyi_smolin_3()
     path = tmp_path / "m.json"
@@ -1142,10 +1142,11 @@ def test_each_q_builds_and_eigensolves_its_left_factors_once(tmp_path, monkeypat
         assert structural_certify(c).overall == "CertifiedConditionalOnBase"
         assert signature(c).summary.provably_infinite_count > 0
     assert len({id(c.provenance) for c in made}) == len(made)  # four fresh layouts
-    # The phases made for the first layout serve the others while it lives.
-    # Check 5's rebuilt base is its own q = 1 lift.
+    # The factors built for the first layout serve the others; each
+    # signature takes their phases.  Check 5's rebuilt base is its own q = 1
+    # lift.
     assert builds == [4, 1]
-    assert [shape for shape in shapes if shape[-1] == 4] == [(16, 4, 4)]
+    assert [shape for shape in shapes if shape[-1] == 4] == [(16, 4, 4)] * 4
 
 
 # ---------------------------------------------------------------------------
